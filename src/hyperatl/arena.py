@@ -8,12 +8,23 @@ until all copies hold a total vector and the joint transition fires.  Every
 vertex inherits the colour of its automaton component as priority, so the
 chains between automaton steps are priority-constant and skipping stages
 with no acting agents cannot change any cycle's minimal colour.
+
+The builder works on packed integers.  A copy's position inside one round
+of move selection is the local position ``state * width + partial``, where
+``partial`` indexes the moves fixed so far, and a vertex is the key
+``(q * n_phases + phase) * size + sum(local_c * stride_c)`` over its copies;
+the two decided sinks get negative keys.  Per-copy tables, computed once,
+give each local position's successors in every phase, so the search loop
+only sums table entries and interns the results.  Vertex labels are made
+from the kept keys when first asked for.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .ltl2dpa import DPA, empty_states, universal_states
@@ -29,81 +40,133 @@ class VertexCapError(Exception):
     """Raised when the reachable arena exceeds the configured vertex cap."""
 
 
-def letter(
-    js: Sequence[int],
-    atoms: Sequence[tuple[str, str]],
-    atom_copy: Mapping[tuple[str, str], int],
-    structures: Sequence[MSCGS],
-) -> int:
-    """Assignment (as a bitmask in atom order) read off a joint state."""
-    value = 0
-    for i, (prop, var) in enumerate(atoms):
-        copy = atom_copy[(prop, var)]
-        g = structures[copy]
-        if prop not in g.props:
-            raise ArenaError(f"proposition {prop!r} not present in structure {g.name!r}")
-        if prop in g.labels[js[copy]]:
-            value |= 1 << i
-    return value
+# Reserved keys of the two decided sinks; every other vertex key is >= 0.
+_LOSE = -1
+_WIN = -2
 
 
 @dataclass
 class BuiltArena:
+    """The game plus what a report needs; vertex labels are made on demand."""
+
     game: ParityGame
-    descriptions: list[str]
     n_automaton_vertices: int
+    n_sink_vertices: int
+    keys: list[int] = field(repr=False)
+    layout: "_Layout" = field(repr=False)
+
+    @cached_property
+    def descriptions(self) -> list[str]:
+        """One label per vertex, e.g. ``M q3 (4,7) l=0 T``, built on first use."""
+        return [self.layout.describe(key) for key in self.keys]
 
 
 class _CopyInfo:
-    """Per-copy lookups: acting agents by (stage, turn) and letter masks."""
+    """One copy's tables over its local positions ``state * width + partial``.
 
-    def __init__(self, coalition, structure: MSCGS, atom_bits: list[tuple[str, int]]):
-        self.structure = structure
-        self.coalition = frozenset(coalition)
-        unknown = self.coalition - set(structure.agents)
+    ``partial`` is the mixed-radix index of the moves fixed so far in the
+    current round, in the canonical move order (by stage, coalition before
+    adversaries, then agent index), and ``width`` bounds it over all states.
+    The protocol steps of a round are the (stage, team) pairs, then the
+    total-vector step, then the automaton step.
+    """
+
+    def __init__(
+        self,
+        coalition,
+        structure: MSCGS,
+        atom_bits: list[tuple[str, int]],
+        pairs: Sequence[tuple[int, bool]],
+    ):
+        coalition = frozenset(coalition)
+        unknown = coalition - set(structure.agents)
         if unknown:
             raise ArenaError(
                 f"coalition agents {sorted(unknown)} not present in {structure.name!r}"
             )
-        stages = structure.stages
-        self.max_stage = structure.max_stage()
+        agents, stages = structure.agents, structure.stages
         # canonical move order: by stage, coalition before adversaries, then index
-        self.move_order = sorted(
-            range(len(structure.agents)),
-            key=lambda i: (
-                stages[structure.agents[i]],
-                0 if structure.agents[i] in self.coalition else 1,
-                i,
-            ),
-        )
-        self.acting: dict[tuple[int, bool], tuple[str, ...]] = {}
-        for l in range(self.max_stage + 1):
-            for team in (True, False):
-                agents = tuple(
-                    structure.agents[i]
-                    for i in self.move_order
-                    if stages[structure.agents[i]] == l
-                    and (structure.agents[i] in self.coalition) == team
-                )
-                self.acting[(l, team)] = agents
-        # label bitmask per state over the formula's atom order
-        self.letter_mask = [0] * structure.n_states
+        move_order = [
+            agents[i]
+            for i in sorted(
+                range(len(agents)),
+                key=lambda i: (stages[agents[i]], agents[i] not in coalition, i),
+            )
+        ]
+        self.acting = [
+            [a for a in move_order if stages[a] == l and (a in coalition) == team]
+            for l, team in pairs
+        ]
+        n = self.n_states = structure.n_states
+        arities = [dict(slots) for slots in structure.decisions]
+        # moves per state of the agents acting at each step; the total-vector
+        # and automaton steps fix no move
+        self.step_arity = [
+            [math.prod(arity.get(a, 1) for a in acting) for arity in arities]
+            for acting in self.acting
+        ]
+        self.step_arity += [[1] * n, [1] * n]
+        w = self.width = max((math.prod(col) for col in zip(*self.step_arity)), default=1)
+        # label bitmask per local position over the formula's atom order
+        mask = [0] * n
         for prop, bit in atom_bits:
             if prop not in structure.props:
                 raise ArenaError(
                     f"proposition {prop!r} not present in structure {structure.name!r}"
                 )
-            for s in range(structure.n_states):
+            for s in range(n):
                 if prop in structure.labels[s]:
-                    self.letter_mask[s] |= 1 << bit
-        # slot position of each agent per state resolved lazily via dicts
-        self.slot_arity: list[dict[str, int]] = [
-            {agent: arity for agent, arity in structure.decisions[s]}
-            for s in range(structure.n_states)
-        ]
+                    mask[s] |= 1 << bit
+        self.letter_mask = [m for m in mask for _ in range(w)]
+        # local position after the joint step from a total move vector
+        self.fire = [0] * (n * w)
+        for s, arity in enumerate(arities):
+            vectors = itertools.product(*(range(arity.get(a, 1)) for a in move_order))
+            for p, moves in enumerate(vectors):
+                self.fire[s * w + p] = structure.delta(s, dict(zip(move_order, moves))) * w
 
-    def arity(self, state: int, agent: str) -> int:
-        return self.slot_arity[state].get(agent, 1)
+    def successors(self, a: int, b: int, stride: int) -> list[Optional[tuple[int, ...]]]:
+        """Per local position live at step ``a``: its positions at step ``b``.
+
+        Positions come times ``stride``, in move-vector product order; when
+        ``b`` is the automaton step the round ends and the joint step fires.
+        Only step ``a`` fixes moves: the steps skipped between ``a`` and ``b``
+        have no acting agent in any copy.
+        """
+        n, w = self.n_states, self.width
+        auto = len(self.step_arity) - 1
+        table: list[Optional[tuple[int, ...]]] = [None] * (n * w)
+        for s in range(n):
+            live = 1 if a == auto else math.prod(self.step_arity[t][s] for t in range(a))
+            r = self.step_arity[a][s]
+            for p in range(live):
+                nxt = range(s * w + p * r, s * w + (p + 1) * r)
+                if b == auto:
+                    nxt = [self.fire[x] for x in nxt]
+                table[s * w + p] = tuple(x * stride for x in nxt)
+        return table
+
+
+@dataclass
+class _Layout:
+    """How vertex keys are packed; ``steps`` maps each phase to its protocol step."""
+
+    pairs: list[tuple[int, bool]]
+    steps: list[int]
+    size: int
+    dims: list[tuple[int, int, int]]  # per copy: stride, number of local positions, width
+
+    def describe(self, key: int) -> str:
+        if key < 0:
+            return "LOSE" if key == _LOSE else "WIN"
+        hi, rest = divmod(key, self.size)
+        q, phase = divmod(hi, len(self.steps))
+        js = ",".join(str(rest // st % sz // w) for st, sz, w in self.dims)
+        step = self.steps[phase]
+        if step == len(self.pairs) + 1:
+            return "A q%d (%s)" % (q, js)
+        stage, team = self.pairs[step] if step < len(self.pairs) else (len(self.pairs) // 2, True)
+        return "M q%d (%s) l=%d %s" % (q, js, stage, "T" if team else "F")
 
 
 def build_game(
@@ -122,6 +185,8 @@ def build_game(
     replaces automaton states with empty (resp. universal) residual language
     by a single losing (resp. winning) sink; winners are unchanged but
     vertex counts differ, so it stays off where exact shape matters.
+    Vertices are numbered in BFS order from the initial one, and each row
+    lists its successors in move-vector product order (copy by copy).
     """
     k = len(quants)
     if k == 0:
@@ -132,141 +197,97 @@ def build_game(
         if not 0 <= copy < k:
             raise ArenaError(f"atom {atom} mapped to copy {copy} out of range")
         atom_bits_per_copy[copy].append((atom[0], bit))
+    max_stage = max(structure.max_stage() for _, structure in quants)
+    pairs = [(l, team) for l in range(max_stage + 1) for team in (True, False)]
     copies = [
-        _CopyInfo(coalition, structure, atom_bits_per_copy[i])
+        _CopyInfo(coalition, structure, atom_bits_per_copy[i], pairs)
         for i, (coalition, structure) in enumerate(quants)
     ]
-    max_stage = max(c.max_stage for c in copies)
-    losing = empty_states(dpa) if prune_decided else None
-    winning = universal_states(dpa) if prune_decided else None
+    total, auto = len(pairs), len(pairs) + 1
+    steps = [i for i in range(total) if not collapse or any(c.acting[i] for c in copies)]
+    if not (collapse and prune_decided):
+        steps.append(total)
+    steps.append(auto)
+    nph = len(steps)
+    auto_phase = nph - 1
 
-    index: dict = {}
-    order: list = []
-    succ: list[Optional[list[int]]] = []
+    dims = []
+    size = 1
+    for c in copies:
+        dims.append((size, c.n_states * c.width, c.width))
+        size *= c.n_states * c.width
+    layout = _Layout(pairs, steps, size, dims)
+    # per phase: per-copy (successor table, stride, positions), owner, next
+    # phase, and whether the step into the next phase fires the joint step
+    phases = []
+    for i, step in enumerate(steps):
+        after = steps[(i + 1) % nph]
+        lookups = [(c.successors(step, after, st), st, sz) for c, (st, sz, _) in zip(copies, dims)]
+        owned_by_one = step < total and not pairs[step][1]
+        phases.append((lookups, int(owned_by_one), (i + 1) % nph, after == auto))
+    letters = [(c.letter_mask, st, sz) for c, (st, sz, _) in zip(copies, dims)]
+    sink: list[Optional[int]] = [None] * dpa.n_states
+    if prune_decided:
+        for q, (lose, win) in enumerate(zip(empty_states(dpa), universal_states(dpa))):
+            sink[q] = _LOSE if lose else _WIN if win else None
+    colors, trans = dpa.colors, dpa.trans
+    product = itertools.product
+
+    initial_key = sink[dpa.initial]
+    if initial_key is None:
+        initial_key = (dpa.initial * nph + auto_phase) * size + sum(
+            g.initial * w * st for (_, g), (st, _, w) in zip(quants, dims)
+        )
+    if cap < 1:
+        raise VertexCapError(f"vertex cap of {cap} exceeded")
+    keys = [initial_key]
+    index = {initial_key: 0}
+    succ: list[list[int]] = []
     owner: list[int] = []
     priority: list[int] = []
-
-    def intern(key) -> int:
-        got = index.get(key)
-        if got is not None:
-            return got
-        if len(order) >= cap:
-            raise VertexCapError(f"vertex cap of {cap} exceeded")
-        index[key] = len(order)
-        order.append(key)
-        succ.append(None)
-        owner.append(0)
-        priority.append(0)
-        return index[key]
-
-    def joint_step(js, sigma):
-        nxt = []
-        for i, copy in enumerate(copies):
-            agents_in_order = [copy.structure.agents[j] for j in copy.move_order]
-            moves = dict(zip(agents_in_order, sigma[i]))
-            nxt.append(copy.structure.delta(js[i], moves))
-        return tuple(nxt)
-
-    def advance(q, js, sigma, stage, team):
-        """Next materialized vertex key from a protocol position."""
-        while True:
-            if not collapse:
-                return ("M", q, js, sigma, stage, team)
-            if stage > max_stage:
-                # the total-vector vertex is kept unless fast pruning is on
-                if prune_decided:
-                    return automaton_key(q, joint_step(js, sigma))
-                return ("M", q, js, sigma, stage, team)
-            acting = [copy.acting.get((stage, team), ()) for copy in copies]
-            if any(acting):
-                return ("M", q, js, sigma, stage, team)
-            stage, team = (stage, False) if team else (stage + 1, True)
-
-    def automaton_key(q, js):
-        if prune_decided:
-            if losing[q]:
-                return ("LOSE",)
-            if winning[q]:
-                return ("WIN",)
-        return ("A", q, js)
-
-    initial = intern(automaton_key(dpa.initial, tuple(c.structure.initial for c in copies)))
-
-    frontier = 0
-    while frontier < len(order):
-        vid = frontier
-        key = order[vid]
-        frontier += 1
-        kind = key[0]
-        if kind == "LOSE":
-            owner[vid] = 0
-            priority[vid] = 1
-            succ[vid] = [vid]
+    n_automaton = n_sink = 0
+    for vid, key in enumerate(keys):
+        if key < 0:
+            n_sink += 1
+            owner.append(0)
+            priority.append(1 if key == _LOSE else 0)
+            succ.append([vid])
             continue
-        if kind == "WIN":
-            owner[vid] = 0
-            priority[vid] = 0
-            succ[vid] = [vid]
-            continue
-        if kind == "A":
-            _, q, js = key
-            owner[vid] = 0
-            priority[vid] = dpa.colors[q]
-            value = 0
-            for i, copy in enumerate(copies):
-                value |= copy.letter_mask[js[i]]
-            q2 = dpa.trans[q][value]
-            empty_sigma = tuple(() for _ in copies)
-            succ[vid] = [intern(advance(q2, js, empty_sigma, 0, True))]
-            continue
-        _, q, js, sigma, stage, team = key
-        owner[vid] = 0 if team else 1
-        priority[vid] = dpa.colors[q]
-        if stage > max_stage:
-            # total move vector: the unique edge performs the joint system step
-            succ[vid] = [intern(automaton_key(q, joint_step(js, sigma)))]
-            continue
-        acting = [copy.acting.get((stage, team), ()) for copy in copies]
-        ranges = []
-        slots = []
-        for i, copy in enumerate(copies):
-            for agent in acting[i]:
-                ranges.append(range(copy.arity(js[i], agent)))
-                slots.append(i)
-        nxt_stage, nxt_team = (stage, False) if team else (stage + 1, True)
-        row = []
-        if not ranges:
-            row.append(intern(advance(q, js, sigma, nxt_stage, nxt_team)))
-        else:
-            for combo in itertools.product(*ranges):
-                new_sigma = list(sigma)
-                pos = 0
-                for i in range(k):
-                    count = len(acting[i])
-                    if count:
-                        new_sigma[i] = new_sigma[i] + tuple(combo[pos : pos + count])
-                        pos += count
-                row.append(intern(advance(q, js, tuple(new_sigma), nxt_stage, nxt_team)))
-        succ[vid] = row
-
-    descriptions = []
-    n_automaton = 0
-    for key in order:
-        kind = key[0]
-        if kind == "A":
+        hi, rest = divmod(key, size)
+        q, phase = divmod(hi, nph)
+        lookups, who, following, fires = phases[phase]
+        owner.append(who)
+        priority.append(colors[q])
+        if phase == auto_phase:
             n_automaton += 1
-            _, q, js = key
-            descriptions.append("A q%d (%s)" % (q, ",".join(str(s) for s in js)))
-        elif kind == "M":
-            _, q, js, sigma, stage, team = key
-            descriptions.append(
-                "M q%d (%s) l=%d %s"
-                % (q, ",".join(str(s) for s in js), stage, "T" if team else "F")
-            )
-        else:
-            descriptions.append(kind)
-    game = ParityGame(succ=succ, owner=owner, priority=priority, initial=initial)
-    return BuiltArena(game=game, descriptions=descriptions, n_automaton_vertices=n_automaton)
+            value = 0
+            for mask, st, sz in letters:
+                value |= mask[rest // st % sz]
+            q = trans[q][value]
+        options = [table[rest // st % sz] for table, st, sz in lookups]
+        target = sink[q] if fires else None
+        base = (q * nph + following) * size
+        row = []
+        for combo in product(*options):
+            nk = base + sum(combo) if target is None else target
+            t = index.get(nk)
+            if t is None:
+                t = len(keys)
+                if t >= cap:
+                    raise VertexCapError(f"vertex cap of {cap} exceeded")
+                index[nk] = t
+                keys.append(nk)
+            row.append(t)
+        succ.append(row)
+
+    game = ParityGame(succ=succ, owner=owner, priority=priority, initial=0)
+    return BuiltArena(
+        game=game,
+        n_automaton_vertices=n_automaton,
+        n_sink_vertices=n_sink,
+        keys=keys,
+        layout=layout,
+    )
 
 
 def export_dot(

@@ -79,6 +79,27 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} expects an integer, got {text!r}") from None
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {e}") from e
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"cannot parse {what} {str(path)!r}: {e}") from e
+
+
 def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple]) -> structures.MSCGS:
     for t in transforms:
         if t[0] == "stutter":
@@ -91,10 +112,7 @@ def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple]) -> struc
 
 
 def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.MSCGS:
-    try:
-        text = Path(spec.program_path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read program {spec.program_path!r}: {e}") from e
+    text = _read_text(spec.program_path, "program")
     declared, program = imp.parse_program(text, width_overrides=widths or None)
     g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
     return _apply_transforms(g, spec.transforms)
@@ -145,7 +163,7 @@ def _expand_builtin(
         f = props.expand_simsec(DEFAULT_OUT, DEFAULT_LOW, base_id, sid, bindings)
         return f, systems, bindings
     if name == "sgni":
-        k = int(param) if param else 3
+        k = _int(param, "sgni:k") if param else 3
         sid = shifted(k)
         f = props.expand_sgni(DEFAULT_OUT, DEFAULT_LOW, DEFAULT_HIGH, k, base_id, sid, bindings)
         return f, systems, bindings
@@ -160,8 +178,8 @@ def _expand_builtin(
     if name == "ahltl":
         if body_file is None:
             raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
-        n = int(param) if param else 2
-        body = parse_ltl(Path(body_file).read_text(encoding="utf-8").strip())
+        n = _int(param, "ahltl:n") if param else 2
+        body = parse_ltl(_read_text(body_file, "formula").strip())
         sid = stuttered()
         return props.expand_ahltl(n, body, sid, bindings), systems, bindings
     raise ConfigError(f"unknown builtin property {prop!r}")
@@ -190,7 +208,7 @@ def run(config: CheckConfig) -> Report:
             config.prop, base_spec, loaded[base_spec.system_id], config.formula_file
         )
     elif config.formula_file is not None:
-        formula = parse_formula(Path(config.formula_file).read_text(encoding="utf-8").strip())
+        formula = parse_formula(_read_text(config.formula_file, "formula").strip())
         systems = loaded
     else:
         raise ConfigError("either --formula or --prop is required")
@@ -229,6 +247,8 @@ def run(config: CheckConfig) -> Report:
         "dpa.colors": dpa.n_colors,
         "game.vertices": built.game.n_vertices,
         "game.edges": built.game.n_edges,
+        "game.automaton_vertices": built.n_automaton_vertices,
+        "game.sink_vertices": built.n_sink_vertices,
     }
     for sid in sorted(systems):
         sizes[f"system.{sid}.states"] = systems[sid].n_states
@@ -295,27 +315,27 @@ def run_suite(
 ) -> tuple[list[SuiteRow], bool]:
     """Run every manifest entry; flags mismatches against expected verdicts."""
     manifest_path = _resolve_manifest(manifest)
-    try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"cannot parse manifest {manifest!r}: {e}") from e
-    expectations = {}
-    if expect_file:
-        expectations = json.loads(Path(expect_file).read_text(encoding="utf-8"))
+    data = _read_json(manifest_path, "manifest")
+    expectations = _read_json(expect_file, "expectations") if expect_file else {}
 
     rows: list[SuiteRow] = []
     all_ok = True
-    for entry in data.get("entries", []):
+    for i, entry in enumerate(data.get("entries", [])):
+        for key in ("name", "program", "prop"):
+            if key not in entry:
+                raise ConfigError(f"manifest entry {i} has no {key!r}")
         name = entry["name"]
         program = manifest_path.parent / entry["program"]
         transforms = tuple(
-            ("shift", int(t.split("=", 1)[1])) if t.startswith("shift=") else (t,)
+            ("shift", _int(t.split("=", 1)[1], f"{name}: shift")) if t.startswith("shift=")
+            else (t,)
             for t in entry.get("transforms", [])
         )
+        widths = {k: _int(v, f"{name}: width of {k}") for k, v in entry.get("widths", {}).items()}
         config = CheckConfig(
             systems=[SystemSpec("G", str(program), transforms)],
             prop=entry["prop"],
-            widths={k: int(v) for k, v in entry.get("widths", {}).items()},
+            widths=widths,
             fast=fast,
         )
         start = time.perf_counter()
@@ -363,7 +383,7 @@ def _parse_system(text: str) -> SystemSpec:
         if t == "stutter":
             transforms.append(("stutter",))
         elif t.startswith("shift="):
-            transforms.append(("shift", int(t.split("=", 1)[1])))
+            transforms.append(("shift", _int(t.split("=", 1)[1], "shift")))
         else:
             raise ConfigError(f"unknown transform {t!r}")
     return SystemSpec(system_id.strip(), path, tuple(transforms))
@@ -409,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if "=" not in w:
                     raise ConfigError(f"--width expects VAR=N, got {w!r}")
                 var, n = w.split("=", 1)
-                widths[var] = int(n)
+                widths[var] = _int(n, f"--width {var}")
             dump_sys = {}
             for d in args.dump_sys:
                 if "=" not in d:
@@ -443,7 +463,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows, ok = run_suite(args.manifest, args.expect, fast=not args.exact_arena)
         print(format_suite(rows))
         return EXIT_SATISFIED if ok else EXIT_VIOLATED
-    except (ConfigError, FormulaError, ProgramError, TemplateError, arena.ArenaError) as e:
+    except (
+        ConfigError,
+        FormulaError,
+        ProgramError,
+        TemplateError,
+        arena.ArenaError,
+        structures.TransformError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceCapError, StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError) as e:

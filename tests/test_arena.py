@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_dpa, random_structure
 from hyperatl import arena
-from hyperatl.arena import ArenaError, VertexCapError, build_game, letter
+from hyperatl.arena import ArenaError, VertexCapError, build_game
 from hyperatl.cli import bundled_asset
 from hyperatl.formula import parse_formula, to_nnf, validate_fragment
 from hyperatl.imp import build_cgs, parse_program
@@ -53,6 +53,17 @@ def test_three_vertex_cycle_odd_lost():
     assert built.game.initial in regions.w1
 
 
+def letter(js, atoms, atom_copy, structures):
+    """Assignment (as a bitmask in atom order) read off a joint state through
+    the builder's per-copy letter masks."""
+    value = 0
+    for copy, g in enumerate(structures):
+        bits = [(atom[0], bit) for bit, atom in enumerate(atoms) if atom_copy[atom] == copy]
+        info = arena._CopyInfo(frozenset(), g, bits, [(0, True), (0, False)])
+        value |= info.letter_mask[js[copy] * info.width]
+    return value
+
+
 def test_letter_reads_labels_per_copy():
     g1 = one_state_structure(labels=frozenset({"o[0]"}), props=frozenset({"o[0]"}))
     g2 = one_state_structure(labels=frozenset(), props=frozenset({"o[0]"}))
@@ -64,8 +75,9 @@ def test_letter_reads_labels_per_copy():
 
 def test_letter_rejects_unknown_proposition():
     g = one_state_structure()
+    atoms = (("stut", "p1"),)
     with pytest.raises(ArenaError, match="stut"):
-        letter((0,), (("stut", "p1"),), {("stut", "p1"): 0}, [g])
+        build_game([(frozenset({"a"}), g)], universal_dpa(atoms), atoms, {atoms[0]: 0})
 
 
 def test_letter_mixed_assignment():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperatl
 from hyperatl import cli
 from hyperatl.cli import (
     CheckConfig,
@@ -26,6 +31,8 @@ def test_run_reports_sizes_and_timings():
     assert report.verdict == "satisfied"
     assert report.sizes["system.G.states"] > 0
     assert report.sizes["game.vertices"] > 0
+    assert 0 < report.sizes["game.automaton_vertices"] < report.sizes["game.vertices"]
+    assert report.sizes["game.sink_vertices"] <= 2
     assert set(report.timings_ms) == {"build", "translate", "arena", "solve"}
 
 
@@ -169,3 +176,60 @@ def test_exact_arena_flag_matches_fast_path():
     exact = run(CheckConfig(systems=[spec("p2.imp")], prop="ni", fast=False))
     assert fast.verdict == exact.verdict == "satisfied"
     assert fast.sizes["game.vertices"] <= exact.sizes["game.vertices"]
+
+
+def usage_error(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_non_integer_sgni_lookahead_is_a_usage_error(capsys):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", "sgni:x"]
+    assert "'x'" in usage_error(capsys, argv)
+    argv = ["check", "--system", f"G={prog}", "--prop", "sgni:0"]
+    assert "shift distance" in usage_error(capsys, argv)
+
+
+def test_non_integer_width_is_a_usage_error(capsys):
+    prog = str(bundled_asset("q1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", "od", "--width", "h=abc"]
+    assert "'abc'" in usage_error(capsys, argv)
+
+
+def test_missing_ahltl_body_file_is_a_usage_error(capsys):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", "ahltl:2", "--formula", "/nonexistent"]
+    assert "/nonexistent" in usage_error(capsys, argv)
+
+
+def test_manifest_entry_without_program_is_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [{"name": "case", "prop": "od"}]}))
+    assert "'program'" in usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+def test_non_integer_manifest_width_is_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    entry = {"name": "case", "program": str(bundled_asset("q1.imp")), "prop": "od"}
+    m.write_text(json.dumps({"entries": [dict(entry, widths={"h": "z"})]}))
+    assert "'z'" in usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+def test_python_m_hyperatl_runs_the_cli():
+    src = str(Path(hyperatl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    prog = str(bundled_asset("p1.imp"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperatl", "check", "--system", f"G={prog}", "--prop", "od"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_SATISFIED, proc.stderr
+    assert proc.stdout.startswith("verdict: satisfied")

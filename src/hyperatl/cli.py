@@ -38,6 +38,18 @@ class ResourceCapError(Exception):
     pass
 
 
+# What ends a check early: bad input (exit 2) or a resource cap (exit 3).
+USAGE_ERRORS = (
+    ConfigError,
+    FormulaError,
+    ProgramError,
+    TemplateError,
+    arena.ArenaError,
+    structures.TransformError,
+)
+CAP_ERRORS = (ResourceCapError, StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError)
+
+
 @dataclass
 class SystemSpec:
     system_id: str
@@ -235,7 +247,8 @@ def run(config: CheckConfig) -> Report:
         raise ResourceCapError(str(e)) from e
     t_arena = time.perf_counter()
 
-    regions, s0, s1 = solver.zielonka(built.game)
+    solver_stats: dict = {}
+    regions, s0, s1 = solver.zielonka(built.game, solver_stats)
     t_solve = time.perf_counter()
 
     won = built.game.initial in regions.w0
@@ -249,6 +262,8 @@ def run(config: CheckConfig) -> Report:
         "game.edges": built.game.n_edges,
         "game.automaton_vertices": built.n_automaton_vertices,
         "game.sink_vertices": built.n_sink_vertices,
+        "solver.calls": solver_stats["calls"],
+        "solver.attractor_edges": solver_stats["attractor_edges"],
     }
     for sid in sorted(systems):
         sizes[f"system.{sid}.states"] = systems[sid].n_states
@@ -301,25 +316,17 @@ def _resolve_manifest(path_or_name: str) -> Path:
 @dataclass
 class SuiteRow:
     name: str
-    verdict: str
+    verdict: str  # "satisfied", "violated", or "error"/"cap" when the check ended early
     expected: Optional[str]
     ok: bool
     millis: float
     sizes: dict
+    message: str = ""  # why an "error" or "cap" row ended
 
 
-def run_suite(
-    manifest: str,
-    expect_file: Optional[str] = None,
-    fast: bool = True,
-) -> tuple[list[SuiteRow], bool]:
-    """Run every manifest entry; flags mismatches against expected verdicts."""
-    manifest_path = _resolve_manifest(manifest)
-    data = _read_json(manifest_path, "manifest")
-    expectations = _read_json(expect_file, "expectations") if expect_file else {}
-
-    rows: list[SuiteRow] = []
-    all_ok = True
+def _suite_configs(manifest_path: Path, data, fast: bool) -> list[tuple]:
+    """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
+    configs = []
     for i, entry in enumerate(data.get("entries", [])):
         for key in ("name", "program", "prop"):
             if key not in entry:
@@ -338,33 +345,51 @@ def run_suite(
             widths=widths,
             fast=fast,
         )
+        configs.append((name, config, entry.get("expect")))
+    return configs
+
+
+def run_suite(
+    manifest: str,
+    expect_file: Optional[str] = None,
+    fast: bool = True,
+) -> tuple[list[SuiteRow], bool]:
+    """Run every manifest entry; flags mismatches against expected verdicts.
+
+    A row that ends in bad input or a resource cap is recorded as an
+    ``error`` or ``cap`` row, which is never ok, and the suite goes on.
+    """
+    manifest_path = _resolve_manifest(manifest)
+    data = _read_json(manifest_path, "manifest")
+    expectations = _read_json(expect_file, "expectations") if expect_file else {}
+
+    rows: list[SuiteRow] = []
+    for name, config, expected in _suite_configs(manifest_path, data, fast):
+        expected = expectations.get(name, expected)
         start = time.perf_counter()
-        report = run(config)
+        try:
+            report = run(config)
+        except (USAGE_ERRORS + CAP_ERRORS) as e:
+            verdict = "cap" if isinstance(e, CAP_ERRORS) else "error"
+            millis = (time.perf_counter() - start) * 1000
+            rows.append(SuiteRow(name, verdict, expected, False, millis, {}, str(e)))
+            continue
         millis = (time.perf_counter() - start) * 1000
-        expected = expectations.get(name, entry.get("expect"))
         ok = expected is None or report.verdict == expected
-        all_ok = all_ok and ok
-        rows.append(
-            SuiteRow(
-                name=name,
-                verdict=report.verdict,
-                expected=expected,
-                ok=ok,
-                millis=millis,
-                sizes=report.sizes,
-            )
-        )
-    return rows, all_ok
+        rows.append(SuiteRow(name, report.verdict, expected, ok, millis, report.sizes))
+    return rows, all(r.ok for r in rows)
 
 
 def format_suite(rows: list[SuiteRow]) -> str:
     width = max([len(r.name) for r in rows] + [4])
     lines = [f"{'name'.ljust(width)}  verdict    expected   ok    ms"]
     for r in rows:
-        lines.append(
+        status = "ok" if r.ok else ("MISMATCH" if not r.message else r.verdict.upper())
+        line = (
             f"{r.name.ljust(width)}  {r.verdict.ljust(9)}  "
-            f"{(r.expected or '-').ljust(9)}  {'ok' if r.ok else 'MISMATCH':4}  {r.millis:8.1f}"
+            f"{(r.expected or '-').ljust(9)}  {status:4}  {r.millis:8.1f}"
         )
+        lines.append(f"{line}  {r.message}" if r.message else line)
     return "\n".join(lines)
 
 
@@ -463,17 +488,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows, ok = run_suite(args.manifest, args.expect, fast=not args.exact_arena)
         print(format_suite(rows))
         return EXIT_SATISFIED if ok else EXIT_VIOLATED
-    except (
-        ConfigError,
-        FormulaError,
-        ProgramError,
-        TemplateError,
-        arena.ArenaError,
-        structures.TransformError,
-    ) as e:
+    except USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceCapError, StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError) as e:
+    except CAP_ERRORS as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -17,6 +17,7 @@ import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import formula as F
+from .solver import scc
 
 Assignment = Mapping[tuple[str, str], bool]
 
@@ -514,13 +515,9 @@ def _neutralize_transient(dpa: DPA) -> DPA:
     decides acceptance; a uniform choice lets the quotient merge them.
     """
     on_cycle = [False] * dpa.n_states
-    for comp in _scc(dpa, set(range(dpa.n_states))):
-        if len(comp) > 1:
+    for comp in scc(dpa.trans, [True] * dpa.n_states):
+        if len(comp) > 1 or comp[0] in dpa.trans[comp[0]]:
             for q in comp:
-                on_cycle[q] = True
-        else:
-            q = next(iter(comp))
-            if q in dpa.trans[q]:
                 on_cycle[q] = True
     if all(on_cycle):
         return dpa
@@ -686,15 +683,8 @@ def _has_dominated_cycle(dpa: DPA, parity: int) -> list[bool]:
     for c in sorted(set(dpa.colors)):
         if c % 2 != parity:
             continue
-        allowed = [q for q in range(n) if dpa.colors[q] >= c]
-        allowed_set = set(allowed)
-        comp = _scc(dpa, allowed_set)
-        for members in comp:
-            if len(members) == 1:
-                q = next(iter(members))
-                has_cycle = q in dpa.trans[q]
-            else:
-                has_cycle = True
+        for members in scc(dpa.trans, [color >= c for color in dpa.colors]):
+            has_cycle = len(members) > 1 or members[0] in dpa.trans[members[0]]
             if has_cycle and any(dpa.colors[q] == c for q in members):
                 for q in members:
                     good[q] = True
@@ -711,55 +701,6 @@ def _has_dominated_cycle(dpa: DPA, parity: int) -> list[bool]:
                 good[p] = True
                 stack.append(p)
     return good
-
-
-def _scc(dpa: DPA, allowed: set[int]) -> list[set[int]]:
-    """Strongly connected components of the sub-graph on ``allowed`` states."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    out: list[set[int]] = []
-    counter = itertools.count()
-
-    def strongconnect(v: int) -> None:
-        work = [(v, iter([t for t in set(dpa.trans[v]) if t in allowed]))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([t for t in set(dpa.trans[w]) if t in allowed])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in sorted(allowed):
-        if v not in index:
-            strongconnect(v)
-    return out
 
 
 def empty_states(dpa: DPA) -> list[bool]:

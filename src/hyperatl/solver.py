@@ -1,16 +1,17 @@
 """Parity game solving with min-even winning convention.
 
 Player 0 wins a play iff the minimal priority occurring infinitely often is
-even.  The recursive solver peels the minimal priority and its attractor;
-the brute-force solver enumerates positional strategy pairs and serves as
-an independent reference on small games.
+even.  Zielonka's solver peels the minimal priority and its attractor, on
+an explicit stack and touching only the current subgame; the brute-force
+solver enumerates positional strategy pairs and serves as an independent
+reference on small games.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Optional, Sequence
 
 
 @dataclass
@@ -63,108 +64,287 @@ class WinningRegions:
 PositionalStrategy = dict
 
 
-def _attractor(
-    game: ParityGame,
-    preds: list[list[int]],
-    player: int,
-    target: Iterable[int],
-    alive: list[bool],
-    out_strategy: dict,
-) -> set[int]:
-    """Vertices from which ``player`` can force a visit to ``target``.
+def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
+    """Strongly connected components of ``succ`` restricted to ``allowed``.
 
-    Records, for attracted vertices owned by ``player``, the edge used to
-    move toward the target (target vertices themselves get no edge here).
+    ``allowed[v]`` says whether vertex ``v`` belongs to the graph, and
+    ``succ[v]`` lists its successors (those not allowed are skipped).  The
+    components come bottom first: every component reachable from another
+    one precedes it.  Iterative Tarjan, so the depth of the graph is bounded
+    by memory, not by the recursion limit.
     """
-    n = game.n_vertices
-    in_attr = [False] * n
-    todo = []
-    for v in target:
-        if alive[v] and not in_attr[v]:
-            in_attr[v] = True
-            todo.append(v)
-    # countdown of escaping edges for the opponent's vertices
-    count = [0] * n
-    for v in range(n):
-        if alive[v] and game.owner[v] != player:
-            count[v] = sum(1 for t in game.succ[v] if alive[t])
-    pos = 0
-    while pos < len(todo):
-        u = todo[pos]
-        pos += 1
-        for p in preds[u]:
-            if not alive[p] or in_attr[p]:
-                continue
-            if game.owner[p] == player:
-                in_attr[p] = True
-                out_strategy[p] = u
-                todo.append(p)
+    n = len(allowed)
+    # visit number of a vertex on the stack; -1 before its visit, n after
+    # its component is emitted (so it never lowers a low-link)
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if not allowed[root] or index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, it, pos = work[-1]
+            lv = low[v]
+            for w in it:
+                if allowed[w]:
+                    x = index[w]
+                    if x < 0:
+                        low[v] = lv
+                        index[w] = low[w] = counter
+                        counter += 1
+                        work.append((w, iter(succ[w]), len(stack)))
+                        stack.append(w)
+                        break
+                    if x < lv:
+                        lv = x
             else:
-                count[p] -= 1
-                if count[p] == 0:
-                    in_attr[p] = True
-                    todo.append(p)
-    return set(todo)
+                work.pop()
+                if lv == index[v]:
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for u in comp:
+                        index[u] = n
+                    comps.append(comp)
+                else:
+                    low[v] = lv
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+    return comps
 
 
-def zielonka(game: ParityGame):
+def zielonka(game: ParityGame, stats: Optional[dict] = None):
     """Solve the game; returns (regions, strategy for 0, strategy for 1).
 
     Each strategy is defined on all vertices its player both owns and wins,
     keeps the play inside the winning region, and is certified by
     :func:`verify_strategy` in the test suite.
+
+    A vertex with a self-loop and a priority of its owner's parity is won by
+    its owner, who can stay there; so is that owner's attractor to it.  A
+    game with more than three priorities is then cut into strongly connected
+    components, solved bottom first by Zielonka's algorithm; the regions of
+    each are attracted into the components above it, which are solved on
+    what remains undecided.  With at most three priorities (every arena of
+    the bundled suites) Zielonka's algorithm needs only a few attractor
+    passes over the whole game, fewer than the decomposition costs, so the
+    rest is solved as one subgame.
+
+    If ``stats`` is given, it receives ``calls``, the number of subgames
+    solved, and ``attractor_edges``, the predecessor edges the attractors
+    visited.
     """
     game.check()
-    preds = game.predecessors()
-    alive = [True] * game.n_vertices
+    solver = _Solver(game, game.predecessors(), stats is not None)
+    succ, owner, priority = game.succ, game.owner, game.priority
+    loops: list = [[], []]
+    for v, row in enumerate(succ):
+        if v in row and owner[v] == priority[v] & 1:
+            loops[owner[v]].append(v)
+    solver.decide(loops, [dict(zip(loops[0], loops[0])), dict(zip(loops[1], loops[1]))])
+    winner = solver.winner
+    if len(set(priority)) > 3:
+        components = scc(succ, [w < 0 for w in winner])
+    else:
+        components = [[v for v, w in enumerate(winner) if w < 0]]
+    for comp in components:
+        sub = {v for v in comp if winner[v] < 0}
+        if sub:
+            solver.decide(*solver.solve(sub))
+    if stats is not None:
+        stats["calls"] = solver.calls
+        stats["attractor_edges"] = solver.edges
+    w0 = frozenset([v for v, w in enumerate(winner) if w == 0])
+    w1 = frozenset([v for v, w in enumerate(winner) if w == 1])
+    return WinningRegions(w0, w1), solver.strategy[0], solver.strategy[1]
 
-    def solve(n_alive: int):
-        w: tuple[set[int], set[int]] = (set(), set())
-        s: tuple[dict, dict] = ({}, {})
-        if n_alive == 0:
-            return w, s
-        m = min(game.priority[v] for v in range(game.n_vertices) if alive[v])
-        player = m % 2
-        top = [v for v in range(game.n_vertices) if alive[v] and game.priority[v] == m]
-        attr_strategy: dict = {}
-        a = _attractor(game, preds, player, top, alive, attr_strategy)
-        for v in a:
-            alive[v] = False
-        (w0, w1), (s0, s1) = solve(n_alive - len(a))
-        w_op = (w0, w1)[1 - player]
-        if not w_op:
-            # the whole remaining game is won by `player`
-            for v in a:
-                alive[v] = True
-            win = {v for v in range(game.n_vertices) if alive[v]}
-            mine = (s0, s1)[player]
-            mine.update(attr_strategy)
-            for v in top:
-                if game.owner[v] == player and v not in mine:
-                    mine[v] = next(t for t in game.succ[v] if alive[t])
-            w = (win, set()) if player == 0 else (set(), win)
-            return w, (s0, s1)
-        # the opponent wins part of the subgame: remove their attractor and repeat
-        for v in a:
-            alive[v] = True
-        escape_strategy: dict = {}
-        b = _attractor(game, preds, 1 - player, w_op, alive, escape_strategy)
-        for v in b:
-            alive[v] = False
-        (w0b, w1b), (s0b, s1b) = solve(n_alive - len(b))
-        for v in b:
-            alive[v] = True
-        opponent = 1 - player
-        ws = [set(w0b), set(w1b)]
-        ws[opponent] |= b
-        strategies = [s0b, s1b]
-        strategies[opponent].update(escape_strategy)
-        strategies[opponent].update((s0, s1)[opponent])
-        return (ws[0], ws[1]), (strategies[0], strategies[1])
 
-    (w0, w1), (s0, s1) = solve(game.n_vertices)
-    regions = WinningRegions(frozenset(w0), frozenset(w1))
-    return regions, s0, s1
+class _Solver:
+    """The state of one :func:`zielonka` run.
+
+    ``decide`` grows the two winning regions of the whole game.  ``solve``
+    runs Zielonka's recursive algorithm on one undecided subgame, on an
+    explicit stack: a subgame is a set of vertices, and each call touches
+    only its vertices and their edges.
+    """
+
+    def __init__(self, game: ParityGame, preds: list[list[int]], count: bool) -> None:
+        self.succ, self.owner, self.priority = game.succ, game.owner, game.priority
+        self.preds = preds
+        self.count = count
+        self.calls = 0
+        self.edges = 0
+        self.winner = [-1] * game.n_vertices
+        self.undecided = game.n_vertices
+        self.strategy = [{}, {}]
+        # per undecided vertex: its edges that do not lead into the region
+        # of its owner's opponent
+        self.escapes = [len(row) for row in game.succ]
+
+    def decide(self, regions: list, strategies: list) -> None:
+        """Add ``regions[p]``, and ``p``'s attractor to it, to ``p``'s wins.
+
+        Each ``regions[p]`` must be won by ``p`` in the undecided part of
+        the game, with ``strategies[p]``.
+        """
+        preds, owner, winner, escapes = self.preds, self.owner, self.winner, self.escapes
+        todos = []
+        for player in (0, 1):
+            todo = list(regions[player])
+            for v in todo:
+                winner[v] = player
+            self.undecided -= len(todo)
+            self.strategy[player] = _merge(self.strategy[player], strategies[player])
+            todos.append(todo)
+        for player, todo in enumerate(todos):
+            if not self.undecided:
+                return
+            mine = self.strategy[player]
+            known = len(todo)
+            for u in todo:
+                for v in preds[u]:
+                    if winner[v] >= 0:
+                        continue
+                    if owner[v] == player:
+                        winner[v] = player
+                        mine[v] = u
+                        todo.append(v)
+                    else:
+                        escapes[v] -= 1
+                        if not escapes[v]:
+                            winner[v] = player
+                            todo.append(v)
+            self.undecided -= len(todo) - known
+            if self.count:
+                self.edges += sum(map(len, map(preds.__getitem__, todo)))
+
+    def attract(self, player: int, attr: set, rest: set, strategy: dict) -> None:
+        """Move to ``attr`` the vertices of ``rest`` that ``player`` can force into it.
+
+        The subgame is ``attr | rest`` and stays so.  Attracted vertices of
+        ``player`` get the edge they use in ``strategy``.
+        """
+        succ, preds, owner = self.succ, self.preds, self.owner
+        todo = list(attr)
+        escapes: dict[int, int] = {}
+        for u in todo:
+            for v in preds[u]:
+                if v not in rest:
+                    continue
+                if owner[v] == player:
+                    rest.discard(v)
+                    attr.add(v)
+                    strategy[v] = u
+                    todo.append(v)
+                    continue
+                left = escapes.get(v)
+                if left is None:
+                    left = 0
+                    for t in succ[v]:
+                        if t in rest or t in attr:
+                            left += 1
+                left -= 1
+                if left:
+                    escapes[v] = left
+                else:
+                    rest.discard(v)
+                    attr.add(v)
+                    todo.append(v)
+        if self.count:
+            self.edges += sum(map(len, map(preds.__getitem__, todo)))
+
+    def solve(self, vertices: set):
+        """Winning regions ``[w0, w1]`` and strategies ``[s0, s1]`` of a subgame.
+
+        The set ``vertices`` is consumed: it becomes part of the result.
+        """
+        priority = self.priority
+        # A frame is [phase, player, attr, strategy, extra]:
+        # - phase 0: attr is the subgame, not split yet;
+        # - phase 1: waits for the subgame minus attr, the player's attractor
+        #   to the minimal priority (extra: the vertices of that priority);
+        # - phase 2: waits for the subgame minus attr, the opponent's
+        #   attractor to what they won in phase 1 (extra: the opponent's
+        #   strategy there).
+        stack = [[0, 0, vertices, None, None]]
+        result = None
+        while stack:
+            frame = stack[-1]
+            phase, p = frame[0], frame[1]
+            if phase == 0:
+                self.calls += 1
+                sub = frame[2]
+                if not sub:
+                    result = ([set(), set()], [{}, {}])
+                    stack.pop()
+                    continue
+                m = min(map(priority.__getitem__, sub))
+                p = m & 1
+                top = [v for v in sub if priority[v] == m]
+                attr = set(top)
+                sub.difference_update(top)
+                strategy: dict = {}
+                self.attract(p, attr, sub, strategy)
+                if not sub:
+                    # the player's attractor to the minimal priority is everything
+                    result = self._won_by(p, attr, top, strategy, [{}, {}])
+                    stack.pop()
+                    continue
+                frame[:] = [1, p, attr, strategy, top]
+                stack.append([0, 0, sub, None, None])
+            elif phase == 1:
+                (w, s), attr, strategy, top = result, frame[2], frame[3], frame[4]
+                if not w[1 - p]:
+                    region = _merge(w[p], attr)
+                    result = self._won_by(p, region, top, _merge(s[p], strategy), s)
+                    stack.pop()
+                    continue
+                # the opponent wins part: remove their attractor and repeat
+                rest = _merge(w[p], attr)
+                opponent_attr = w[1 - p]
+                escape: dict = {}
+                self.attract(1 - p, opponent_attr, rest, escape)
+                frame[:] = [2, p, opponent_attr, escape, s[1 - p]]
+                stack.append([0, 0, rest, None, None])
+            else:
+                (w, s), b, escape, earlier = result, frame[2], frame[3], frame[4]
+                o = 1 - p
+                w[o] = _merge(w[o], b)
+                s[o] = _merge(_merge(s[o], escape), earlier)
+                stack.pop()
+        return result
+
+    def _won_by(self, p: int, region: set, top: list, strategy: dict, s: list):
+        """The result for a subgame ``region`` that ``p`` wins entirely.
+
+        ``strategy`` covers ``p``'s vertices outside ``top``; those of ``p``
+        in ``top``, of minimal priority, may move anywhere inside.
+        """
+        succ, owner = self.succ, self.owner
+        for v in top:
+            if owner[v] == p:
+                for t in succ[v]:
+                    if t in region:
+                        strategy[v] = t
+                        break
+        s[p] = strategy
+        w: list = [set(), set()]
+        w[p] = region
+        return w, s
+
+
+def _merge(a, b):
+    """Union of two disjoint sets or dicts, built by extending the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a.update(b)
+    return a
 
 
 def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:
@@ -262,70 +442,12 @@ def verify_strategy(
         # no cycle inside the restriction may have opponent parity
         bad_parity = 1 if player == 0 else 0
         for c in sorted({game.priority[v] for v in region if game.priority[v] % 2 == bad_parity}):
-            allowed = {v for v in region if game.priority[v] >= c}
-            if _has_cycle_through(edges, allowed, {v for v in allowed if game.priority[v] == c}):
-                return False
+            allowed = [False] * game.n_vertices
+            for v in region:
+                allowed[v] = game.priority[v] >= c
+            for comp in scc(edges, allowed):
+                if any(game.priority[v] == c for v in comp) and (
+                    len(comp) > 1 or comp[0] in edges[comp[0]]
+                ):
+                    return False
     return True
-
-
-def _has_cycle_through(
-    edges: Mapping[int, list[int]], allowed: set[int], targets: set[int]
-) -> bool:
-    """Is there a cycle within ``allowed`` visiting some target vertex?"""
-    if not targets:
-        return False
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = [0]
-    sccs: list[set[int]] = []
-
-    def strongconnect(root: int) -> None:
-        work = [(root, iter([t for t in edges.get(root, []) if t in allowed]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([t for t in edges.get(w, []) if t in allowed])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in sorted(allowed):
-        if v not in index:
-            strongconnect(v)
-    for comp in sccs:
-        if not comp & targets:
-            continue
-        if len(comp) > 1:
-            return True
-        v = next(iter(comp))
-        if v in [t for t in edges.get(v, []) if t in allowed]:
-            return True
-    return False

@@ -151,6 +151,30 @@ def test_suite_expect_file_overrides(tmp_path):
     assert rows[0].expected == "violated" and rows[0].verdict == "satisfied"
 
 
+def test_suite_records_a_failing_row_and_goes_on(tmp_path, capsys):
+    good = {"name": "good", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    missing = {"name": "missing", "program": str(tmp_path / "none.imp"), "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [missing, good]}))
+    rows, ok = run_suite(str(m))
+    assert not ok
+    assert [(r.name, r.verdict, r.ok) for r in rows] == [
+        ("missing", "error", False),
+        ("good", "satisfied", True),
+    ]
+    assert "none.imp" in rows[0].message and "\n" not in rows[0].message
+    assert cli.main(["suite", "--manifest", str(m)]) != EXIT_SATISFIED
+    out = capsys.readouterr().out
+    assert "none.imp" in out and "good" in out
+
+
+def test_solver_work_counters_repeat_exactly():
+    config = CheckConfig(systems=[spec("p2.imp")], prop="sgni:3")
+    first, second = run(config).sizes, run(config).sizes
+    for key in ("solver.calls", "solver.attractor_edges"):
+        assert first[key] > 0 and first[key] == second[key]
+
+
 def test_suite_unknown_manifest():
     with pytest.raises(ConfigError, match="not found"):
         run_suite("no-such-manifest")

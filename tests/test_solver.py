@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -127,3 +128,100 @@ def test_check_rejects_missing_successor():
     g = ParityGame(succ=[[]], owner=[0], priority=[0])
     with pytest.raises(ValueError, match="no successor"):
         zielonka(g)
+
+
+def solve_within(game, seconds):
+    start = time.perf_counter()
+    solution = zielonka(game)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= seconds, f"{elapsed:.1f}s (budget {seconds}s)"
+    return solution
+
+
+def test_many_disjoint_two_cycles_need_no_recursion():
+    # cycle i is 2i -> 2i+1 -> 2i with priorities i and k+i: its minimum is i
+    k = 1200
+    succ, owner, priority = [], [], []
+    for i in range(k):
+        succ += [[2 * i + 1], [2 * i]]
+        owner += [i % 2, 1 - i % 2]
+        priority += [i, k + i]
+    game = ParityGame(succ=succ, owner=owner, priority=priority)
+    regions, s0, s1 = solve_within(game, 5.0)
+    assert regions.w0 == frozenset(v for v in range(2 * k) if (v // 2) % 2 == 0)
+    assert verify_strategy(game, regions, s0, s1)
+
+
+def test_many_disjoint_self_loops_need_no_recursion():
+    n = 1500
+    game = ParityGame(
+        succ=[[v] for v in range(n)], owner=[(v // 2) % 2 for v in range(n)], priority=list(range(n))
+    )
+    regions, s0, s1 = solve_within(game, 5.0)
+    assert regions.w0 == frozenset(range(0, n, 2))
+    assert verify_strategy(game, regions, s0, s1)
+
+
+def test_deep_recursion_inside_one_component():
+    # Vertex v has priority v, a self-loop and an edge to v - 1 (0 to n - 1),
+    # and belongs to the player its priority does not favour.  The attractor
+    # to the minimal priority v takes only v and v + 1, so the subgames nest
+    # n / 2 deep in one strongly connected component; player 0 wins all.
+    n = 2400
+    game = ParityGame(
+        succ=[[v, (v - 1) % n] for v in range(n)],
+        owner=[1 - v % 2 for v in range(n)],
+        priority=list(range(n)),
+    )
+    stats: dict = {}
+    start = time.perf_counter()
+    regions, s0, s1 = zielonka(game, stats)
+    assert time.perf_counter() - start <= 5.0
+    assert stats["calls"] >= n // 2
+    assert regions.w0 == frozenset(range(n))
+    assert verify_strategy(game, regions, s0, s1)
+
+
+def mid_size_game(rng: random.Random, n_priorities: int) -> ParityGame:
+    """Shaped like the games of the solve-random benchmark workload."""
+    n = rng.randint(200, 2000)
+    return ParityGame(
+        succ=[rng.sample(range(n), rng.randint(1, 2)) for _ in range(n)],
+        owner=[rng.randint(0, 1) for _ in range(n)],
+        priority=[rng.randrange(n_priorities) for _ in range(n)],
+    )
+
+
+def test_mid_size_random_games_are_certified_and_relabelling_invariant():
+    # every third game has at most three priorities, which zielonka solves
+    # without the strongly connected decomposition
+    rng = random.Random(2024)
+    for i in range(30):
+        game = mid_size_game(rng, rng.randint(2, 3) if i % 3 == 0 else rng.randint(4, 200))
+        n = game.n_vertices
+        regions, s0, s1 = zielonka(game)
+        assert regions.w0 | regions.w1 == frozenset(range(n))
+        assert not (regions.w0 & regions.w1)
+        assert verify_strategy(game, regions, s0, s1)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        succ: list = [None] * n
+        owner, priority = [0] * n, [0] * n
+        for v in range(n):
+            row = [perm[t] for t in game.succ[v]]
+            rng.shuffle(row)
+            succ[perm[v]], owner[perm[v]], priority[perm[v]] = row, game.owner[v], game.priority[v]
+        relabelled = zielonka(ParityGame(succ, owner, priority))[0]
+        assert relabelled.w0 == frozenset(perm[v] for v in regions.w0)
+
+
+def test_stats_count_subgames_and_attractor_edges():
+    # player 1 moves from 1 back to 0 and wins by seeing priority 1 forever
+    game = ParityGame(succ=[[1], [0, 1]], owner=[0, 1], priority=[1, 2])
+    stats: dict = {}
+    regions, _, _ = zielonka(game, stats)
+    assert regions.w1 == frozenset({0, 1})
+    assert stats["calls"] >= 1 and stats["attractor_edges"] >= 1
+    again: dict = {}
+    zielonka(game, again)
+    assert again == stats

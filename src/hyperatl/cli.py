@@ -229,7 +229,8 @@ def run(config: CheckConfig) -> Report:
     t_build = time.perf_counter()
 
     body = to_nnf(formula.body)
-    dpa = ltl2dpa.ltl_to_dpa(body, info.atoms)
+    translate_stats: dict = {}
+    dpa = ltl2dpa.ltl_to_dpa(body, info.atoms, stats=translate_stats)
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, systems[rq.system]) for rq in info.quantifiers]
@@ -256,6 +257,9 @@ def run(config: CheckConfig) -> Report:
     winner_strategy = s0 if won else s1
 
     sizes = {
+        "apa.states": translate_stats["apa_states"],
+        "nba.states": translate_stats["nba_states"],
+        "dpa.determinized": int(translate_stats["determinized"]),
         "dpa.states": dpa.n_states,
         "dpa.colors": dpa.n_colors,
         "game.vertices": built.game.n_vertices,

@@ -4,7 +4,8 @@ The alphabet is the set of truth assignments to the body's indexed atoms,
 encoded as bitmasks over a fixed atom order (bit ``i`` gives the truth of
 ``atoms[i]``).  The chain is alternating → nondeterministic (breakpoint
 construction) → deterministic (node-tree construction with an index
-appearance record), with min-even parity acceptance throughout: a run is
+appearance record, skipped when the breakpoint automaton is already
+deterministic), with min-even parity acceptance throughout: a run is
 accepting iff the minimal colour seen infinitely often is even.
 
 :func:`eval_lasso` is an independent bottom-up evaluator over ultimately
@@ -215,6 +216,7 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
         raise ValueError("unsupported input: breakpoint construction needs colors in {0,1}")
     fstates = frozenset(q for q in range(apa.n_states) if apa.colors[q] == 0)
     memo: dict = {}
+    models = [[_min_models(pb, memo) for pb in row] for row in apa.trans]
 
     init = (frozenset((apa.initial,)), frozenset((apa.initial,)) - fstates)
     index: dict = {init: 0}
@@ -239,19 +241,26 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
         # breakpoint component (a globally minimal set could hide the escape
         # one owing branch needs)
         states = sorted(big)
+        owing_at = [i for i, q in enumerate(states) if q in owing]
         for letter in range(apa.n_letters):
-            choices = [_min_models(apa.trans[q][letter], memo) for q in states]
-            succs = set()
-            if all(choices):
+            choices = []
+            for q in states:
+                got = models[q][letter]
+                if not got:
+                    # a tracked state with no model leaves the letter no successor
+                    rows.append(())
+                    break
+                choices.append(got)
+            else:
+                succs = set()
                 for combo in itertools.product(*choices):
-                    picked = dict(zip(states, combo))
-                    nxt_big = frozenset().union(*combo) if combo else frozenset()
+                    nxt_big = frozenset().union(*combo)
                     if owing:
-                        nxt_owing = frozenset().union(*(picked[q] for q in owing))
+                        nxt_owing = frozenset().union(*(combo[i] for i in owing_at))
                     else:
                         nxt_owing = nxt_big
                     succs.add(intern((nxt_big, nxt_owing - fstates)))
-            rows.append(tuple(sorted(succs)))
+                rows.append(tuple(sorted(succs)))
         trans.append(rows)
 
     accepting = frozenset(i for i, (_big, owing) in enumerate(order) if not owing)
@@ -460,7 +469,12 @@ def nba_to_dpa(nba: NBA, cap: int = 10**6) -> DPA:
 
 
 def _quotient(dpa: DPA) -> DPA:
-    """Merge states with equal colour and bisimilar successor behaviour."""
+    """Merge states with equal colour and bisimilar successor behaviour.
+
+    Every block holds a state reachable from the initial one, so the
+    quotient of an automaton built by search from its initial state has no
+    unreachable state either.
+    """
     n = dpa.n_states
     color_ids = {c: i for i, c in enumerate(sorted(set(dpa.colors)))}
     block = [color_ids[c] for c in dpa.colors]
@@ -484,28 +498,7 @@ def _quotient(dpa: DPA) -> DPA:
             rep[block[q]] = q
     colors = [dpa.colors[rep[b]] for b in range(n_blocks)]
     trans = [[block[t] for t in dpa.trans[rep[b]]] for b in range(n_blocks)]
-    return _prune(DPA(dpa.atoms, block[dpa.initial], colors, trans))
-
-
-def _prune(dpa: DPA) -> DPA:
-    """Drop states unreachable from the initial state."""
-    seen = {dpa.initial}
-    stack = [dpa.initial]
-    while stack:
-        q = stack.pop()
-        for t in dpa.trans[q]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    if len(seen) == dpa.n_states:
-        return dpa
-    remap = {}
-    for q in range(dpa.n_states):
-        if q in seen:
-            remap[q] = len(remap)
-    colors = [dpa.colors[q] for q in sorted(seen)]
-    trans = [[remap[t] for t in dpa.trans[q]] for q in sorted(seen)]
-    return DPA(dpa.atoms, remap[dpa.initial], colors, trans)
+    return DPA(dpa.atoms, block[dpa.initial], colors, trans)
 
 
 def _neutralize_transient(dpa: DPA) -> DPA:
@@ -545,20 +538,47 @@ def compress_colors(dpa: DPA) -> DPA:
     return DPA(dpa.atoms, dpa.initial, colors, dpa.trans)
 
 
+def deterministic_nba_to_dpa(nba: NBA) -> DPA:
+    """Read an NBA with at most one successor per row as a DPA.
+
+    Accepting states get colour 0 and the others colour 1; empty rows lead
+    to a rejecting sink, added only if some row is empty.  The result is
+    quotiented, as that of :func:`nba_to_dpa` is.
+    """
+    sink = nba.n_states
+    colors = [0 if q in nba.accepting else 1 for q in range(nba.n_states)]
+    trans = [[succs[0] if succs else sink for succs in row] for row in nba.trans]
+    if any(not succs for row in nba.trans for succs in row):
+        colors.append(1)
+        trans.append([sink] * nba.n_letters)
+    return _quotient(DPA(nba.atoms, nba.initial, colors, trans))
+
+
 def ltl_to_dpa(
     f: F.Ltl,
     atoms: Optional[Sequence[tuple[str, str]]] = None,
     cap: int = 10**6,
+    stats: Optional[dict] = None,
 ) -> DPA:
-    """Full chain: normal form, alternating, breakpoint, determinize, tidy."""
+    """Full chain: normal form, alternating, breakpoint, determinize, tidy.
+
+    A breakpoint automaton that is already deterministic skips
+    determinization.  If ``stats`` is a dict it receives the state counts
+    ``apa_states`` and ``nba_states`` and whether the chain ``determinized``.
+    """
     nnf = F.to_nnf(f)
     if atoms is None:
         atoms = F.collect_atoms(nnf)
     apa = ltl_to_apa(nnf, atoms)
     nba = apa_to_nba(apa, cap=cap)
-    dpa = nba_to_dpa(nba, cap=cap)
+    determinize = any(len(succs) > 1 for row in nba.trans for succs in row)
+    dpa = nba_to_dpa(nba, cap=cap) if determinize else deterministic_nba_to_dpa(nba)
+    # both quotients stay: quotienting only after neutralizing merges less
     dpa = _quotient(_neutralize_transient(dpa))
-    dpa = _prune(dpa)
+    if stats is not None:
+        stats["apa_states"] = apa.n_states
+        stats["nba_states"] = nba.n_states
+        stats["determinized"] = determinize
     return compress_colors(dpa)
 
 

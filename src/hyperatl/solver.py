@@ -440,14 +440,33 @@ def verify_strategy(
                     return False
                 edges[v] = list(game.succ[v])
         # no cycle inside the restriction may have opponent parity
-        bad_parity = 1 if player == 0 else 0
-        for c in sorted({game.priority[v] for v in region if game.priority[v] % 2 == bad_parity}):
-            allowed = [False] * game.n_vertices
-            for v in region:
-                allowed[v] = game.priority[v] >= c
-            for comp in scc(edges, allowed):
-                if any(game.priority[v] == c for v in comp) and (
-                    len(comp) > 1 or comp[0] in edges[comp[0]]
-                ):
-                    return False
+        if _has_cycle_of_parity(edges, game.priority, 1 - player):
+            return False
     return True
+
+
+def _has_cycle_of_parity(
+    edges: Mapping[int, list[int]], priority: Sequence[int], parity: int
+) -> bool:
+    """Does the graph ``edges`` hold a cycle whose minimal priority has ``parity``?
+
+    In a component with a cycle, every vertex of minimal priority lies on a
+    cycle; if that priority has the other parity, any cycle of ``parity``
+    avoids those vertices, so the check goes on inside the rest of the
+    component only.
+    """
+    pending = [list(edges)]
+    while pending:
+        verts = pending.pop()
+        local = {v: i for i, v in enumerate(verts)}
+        succ = [[local[t] for t in edges[v] if t in local] for v in verts]
+        for comp in scc(succ, [True] * len(verts)):
+            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+                continue
+            low = min(priority[verts[i]] for i in comp)
+            if low % 2 == parity:
+                return True
+            rest = [verts[i] for i in comp if priority[verts[i]] != low]
+            if rest:
+                pending.append(rest)
+    return False

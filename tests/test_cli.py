@@ -33,6 +33,14 @@ def test_run_reports_sizes_and_timings():
     assert report.sizes["game.vertices"] > 0
     assert 0 < report.sizes["game.automaton_vertices"] < report.sizes["game.vertices"]
     assert report.sizes["game.sink_vertices"] <= 2
+    # the od body's breakpoint automaton is one state with no choice
+    assert report.sizes["apa.states"] == 8
+    assert report.sizes["nba.states"] == 1
+    assert report.sizes["dpa.determinized"] == 0
+    assert report.sizes["dpa.states"] == 2
+    ni = run(CheckConfig(systems=[spec("p1.imp")], prop="ni"))
+    assert ni.sizes["dpa.determinized"] == 1
+    assert ni.sizes["nba.states"] == 4
     assert set(report.timings_ms) == {"build", "translate", "arena", "solve"}
 
 

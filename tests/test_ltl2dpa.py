@@ -5,17 +5,21 @@ import pytest
 
 from conftest import ATOM_POOL, random_lasso, random_ltl
 from hyperatl import formula as F
+from hyperatl import props
 from hyperatl.formula import parse_ltl, to_nnf
 from hyperatl.ltl2dpa import (
+    NBA,
     PB_FALSE,
     PB_TRUE,
     apa_to_nba,
     assignment_to_letter,
     compress_colors,
+    deterministic_nba_to_dpa,
     dpa_accepts_lasso,
     empty_states,
     eval_lasso,
     export_dot,
+    letter_to_assignment,
     ltl_to_apa,
     ltl_to_dpa,
     nba_to_dpa,
@@ -250,12 +254,120 @@ def test_color_compression_preserves_verdicts():
 
 def test_oracle_equivalence_sample():
     rng = random.Random(99)
+    branches = set()
     for _ in range(150):
         f = random_ltl(rng, rng.randint(1, 6))
-        dpa = ltl_to_dpa(f, ATOM_POOL)
+        stats: dict = {}
+        dpa = ltl_to_dpa(f, ATOM_POOL, stats=stats)
+        branches.add(stats["determinized"])
         for _ in range(5):
             pre, loop = random_lasso(rng, ATOM_POOL)
             assert dpa_accepts_lasso(dpa, pre, loop) == eval_lasso(f, pre, loop)
+    # the sample exercises both the shortcut and determinization
+    assert branches == {False, True}
+
+
+# -- deterministic breakpoint automata skip determinization ---------------------
+
+SHORTCUT_BODIES = {
+    "od": props.expand_od(["o[0]"]).body,
+    "od-async": props.expand_od_async(["o[0]"], "G_stut").body,
+    "sgni:3": props.expand_sgni(["o[0]"], ["l[0]"], ["h[0]"], 3, "G", "G_shift3").body,
+}
+
+
+def guided_lasso(rng, dpa, atoms):
+    """Random lasso along a run of ``dpa`` that may avoid empty states.
+
+    The walk stops when the run revisits a state, and the loop is the part
+    read since that state's first visit; how often a step may enter an
+    empty state is drawn per lasso, so both verdicts are common.
+    """
+    dead = empty_states(dpa)
+    slip = rng.choice((0.0, 0.02, 0.2, 1.0))
+    first_visit: dict = {}
+    word = []
+    state = dpa.initial
+    while state not in first_visit:
+        first_visit[state] = len(word)
+        alive = [v for v in range(dpa.n_letters) if not dead[dpa.trans[state][v]]]
+        pool = alive if alive and rng.random() >= slip else range(dpa.n_letters)
+        letter = rng.choice(pool)
+        word.append(letter_to_assignment(letter, atoms))
+        state = dpa.trans[state][letter]
+    split = first_visit[state]
+    return word[:split], word[split:]
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_BODIES))
+def test_shortcut_agrees_with_determinization_and_oracle(name):
+    f = SHORTCUT_BODIES[name]
+    nnf = to_nnf(f)
+    atoms = F.collect_atoms(nnf)
+    stats: dict = {}
+    dpa = ltl_to_dpa(f, atoms, stats=stats)
+    assert stats["determinized"] is False
+    determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(500):
+        pre, loop = guided_lasso(rng, dpa, atoms)
+        expected = eval_lasso(f, pre, loop)
+        assert dpa_accepts_lasso(dpa, pre, loop) == expected
+        assert dpa_accepts_lasso(determinized, pre, loop) == expected
+        verdicts.append(expected)
+    assert 50 <= sum(verdicts) <= 450
+
+
+def test_shortcut_sizes_of_sgni_body():
+    stats: dict = {}
+    dpa = ltl_to_dpa(SHORTCUT_BODIES["sgni:3"], stats=stats)
+    assert stats == {"apa_states": 43, "nba_states": 585, "determinized": False}
+    assert dpa.n_states == 586
+    assert dpa.n_colors == 2
+
+
+def test_shortcut_without_accepting_state_rejects_everything():
+    # a two-state cycle over a{p} that never accepts
+    nba = NBA((A,), 0, frozenset(), [[(1,), (1,)], [(0,), (0,)]])
+    dpa = deterministic_nba_to_dpa(nba)
+    assert set(dpa.colors) == {1}
+    for pre, loop in all_lassos((A,), 3):
+        assert not dpa_accepts_lasso(dpa, pre, loop)
+
+
+def test_shortcut_initial_state_with_only_empty_rows():
+    nba = NBA((A,), 0, frozenset({0}), [[(), ()]])
+    dpa = deterministic_nba_to_dpa(nba)
+    assert dpa.n_states == 2
+    sink = dpa.trans[dpa.initial][0]
+    assert sink != dpa.initial
+    assert dpa.trans[dpa.initial] == [sink, sink]
+    assert dpa.trans[sink] == [sink, sink]
+    assert dpa.colors[dpa.initial] == 0 and dpa.colors[sink] == 1
+    for pre, loop in all_lassos((A,), 3):
+        assert not dpa_accepts_lasso(dpa, pre, loop)
+
+
+def test_shortcut_adds_no_sink_without_empty_rows():
+    # G F a{p}: state 1 is entered on every a{p}
+    nba = NBA((A,), 0, frozenset({1}), [[(0,), (1,)], [(0,), (1,)]])
+    dpa = deterministic_nba_to_dpa(nba)
+    assert dpa.n_states == nba.n_states
+    f = parse_ltl("G F a{p}")
+    for pre, loop in all_lassos((A,), 5):
+        assert dpa_accepts_lasso(dpa, pre, loop) == eval_lasso(f, pre, loop)
+        assert nba_accepts_lasso(nba, pre, loop) == eval_lasso(f, pre, loop)
+
+
+def test_shortcut_merges_bisimilar_states():
+    # states 0 and 1 share colour and successors; 2 accepts everything
+    nba = NBA((A,), 0, frozenset({2}), [[(1,), (2,)], [(1,), (2,)], [(2,), (2,)]])
+    dpa = deterministic_nba_to_dpa(nba)
+    assert dpa.n_states == 2
+    f = parse_ltl("F a{p}")
+    for pre, loop in all_lassos((A,), 4):
+        assert dpa_accepts_lasso(dpa, pre, loop) == eval_lasso(f, pre, loop)
 
 
 # -- lasso oracle basics --------------------------------------------------------

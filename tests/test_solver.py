@@ -72,6 +72,26 @@ def test_verify_rejects_corrupted_strategy():
     assert not verify_strategy(g, regions, bad, s1)
 
 
+def test_verify_rejects_odd_cycle_inside_region():
+    # both vertices stay in W0, but looping on vertex 1 sees only priority 1
+    g = ParityGame(succ=[[0, 1], [1, 0]], owner=[0, 0], priority=[0, 1])
+    regions, s0, s1 = zielonka(g)
+    assert regions.w0 == frozenset({0, 1})
+    assert verify_strategy(g, regions, s0, s1)
+    assert not verify_strategy(g, regions, {0: 1, 1: 1}, s1)
+
+
+def test_verify_rejects_odd_cycle_below_an_even_minimum():
+    # the whole game is one component with minimal priority 0, but if
+    # player 0 returns from vertex 2 to vertex 1, player 1 can cycle
+    # 1 -> 2 -> 1 with minimal priority 1, away from vertex 0
+    g = ParityGame(succ=[[1], [0, 2], [1, 0]], owner=[0, 1, 0], priority=[0, 2, 1])
+    regions, s0, s1 = zielonka(g)
+    assert regions.w0 == frozenset({0, 1, 2})
+    assert verify_strategy(g, regions, s0, s1)
+    assert not verify_strategy(g, regions, {0: 1, 2: 1}, s1)
+
+
 def test_verify_vacuous_on_empty_region():
     g = single(1)
     regions, s0, s1 = zielonka(g)

@@ -68,7 +68,7 @@ class _CopyInfo:
     current round, in the canonical move order (by stage, coalition before
     adversaries, then agent index), and ``width`` bounds it over all states.
     The protocol steps of a round are the (stage, team) pairs, then the
-    total-vector step, then the automaton step.
+    automaton step.
     """
 
     def __init__(
@@ -99,13 +99,13 @@ class _CopyInfo:
         ]
         n = self.n_states = structure.n_states
         arities = [dict(slots) for slots in structure.decisions]
-        # moves per state of the agents acting at each step; the total-vector
-        # and automaton steps fix no move
+        # moves per state of the agents acting at each step; the automaton
+        # step fixes no move
         self.step_arity = [
             [math.prod(arity.get(a, 1) for a in acting) for arity in arities]
             for acting in self.acting
         ]
-        self.step_arity += [[1] * n, [1] * n]
+        self.step_arity.append([1] * n)
         w = self.width = max((math.prod(col) for col in zip(*self.step_arity)), default=1)
         # label bitmask per local position over the formula's atom order
         mask = [0] * n
@@ -163,9 +163,9 @@ class _Layout:
         q, phase = divmod(hi, len(self.steps))
         js = ",".join(str(rest // st % sz // w) for st, sz, w in self.dims)
         step = self.steps[phase]
-        if step == len(self.pairs) + 1:
+        if step == len(self.pairs):
             return "A q%d (%s)" % (q, js)
-        stage, team = self.pairs[step] if step < len(self.pairs) else (len(self.pairs) // 2, True)
+        stage, team = self.pairs[step]
         return "M q%d (%s) l=%d %s" % (q, js, stage, "T" if team else "F")
 
 
@@ -174,17 +174,15 @@ def build_game(
     dpa: DPA,
     atoms: Sequence[tuple[str, str]],
     atom_copy: Mapping[tuple[str, str], int],
-    collapse: bool = True,
     cap: int = 10**7,
-    prune_decided: bool = False,
 ) -> BuiltArena:
     """Construct the reachable arena for the given quantifier block.
 
-    ``collapse`` skips move-selection vertices whose acting agent set is
-    empty (their unique successor is substituted).  ``prune_decided``
-    replaces automaton states with empty (resp. universal) residual language
-    by a single losing (resp. winning) sink; winners are unchanged but
-    vertex counts differ, so it stays off where exact shape matters.
+    Move-selection stages at which no agent of any copy acts get no
+    vertices, and the last move choice of a round performs the joint step.
+    Automaton states whose residual language is empty (resp. universal) are
+    replaced by one losing (resp. winning) sink; winners are unchanged.
+    The game without these shortcuts is built by ``tests/reference_arena.py``.
     Vertices are numbered in BFS order from the initial one, and each row
     lists its successors in move-vector product order (copy by copy).
     """
@@ -203,11 +201,8 @@ def build_game(
         _CopyInfo(coalition, structure, atom_bits_per_copy[i], pairs)
         for i, (coalition, structure) in enumerate(quants)
     ]
-    total, auto = len(pairs), len(pairs) + 1
-    steps = [i for i in range(total) if not collapse or any(c.acting[i] for c in copies)]
-    if not (collapse and prune_decided):
-        steps.append(total)
-    steps.append(auto)
+    auto = len(pairs)
+    steps = [i for i in range(auto) if any(c.acting[i] for c in copies)] + [auto]
     nph = len(steps)
     auto_phase = nph - 1
 
@@ -223,13 +218,13 @@ def build_game(
     for i, step in enumerate(steps):
         after = steps[(i + 1) % nph]
         lookups = [(c.successors(step, after, st), st, sz) for c, (st, sz, _) in zip(copies, dims)]
-        owned_by_one = step < total and not pairs[step][1]
+        owned_by_one = step < auto and not pairs[step][1]
         phases.append((lookups, int(owned_by_one), (i + 1) % nph, after == auto))
     letters = [(c.letter_mask, st, sz) for c, (st, sz, _) in zip(copies, dims)]
-    sink: list[Optional[int]] = [None] * dpa.n_states
-    if prune_decided:
-        for q, (lose, win) in enumerate(zip(empty_states(dpa), universal_states(dpa))):
-            sink[q] = _LOSE if lose else _WIN if win else None
+    sink = [
+        _LOSE if lose else _WIN if win else None
+        for lose, win in zip(empty_states(dpa), universal_states(dpa))
+    ]
     colors, trans = dpa.colors, dpa.trans
     product = itertools.product
 

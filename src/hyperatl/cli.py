@@ -69,8 +69,6 @@ class CheckConfig:
     dump_game: Optional[str] = None
     dump_sys: dict = field(default_factory=dict)
     report_path: Optional[str] = None
-    output: str = "human"  # or "record"
-    fast: bool = True
 
 
 @dataclass
@@ -110,6 +108,15 @@ def _read_json(path, what: str):
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as e:
         raise ConfigError(f"cannot parse {what} {str(path)!r}: {e}") from e
+
+
+def _parse_transform(text: str, where: str = "") -> tuple:
+    """``stutter`` or ``shift=k``, from ``--system`` or a manifest's ``transforms``."""
+    if text == "stutter":
+        return ("stutter",)
+    if text.startswith("shift="):
+        return ("shift", _int(text.split("=", 1)[1], f"{where}shift"))
+    raise ConfigError(f"{where}unknown transform {text!r}")
 
 
 def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple]) -> structures.MSCGS:
@@ -201,6 +208,10 @@ def run(config: CheckConfig) -> Report:
     """Check one formula against its bound systems and report the verdict."""
     if not config.systems:
         raise ConfigError("at least one --system binding is required")
+    caps = {"--cap-states": config.cap_states, "--cap-vertices": config.cap_vertices}
+    for what, cap in caps.items():
+        if cap < 1:
+            raise ConfigError(f"{what} must be at least 1, got {cap}")
 
     t0 = time.perf_counter()
     loaded: dict[str, structures.MSCGS] = {}
@@ -225,6 +236,9 @@ def run(config: CheckConfig) -> Report:
     else:
         raise ConfigError("either --formula or --prop is required")
 
+    for sid in sorted(config.dump_sys):
+        if sid not in systems:
+            raise ConfigError(f"--dump-sys names unbound system {sid!r}")
     info = validate_fragment(formula, systems)
     t_build = time.perf_counter()
 
@@ -235,15 +249,7 @@ def run(config: CheckConfig) -> Report:
 
     quants = [(rq.coalition, systems[rq.system]) for rq in info.quantifiers]
     try:
-        built = arena.build_game(
-            quants,
-            dpa,
-            info.atoms,
-            info.atom_copy,
-            collapse=True,
-            cap=config.cap_vertices,
-            prune_decided=config.fast,
-        )
+        built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
     except arena.VertexCapError as e:
         raise ResourceCapError(str(e)) from e
     t_arena = time.perf_counter()
@@ -291,8 +297,6 @@ def run(config: CheckConfig) -> Report:
             arena.export_dot(built, strategy=winner_strategy), encoding="utf-8"
         )
     for sid, path in sorted(config.dump_sys.items()):
-        if sid not in systems:
-            raise ConfigError(f"--dump-sys names unbound system {sid!r}")
         Path(path).write_text(structures.export_dot(systems[sid]), encoding="utf-8")
     if config.report_path:
         Path(config.report_path).write_text(report.record(), encoding="utf-8")
@@ -328,7 +332,7 @@ class SuiteRow:
     message: str = ""  # why an "error" or "cap" row ended
 
 
-def _suite_configs(manifest_path: Path, data, fast: bool) -> list[tuple]:
+def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
     configs = []
     for i, entry in enumerate(data.get("entries", [])):
@@ -337,27 +341,18 @@ def _suite_configs(manifest_path: Path, data, fast: bool) -> list[tuple]:
                 raise ConfigError(f"manifest entry {i} has no {key!r}")
         name = entry["name"]
         program = manifest_path.parent / entry["program"]
-        transforms = tuple(
-            ("shift", _int(t.split("=", 1)[1], f"{name}: shift")) if t.startswith("shift=")
-            else (t,)
-            for t in entry.get("transforms", [])
-        )
+        transforms = tuple(_parse_transform(t, f"{name}: ") for t in entry.get("transforms", []))
         widths = {k: _int(v, f"{name}: width of {k}") for k, v in entry.get("widths", {}).items()}
         config = CheckConfig(
             systems=[SystemSpec("G", str(program), transforms)],
             prop=entry["prop"],
             widths=widths,
-            fast=fast,
         )
         configs.append((name, config, entry.get("expect")))
     return configs
 
 
-def run_suite(
-    manifest: str,
-    expect_file: Optional[str] = None,
-    fast: bool = True,
-) -> tuple[list[SuiteRow], bool]:
+def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[SuiteRow], bool]:
     """Run every manifest entry; flags mismatches against expected verdicts.
 
     A row that ends in bad input or a resource cap is recorded as an
@@ -368,7 +363,7 @@ def run_suite(
     expectations = _read_json(expect_file, "expectations") if expect_file else {}
 
     rows: list[SuiteRow] = []
-    for name, config, expected in _suite_configs(manifest_path, data, fast):
+    for name, config, expected in _suite_configs(manifest_path, data):
         expected = expectations.get(name, expected)
         start = time.perf_counter()
         try:
@@ -405,17 +400,8 @@ def _parse_system(text: str) -> SystemSpec:
     if "=" not in text:
         raise ConfigError(f"--system expects id=path[,stutter][,shift=k], got {text!r}")
     system_id, rest = text.split("=", 1)
-    parts = rest.split(",")
-    path = parts[0]
-    transforms = []
-    for t in parts[1:]:
-        if t == "stutter":
-            transforms.append(("stutter",))
-        elif t.startswith("shift="):
-            transforms.append(("shift", _int(t.split("=", 1)[1], "shift")))
-        else:
-            raise ConfigError(f"unknown transform {t!r}")
-    return SystemSpec(system_id.strip(), path, tuple(transforms))
+    path, *transforms = rest.split(",")
+    return SystemSpec(system_id.strip(), path, tuple(_parse_transform(t) for t in transforms))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,13 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--report", metavar="FILE")
     check.add_argument("--format", choices=("human", "record"), default="human",
                        help="stdout style: readable lines or the flat record")
-    check.add_argument("--exact-arena", action="store_true",
-                       help="skip the decided-state arena pruning")
 
     suite = sub.add_parser("suite", help="run a manifest of checks")
     suite.add_argument("--manifest", required=True)
     suite.add_argument("--expect", metavar="FILE")
-    suite.add_argument("--exact-arena", action="store_true")
     return parser
 
 
@@ -476,11 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 dump_game=args.dump_game,
                 dump_sys=dump_sys,
                 report_path=args.report,
-                output=args.format,
-                fast=not args.exact_arena,
             )
             report = run(config)
-            if config.output == "record":
+            if args.format == "record":
                 print(report.record(), end="")
             else:
                 print(f"verdict: {report.verdict}")
@@ -489,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for key in ("build", "translate", "arena", "solve"):
                     print(f"  time.{key}_ms = {report.timings_ms[key]:.1f}")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED
-        rows, ok = run_suite(args.manifest, args.expect, fast=not args.exact_arena)
+        rows, ok = run_suite(args.manifest, args.expect)
         print(format_suite(rows))
         return EXIT_SATISFIED if ok else EXIT_VIOLATED
     except USAGE_ERRORS as e:

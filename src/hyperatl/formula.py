@@ -13,17 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from .lexer import Cursor, ParseError
 
-class FormulaError(Exception):
+
+class FormulaError(ParseError):
     """Raised for syntactically or semantically ill-formed specifications."""
-
-    def __init__(self, message: str, pos: Optional[int] = None, text: Optional[str] = None):
-        self.pos = pos
-        if pos is not None and text is not None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            message = f"{line}:{col}: {message}"
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -145,86 +139,14 @@ class HyperFormula:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 
 _RESERVED = {"forall", "exists", "true", "false", "X", "G", "F", "U", "R"}
 
-_PUNCT = ["<->", "->", "<<", ">>", "[", "]", "(", ")", "{", "}", "!", "&", "|", ".", ",", "@"]
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("punct", p, i))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise FormulaError(f"unexpected character {c!r}", i, text)
-    tokens.append(("eof", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> FormulaError:
-        return FormulaError(message, self.peek()[2], self.text)
-
-    def expect_punct(self, p: str) -> None:
-        kind, val, _ = self.peek()
-        if kind != "punct" or val != p:
-            raise self.error(f"expected {p!r}")
-        self.next()
-
-    def expect_ident(self) -> str:
-        kind, val, _ = self.peek()
-        if kind != "ident":
-            raise self.error("expected identifier")
-        self.next()
-        return val
-
-    def at_punct(self, p: str) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "punct" and val == p
-
-    def at_ident(self, name: str) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "ident" and val == name
+class _Parser(Cursor):
+    punct = ["<->", "->", "<<", ">>", "[", "]", "(", ")", "{", "}", "!", "&", "|", ".", ",", "@"]
+    error_class = FormulaError
 
     # -- quantifier block
 
@@ -244,8 +166,7 @@ class _Parser:
             block.append(self.parse_quantifier())
         self.expect_punct("]")
         body = self.parse_ltl()
-        kind, _, _ = self.peek()
-        if kind != "eof":
+        if not self.at_eof():
             raise self.error("trailing input after formula")
         f = HyperFormula(block=tuple(block), body=body, negated=negated, bracketed=True)
         _check_bindings(f, self.text)
@@ -342,11 +263,7 @@ class _Parser:
                 reps = 1
                 if self.at_punct("["):
                     self.next()
-                    k, v, _ = self.peek()
-                    if k != "nat":
-                        raise self.error("expected repetition count after 'X['")
-                    self.next()
-                    reps = int(v)
+                    reps = int(self.expect_nat("expected repetition count after 'X['"))
                     self.expect_punct("]")
                 inner = self.parse_unary()
                 for _ in range(reps):
@@ -368,11 +285,7 @@ class _Parser:
         prop = name
         if self.at_punct("["):
             self.next()
-            k, v, _ = self.peek()
-            if k != "nat":
-                raise self.error("expected bit index")
-            self.next()
-            prop = f"{name}[{v}]"
+            prop = f"{name}[{self.expect_nat('expected bit index')}]"
             self.expect_punct("]")
         self.expect_punct("{")
         var = self.expect_ident()
@@ -400,7 +313,7 @@ def parse_ltl(text: str) -> Ltl:
     """Parse a bare LTL formula (no quantifier block)."""
     p = _Parser(text)
     body = p.parse_ltl()
-    if p.peek()[0] != "eof":
+    if not p.at_eof():
         raise p.error("trailing input after formula")
     return body
 

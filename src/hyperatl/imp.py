@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from .lexer import Cursor, ParseError
 from .structures import MSCGS
 
 AGENT_N = "xi_N"
@@ -23,15 +24,8 @@ AGENTS = (AGENT_N, AGENT_H, AGENT_L)
 BitVector = tuple[bool, ...]
 
 
-class ProgramError(Exception):
+class ProgramError(ParseError):
     """Raised for malformed program text (syntax or bit-width violations)."""
-
-    def __init__(self, message: str, pos: Optional[int] = None, text: Optional[str] = None):
-        if pos is not None and text is not None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            message = f"{line}:{col}: {message}"
-        super().__init__(message)
 
 
 class StateCapError(Exception):
@@ -251,112 +245,42 @@ def successors(
 # ---------------------------------------------------------------------------
 # Parser
 
-_KEYWORDS = {"var", "if", "else", "while", "true", "false", "read_H", "read_L"}
-_PUNCT = [":=", ":", ";", "{", "}", "(", ")", "[", "]", "!", "&", "|", "@", "*"]
+_KEYWORDS = frozenset({"var", "if", "else", "while", "true", "false", "read_H", "read_L"})
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":  # comment to end of line
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("punct", p, i))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ProgramError(f"unexpected character {c!r}", i, text)
-    tokens.append(("eof", "", n))
-    return tokens
+class _Parser(Cursor):
+    punct = [":=", ":", ";", "{", "}", "(", ")", "[", "]", "!", "&", "|", "@", "*"]
+    comments = True
+    keywords = _KEYWORDS
+    ident_name = "variable name"
+    error_class = ProgramError
 
-
-class _Parser:
     def __init__(self, text: str, width_overrides: Optional[Mapping[str, int]] = None):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.widths: dict[str, int] = {}
         self.width_overrides = dict(width_overrides or {})
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ProgramError:
-        return ProgramError(message, self.peek()[2], self.text)
-
-    def at(self, kind: str, val: str) -> bool:
-        k, v, _ = self.peek()
-        return k == kind and v == val
-
-    def expect_punct(self, p: str) -> None:
-        if not self.at("punct", p):
-            raise self.error(f"expected {p!r}")
-        self.next()
-
-    def expect_ident(self) -> str:
-        k, v, _ = self.peek()
-        if k != "ident" or v in _KEYWORDS:
-            raise self.error("expected variable name")
-        self.next()
-        return v
-
     def parse_program(self):
-        while self.at("ident", "var"):
+        while self.at_ident("var"):
             self.next()
             name = self.expect_ident()
             if name in self.widths:
                 raise self.error(f"variable {name!r} declared twice")
             self.expect_punct(":")
-            k, v, _ = self.peek()
-            if k != "nat":
-                raise self.error("expected bit width")
-            self.next()
-            width = self.width_overrides.get(name, int(v))
+            declared = int(self.expect_nat("expected bit width"))
+            width = self.width_overrides.get(name, declared)
             if width < 1:
                 raise self.error("bit width must be at least 1")
             self.expect_punct(";")
             self.widths[name] = width
         body = self.parse_stmts(top=True)
-        if self.peek()[0] != "eof":
+        if not self.at_eof():
             raise self.error("expected statement")
         return self.widths, body
 
     def parse_stmts(self, top: bool = False):
         stmts = [self.parse_stmt()]
-        while True:
-            k, v, _ = self.peek()
-            if k == "eof" or (k == "punct" and v == "}"):
-                break
+        while not (self.at_eof() or self.at_punct("}")):
             stmts.append(self.parse_stmt())
         node = stmts[-1]
         for s in reversed(stmts[:-1]):
@@ -374,11 +298,11 @@ class _Parser:
         if k == "ident" and v == "if":
             self.next()
             self.expect_punct("(")
-            if self.at("punct", "*"):
+            if self.at_punct("*"):
                 self.next()
                 self.expect_punct(")")
                 then = self.parse_block()
-                if not self.at("ident", "else"):
+                if not self.at_ident("else"):
                     raise self.error("expected 'else'")
                 self.next()
                 els = self.parse_block()
@@ -388,7 +312,7 @@ class _Parser:
                 raise ProgramError("guard must have width 1", pos, self.text)
             self.expect_punct(")")
             then = self.parse_block()
-            if not self.at("ident", "else"):
+            if not self.at_ident("else"):
                 raise self.error("expected 'else'")
             self.next()
             els = self.parse_block()
@@ -406,7 +330,7 @@ class _Parser:
         if name not in self.widths:
             raise ProgramError(f"undeclared variable {name!r}", pos, self.text)
         self.expect_punct(":=")
-        if self.at("ident", "read_H") or self.at("ident", "read_L"):
+        if self.at_ident("read_H") or self.at_ident("read_L"):
             _, which, _ = self.next()
             self.expect_punct(";")
             return ReadH(name) if which == "read_H" else ReadL(name)
@@ -424,40 +348,36 @@ class _Parser:
     # expression precedence: postfix [] > ! > @ > & > |
     def parse_expr(self):
         left = self.parse_and()
-        while self.at("punct", "|"):
+        while self.at_punct("|"):
             self.next()
             left = OrE(left, self.parse_and())
         return left
 
     def parse_and(self):
         left = self.parse_concat()
-        while self.at("punct", "&"):
+        while self.at_punct("&"):
             self.next()
             left = AndE(left, self.parse_concat())
         return left
 
     def parse_concat(self):
         left = self.parse_unary()
-        while self.at("punct", "@"):
+        while self.at_punct("@"):
             self.next()
             left = Concat(left, self.parse_unary())
         return left
 
     def parse_unary(self):
-        if self.at("punct", "!"):
+        if self.at_punct("!"):
             self.next()
             return NotE(self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self):
         e = self.parse_primary()
-        while self.at("punct", "["):
+        while self.at_punct("["):
             self.next()
-            k, v, _ = self.peek()
-            if k != "nat":
-                raise self.error("expected bit index")
-            self.next()
-            e = Index(e, int(v))
+            e = Index(e, int(self.expect_nat("expected bit index")))
             self.expect_punct("]")
         return e
 

@@ -3,7 +3,11 @@
 This is the construction that ``arena.build_game`` replaced, unchanged:
 vertices are tuple keys interned in BFS order and every move vector is
 stepped through ``MSCGS.delta``.  ``tests/test_arena_kernel.py`` requires
-the packed-integer kernel to reproduce its games vertex for vertex.
+the packed-integer kernel to reproduce its ``collapse=True,
+prune_decided=True`` games vertex for vertex.  With both switches off it
+builds the exact game (every stage and total-vector vertex kept, decided
+states not pruned), the only place that game still exists; the arena tests
+compare its winners with the kernel's.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ with the wall clock of this process.
 import random
 import time
 
+import reference_arena
 from conftest import random_dpa, random_game, random_lasso, random_ltl, random_structure
 from hyperatl import arena, cli, solver
 from hyperatl.ltl2dpa import dpa_accepts_lasso, eval_lasso, ltl_to_dpa
@@ -122,8 +123,10 @@ def test_criterion_6_construction_cross_check():
         atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y"))
         atom_copy = {(p, f"p{i + 1}"): i for i in range(k) for p in ("x", "y")}
         dpa = random_dpa(rng, atoms, max_states=5)
-        collapsed = arena.build_game(quants, dpa, atoms, atom_copy, collapse=True)
-        full = arena.build_game(quants, dpa, atoms, atom_copy, collapse=False)
+        collapsed = arena.build_game(quants, dpa, atoms, atom_copy)
+        full = reference_arena.build_game(
+            quants, dpa, atoms, atom_copy, collapse=False, prune_decided=False
+        )
         won_collapsed = collapsed.game.initial in solver.zielonka(collapsed.game)[0].w0
         won_full = full.game.initial in solver.zielonka(full.game)[0].w0
         if won_collapsed != won_full:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference_arena
 from conftest import random_dpa, random_structure
 from hyperatl import arena
 from hyperatl.arena import ArenaError, VertexCapError, build_game
@@ -27,28 +28,50 @@ def one_state_structure(coalition_agent="a", labels=frozenset(), props=frozenset
     )
 
 
+ATOM = ("a", "p")
+
+
 def universal_dpa(atoms, color=0):
     return DPA(tuple(atoms), 0, [color], [[0] * (1 << len(atoms))])
 
 
-ATOM = ("a", "p")
+def undecided_dpa(color):
+    """State 0 has ``color`` and stays on letter 0; letter 1 leads for ever
+    to the opposite colour, so state 0 is neither empty nor universal."""
+    return DPA((ATOM,), 0, [color, 1 - color], [[0, 1], [1, 1]])
+
+
+def two_agent_structure():
+    """One unlabelled state where agents ``a`` and ``b`` (both stage 0) have one move each."""
+    return MSCGS(
+        name="two",
+        agents=("a", "b"),
+        stages={"a": 0, "b": 0},
+        props=frozenset({"a"}),
+        labels=[frozenset()],
+        decisions=[(("a", 1), ("b", 1))],
+        table=[(0,)],
+        initial=0,
+        state_names=["s0"],
+    )
 
 
 def test_three_vertex_cycle_all_even():
-    g = one_state_structure()
-    built = build_game([(frozenset({"a"}), g)], universal_dpa((ATOM,)), (ATOM,), {ATOM: 0})
+    # automaton step, then coalition {a}'s choice, then b's choice
+    g = two_agent_structure()
+    built = build_game([(frozenset({"a"}), g)], undecided_dpa(0), (ATOM,), {ATOM: 0})
     assert built.game.n_vertices == 3
     assert built.game.priority == [0, 0, 0]
+    assert built.game.owner == [0, 0, 1]
     regions, _, _ = zielonka(built.game)
     assert built.game.initial in regions.w0
     assert brute_force_solve(built.game).w0 == regions.w0
 
 
 def test_three_vertex_cycle_odd_lost():
-    g = one_state_structure()
-    built = build_game(
-        [(frozenset({"a"}), g)], universal_dpa((ATOM,), color=1), (ATOM,), {ATOM: 0}
-    )
+    g = two_agent_structure()
+    built = build_game([(frozenset({"a"}), g)], undecided_dpa(1), (ATOM,), {ATOM: 0})
+    assert built.game.n_vertices == 3
     regions, _, _ = zielonka(built.game)
     assert built.game.initial in regions.w1
 
@@ -93,39 +116,53 @@ def load(name):
     return build_cgs(prog, widths)
 
 
-def build_od_game(g, collapse=True, prune_decided=False):
+def build_exact(quants, dpa, atoms, atom_copy):
+    """The reference game with every stage kept and no decided-state sinks."""
+    return reference_arena.build_game(
+        quants, dpa, atoms, atom_copy, collapse=False, prune_decided=False
+    )
+
+
+def same_winner(built, exact):
+    w1 = zielonka(built.game)[0]
+    w2 = zielonka(exact.game)[0]
+    return (built.game.initial in w1.w0) == (exact.game.initial in w2.w0)
+
+
+def od_block(g):
     f = parse_formula("[ forall p1 . forall p2 . ] G (o[0]{p1} <-> o[0]{p2})")
     info = validate_fragment(f, {"G": g})
     dpa = ltl_to_dpa(to_nnf(f.body), info.atoms)
     quants = [(rq.coalition, g) for rq in info.quantifiers]
-    return build_game(
-        quants, dpa, info.atoms, info.atom_copy, collapse=collapse, prune_decided=prune_decided
-    )
+    return quants, dpa, info.atoms, info.atom_copy
 
 
 def test_od_p1_collapsed_and_uncollapsed_agree():
-    g = load("p1.imp")
-    collapsed = build_od_game(g, collapse=True)
-    full = build_od_game(g, collapse=False)
+    block = od_block(load("p1.imp"))
+    collapsed = build_game(*block)
+    full = build_exact(*block)
     assert collapsed.game.n_vertices < full.game.n_vertices
-    w1 = zielonka(collapsed.game)[0]
-    w2 = zielonka(full.game)[0]
-    assert (collapsed.game.initial in w1.w0) == (full.game.initial in w2.w0)
+    assert same_winner(collapsed, full)
     # counts are stable across rebuilds
-    again = build_od_game(g, collapse=True)
+    again = build_game(*block)
     assert again.game.n_vertices == collapsed.game.n_vertices
     assert again.game.n_edges == collapsed.game.n_edges
 
 
+def round_boundaries(built):
+    """Automaton steps and the decided sinks, which stand for all later steps."""
+    return [d.startswith("A ") or d in ("LOSE", "WIN") for d in built.descriptions]
+
+
 def test_priorities_constant_between_automaton_steps():
-    g = load("p1.imp")
-    built = build_od_game(g, collapse=False)
+    built = build_game(*od_block(load("p1.imp")))
     game = built.game
-    is_autostep = [d.startswith("A ") for d in built.descriptions]
+    boundary = round_boundaries(built)
+    assert not all(boundary)
     for v in range(game.n_vertices):
-        if not is_autostep[v]:
+        if not boundary[v]:
             for t in game.succ[v]:
-                if not is_autostep[t]:
+                if not boundary[t]:
                     assert game.priority[t] == game.priority[v]
 
 
@@ -138,17 +175,17 @@ def test_stage_monotone_and_every_cycle_hits_automaton_step():
         [(rq.coalition, g) for rq in info.quantifiers], dpa, info.atoms, info.atom_copy
     )
     game = built.game
-    is_autostep = [d.startswith("A ") for d in built.descriptions]
+    boundary = round_boundaries(built)
     # between automaton steps the protocol may never revisit a vertex
     for v in range(game.n_vertices):
-        if is_autostep[v]:
+        if boundary[v]:
             continue
         seen = set()
         stack = [v]
         while stack:
             u = stack.pop()
             for t in game.succ[u]:
-                if is_autostep[t]:
+                if boundary[t]:
                     continue
                 assert t != v, "cycle avoiding automaton steps"
                 if t not in seen:
@@ -157,15 +194,12 @@ def test_stage_monotone_and_every_cycle_hits_automaton_step():
 
 
 def test_decided_pruning_preserves_winner():
-    rng = random.Random(5)
     for name in ("p1.imp", "p3.imp"):
-        g = load(name)
-        exact = build_od_game(g, prune_decided=False)
-        pruned = build_od_game(g, prune_decided=True)
+        block = od_block(load(name))
+        exact = build_exact(*block)
+        pruned = build_game(*block)
         assert pruned.game.n_vertices <= exact.game.n_vertices
-        we = zielonka(exact.game)[0]
-        wp = zielonka(pruned.game)[0]
-        assert (exact.game.initial in we.w0) == (pruned.game.initial in wp.w0)
+        assert same_winner(pruned, exact)
 
 
 def test_randomized_collapse_cross_check():
@@ -181,11 +215,9 @@ def test_randomized_collapse_cross_check():
         atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y"))
         atom_copy = {(p, f"p{i + 1}"): i for i in range(k) for p in ("x", "y")}
         dpa = random_dpa(rng, atoms, max_states=5)
-        collapsed = build_game(quants, dpa, atoms, atom_copy, collapse=True)
-        full = build_game(quants, dpa, atoms, atom_copy, collapse=False)
-        w1 = zielonka(collapsed.game)[0]
-        w2 = zielonka(full.game)[0]
-        assert (collapsed.game.initial in w1.w0) == (full.game.initial in w2.w0)
+        collapsed = build_game(quants, dpa, atoms, atom_copy)
+        full = build_exact(quants, dpa, atoms, atom_copy)
+        assert same_winner(collapsed, full)
         agree += 1
     assert agree == 50
 
@@ -207,6 +239,7 @@ def test_vertex_cap():
 
 def test_export_dot_deterministic():
     g = one_state_structure()
-    built = build_game([(frozenset({"a"}), g)], universal_dpa((ATOM,)), (ATOM,), {ATOM: 0})
+    built = build_game([(frozenset({"a"}), g)], undecided_dpa(0), (ATOM,), {ATOM: 0})
+    assert built.game.n_vertices == 2
     assert arena.export_dot(built) == arena.export_dot(built)
     assert "diamond" not in arena.export_dot(built)  # all vertices player 0 here

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import hyperatl
-from hyperatl import cli
+import reference_arena
+from hyperatl import arena, cli
 from hyperatl.cli import (
     CheckConfig,
     ConfigError,
@@ -20,6 +21,7 @@ from hyperatl.cli import (
     run,
     run_suite,
 )
+from hyperatl.solver import zielonka
 
 
 def spec(name, transforms=()):
@@ -203,11 +205,22 @@ def test_stuttered_binding_used_directly_by_async_props():
     assert "system.G_stut.states" not in report.sizes
 
 
-def test_exact_arena_flag_matches_fast_path():
-    fast = run(CheckConfig(systems=[spec("p2.imp")], prop="ni", fast=True))
-    exact = run(CheckConfig(systems=[spec("p2.imp")], prop="ni", fast=False))
-    assert fast.verdict == exact.verdict == "satisfied"
-    assert fast.sizes["game.vertices"] <= exact.sizes["game.vertices"]
+def test_exact_arena_flag_matches_fast_path(monkeypatch):
+    # the exact game (no skipped stages, no decided sinks) is built by the
+    # reference builder from the block that ``run`` passes to the arena
+    blocks = []
+    original = arena.build_game
+
+    def spy(*args, **kwargs):
+        blocks.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arena, "build_game", spy)
+    fast = run(CheckConfig(systems=[spec("p2.imp")], prop="ni"))
+    exact = reference_arena.build_game(*blocks.pop(), collapse=False, prune_decided=False)
+    assert fast.verdict == "satisfied"
+    assert exact.game.initial in zielonka(exact.game)[0].w0
+    assert fast.sizes["game.vertices"] <= exact.game.n_vertices
 
 
 def usage_error(capsys, argv):
@@ -249,6 +262,29 @@ def test_non_integer_manifest_width_is_a_usage_error(tmp_path, capsys):
     entry = {"name": "case", "program": str(bundled_asset("q1.imp")), "prop": "od"}
     m.write_text(json.dumps({"entries": [dict(entry, widths={"h": "z"})]}))
     assert "'z'" in usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+def test_unknown_manifest_transform_is_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    entry = {"name": "case", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    m.write_text(json.dumps({"entries": [dict(entry, transforms=["stuter"])]}))
+    assert "case: unknown transform 'stuter'" in usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+def test_caps_below_one_are_usage_errors(capsys):
+    prog = str(bundled_asset("p1.imp"))
+    for flag in ("--cap-states", "--cap-vertices"):
+        for value in ("0", "-5"):
+            argv = ["check", "--system", f"G={prog}", "--prop", "od", flag, value]
+            assert f"{flag} must be at least 1, got {value}" in usage_error(capsys, argv)
+
+
+def test_unbound_dump_sys_is_rejected_before_any_dump(tmp_path, capsys):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", "od", "--dump-sys", f"X={tmp_path / 'x.dot'}"]
+    argv += ["--dump-game", str(tmp_path / "g.dot"), "--dump-dpa", str(tmp_path / "d.dot")]
+    assert "unbound system 'X'" in usage_error(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_python_m_hyperatl_runs_the_cli():

@@ -19,9 +19,9 @@ from .formula import (
 )
 from .imp import ProgramError, StateCapError, build_cgs, parse_program
 from .structures import MSCGS, shift_transform, stutter_transform, validate
-from .ltl2dpa import dpa_accepts_lasso, eval_lasso, ltl_to_dpa
+from .ltl2dpa import ltl_to_dpa
 from .arena import build_game
-from .solver import ParityGame, WinningRegions, brute_force_solve, verify_strategy, zielonka
+from .solver import ParityGame, WinningRegions, verify_strategy, zielonka
 from .cli import CheckConfig, Report, run, run_suite
 
 __all__ = [
@@ -42,13 +42,10 @@ __all__ = [
     "shift_transform",
     "stutter_transform",
     "validate",
-    "dpa_accepts_lasso",
-    "eval_lasso",
     "ltl_to_dpa",
     "build_game",
     "ParityGame",
     "WinningRegions",
-    "brute_force_solve",
     "verify_strategy",
     "zielonka",
     "CheckConfig",

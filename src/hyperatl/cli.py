@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import arena, imp, ltl2dpa, props, solver, structures
 from .formula import FormulaError, HyperFormula, format_hyper, parse_formula, parse_ltl, to_nnf, validate_fragment
 from .imp import ProgramError, StateCapError
-from .props import Binding, TemplateError
+from .props import TemplateError
 
 DEFAULT_OUT = ["o[0]"]
 DEFAULT_LOW = ["l[0]"]
@@ -149,58 +149,50 @@ def _expand_builtin(
     base_spec: SystemSpec,
     base: structures.MSCGS,
     body_file: Optional[str],
-) -> tuple[HyperFormula, dict, dict]:
+) -> tuple[HyperFormula, dict]:
     """Builtin property against one base system; derives transformed twins.
 
-    Returns (formula, systems map, bindings map).
+    Returns (formula, systems map).
     """
     name, param = _parse_prop_name(prop)
     base_id = base_spec.system_id
     systems = {base_id: base}
-    bindings = {base_id: Binding(base_id, base_id, tuple(base_spec.transforms))}
 
     def stuttered() -> str:
         if structures.SCHED in base.agents:
             return base_id
         sid = f"{base_id}_stut"
         systems[sid] = structures.stutter_transform(base)
-        bindings[sid] = Binding(sid, base_id, (("stutter",),))
         return sid
 
     def shifted(k: int) -> str:
         sid = f"{base_id}_shift{k}"
         systems[sid] = structures.shift_transform(base, k)
-        bindings[sid] = Binding(sid, base_id, (("shift", k),))
         return sid
 
     if name == "od":
-        return props.expand_od(DEFAULT_OUT), systems, bindings
+        return props.expand_od(DEFAULT_OUT), systems
     if name == "ni":
-        return props.expand_ni(DEFAULT_OUT, DEFAULT_LOW), systems, bindings
+        return props.expand_ni(DEFAULT_OUT, DEFAULT_LOW), systems
     if name == "simsec":
         sid = shifted(1)
-        f = props.expand_simsec(DEFAULT_OUT, DEFAULT_LOW, base_id, sid, bindings)
-        return f, systems, bindings
+        return props.expand_simsec(DEFAULT_OUT, DEFAULT_LOW, base_id, sid), systems
     if name == "sgni":
         k = _int(param, "sgni:k") if param else 3
         sid = shifted(k)
-        f = props.expand_sgni(DEFAULT_OUT, DEFAULT_LOW, DEFAULT_HIGH, k, base_id, sid, bindings)
-        return f, systems, bindings
+        f = props.expand_sgni(DEFAULT_OUT, DEFAULT_LOW, DEFAULT_HIGH, k, base_id, sid)
+        return f, systems
     if name == "od-async":
-        sid = stuttered()
-        return props.expand_od_async(DEFAULT_OUT, sid, bindings), systems, bindings
+        return props.expand_od_async(DEFAULT_OUT, stuttered()), systems
     if name == "ni-async":
         r = param or "r[0]"
-        sid = stuttered()
-        f = props.expand_ni_async(DEFAULT_OUT, DEFAULT_LOW, r, sid, bindings)
-        return f, systems, bindings
+        return props.expand_ni_async(DEFAULT_OUT, DEFAULT_LOW, r, stuttered()), systems
     if name == "ahltl":
         if body_file is None:
             raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
         n = _int(param, "ahltl:n") if param else 2
         body = parse_ltl(_read_text(body_file, "formula").strip())
-        sid = stuttered()
-        return props.expand_ahltl(n, body, sid, bindings), systems, bindings
+        return props.expand_ahltl(n, body, stuttered()), systems
     raise ConfigError(f"unknown builtin property {prop!r}")
 
 
@@ -227,7 +219,7 @@ def run(config: CheckConfig) -> Report:
         base_spec = config.systems[0]
         if len(config.systems) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
-        formula, systems, _bindings = _expand_builtin(
+        formula, systems = _expand_builtin(
             config.prop, base_spec, loaded[base_spec.system_id], config.formula_file
         )
     elif config.formula_file is not None:

@@ -10,7 +10,7 @@ resolve the reads, ``xi_N`` everything else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .lexer import Cursor, ParseError
@@ -34,11 +34,19 @@ class StateCapError(Exception):
 
 # ---------------------------------------------------------------------------
 # Expressions
+#
+# ``pos`` is the offset in the program text that a width error points at:
+# the variable, the operator or the bit index.  It takes no part in equality.
+
+
+def _pos():
+    return field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    pos: Optional[int] = _pos()
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,14 @@ class NotE:
 class AndE:
     left: "Expr"
     right: "Expr"
+    pos: Optional[int] = _pos()
 
 
 @dataclass(frozen=True)
 class OrE:
     left: "Expr"
     right: "Expr"
+    pos: Optional[int] = _pos()
 
 
 @dataclass(frozen=True)
@@ -78,33 +88,38 @@ class Concat:
 class Index:
     operand: "Expr"
     index: int
+    pos: Optional[int] = _pos()
 
 
 Expr = Union[Var, TrueE, FalseE, NotE, AndE, OrE, Concat, Index]
 
 
-def expr_width(e, widths: Mapping[str, int]) -> int:
-    """Bit width of a well-formed expression; raises on width violations."""
+def expr_width(e, widths: Mapping[str, int], text: str) -> int:
+    """Bit width of a well-formed expression; raises on width violations.
+
+    ``text`` is the program the expression was parsed from; errors start
+    with the ``line:col:`` of the variable, operator or bit index at fault.
+    """
     match e:
         case Var(name):
             if name not in widths:
-                raise ProgramError(f"undeclared variable {name!r}")
+                raise ProgramError(f"undeclared variable {name!r}", e.pos, text)
             return widths[name]
         case TrueE() | FalseE():
             return 1
         case NotE(op):
-            return expr_width(op, widths)
+            return expr_width(op, widths, text)
         case AndE(l, r) | OrE(l, r):
-            wl, wr = expr_width(l, widths), expr_width(r, widths)
+            wl, wr = expr_width(l, widths, text), expr_width(r, widths, text)
             if wl != wr:
-                raise ProgramError(f"operand widths differ ({wl} vs {wr})")
+                raise ProgramError(f"operand widths differ ({wl} vs {wr})", e.pos, text)
             return wl
         case Concat(l, r):
-            return expr_width(l, widths) + expr_width(r, widths)
+            return expr_width(l, widths, text) + expr_width(r, widths, text)
         case Index(op, i):
-            w = expr_width(op, widths)
+            w = expr_width(op, widths, text)
             if not 0 <= i < w:
-                raise ProgramError(f"bit index {i} out of range for width {w}")
+                raise ProgramError(f"bit index {i} out of range for width {w}", e.pos, text)
             return 1
     raise TypeError(f"not an expression: {e!r}")
 
@@ -308,7 +323,7 @@ class _Parser(Cursor):
                 els = self.parse_block()
                 return IfStar(then, els)
             cond = self.parse_expr()
-            if expr_width(cond, self.widths) != 1:
+            if expr_width(cond, self.widths, self.text) != 1:
                 raise ProgramError("guard must have width 1", pos, self.text)
             self.expect_punct(")")
             then = self.parse_block()
@@ -321,7 +336,7 @@ class _Parser(Cursor):
             self.next()
             self.expect_punct("(")
             cond = self.parse_expr()
-            if expr_width(cond, self.widths) != 1:
+            if expr_width(cond, self.widths, self.text) != 1:
                 raise ProgramError("guard must have width 1", pos, self.text)
             self.expect_punct(")")
             body = self.parse_block()
@@ -335,7 +350,7 @@ class _Parser(Cursor):
             self.expect_punct(";")
             return ReadH(name) if which == "read_H" else ReadL(name)
         expr = self.parse_expr()
-        w = expr_width(expr, self.widths)
+        w = expr_width(expr, self.widths, self.text)
         if w != self.widths[name]:
             raise ProgramError(
                 f"cannot assign width {w} to {name!r} of width {self.widths[name]}",
@@ -349,15 +364,15 @@ class _Parser(Cursor):
     def parse_expr(self):
         left = self.parse_and()
         while self.at_punct("|"):
-            self.next()
-            left = OrE(left, self.parse_and())
+            pos = self.next()[2]
+            left = OrE(left, self.parse_and(), pos)
         return left
 
     def parse_and(self):
         left = self.parse_concat()
         while self.at_punct("&"):
-            self.next()
-            left = AndE(left, self.parse_concat())
+            pos = self.next()[2]
+            left = AndE(left, self.parse_concat(), pos)
         return left
 
     def parse_concat(self):
@@ -377,12 +392,13 @@ class _Parser(Cursor):
         e = self.parse_primary()
         while self.at_punct("["):
             self.next()
-            e = Index(e, int(self.expect_nat("expected bit index")))
+            pos = self.peek()[2]
+            e = Index(e, int(self.expect_nat("expected bit index")), pos)
             self.expect_punct("]")
         return e
 
     def parse_primary(self):
-        k, v, _ = self.peek()
+        k, v, pos = self.peek()
         if k == "punct" and v == "(":
             self.next()
             e = self.parse_expr()
@@ -396,7 +412,7 @@ class _Parser(Cursor):
             return FalseE()
         if k == "ident" and v not in _KEYWORDS:
             self.next()
-            return Var(v)
+            return Var(v, pos)
         raise self.error("expected expression")
 
 

@@ -7,59 +7,74 @@ construction) → deterministic (node-tree construction with an index
 appearance record, skipped when the breakpoint automaton is already
 deterministic), with min-even parity acceptance throughout: a run is
 accepting iff the minimal colour seen infinitely often is even.
-
-:func:`eval_lasso` is an independent bottom-up evaluator over ultimately
-periodic words and deliberately shares no code with the automata chain.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import formula as F
 from .solver import scc
-
-Assignment = Mapping[tuple[str, str], bool]
 
 
 class AutomatonCapError(Exception):
     """Raised when a construction exceeds its configured state cap."""
 
 
-def assignment_to_letter(assignment: Assignment, atoms: Sequence[tuple[str, str]]) -> int:
-    letter = 0
-    for i, atom in enumerate(atoms):
-        if assignment.get(atom, False):
-            letter |= 1 << i
-    return letter
+def _explore(init, row_of, cap: int, what: str) -> tuple[list, list]:
+    """Number the keys reachable from ``init`` in breadth-first order.
 
+    ``row_of(key, number)`` returns the transition row of ``key`` and calls
+    ``number`` on each successor key to get its state.  Returns the keys in
+    state order and their rows.
+    """
+    index = {init: 0}
+    order = [init]
 
-def letter_to_assignment(letter: int, atoms: Sequence[tuple[str, str]]) -> dict:
-    return {atom: bool(letter >> i & 1) for i, atom in enumerate(atoms)}
+    def number(key) -> int:
+        if key not in index:
+            if len(order) >= cap:
+                raise AutomatonCapError(f"state cap of {cap} exceeded in {what}")
+            index[key] = len(order)
+            order.append(key)
+        return index[key]
+
+    rows = []
+    for key in order:  # grows while the search runs
+        rows.append(row_of(key, number))
+    return order, rows
 
 
 # ---------------------------------------------------------------------------
 # Alternating parity automata (colors 0/1) built structurally from NNF input.
 #
-# Transition formulas are positive boolean combinations of states:
-#   ("t",) true | ("f",) false | ("q", i) state | ("&", a, b) | ("|", a, b)
+# A transition is kept in minimal-model form: the antichain of minimal state
+# sets whose joint acceptance satisfies it, so ``()`` is false and
+# ``(frozenset(),)`` is true.
 
-PB_TRUE = ("t",)
-PB_FALSE = ("f",)
+_FALSE: tuple = ()
+_TRUE = (frozenset(),)
 
 
-class APA:
-    def __init__(self, atoms, initial, colors, trans):
+class _Automaton:
+    """States ``0..n-1`` over bitmask letters; ``trans[q][letter]`` is a transition."""
+
+    def __init__(self, atoms, initial, trans):
         self.atoms = tuple(atoms)
         self.n_letters = 1 << len(self.atoms)
         self.initial = initial
-        self.colors = colors  # per state, 0 or 1
-        self.trans = trans  # trans[q][letter] -> positive boolean formula
+        self.trans = trans
 
     @property
     def n_states(self) -> int:
-        return len(self.colors)
+        return len(self.trans)
+
+
+class APA(_Automaton):
+    def __init__(self, atoms, initial, colors, trans):
+        super().__init__(atoms, initial, trans)  # antichains of successor sets
+        self.colors = colors  # per state, 0 or 1
 
 
 def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> APA:
@@ -77,85 +92,50 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
     colors: list[int] = []
     trans: list[list] = []
 
-    def add_state(color: int) -> int:
-        colors.append(color)
-        trans.append([None] * n_letters)
-        return len(colors) - 1
-
     def build(g: F.Ltl) -> int:
+        """Add the states of ``g``'s subformulas, then its own; return its number."""
         match g:
-            case F.Atom(prop, var):
-                q = add_state(0)
-                bit = atom_index[(prop, var)]
-                for v in range(n_letters):
-                    trans[q][v] = PB_TRUE if v >> bit & 1 else PB_FALSE
-                return q
-            case F.Not(F.Atom(prop, var)):
-                q = add_state(0)
-                bit = atom_index[(prop, var)]
-                for v in range(n_letters):
-                    trans[q][v] = PB_FALSE if v >> bit & 1 else PB_TRUE
-                return q
+            case F.Atom(prop, var) | F.Not(F.Atom(prop, var)):
+                bit, holds = atom_index[(prop, var)], isinstance(g, F.Atom)
+                row = [_TRUE if bool(v >> bit & 1) == holds else _FALSE for v in range(n_letters)]
             case F.TrueF():
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = PB_TRUE
-                return q
+                row = [_TRUE] * n_letters
             case F.FalseF():
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = PB_FALSE
-                return q
+                row = [_FALSE] * n_letters
             case F.And(l, r):
-                ql, qr = build(l), build(r)
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = ("&", trans[ql][v], trans[qr][v])
-                return q
+                row = list(map(_and, trans[build(l)], trans[build(r)]))
             case F.Or(l, r):
-                ql, qr = build(l), build(r)
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = ("|", trans[ql][v], trans[qr][v])
-                return q
+                row = list(map(_or, trans[build(l)], trans[build(r)]))
             case F.Next(h):
-                qh = build(h)
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = ("q", qh)
-                return q
+                row = [_goto(build(h))] * n_letters
             case F.Until(l, r):
-                ql, qr = build(l), build(r)
-                q = add_state(1)
-                for v in range(n_letters):
-                    trans[q][v] = ("|", trans[qr][v], ("&", trans[ql][v], ("q", q)))
-                return q
+                rl, rr = trans[build(l)], trans[build(r)]
+                stay = _goto(len(trans))
+                row = [_or(b, _and(a, stay)) for a, b in zip(rl, rr)]
             case F.Release(l, r):
-                ql, qr = build(l), build(r)
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = ("&", trans[qr][v], ("|", trans[ql][v], ("q", q)))
-                return q
+                rl, rr = trans[build(l)], trans[build(r)]
+                stay = _goto(len(trans))
+                row = [_and(b, _or(a, stay)) for a, b in zip(rl, rr)]
             case F.Eventually(h):
-                qh = build(h)
-                q = add_state(1)
-                for v in range(n_letters):
-                    trans[q][v] = ("|", trans[qh][v], ("q", q))
-                return q
+                rh = trans[build(h)]
+                stay = _goto(len(trans))
+                row = [_or(a, stay) for a in rh]
             case F.Globally(h):
-                qh = build(h)
-                q = add_state(0)
-                for v in range(n_letters):
-                    trans[q][v] = ("&", trans[qh][v], ("q", q))
-                return q
-        raise TypeError(f"not an NNF node: {g!r}")
+                rh = trans[build(h)]
+                stay = _goto(len(trans))
+                row = [_and(a, stay) for a in rh]
+            case _:
+                raise TypeError(f"not an NNF node: {g!r}")
+        colors.append(1 if isinstance(g, (F.Until, F.Eventually)) else 0)
+        trans.append(row)
+        return len(trans) - 1
 
     initial = build(f)
     return APA(atoms, initial, colors, trans)
 
 
 def _antichain(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    """Minimal elements only, in a deterministic order."""
+    """Minimal elements only, ordered by size and then by sorted elements."""
     pool = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
     out: list[frozenset] = []
     for s in pool:
@@ -164,45 +144,26 @@ def _antichain(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
-def _min_models(pb, memo: dict) -> tuple[frozenset, ...]:
-    """Antichain of minimal state sets satisfying a positive boolean formula."""
-    got = memo.get(pb)
-    if got is not None:
-        return got
-    tag = pb[0]
-    if tag == "t":
-        res: tuple[frozenset, ...] = (frozenset(),)
-    elif tag == "f":
-        res = ()
-    elif tag == "q":
-        res = (frozenset((pb[1],)),)
-    elif tag == "|":
-        res = _antichain(_min_models(pb[1], memo) + _min_models(pb[2], memo))
-    elif tag == "&":
-        left = _min_models(pb[1], memo)
-        right = _min_models(pb[2], memo)
-        res = _antichain(a | b for a in left for b in right)
-    else:
-        raise ValueError(f"bad formula tag {tag!r}")
-    memo[pb] = res
-    return res
+def _goto(q: int) -> tuple[frozenset, ...]:
+    return (frozenset((q,)),)
+
+
+def _or(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+    return _antichain(a + b)
+
+
+def _and(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+    return _antichain(x | y for x in a for y in b)
 
 
 # ---------------------------------------------------------------------------
 # Nondeterministic parity automaton (Büchi encoded as colors 0/1)
 
 
-class NBA:
+class NBA(_Automaton):
     def __init__(self, atoms, initial, accepting, trans):
-        self.atoms = tuple(atoms)
-        self.n_letters = 1 << len(self.atoms)
-        self.initial = initial
+        super().__init__(atoms, initial, trans)  # tuples of successor states
         self.accepting = accepting  # frozenset of states with colour 0
-        self.trans = trans  # trans[q][letter] -> tuple of successor states
-
-    @property
-    def n_states(self) -> int:
-        return len(self.trans)
 
 
 def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
@@ -215,27 +176,12 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
     if any(c not in (0, 1) for c in apa.colors):
         raise ValueError("unsupported input: breakpoint construction needs colors in {0,1}")
     fstates = frozenset(q for q in range(apa.n_states) if apa.colors[q] == 0)
-    memo: dict = {}
-    models = [[_min_models(pb, memo) for pb in row] for row in apa.trans]
-
+    models = apa.trans  # minimal successor sets per state and letter
     init = (frozenset((apa.initial,)), frozenset((apa.initial,)) - fstates)
-    index: dict = {init: 0}
-    order = [init]
-    trans: list[list[tuple[int, ...]]] = []
 
-    def intern(key) -> int:
-        if key not in index:
-            if len(order) >= cap:
-                raise AutomatonCapError(f"state cap of {cap} exceeded in breakpoint construction")
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    frontier = 0
-    while frontier < len(order):
-        big, owing = order[frontier]
-        frontier += 1
-        rows: list[tuple[int, ...]] = []
+    def row_of(key, number) -> list[tuple[int, ...]]:
+        big, owing = key
+        row: list[tuple[int, ...]] = []
         # every tracked state picks its own minimal successor set; taking the
         # union per combination keeps each branch's choice visible to the
         # breakpoint component (a globally minimal set could hide the escape
@@ -248,7 +194,7 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
                 got = models[q][letter]
                 if not got:
                     # a tracked state with no model leaves the letter no successor
-                    rows.append(())
+                    row.append(())
                     break
                 choices.append(got)
             else:
@@ -259,10 +205,11 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
                         nxt_owing = frozenset().union(*(combo[i] for i in owing_at))
                     else:
                         nxt_owing = nxt_big
-                    succs.add(intern((nxt_big, nxt_owing - fstates)))
-                rows.append(tuple(sorted(succs)))
-        trans.append(rows)
+                    succs.add(number((nxt_big, nxt_owing - fstates)))
+                row.append(tuple(sorted(succs)))
+        return row
 
+    order, trans = _explore(init, row_of, cap, "breakpoint construction")
     accepting = frozenset(i for i, (_big, owing) in enumerate(order) if not owing)
     return NBA(apa.atoms, 0, accepting, trans)
 
@@ -271,24 +218,14 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
 # Deterministic parity automaton
 
 
-class DPA:
+class DPA(_Automaton):
     def __init__(self, atoms, initial, colors, trans):
-        self.atoms = tuple(atoms)
-        self.n_letters = 1 << len(self.atoms)
-        self.initial = initial
+        super().__init__(atoms, initial, trans)  # one successor state each
         self.colors = colors
-        self.trans = trans  # trans[q][letter] -> state
-
-    @property
-    def n_states(self) -> int:
-        return len(self.colors)
 
     @property
     def n_colors(self) -> int:
         return len(set(self.colors))
-
-    def step(self, q: int, letter: int) -> int:
-        return self.trans[q][letter]
 
 
 # A node tree is a recursive tuple (name, label frozenset, children tuple);
@@ -425,30 +362,16 @@ def nba_to_dpa(nba: NBA, cap: int = 10**6) -> DPA:
     neutral = 2 * (nba.n_states + 2) + 3
     init_tree = (0, frozenset((nba.initial,)), ())
     init_key = (init_tree, (0,), neutral)
-    index: dict = {init_key: 0}
-    order = [init_key]
-    trans: list[list[int]] = []
 
-    def intern(key) -> int:
-        if key not in index:
-            if len(order) >= cap:
-                raise AutomatonCapError(f"state cap of {cap} exceeded in determinization")
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    frontier = 0
-    while frontier < len(order):
-        tree, record, _color = order[frontier]
-        frontier += 1
+    def row_of(key, number) -> list[int]:
+        tree, record, _color = key
+        if tree is None:
+            return [number(_DEAD)] * nba.n_letters
         row = []
         for letter in range(nba.n_letters):
-            if tree is None:
-                row.append(intern(_DEAD))
-                continue
             tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
             if tree2 is None:
-                row.append(intern(_DEAD))
+                row.append(number(_DEAD))
                 continue
             pos = {nm: i for i, nm in enumerate(record)}
             removal_pos = [pos[nm] for nm in removed if nm in pos]
@@ -460,12 +383,12 @@ def nba_to_dpa(nba: NBA, cap: int = 10**6) -> DPA:
             else:
                 color = neutral
             record2 = tuple(nm for nm in record if nm not in removed) + tuple(fresh)
-            row.append(intern((tree2, record2, color)))
-        trans.append(row)
+            row.append(number((tree2, record2, color)))
+        return row
 
+    order, trans = _explore(init_key, row_of, cap, "determinization")
     colors = [key[2] for key in order]
-    dpa = DPA(nba.atoms, 0, colors, trans)
-    return _quotient(dpa)
+    return DPA(nba.atoms, 0, colors, trans)
 
 
 def _quotient(dpa: DPA) -> DPA:
@@ -528,11 +451,9 @@ def compress_colors(dpa: DPA) -> DPA:
     present = sorted(set(dpa.colors))
     mapping = {}
     value = present[0] % 2
-    previous_parity = value
     for c in present:
-        if c % 2 != previous_parity:
+        if c % 2 != value % 2:
             value += 1
-            previous_parity = c % 2
         mapping[c] = value
     colors = [mapping[c] for c in dpa.colors]
     return DPA(dpa.atoms, dpa.initial, colors, dpa.trans)
@@ -542,8 +463,7 @@ def deterministic_nba_to_dpa(nba: NBA) -> DPA:
     """Read an NBA with at most one successor per row as a DPA.
 
     Accepting states get colour 0 and the others colour 1; empty rows lead
-    to a rejecting sink, added only if some row is empty.  The result is
-    quotiented, as that of :func:`nba_to_dpa` is.
+    to a rejecting sink, added only if some row is empty.
     """
     sink = nba.n_states
     colors = [0 if q in nba.accepting else 1 for q in range(nba.n_states)]
@@ -551,7 +471,7 @@ def deterministic_nba_to_dpa(nba: NBA) -> DPA:
     if any(not succs for row in nba.trans for succs in row):
         colors.append(1)
         trans.append([sink] * nba.n_letters)
-    return _quotient(DPA(nba.atoms, nba.initial, colors, trans))
+    return DPA(nba.atoms, nba.initial, colors, trans)
 
 
 def ltl_to_dpa(
@@ -563,133 +483,21 @@ def ltl_to_dpa(
     """Full chain: normal form, alternating, breakpoint, determinize, tidy.
 
     A breakpoint automaton that is already deterministic skips
-    determinization.  If ``stats`` is a dict it receives the state counts
+    determinization.  Tidying is the one place the DPA is reduced: quotient,
+    neutral colours for states on no cycle, quotient, colour compression.  If ``stats`` is a dict it receives the state counts
     ``apa_states`` and ``nba_states`` and whether the chain ``determinized``.
     """
-    nnf = F.to_nnf(f)
-    if atoms is None:
-        atoms = F.collect_atoms(nnf)
-    apa = ltl_to_apa(nnf, atoms)
+    apa = ltl_to_apa(F.to_nnf(f), atoms)
     nba = apa_to_nba(apa, cap=cap)
     determinize = any(len(succs) > 1 for row in nba.trans for succs in row)
     dpa = nba_to_dpa(nba, cap=cap) if determinize else deterministic_nba_to_dpa(nba)
     # both quotients stay: quotienting only after neutralizing merges less
-    dpa = _quotient(_neutralize_transient(dpa))
+    dpa = _quotient(_neutralize_transient(_quotient(dpa)))
     if stats is not None:
         stats["apa_states"] = apa.n_states
         stats["nba_states"] = nba.n_states
         stats["determinized"] = determinize
     return compress_colors(dpa)
-
-
-# ---------------------------------------------------------------------------
-# Lasso-word oracle
-
-
-def eval_lasso(f: F.Ltl, prefix: Sequence[Assignment], loop: Sequence[Assignment]) -> bool:
-    """Truth of ``f`` at position 0 of ``prefix · loop^ω``.
-
-    Evaluated bottom-up per position with explicit fixpoint iteration over
-    the loop; accepts any formula, including ones outside normal form.
-    """
-    if not loop:
-        raise ValueError("loop must be nonempty")
-    word = list(prefix) + list(loop)
-    n = len(word)
-    loop_start = len(prefix)
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else loop_start
-
-    memo: dict = {}
-
-    def values(g: F.Ltl) -> tuple[bool, ...]:
-        if g in memo:
-            return memo[g]
-        match g:
-            case F.Atom(prop, var):
-                res = tuple(bool(word[i].get((prop, var), False)) for i in range(n))
-            case F.TrueF():
-                res = (True,) * n
-            case F.FalseF():
-                res = (False,) * n
-            case F.Not(h):
-                res = tuple(not v for v in values(h))
-            case F.And(l, r):
-                res = tuple(a and b for a, b in zip(values(l), values(r)))
-            case F.Or(l, r):
-                res = tuple(a or b for a, b in zip(values(l), values(r)))
-            case F.Implies(l, r):
-                res = tuple((not a) or b for a, b in zip(values(l), values(r)))
-            case F.Iff(l, r):
-                res = tuple(a == b for a, b in zip(values(l), values(r)))
-            case F.Next(h):
-                vh = values(h)
-                res = tuple(vh[nxt(i)] for i in range(n))
-            case F.Until(l, r):
-                vl, vr = values(l), values(r)
-                cur = list(vr)
-                for _ in range(n + 1):
-                    nxt_cur = [vr[i] or (vl[i] and cur[nxt(i)]) for i in range(n)]
-                    if nxt_cur == cur:
-                        break
-                    cur = nxt_cur
-                res = tuple(cur)
-            case F.Release(l, r):
-                vl, vr = values(l), values(r)
-                cur = [True] * n
-                for _ in range(n + 1):
-                    nxt_cur = [vr[i] and (vl[i] or cur[nxt(i)]) for i in range(n)]
-                    if nxt_cur == cur:
-                        break
-                    cur = nxt_cur
-                res = tuple(cur)
-            case F.Eventually(h):
-                vh = values(h)
-                cur = list(vh)
-                for _ in range(n + 1):
-                    nxt_cur = [vh[i] or cur[nxt(i)] for i in range(n)]
-                    if nxt_cur == cur:
-                        break
-                    cur = nxt_cur
-                res = tuple(cur)
-            case F.Globally(h):
-                vh = values(h)
-                cur = [True] * n
-                for _ in range(n + 1):
-                    nxt_cur = [vh[i] and cur[nxt(i)] for i in range(n)]
-                    if nxt_cur == cur:
-                        break
-                    cur = nxt_cur
-                res = tuple(cur)
-            case _:
-                raise TypeError(f"not an LTL node: {g!r}")
-        memo[g] = res
-        return res
-
-    return values(f)[0]
-
-
-def dpa_accepts_lasso(
-    dpa: DPA, prefix: Sequence[Assignment], loop: Sequence[Assignment]
-) -> bool:
-    """Run the unique path and test the minimal colour on the recurrent cycle."""
-    if not loop:
-        raise ValueError("loop must be nonempty")
-    state = dpa.initial
-    for a in prefix:
-        state = dpa.trans[state][assignment_to_letter(a, dpa.atoms)]
-    loop_letters = [assignment_to_letter(a, dpa.atoms) for a in loop]
-    seen: dict = {}
-    trail: list[int] = []
-    pos = 0
-    while (pos, state) not in seen:
-        seen[(pos, state)] = len(trail)
-        trail.append(state)
-        state = dpa.trans[state][loop_letters[pos]]
-        pos = (pos + 1) % len(loop_letters)
-    cycle = trail[seen[(pos, state)]:]
-    return min(dpa.colors[q] for q in cycle) % 2 == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,13 @@ prefix that is outside the supported single-block fragment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .formula import FormulaError, HyperFormula, Ltl, format_ltl, parse_formula
 
-Transform = tuple  # ("stutter",) | ("shift", k)
-
-
-@dataclass(frozen=True)
-class Binding:
-    """How a bound system id was produced: base id plus transform chain."""
-
-    system_id: str
-    base: str
-    chain: tuple[Transform, ...] = ()
-
 
 class TemplateError(FormulaError):
-    """Raised when a template's parameters or bindings are inconsistent."""
+    """Raised when a template's parameters are inconsistent."""
 
 
 def _conj(parts: Sequence[str]) -> str:
@@ -52,35 +40,6 @@ def _match(props: Sequence[str], left: str, right: str, right_prefix: str = "") 
 
 def _fair(var: str) -> str:
     return f"(G F ! stut{{{var}}})"
-
-
-def _binding(bindings: Optional[Mapping[str, Binding]], system: str) -> Optional[Binding]:
-    if bindings is None:
-        return None
-    if system not in bindings:
-        raise TemplateError(f"system {system!r} is not bound")
-    return bindings[system]
-
-
-def _require_chain(
-    bindings: Optional[Mapping[str, Binding]], system: str, base: str, chain: tuple
-) -> None:
-    b = _binding(bindings, system)
-    if b is None:
-        return
-    if b.base != base or b.chain != chain:
-        raise TemplateError(
-            f"binding mismatch: {system!r} must be {base!r} with transforms {chain}, "
-            f"got {b.base!r} with {b.chain}"
-        )
-
-
-def _require_stuttered(bindings: Optional[Mapping[str, Binding]], system: str) -> None:
-    b = _binding(bindings, system)
-    if b is None:
-        return
-    if not any(t[0] == "stutter" for t in b.chain):
-        raise TemplateError(f"binding mismatch: {system!r} must be stutter-transformed")
 
 
 def expand_od(O: Sequence[str]) -> HyperFormula:
@@ -105,7 +64,6 @@ def expand_simsec(
     L: Sequence[str],
     sys: str,
     sys_shift: str,
-    bindings: Optional[Mapping[str, Binding]] = None,
 ) -> HyperFormula:
     """Lock-step matching with a one-step-lookahead strategy for xi_N.
 
@@ -115,7 +73,6 @@ def expand_simsec(
     """
     if not O:
         raise TemplateError("simulation security needs at least one output")
-    _require_chain(bindings, sys_shift, sys, (("shift", 1),))
     premise = f"G {_match(L, 'p1', 'p2', 'X ')}" if L else "true"
     return parse_formula(
         f"[ forall p1 @ {sys} . <<xi_N>> p2 @ {sys_shift} . ] "
@@ -130,7 +87,6 @@ def expand_sgni(
     k: int,
     sys: str,
     sys_shift_k: str,
-    bindings: Optional[Mapping[str, Binding]] = None,
 ) -> HyperFormula:
     """Existence of a matching trace built with a k-step view on the future.
 
@@ -142,7 +98,6 @@ def expand_sgni(
         raise TemplateError("lookahead must be at least 1")
     if not O:
         raise TemplateError("generalized non-interference needs at least one output")
-    _require_chain(bindings, sys_shift_k, sys, (("shift", k),))
     x = f"X[{k}] " if k > 1 else "X "
     high = f"G {_match(H, 'p1', 'p3', x)}" if H else "true"
     low_out = _conj(
@@ -155,15 +110,10 @@ def expand_sgni(
     )
 
 
-def expand_od_async(
-    O: Sequence[str],
-    sys_stut: str,
-    bindings: Optional[Mapping[str, Binding]] = None,
-) -> HyperFormula:
+def expand_od_async(O: Sequence[str], sys_stut: str) -> HyperFormula:
     """Schedulers may stutter either copy, fairly, to align the outputs."""
     if not O:
         raise TemplateError("observational determinism needs at least one output")
-    _require_stuttered(bindings, sys_stut)
     return parse_formula(
         f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
         f"{_fair('p1')} & {_fair('p2')} & G {_match(O, 'p1', 'p2')}"
@@ -171,44 +121,26 @@ def expand_od_async(
 
 
 def expand_ni_async(
-    O: Sequence[str],
-    L: Sequence[str],
-    r: Optional[str],
-    sys_stut: str,
-    bindings: Optional[Mapping[str, Binding]] = None,
-    allow_unaligned: bool = False,
+    O: Sequence[str], L: Sequence[str], r: str, sys_stut: str
 ) -> HyperFormula:
     """Asynchronous non-interference with aligned read positions.
 
     The alignment proposition ``r`` forces the schedulers to keep the read
     positions of both copies in sync; without it the schedulers could
     invalidate the premise by misaligning the inputs, which satisfies the
-    implication vacuously.  Passing ``r=None`` therefore requires the
-    explicit ``allow_unaligned`` opt-in.
+    implication vacuously.
     """
     if not O:
         raise TemplateError("non-interference needs at least one output")
-    if r is None and not allow_unaligned:
-        raise TemplateError(
-            "omitting the alignment proposition makes the property vacuous; "
-            "pass allow_unaligned=True to emit it anyway"
-        )
-    _require_stuttered(bindings, sys_stut)
     premise = f"G {_match(L, 'p1', 'p2')}" if L else "true"
     implication = f"(({premise}) -> G {_match(O, 'p1', 'p2')})"
-    align = f" & G {_match([r], 'p1', 'p2')}" if r is not None else ""
     return parse_formula(
         f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
-        f"{implication} & {_fair('p1')} & {_fair('p2')}{align}"
+        f"{implication} & {_fair('p1')} & {_fair('p2')} & G {_match([r], 'p1', 'p2')}"
     )
 
 
-def expand_ahltl(
-    n: int,
-    body: Ltl,
-    sys_stut: str,
-    bindings: Optional[Mapping[str, Binding]] = None,
-) -> HyperFormula:
+def expand_ahltl(n: int, body: Ltl, sys_stut: str) -> HyperFormula:
     """Trajectory-quantified matching reduced to scheduler strategies.
 
     A universally trace-quantified formula asking for one stuttering that
@@ -220,7 +152,6 @@ def expand_ahltl(
     """
     if n < 1:
         raise TemplateError("at least one copy is required")
-    _require_stuttered(bindings, sys_stut)
     block = " ".join(f"<<sched>> p{i + 1} @ {sys_stut} ." for i in range(n))
     fair = " & ".join(_fair(f"p{i + 1}") for i in range(n))
     return parse_formula(f"[ {block} ] ({format_ltl(body)}) & {fair}")

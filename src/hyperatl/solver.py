@@ -2,14 +2,11 @@
 
 Player 0 wins a play iff the minimal priority occurring infinitely often is
 even.  Zielonka's solver peels the minimal priority and its attractor, on
-an explicit stack and touching only the current subgame; the brute-force
-solver enumerates positional strategy pairs and serves as an independent
-reference on small games.
+an explicit stack and touching only the current subgame.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -345,71 +342,6 @@ def _merge(a, b):
         a, b = b, a
     a.update(b)
     return a
-
-
-def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:
-    """Reference solver by exhaustive positional strategy enumeration.
-
-    A vertex is won by player 0 iff some positional choice of player-0 edges
-    beats every positional response, judged on the unique resulting lasso.
-    Positional determinacy makes this exact.
-    """
-    game.check()
-    n = game.n_vertices
-    combos = 1
-    for v in range(n):
-        combos *= len(game.succ[v])
-        if combos > bound:
-            raise ValueError(f"strategy enumeration bound {bound} exceeded")
-    vertices0 = [v for v in range(n) if game.owner[v] == 0]
-    vertices1 = [v for v in range(n) if game.owner[v] == 1]
-
-    def choices(vertices: list[int]):
-        if not vertices:
-            yield {}
-            return
-        ranges = [range(len(game.succ[v])) for v in vertices]
-        for combo in itertools.product(*ranges):
-            yield {v: game.succ[v][i] for v, i in zip(vertices, combo)}
-
-    def play_winners(nxt: list[int]) -> list[int]:
-        winners = [-1] * n
-        for start in range(n):
-            if winners[start] != -1:
-                continue
-            trail = []
-            seen_at = {}
-            v = start
-            while winners[v] == -1 and v not in seen_at:
-                seen_at[v] = len(trail)
-                trail.append(v)
-                v = nxt[v]
-            if winners[v] != -1:
-                verdict = winners[v]
-            else:
-                cycle = trail[seen_at[v]:]
-                verdict = 0 if min(game.priority[u] for u in cycle) % 2 == 0 else 1
-            for u in trail:
-                winners[u] = verdict
-        return winners
-
-    wins0 = [False] * n
-    for f0 in choices(vertices0):
-        beaten = [True] * n
-        for f1 in choices(vertices1):
-            nxt = [0] * n
-            for v in range(n):
-                nxt[v] = f0[v] if game.owner[v] == 0 else f1[v]
-            winners = play_winners(nxt)
-            for v in range(n):
-                if winners[v] == 1:
-                    beaten[v] = False
-        for v in range(n):
-            if beaten[v]:
-                wins0[v] = True
-    w0 = frozenset(v for v in range(n) if wins0[v])
-    w1 = frozenset(v for v in range(n) if not wins0[v])
-    return WinningRegions(w0, w1)
 
 
 def verify_strategy(

@@ -1,0 +1,201 @@
+"""Reference oracles that share no code with the checker they judge.
+
+``eval_lasso`` evaluates a formula bottom-up over an ultimately periodic
+word, ``dpa_accepts_lasso`` runs a deterministic parity automaton on one,
+and ``brute_force_solve`` solves a small parity game by enumerating
+positional strategy pairs.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Mapping, Sequence
+
+from hyperatl import formula as F
+from hyperatl.ltl2dpa import DPA
+from hyperatl.solver import ParityGame, WinningRegions
+
+Assignment = Mapping[tuple[str, str], bool]
+
+
+def assignment_to_letter(assignment: Assignment, atoms: Sequence[tuple[str, str]]) -> int:
+    letter = 0
+    for i, atom in enumerate(atoms):
+        if assignment.get(atom, False):
+            letter |= 1 << i
+    return letter
+
+
+def letter_to_assignment(letter: int, atoms: Sequence[tuple[str, str]]) -> dict:
+    return {atom: bool(letter >> i & 1) for i, atom in enumerate(atoms)}
+
+
+def eval_lasso(f: F.Ltl, prefix: Sequence[Assignment], loop: Sequence[Assignment]) -> bool:
+    """Truth of ``f`` at position 0 of ``prefix · loop^ω``.
+
+    Evaluated bottom-up per position with explicit fixpoint iteration over
+    the loop; accepts any formula, including ones outside normal form.
+    """
+    if not loop:
+        raise ValueError("loop must be nonempty")
+    word = list(prefix) + list(loop)
+    n = len(word)
+    loop_start = len(prefix)
+
+    def nxt(i: int) -> int:
+        return i + 1 if i + 1 < n else loop_start
+
+    memo: dict = {}
+
+    def values(g: F.Ltl) -> tuple[bool, ...]:
+        if g in memo:
+            return memo[g]
+        match g:
+            case F.Atom(prop, var):
+                res = tuple(bool(word[i].get((prop, var), False)) for i in range(n))
+            case F.TrueF():
+                res = (True,) * n
+            case F.FalseF():
+                res = (False,) * n
+            case F.Not(h):
+                res = tuple(not v for v in values(h))
+            case F.And(l, r):
+                res = tuple(a and b for a, b in zip(values(l), values(r)))
+            case F.Or(l, r):
+                res = tuple(a or b for a, b in zip(values(l), values(r)))
+            case F.Implies(l, r):
+                res = tuple((not a) or b for a, b in zip(values(l), values(r)))
+            case F.Iff(l, r):
+                res = tuple(a == b for a, b in zip(values(l), values(r)))
+            case F.Next(h):
+                vh = values(h)
+                res = tuple(vh[nxt(i)] for i in range(n))
+            case F.Until(l, r):
+                vl, vr = values(l), values(r)
+                cur = list(vr)
+                for _ in range(n + 1):
+                    nxt_cur = [vr[i] or (vl[i] and cur[nxt(i)]) for i in range(n)]
+                    if nxt_cur == cur:
+                        break
+                    cur = nxt_cur
+                res = tuple(cur)
+            case F.Release(l, r):
+                vl, vr = values(l), values(r)
+                cur = [True] * n
+                for _ in range(n + 1):
+                    nxt_cur = [vr[i] and (vl[i] or cur[nxt(i)]) for i in range(n)]
+                    if nxt_cur == cur:
+                        break
+                    cur = nxt_cur
+                res = tuple(cur)
+            case F.Eventually(h):
+                vh = values(h)
+                cur = list(vh)
+                for _ in range(n + 1):
+                    nxt_cur = [vh[i] or cur[nxt(i)] for i in range(n)]
+                    if nxt_cur == cur:
+                        break
+                    cur = nxt_cur
+                res = tuple(cur)
+            case F.Globally(h):
+                vh = values(h)
+                cur = [True] * n
+                for _ in range(n + 1):
+                    nxt_cur = [vh[i] and cur[nxt(i)] for i in range(n)]
+                    if nxt_cur == cur:
+                        break
+                    cur = nxt_cur
+                res = tuple(cur)
+            case _:
+                raise TypeError(f"not an LTL node: {g!r}")
+        memo[g] = res
+        return res
+
+    return values(f)[0]
+
+
+def dpa_accepts_lasso(
+    dpa: DPA, prefix: Sequence[Assignment], loop: Sequence[Assignment]
+) -> bool:
+    """Run the unique path and test the minimal colour on the recurrent cycle."""
+    if not loop:
+        raise ValueError("loop must be nonempty")
+    state = dpa.initial
+    for a in prefix:
+        state = dpa.trans[state][assignment_to_letter(a, dpa.atoms)]
+    loop_letters = [assignment_to_letter(a, dpa.atoms) for a in loop]
+    seen: dict = {}
+    trail: list[int] = []
+    pos = 0
+    while (pos, state) not in seen:
+        seen[(pos, state)] = len(trail)
+        trail.append(state)
+        state = dpa.trans[state][loop_letters[pos]]
+        pos = (pos + 1) % len(loop_letters)
+    cycle = trail[seen[(pos, state)]:]
+    return min(dpa.colors[q] for q in cycle) % 2 == 0
+
+
+def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:
+    """Reference solver by exhaustive positional strategy enumeration.
+
+    A vertex is won by player 0 iff some positional choice of player-0 edges
+    beats every positional response, judged on the unique resulting lasso.
+    Positional determinacy makes this exact.
+    """
+    game.check()
+    n = game.n_vertices
+    combos = 1
+    for v in range(n):
+        combos *= len(game.succ[v])
+        if combos > bound:
+            raise ValueError(f"strategy enumeration bound {bound} exceeded")
+    vertices0 = [v for v in range(n) if game.owner[v] == 0]
+    vertices1 = [v for v in range(n) if game.owner[v] == 1]
+
+    def choices(vertices: list[int]):
+        if not vertices:
+            yield {}
+            return
+        ranges = [range(len(game.succ[v])) for v in vertices]
+        for combo in itertools.product(*ranges):
+            yield {v: game.succ[v][i] for v, i in zip(vertices, combo)}
+
+    def play_winners(nxt: list[int]) -> list[int]:
+        winners = [-1] * n
+        for start in range(n):
+            if winners[start] != -1:
+                continue
+            trail = []
+            seen_at = {}
+            v = start
+            while winners[v] == -1 and v not in seen_at:
+                seen_at[v] = len(trail)
+                trail.append(v)
+                v = nxt[v]
+            if winners[v] != -1:
+                verdict = winners[v]
+            else:
+                cycle = trail[seen_at[v]:]
+                verdict = 0 if min(game.priority[u] for u in cycle) % 2 == 0 else 1
+            for u in trail:
+                winners[u] = verdict
+        return winners
+
+    wins0 = [False] * n
+    for f0 in choices(vertices0):
+        beaten = [True] * n
+        for f1 in choices(vertices1):
+            nxt = [0] * n
+            for v in range(n):
+                nxt[v] = f0[v] if game.owner[v] == 0 else f1[v]
+            winners = play_winners(nxt)
+            for v in range(n):
+                if winners[v] == 1:
+                    beaten[v] = False
+        for v in range(n):
+            if beaten[v]:
+                wins0[v] = True
+    w0 = frozenset(v for v in range(n) if wins0[v])
+    w1 = frozenset(v for v in range(n) if not wins0[v])
+    return WinningRegions(w0, w1)

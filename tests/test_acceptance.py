@@ -10,8 +10,9 @@ import time
 
 import reference_arena
 from conftest import random_dpa, random_game, random_lasso, random_ltl, random_structure
+from oracles import brute_force_solve, dpa_accepts_lasso, eval_lasso
 from hyperatl import arena, cli, solver
-from hyperatl.ltl2dpa import dpa_accepts_lasso, eval_lasso, ltl_to_dpa
+from hyperatl.ltl2dpa import ltl_to_dpa
 from hyperatl.structures import (
     SCHED,
     STUT_PROP,
@@ -96,7 +97,7 @@ def test_criterion_5_solver_oracle_equivalence():
     for _ in range(200):
         game = random_game(rng, max_vertices=8, max_degree=3, max_priority=4)
         regions, s0, s1 = solver.zielonka(game)
-        if regions != solver.brute_force_solve(game):
+        if regions != brute_force_solve(game):
             region_mismatches += 1
         if not solver.verify_strategy(game, regions, s0, s1):
             strategy_failures += 1

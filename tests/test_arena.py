@@ -4,13 +4,14 @@ import pytest
 
 import reference_arena
 from conftest import random_dpa, random_structure
+from oracles import brute_force_solve
 from hyperatl import arena
 from hyperatl.arena import ArenaError, VertexCapError, build_game
 from hyperatl.cli import bundled_asset
 from hyperatl.formula import parse_formula, to_nnf, validate_fragment
 from hyperatl.imp import build_cgs, parse_program
 from hyperatl.ltl2dpa import DPA, ltl_to_dpa
-from hyperatl.solver import brute_force_solve, zielonka
+from hyperatl.solver import zielonka
 from hyperatl.structures import MSCGS, stutter_transform
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_lasso, random_ltl
+from oracles import eval_lasso
 from hyperatl import formula as F
 from hyperatl.formula import (
     And,
@@ -26,7 +27,6 @@ from hyperatl.formula import (
     to_nnf,
     validate_fragment,
 )
-from hyperatl.ltl2dpa import eval_lasso
 
 
 class FakeSystem:

@@ -4,22 +4,18 @@ import random
 import pytest
 
 from conftest import ATOM_POOL, random_lasso, random_ltl
+from oracles import assignment_to_letter, dpa_accepts_lasso, eval_lasso, letter_to_assignment
 from hyperatl import formula as F
 from hyperatl import props
 from hyperatl.formula import parse_ltl, to_nnf
 from hyperatl.ltl2dpa import (
     NBA,
-    PB_FALSE,
-    PB_TRUE,
+    _quotient,
     apa_to_nba,
-    assignment_to_letter,
     compress_colors,
     deterministic_nba_to_dpa,
-    dpa_accepts_lasso,
     empty_states,
-    eval_lasso,
     export_dot,
-    letter_to_assignment,
     ltl_to_apa,
     ltl_to_dpa,
     nba_to_dpa,
@@ -46,35 +42,67 @@ def all_lassos(atoms, max_total):
 
 
 # -- structural checks on the alternating automaton ---------------------------
+#
+# A transition is the antichain of minimal successor sets: () is false and
+# (frozenset(),) is true.
+
+
+def letter_of(atoms, *true_atoms):
+    return assignment_to_letter({a: True for a in true_atoms}, atoms)
 
 
 def test_apa_literal_single_state():
     apa = ltl_to_apa(F.Atom(*A), (A,))
     assert apa.n_states == 1
     assert apa.colors == [0]
-    assert apa.trans[0][0] == PB_FALSE
-    assert apa.trans[0][1] == PB_TRUE
+    assert apa.trans[0][0] == ()
+    assert apa.trans[0][1] == (frozenset(),)
 
 
 def test_apa_until_shape_and_colors():
     apa = ltl_to_apa(parse_ltl("a{p} U b{p}"), (A, B))
     root = apa.initial
     assert apa.colors[root] == 1
-    # reading {a} keeps the obligation: b-branch false, a-branch true
-    letter_a = assignment_to_letter({A: True, B: False}, (A, B))
-    assert apa.trans[root][letter_a] == ("|", PB_FALSE, ("&", PB_TRUE, ("q", root)))
+    row = apa.trans[root]
+    # reading {a} keeps the obligation, {b} discharges it, {} violates it
+    assert row[letter_of((A, B), A)] == (frozenset({root}),)
+    assert row[letter_of((A, B), B)] == (frozenset(),)
+    assert row[letter_of((A, B))] == ()
 
 
 def test_apa_release_root_color_zero():
     apa = ltl_to_apa(parse_ltl("a{p} R b{p}"), (A, B))
-    assert apa.colors[apa.initial] == 0
+    root = apa.initial
+    assert apa.colors[root] == 0
+    row = apa.trans[root]
+    # {b} keeps the obligation, {a, b} releases it, {a} violates it
+    assert row[letter_of((A, B), B)] == (frozenset({root}),)
+    assert row[letter_of((A, B), A, B)] == (frozenset(),)
+    assert row[letter_of((A, B), A)] == ()
 
 
 def test_apa_next_delays_one_step():
     apa = ltl_to_apa(parse_ltl("X a{p}"), (A,))
     sub = apa.trans[apa.initial][0]
     assert sub == apa.trans[apa.initial][1]  # letter-independent
-    assert sub[0] == "q"
+    (succ,) = sub
+    (child,) = succ
+    assert child != apa.initial
+    assert apa.trans[child] == [(), (frozenset(),)]
+
+
+def test_apa_rows_are_canonical_antichains():
+    rng = random.Random(8)
+    for _ in range(300):
+        apa = ltl_to_apa(random_ltl(rng, rng.randint(1, 8)), ATOM_POOL)
+        for row in apa.trans:
+            assert len(row) == apa.n_letters
+            for sets in row:
+                # no member contains another (so none repeats)
+                assert not any(s <= t for s, t in itertools.permutations(sets, 2))
+                keys = [(len(s), sorted(s)) for s in sets]
+                assert keys == sorted(keys)
+                assert all(0 <= q < apa.n_states for s in sets for q in s)
 
 
 def test_apa_rejects_non_nnf():
@@ -269,11 +297,26 @@ def test_oracle_equivalence_sample():
 
 # -- deterministic breakpoint automata skip determinization ---------------------
 
-SHORTCUT_BODIES = {
+BUILTIN_BODIES = {
     "od": props.expand_od(["o[0]"]).body,
-    "od-async": props.expand_od_async(["o[0]"], "G_stut").body,
+    "ni": props.expand_ni(["o[0]"], ["l[0]"]).body,
+    "simsec": props.expand_simsec(["o[0]"], ["l[0]"], "G", "G_shift1").body,
     "sgni:3": props.expand_sgni(["o[0]"], ["l[0]"], ["h[0]"], 3, "G", "G_shift3").body,
+    "od-async": props.expand_od_async(["o[0]"], "G_stut").body,
+    "ni-async": props.expand_ni_async(["o[0]"], ["l[0]"], "r[0]", "G_stut").body,
 }
+
+# APA, NBA and DPA states, DPA colours, and whether the chain determinized
+BUILTIN_SIZES = {
+    "od": (8, 1, 2, 2, False),
+    "ni": (17, 4, 7, 2, True),
+    "simsec": (21, 7, 14, 2, True),
+    "sgni:3": (43, 585, 586, 2, False),
+    "od-async": (16, 9, 5, 2, False),
+    "ni-async": (34, 27, 52, 3, True),
+}
+
+SHORTCUT_BODIES = sorted(name for name, sizes in BUILTIN_SIZES.items() if not sizes[-1])
 
 
 def guided_lasso(rng, dpa, atoms):
@@ -299,9 +342,9 @@ def guided_lasso(rng, dpa, atoms):
     return word[:split], word[split:]
 
 
-@pytest.mark.parametrize("name", sorted(SHORTCUT_BODIES))
+@pytest.mark.parametrize("name", SHORTCUT_BODIES)
 def test_shortcut_agrees_with_determinization_and_oracle(name):
-    f = SHORTCUT_BODIES[name]
+    f = BUILTIN_BODIES[name]
     nnf = to_nnf(f)
     atoms = F.collect_atoms(nnf)
     stats: dict = {}
@@ -319,12 +362,18 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
     assert 50 <= sum(verdicts) <= 450
 
 
-def test_shortcut_sizes_of_sgni_body():
-    stats: dict = {}
-    dpa = ltl_to_dpa(SHORTCUT_BODIES["sgni:3"], stats=stats)
-    assert stats == {"apa_states": 43, "nba_states": 585, "determinized": False}
-    assert dpa.n_states == 586
-    assert dpa.n_colors == 2
+def test_translation_sizes_of_builtin_bodies():
+    for name, f in BUILTIN_BODIES.items():
+        stats: dict = {}
+        dpa = ltl_to_dpa(f, stats=stats)
+        got = (
+            stats["apa_states"],
+            stats["nba_states"],
+            dpa.n_states,
+            dpa.n_colors,
+            stats["determinized"],
+        )
+        assert got == BUILTIN_SIZES[name], name
 
 
 def test_shortcut_without_accepting_state_rejects_everything():
@@ -361,13 +410,18 @@ def test_shortcut_adds_no_sink_without_empty_rows():
 
 
 def test_shortcut_merges_bisimilar_states():
-    # states 0 and 1 share colour and successors; 2 accepts everything
+    # states 0 and 1 share colour and successors; 2 accepts everything.
+    # The shortcut keeps both; the quotient of ltl_to_dpa's tidy step merges them.
     nba = NBA((A,), 0, frozenset({2}), [[(1,), (2,)], [(1,), (2,)], [(2,), (2,)]])
-    dpa = deterministic_nba_to_dpa(nba)
+    raw = deterministic_nba_to_dpa(nba)
+    assert raw.n_states == 3
+    dpa = _quotient(raw)
     assert dpa.n_states == 2
     f = parse_ltl("F a{p}")
     for pre, loop in all_lassos((A,), 4):
-        assert dpa_accepts_lasso(dpa, pre, loop) == eval_lasso(f, pre, loop)
+        expected = eval_lasso(f, pre, loop)
+        assert dpa_accepts_lasso(raw, pre, loop) == expected
+        assert dpa_accepts_lasso(dpa, pre, loop) == expected
 
 
 # -- lasso oracle basics --------------------------------------------------------

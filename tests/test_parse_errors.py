@@ -41,9 +41,10 @@ PROGRAM_ERRORS = [
     ("var x : 1;\n# comment\nif (x @ x) { x := x; } else { x := x; }", "3:1: guard must have width 1"),
     ("var x : 1;\nif (x) { x := x; } x := x;", "2:20: expected 'else'"),
     ("var x : 1;\nwhile (x) { x := x; }\nx := x", "3:7: expected ';'"),
-    # expression-level checks carry no position
-    ("var x : 1;\nx := y;", "undeclared variable 'y'"),
-    ("var x : 1;\nx := x & (x @ x);", "operand widths differ (1 vs 2)"),
+    # expression-level checks point at the variable, the operator or the index
+    ("var x : 1;\nx := y;", "2:6: undeclared variable 'y'"),
+    ("var x : 1;\nx := x & (x @ x);", "2:8: operand widths differ (1 vs 2)"),
+    ("var x : 1;\nx := x[3];", "2:8: bit index 3 out of range for width 1"),
 ]
 
 

@@ -4,12 +4,8 @@ import time
 import pytest
 
 from conftest import random_game
-from hyperatl.solver import (
-    ParityGame,
-    brute_force_solve,
-    verify_strategy,
-    zielonka,
-)
+from oracles import brute_force_solve
+from hyperatl.solver import ParityGame, verify_strategy, zielonka
 
 
 def single(priority):

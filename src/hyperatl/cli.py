@@ -258,6 +258,7 @@ def run(config: CheckConfig) -> Report:
         "apa.states": translate_stats["apa_states"],
         "nba.states": translate_stats["nba_states"],
         "dpa.determinized": int(translate_stats["determinized"]),
+        "dpa.safra_steps": translate_stats["safra_steps"],
         "dpa.states": dpa.n_states,
         "dpa.colors": dpa.n_colors,
         "game.vertices": built.game.n_vertices,

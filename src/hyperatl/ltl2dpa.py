@@ -148,11 +148,23 @@ def _goto(q: int) -> tuple[frozenset, ...]:
     return (frozenset((q,)),)
 
 
+# Operands are canonical antichains, so a constant operand gives the other
+# operand (or the constant) as it is.
+
+
 def _or(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+    if not a or b == _TRUE:
+        return b
+    if not b or a == _TRUE:
+        return a
     return _antichain(a + b)
 
 
 def _and(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+    if not a or b == _TRUE:
+        return a
+    if not b or a == _TRUE:
+        return b
     return _antichain(x | y for x in a for y in b)
 
 
@@ -349,7 +361,31 @@ def _safra_step(root, letter, nba):
 _DEAD = (None, (), 1)
 
 
-def nba_to_dpa(nba: NBA, cap: int = 10**6) -> DPA:
+def _letter_classes(nba: NBA) -> tuple[list[int], list[int]]:
+    """Partition the letters by their column ``(trans[0][v], trans[1][v], ...)``.
+
+    Letters with equal columns move every state alike, so determinization
+    and the quotients read one letter per class.  Returns the class of each
+    letter and the first letter of each class (its representative), in
+    increasing letter order.
+    """
+    ids: dict = {}
+    cls: list[int] = []
+    reps: list[int] = []
+    for letter, column in enumerate(zip(*nba.trans)):
+        c = ids.setdefault(column, len(ids))
+        if c == len(reps):
+            reps.append(letter)
+        cls.append(c)
+    return cls, reps
+
+
+def nba_to_dpa(
+    nba: NBA,
+    cap: int = 10**6,
+    classes: Optional[tuple[list[int], list[int]]] = None,
+    stats: Optional[dict] = None,
+) -> DPA:
     """Determinize; the colour of a state reports the last transition's event.
 
     An appearance record over live node names orders deletion (odd colour
@@ -358,54 +394,82 @@ def nba_to_dpa(nba: NBA, cap: int = 10**6) -> DPA:
     eventually survives forever while completing breakpoints infinitely
     often yields a recurring even colour below every recurring odd one,
     matching acceptance of the input automaton.
+
+    A step reads the letter only through the columns of the states the tree
+    tracks, so it runs once per letter class (``classes`` as returned by
+    ``_letter_classes``) whose column on those states is new.  If ``stats``
+    is a dict it receives the number of steps as ``safra_steps``.
     """
+    cls, reps = _letter_classes(nba) if classes is None else classes
     neutral = 2 * (nba.n_states + 2) + 3
     init_tree = (0, frozenset((nba.initial,)), ())
     init_key = (init_tree, (0,), neutral)
+    steps = 0
 
     def row_of(key, number) -> list[int]:
+        nonlocal steps
         tree, record, _color = key
         if tree is None:
             return [number(_DEAD)] * nba.n_letters
-        row = []
-        for letter in range(nba.n_letters):
-            tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
-            if tree2 is None:
-                row.append(number(_DEAD))
-                continue
-            pos = {nm: i for i, nm in enumerate(record)}
-            removal_pos = [pos[nm] for nm in removed if nm in pos]
-            mark_pos = [pos[nm] for nm in marked]
-            if removal_pos and (not mark_pos or min(removal_pos) <= min(mark_pos)):
-                color = 2 * min(removal_pos) + 1
-            elif mark_pos:
-                color = 2 * min(mark_pos) + 2
-            else:
-                color = neutral
-            record2 = tuple(nm for nm in record if nm not in removed) + tuple(fresh)
-            row.append(number((tree2, record2, color)))
-        return row
+        tracked = [nba.trans[q] for q in sorted(tree[1])]
+        pos = {nm: i for i, nm in enumerate(record)}
+        by_column: dict = {}
+        ids = []
+        # representatives come in letter order, so successors are numbered
+        # in the order a per-letter loop would first meet them
+        for letter in reps:
+            column = tuple(row[letter] for row in tracked)
+            if column not in by_column:
+                steps += 1
+                by_column[column] = number(_successor(tree, record, pos, letter, nba, neutral))
+            ids.append(by_column[column])
+        return [ids[c] for c in cls]
 
     order, trans = _explore(init_key, row_of, cap, "determinization")
+    if stats is not None:
+        stats["safra_steps"] = steps
     colors = [key[2] for key in order]
     return DPA(nba.atoms, 0, colors, trans)
 
 
-def _quotient(dpa: DPA) -> DPA:
+def _successor(tree, record, pos, letter, nba, neutral):
+    """The key of the determinized state reached from ``(tree, record)``."""
+    tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
+    if tree2 is None:
+        return _DEAD
+    removal_pos = [pos[nm] for nm in removed if nm in pos]
+    mark_pos = [pos[nm] for nm in marked]
+    if removal_pos and (not mark_pos or min(removal_pos) <= min(mark_pos)):
+        color = 2 * min(removal_pos) + 1
+    elif mark_pos:
+        color = 2 * min(mark_pos) + 2
+    else:
+        color = neutral
+    record2 = tuple(nm for nm in record if nm not in removed) + tuple(fresh)
+    return (tree2, record2, color)
+
+
+def _quotient(dpa: DPA, reps: Optional[Sequence[int]] = None) -> DPA:
     """Merge states with equal colour and bisimilar successor behaviour.
 
     Every block holds a state reachable from the initial one, so the
     quotient of an automaton built by search from its initial state has no
-    unreachable state either.
+    unreachable state either.  If the columns of ``dpa.trans`` are constant
+    on letter classes, ``reps`` (one letter per class) lets the signatures
+    read those letters only.
     """
     n = dpa.n_states
+    if reps is None or len(reps) == dpa.n_letters:
+        rows = dpa.trans
+    else:
+        rows = [[row[v] for v in reps] for row in dpa.trans]
     color_ids = {c: i for i, c in enumerate(sorted(set(dpa.colors)))}
     block = [color_ids[c] for c in dpa.colors]
     while True:
         signatures: dict = {}
         new_block = [0] * n
         for q in range(n):
-            sig = (block[q], tuple(block[t] for t in dpa.trans[q]))
+            sig = (block[q], tuple(block[t] for t in rows[q]))
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[q] = signatures[sig]
@@ -482,17 +546,29 @@ def ltl_to_dpa(
 ) -> DPA:
     """Full chain: normal form, alternating, breakpoint, determinize, tidy.
 
-    A breakpoint automaton that is already deterministic skips
-    determinization.  Tidying is the one place the DPA is reduced: quotient,
-    neutral colours for states on no cycle, quotient, colour compression.  If ``stats`` is a dict it receives the state counts
-    ``apa_states`` and ``nba_states`` and whether the chain ``determinized``.
+    The letters are partitioned once by the breakpoint automaton's columns,
+    and determinization and the quotients work per letter class.  A
+    breakpoint automaton that is already deterministic skips
+    determinization.  Tidying is the one place the DPA is reduced:
+    quotient, neutral colours for states on no cycle, quotient, colour
+    compression.  If ``stats`` is a dict it receives the state counts
+    ``apa_states`` and ``nba_states``, whether the chain ``determinized``
+    and its ``safra_steps`` (0 without determinization).
     """
     apa = ltl_to_apa(F.to_nnf(f), atoms)
     nba = apa_to_nba(apa, cap=cap)
+    classes = _letter_classes(nba)
     determinize = any(len(succs) > 1 for row in nba.trans for succs in row)
-    dpa = nba_to_dpa(nba, cap=cap) if determinize else deterministic_nba_to_dpa(nba)
-    # both quotients stay: quotienting only after neutralizing merges less
-    dpa = _quotient(_neutralize_transient(_quotient(dpa)))
+    if stats is not None:
+        stats["safra_steps"] = 0
+    if determinize:
+        dpa = nba_to_dpa(nba, cap, classes, stats)
+    else:
+        dpa = deterministic_nba_to_dpa(nba)
+    # the DPA's columns are constant on the classes in both branches; both
+    # quotients stay: quotienting only after neutralizing merges less
+    reps = classes[1]
+    dpa = _quotient(_neutralize_transient(_quotient(dpa, reps)), reps)
     if stats is not None:
         stats["apa_states"] = apa.n_states
         stats["nba_states"] = nba.n_states

@@ -3,7 +3,9 @@
 ``eval_lasso`` evaluates a formula bottom-up over an ultimately periodic
 word, ``dpa_accepts_lasso`` runs a deterministic parity automaton on one,
 and ``brute_force_solve`` solves a small parity game by enumerating
-positional strategy pairs.
+positional strategy pairs.  ``nba_to_dpa_per_letter`` is the exception: it
+determinizes with the checker's own tree step, but runs it once per letter
+and state, so it judges the grouping of letters into classes, not the step.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 from typing import Mapping, Sequence
 
 from hyperatl import formula as F
-from hyperatl.ltl2dpa import DPA
+from hyperatl.ltl2dpa import _DEAD, DPA, NBA, _explore, _safra_step
 from hyperatl.solver import ParityGame, WinningRegions
 
 Assignment = Mapping[tuple[str, str], bool]
@@ -134,6 +136,40 @@ def dpa_accepts_lasso(
         pos = (pos + 1) % len(loop_letters)
     cycle = trail[seen[(pos, state)]:]
     return min(dpa.colors[q] for q in cycle) % 2 == 0
+
+
+def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:
+    """``nba_to_dpa`` with one tree step per state and letter, no grouping."""
+    neutral = 2 * (nba.n_states + 2) + 3
+    init_tree = (0, frozenset((nba.initial,)), ())
+    init_key = (init_tree, (0,), neutral)
+
+    def row_of(key, number) -> list[int]:
+        tree, record, _color = key
+        if tree is None:
+            return [number(_DEAD)] * nba.n_letters
+        row = []
+        for letter in range(nba.n_letters):
+            tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
+            if tree2 is None:
+                row.append(number(_DEAD))
+                continue
+            pos = {nm: i for i, nm in enumerate(record)}
+            removal_pos = [pos[nm] for nm in removed if nm in pos]
+            mark_pos = [pos[nm] for nm in marked]
+            if removal_pos and (not mark_pos or min(removal_pos) <= min(mark_pos)):
+                color = 2 * min(removal_pos) + 1
+            elif mark_pos:
+                color = 2 * min(mark_pos) + 2
+            else:
+                color = neutral
+            record2 = tuple(nm for nm in record if nm not in removed) + tuple(fresh)
+            row.append(number((tree2, record2, color)))
+        return row
+
+    order, trans = _explore(init_key, row_of, cap, "determinization")
+    colors = [key[2] for key in order]
+    return DPA(nba.atoms, 0, colors, trans)
 
 
 def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:

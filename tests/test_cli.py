@@ -39,9 +39,11 @@ def test_run_reports_sizes_and_timings():
     assert report.sizes["apa.states"] == 8
     assert report.sizes["nba.states"] == 1
     assert report.sizes["dpa.determinized"] == 0
+    assert report.sizes["dpa.safra_steps"] == 0
     assert report.sizes["dpa.states"] == 2
     ni = run(CheckConfig(systems=[spec("p1.imp")], prop="ni"))
     assert ni.sizes["dpa.determinized"] == 1
+    assert ni.sizes["dpa.safra_steps"] == 30
     assert ni.sizes["nba.states"] == 4
     assert set(report.timings_ms) == {"build", "translate", "arena", "solve"}
 

@@ -1,15 +1,24 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import ATOM_POOL, random_lasso, random_ltl
-from oracles import assignment_to_letter, dpa_accepts_lasso, eval_lasso, letter_to_assignment
+from oracles import (
+    assignment_to_letter,
+    dpa_accepts_lasso,
+    eval_lasso,
+    letter_to_assignment,
+    nba_to_dpa_per_letter,
+)
 from hyperatl import formula as F
 from hyperatl import props
 from hyperatl.formula import parse_ltl, to_nnf
 from hyperatl.ltl2dpa import (
     NBA,
+    _letter_classes,
+    _neutralize_transient,
     _quotient,
     apa_to_nba,
     compress_colors,
@@ -306,27 +315,28 @@ BUILTIN_BODIES = {
     "ni-async": props.expand_ni_async(["o[0]"], ["l[0]"], "r[0]", "G_stut").body,
 }
 
-# APA, NBA and DPA states, DPA colours, and whether the chain determinized
+# APA, NBA and DPA states, DPA colours, whether the chain determinized, and
+# its tree steps
 BUILTIN_SIZES = {
-    "od": (8, 1, 2, 2, False),
-    "ni": (17, 4, 7, 2, True),
-    "simsec": (21, 7, 14, 2, True),
-    "sgni:3": (43, 585, 586, 2, False),
-    "od-async": (16, 9, 5, 2, False),
-    "ni-async": (34, 27, 52, 3, True),
+    "od": (8, 1, 2, 2, False, 0),
+    "ni": (17, 4, 7, 2, True, 30),
+    "simsec": (21, 7, 14, 2, True, 340),
+    "sgni:3": (43, 585, 586, 2, False, 0),
+    "od-async": (16, 9, 5, 2, False, 0),
+    "ni-async": (34, 27, 52, 3, True, 1021),
 }
 
-SHORTCUT_BODIES = sorted(name for name, sizes in BUILTIN_SIZES.items() if not sizes[-1])
+SHORTCUT_BODIES = sorted(name for name, sizes in BUILTIN_SIZES.items() if not sizes[4])
 
 
-def guided_lasso(rng, dpa, atoms):
+def guided_lasso(rng, dpa, atoms, dead):
     """Random lasso along a run of ``dpa`` that may avoid empty states.
 
-    The walk stops when the run revisits a state, and the loop is the part
-    read since that state's first visit; how often a step may enter an
-    empty state is drawn per lasso, so both verdicts are common.
+    ``dead`` is ``empty_states(dpa)``.  The walk stops when the run revisits
+    a state, and the loop is the part read since that state's first visit;
+    how often a step may enter an empty state is drawn per lasso, so both
+    verdicts are common.
     """
-    dead = empty_states(dpa)
     slip = rng.choice((0.0, 0.02, 0.2, 1.0))
     first_visit: dict = {}
     word = []
@@ -352,9 +362,10 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
     assert stats["determinized"] is False
     determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
     rng = random.Random(31)
+    dead = empty_states(dpa)
     verdicts = []
     for _ in range(500):
-        pre, loop = guided_lasso(rng, dpa, atoms)
+        pre, loop = guided_lasso(rng, dpa, atoms, dead)
         expected = eval_lasso(f, pre, loop)
         assert dpa_accepts_lasso(dpa, pre, loop) == expected
         assert dpa_accepts_lasso(determinized, pre, loop) == expected
@@ -372,8 +383,89 @@ def test_translation_sizes_of_builtin_bodies():
             dpa.n_states,
             dpa.n_colors,
             stats["determinized"],
+            stats["safra_steps"],
         )
         assert got == BUILTIN_SIZES[name], name
+
+
+# -- determinization per letter class ------------------------------------------
+
+WIDE_POOL = tuple((name, "p") for name in "abcdef")  # 64 letters
+
+
+def ahltl_body(text):
+    return props.expand_ahltl(3, parse_ltl(text), "G_stut").body
+
+
+# 3 copies with stutter atoms: 8 and 12 atoms
+AHLTL_8 = ahltl_body(
+    "(G (l[0]{p1} <-> l[0]{p2})) -> G ((o[0]{p1} <-> o[0]{p2}) & (o[0]{p2} <-> o[0]{p3}))"
+)
+AHLTL_12 = ahltl_body(
+    "(G ((l[0]{p1} <-> l[0]{p2}) & (l[0]{p2} <-> l[0]{p3}))"
+    " -> G ((o[0]{p1} <-> o[0]{p2}) & (o[0]{p2} <-> o[0]{p3})))"
+    " & G ((r[0]{p1} <-> r[0]{p2}) & (r[0]{p2} <-> r[0]{p3}))"
+)
+
+
+def tables(dpa):
+    return dpa.initial, dpa.colors, dpa.trans
+
+
+def assert_matches_per_letter(f, atoms):
+    """Raw and tidied DPAs equal those of one tree step per state and letter."""
+    nba = apa_to_nba(ltl_to_apa(to_nnf(f), atoms))
+    per_letter = nba_to_dpa_per_letter(nba)
+    assert tables(nba_to_dpa(nba)) == tables(per_letter)
+    stats: dict = {}
+    dpa = ltl_to_dpa(f, atoms, stats=stats)
+    raw = per_letter if stats["determinized"] else deterministic_nba_to_dpa(nba)
+    # the tidy step over full rows, as before letter classes
+    tidied = compress_colors(_quotient(_neutralize_transient(_quotient(raw))))
+    assert tables(dpa) == tables(tidied)
+    return len(_letter_classes(nba)[1]), nba.n_letters
+
+
+@pytest.mark.parametrize(
+    "seed, count, pool", [(41, 400, ATOM_POOL), (43, 200, WIDE_POOL)], ids=["3-atoms", "6-atoms"]
+)
+def test_grouped_determinization_matches_per_letter_on_random_bodies(seed, count, pool):
+    rng = random.Random(seed)
+    merged = 0
+    for _ in range(count):
+        f = random_ltl(rng, rng.randint(1, 8), pool)
+        n_classes, n_letters = assert_matches_per_letter(f, pool)
+        merged += n_classes < n_letters
+    # most bodies read few atoms, so their letters share classes
+    assert merged > count // 2
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_BODIES, "ahltl:3"])
+def test_grouped_determinization_matches_per_letter_on_named_bodies(name):
+    f = AHLTL_8 if name == "ahltl:3" else BUILTIN_BODIES[name]
+    atoms = F.collect_atoms(to_nnf(f))
+    assert_matches_per_letter(f, atoms)
+
+
+def test_wide_body_determinizes_per_letter_class():
+    atoms = F.collect_atoms(to_nnf(AHLTL_12))
+    assert len(atoms) == 12
+    stats: dict = {}
+    start = time.perf_counter()
+    dpa = ltl_to_dpa(AHLTL_12, atoms, stats=stats)
+    elapsed = time.perf_counter() - start
+    # one step per letter and state would be 1,331,200
+    assert stats["safra_steps"] == 6133
+    assert elapsed < 5.0, f"translation took {elapsed:.1f} s"
+    rng = random.Random(37)
+    dead = empty_states(dpa)
+    verdicts = []
+    for _ in range(200):
+        pre, loop = guided_lasso(rng, dpa, atoms, dead)
+        expected = eval_lasso(AHLTL_12, pre, loop)
+        assert dpa_accepts_lasso(dpa, pre, loop) == expected
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < 200
 
 
 def test_shortcut_without_accepting_state_rejects_everything():

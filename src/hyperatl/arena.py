@@ -17,6 +17,14 @@ the two decided sinks get negative keys.  Per-copy tables, computed once,
 give each local position's successors in every phase, so the search loop
 only sums table entries and interns the results.  Vertex labels are made
 from the kept keys when first asked for.
+
+When both quantifiers of a two-copy block range over the same structure
+with the same coalition, and the body automaton commutes with swapping the
+two copies' atoms, swapping the copies is an automorphism of the game: it
+keeps owners, priorities and edges.  The builder then keeps one vertex per
+orbit of the swap, the first key of the pair that the search meets, and
+interns its image under the same id.  Such an orbit quotient has the same
+winners (symmetry reduction, Emerson & Sistla 1996; Ip & Dill 1996).
 """
 
 from __future__ import annotations
@@ -59,6 +67,11 @@ class BuiltArena:
     def descriptions(self) -> list[str]:
         """One label per vertex, e.g. ``M q3 (4,7) l=0 T``, built on first use."""
         return [self.layout.describe(key) for key in self.keys]
+
+    @property
+    def swap_quotient(self) -> bool:
+        """Is each vertex the representative of its orbit under the copy swap?"""
+        return self.layout.mirror is not None
 
 
 class _CopyInfo:
@@ -155,6 +168,16 @@ class _Layout:
     steps: list[int]
     size: int
     dims: list[tuple[int, int, int]]  # per copy: stride, number of local positions, width
+    # under the copy swap: the image of ``q * n_phases + phase``, or None
+    mirror: Optional[list[int]] = None
+
+    def swap(self, key: int) -> int:
+        """The image of a key under the copy swap (only when ``mirror`` is set)."""
+        if key < 0:
+            return key
+        hi, rest = divmod(key, self.size)
+        l1, l0 = divmod(rest, self.dims[1][0])
+        return self.mirror[hi] * self.size + l0 * self.dims[1][0] + l1
 
     def describe(self, key: int) -> str:
         if key < 0:
@@ -167,6 +190,58 @@ class _Layout:
             return "A q%d (%s)" % (q, js)
         stage, team = self.pairs[step]
         return "M q%d (%s) l=%d %s" % (q, js, stage, "T" if team else "F")
+
+
+def _copy_swap(
+    quants: Sequence[tuple[frozenset, MSCGS]],
+    dpa: DPA,
+    atoms: Sequence[tuple[str, str]],
+    atom_copy: Mapping[tuple[str, str], int],
+) -> Optional[list[int]]:
+    """The DPA automorphism ``sigma`` that matches swapping the two copies, if any.
+
+    It exists when both quantifiers bind the same structure with equal
+    coalitions, every atom's proposition is read in both copies, and a
+    search of the DPA against itself from ``(initial, initial)``, on letters
+    with the copies' atoms swapped, pairs each state with exactly one state
+    of equal colour.  Then ``trans[sigma[q]][swap(v)] == sigma[trans[q][v]]``.
+    """
+    if len(quants) != 2:
+        return None
+    (c0, g0), (c1, g1) = quants
+    if g0 is not g1 or frozenset(c0) != frozenset(c1):
+        return None
+    bit_of = {(prop, atom_copy[(prop, var)]): bit for bit, (prop, var) in enumerate(atoms)}
+    if len(bit_of) != len(atoms):
+        return None
+    partner = []
+    for prop, var in atoms:
+        other = bit_of.get((prop, 1 - atom_copy[(prop, var)]))
+        if other is None:
+            return None
+        partner.append(1 << other)
+    # the swapped letter, built from the letter without its lowest bit
+    perm = [0] * dpa.n_letters
+    for v in range(1, dpa.n_letters):
+        low = v & -v
+        perm[v] = perm[v ^ low] | partner[low.bit_length() - 1]
+    colors, trans = dpa.colors, dpa.trans
+    sigma = [-1] * dpa.n_states
+    sigma[dpa.initial] = dpa.initial
+    queue = [dpa.initial]
+    for q in queue:
+        s = sigma[q]
+        if colors[s] != colors[q]:
+            return None
+        for t, u in set(zip(trans[q], map(trans[s].__getitem__, perm))):
+            if sigma[t] < 0:
+                sigma[t] = u
+                queue.append(t)
+            elif sigma[t] != u:
+                return None
+    if len(queue) != dpa.n_states or len(set(sigma)) != dpa.n_states:
+        return None
+    return sigma
 
 
 def build_game(
@@ -185,6 +260,8 @@ def build_game(
     The game without these shortcuts is built by ``tests/reference_arena.py``.
     Vertices are numbered in BFS order from the initial one, and each row
     lists its successors in move-vector product order (copy by copy).
+    When the copy swap is an automorphism (see :func:`_copy_swap`), one
+    vertex stands for each orbit, so sizes and the cap count orbits.
     """
     k = len(quants)
     if k == 0:
@@ -212,6 +289,12 @@ def build_game(
         dims.append((size, c.n_states * c.width, c.width))
         size *= c.n_states * c.width
     layout = _Layout(pairs, steps, size, dims)
+    sigma = _copy_swap(quants, dpa, atoms, atom_copy)
+    swap = None
+    if sigma is not None:
+        # equal structures and coalitions give both copies equal tables
+        layout.mirror = [s * nph + ph for s in sigma for ph in range(nph)]
+        swap = layout.swap
     # per phase: per-copy (successor table, stride, positions), owner, next
     # phase, and whether the step into the next phase fires the joint step
     phases = []
@@ -272,6 +355,8 @@ def build_game(
                     raise VertexCapError(f"vertex cap of {cap} exceeded")
                 index[nk] = t
                 keys.append(nk)
+                if swap is not None:
+                    index[swap(nk)] = t
             row.append(t)
         succ.append(row)
 

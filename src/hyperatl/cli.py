@@ -265,6 +265,7 @@ def run(config: CheckConfig) -> Report:
         "game.edges": built.game.n_edges,
         "game.automaton_vertices": built.n_automaton_vertices,
         "game.sink_vertices": built.n_sink_vertices,
+        "game.swap_quotient": int(built.swap_quotient),
         "solver.calls": solver_stats["calls"],
         "solver.attractor_edges": solver_stats["attractor_edges"],
     }

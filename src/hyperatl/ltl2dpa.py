@@ -494,9 +494,10 @@ def _neutralize_transient(dpa: DPA) -> DPA:
     Such states are visited at most once per run, so their colour never
     decides acceptance; a uniform choice lets the quotient merge them.
     """
+    succ = _distinct_successors(dpa)
     on_cycle = [False] * dpa.n_states
-    for comp in scc(dpa.trans, [True] * dpa.n_states):
-        if len(comp) > 1 or comp[0] in dpa.trans[comp[0]]:
+    for comp in scc(succ, [True] * dpa.n_states):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
             for q in comp:
                 on_cycle[q] = True
     if all(on_cycle):
@@ -580,22 +581,28 @@ def ltl_to_dpa(
 # Emptiness / universality per state (used to prune decided game regions)
 
 
+def _distinct_successors(dpa: DPA) -> list[list[int]]:
+    """Per state: its successors over all letters, each once."""
+    return [list(set(row)) for row in dpa.trans]
+
+
 def _has_dominated_cycle(dpa: DPA, parity: int) -> list[bool]:
     """Per state: is a cycle whose minimal colour has ``parity`` reachable?"""
     n = dpa.n_states
+    succ = _distinct_successors(dpa)
     good = [False] * n
     for c in sorted(set(dpa.colors)):
         if c % 2 != parity:
             continue
-        for members in scc(dpa.trans, [color >= c for color in dpa.colors]):
-            has_cycle = len(members) > 1 or members[0] in dpa.trans[members[0]]
+        for members in scc(succ, [color >= c for color in dpa.colors]):
+            has_cycle = len(members) > 1 or members[0] in succ[members[0]]
             if has_cycle and any(dpa.colors[q] == c for q in members):
                 for q in members:
                     good[q] = True
     # propagate backwards: a state reaching a good state is good
     preds: list[list[int]] = [[] for _ in range(n)]
     for q in range(n):
-        for t in set(dpa.trans[q]):
+        for t in succ[q]:
             preds[t].append(q)
     stack = [q for q in range(n) if good[q]]
     while stack:

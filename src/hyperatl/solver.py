@@ -306,7 +306,16 @@ class _Solver:
                 rest = _merge(w[p], attr)
                 opponent_attr = w[1 - p]
                 escape: dict = {}
+                before = len(rest)
                 self.attract(1 - p, opponent_attr, rest, escape)
+                if len(rest) == before:
+                    # The attractor added nothing, so the repeat would solve
+                    # attr | w[p]: its attractor to the minimal priority is
+                    # attr again, and w[p] is left, which p wins entirely.
+                    result = self._won_by(p, rest, top, _merge(s[p], strategy), s)
+                    result[0][1 - p] = opponent_attr
+                    stack.pop()
+                    continue
                 frame[:] = [2, p, opponent_attr, escape, s[1 - p]]
                 stack.append([0, 0, rest, None, None])
             else:

@@ -2,9 +2,11 @@
 
 This is the construction that ``arena.build_game`` replaced, unchanged:
 vertices are tuple keys interned in BFS order and every move vector is
-stepped through ``MSCGS.delta``.  ``tests/test_arena_kernel.py`` requires
-the packed-integer kernel to reproduce its ``collapse=True,
-prune_decided=True`` games vertex for vertex.  With both switches off it
+stepped through ``MSCGS.delta``.  It never quotients by the copy swap.
+``tests/test_arena_kernel.py`` requires the packed-integer kernel to
+reproduce its ``collapse=True, prune_decided=True`` games vertex for vertex
+where the kernel keeps every vertex, and to be their orbit quotient where
+it keeps one vertex per orbit of the swap.  With both switches off it
 builds the exact game (every stage and total-vector vertex kept, decided
 states not pruned), the only place that game still exists; the arena tests
 compare its winners with the kernel's.
@@ -13,7 +15,7 @@ compare its winners with the kernel's.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from hyperatl.arena import ArenaError, VertexCapError
@@ -27,6 +29,8 @@ class BuiltArena:
     game: ParityGame
     descriptions: list[str]
     n_automaton_vertices: int
+    keys: list = field(repr=False)  # the tuple key of each vertex
+    copies: list = field(repr=False)
 
 
 class _CopyInfo:
@@ -241,4 +245,10 @@ def build_game(
         else:
             descriptions.append(kind)
     game = ParityGame(succ=succ, owner=owner, priority=priority, initial=initial)
-    return BuiltArena(game=game, descriptions=descriptions, n_automaton_vertices=n_automaton)
+    return BuiltArena(
+        game=game,
+        descriptions=descriptions,
+        n_automaton_vertices=n_automaton,
+        keys=order,
+        copies=copies,
+    )

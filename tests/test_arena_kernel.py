@@ -1,9 +1,14 @@
 """The packed-integer arena kernel against the tuple-keyed reference builder.
 
-The kernel's one mode must reproduce the reference's game in the matching
-mode (empty stages skipped, decided states pruned) vertex for vertex: equal
-successor rows (in order), owners, priorities, initial vertex,
-automaton-vertex count and labels, hence byte-equal DOT output.
+Where the copy swap is no automorphism, the kernel's one mode must reproduce
+the reference's game in the matching mode (empty stages skipped, decided
+states pruned) vertex for vertex: equal successor rows (in order), owners,
+priorities, initial vertex, automaton-vertex count and labels, hence
+byte-equal DOT output.  Where it is one, the kernel's game must be the
+orbit quotient of the reference's: every reference vertex is a kept key or
+the swap image of one, and each kept vertex has the owner, priority, label,
+successor orbits (in order) and winner of both reference vertices it
+stands for.
 """
 
 import functools
@@ -13,9 +18,11 @@ import random
 import pytest
 
 import reference_arena
-from conftest import random_dpa, random_structure
+from conftest import random_dpa, random_ltl, random_structure
 from hyperatl import arena, cli
+from hyperatl import formula as F
 from hyperatl.arena import VertexCapError, build_game
+from hyperatl.ltl2dpa import DPA, ltl_to_dpa
 from hyperatl.solver import zielonka
 
 # the reference's (collapse, prune_decided) mode that the kernel reproduces
@@ -23,6 +30,7 @@ MODES = [(True, True)]
 
 
 def assert_same_arena(kernel, reference):
+    assert not kernel.swap_quotient
     g, r = kernel.game, reference.game
     assert g.initial == r.initial
     assert g.owner == r.owner
@@ -32,6 +40,51 @@ def assert_same_arena(kernel, reference):
     assert kernel.n_sink_vertices == sum(d in ("LOSE", "WIN") for d in reference.descriptions)
     assert kernel.descriptions == reference.descriptions
     assert arena.export_dot(kernel) == arena.export_dot(reference)
+
+
+def packed_key(layout, reference, ref_key):
+    """The kernel's packed key, under ``layout``, of a reference vertex key."""
+    if ref_key[0] in ("LOSE", "WIN"):
+        return arena._LOSE if ref_key[0] == "LOSE" else arena._WIN
+    if ref_key[0] == "A":
+        _, q, js = ref_key
+        sigma, step = [()] * len(js), len(layout.pairs)
+    else:
+        _, q, js, sigma, stage, team = ref_key
+        step = layout.pairs.index((stage, team))
+    key = (q * len(layout.steps) + layout.steps.index(step)) * layout.size
+    for s, moves, (stride, _, width), copy in zip(js, sigma, layout.dims, reference.copies):
+        partial = 0
+        for i, move in zip(copy.move_order, moves):
+            partial = partial * copy.arity(s, copy.structure.agents[i]) + move
+        key += (s * width + partial) * stride
+    return key
+
+
+def assert_orbit_quotient(kernel, reference):
+    g, r = kernel.game, reference.game
+    layout = kernel.layout
+    packed = [packed_key(layout, reference, key) for key in reference.keys]
+    ref_vertex = {key: v for v, key in enumerate(packed)}
+    assert len(ref_vertex) == r.n_vertices
+    orbit = {}
+    for v, key in enumerate(kernel.keys):
+        orbit[key] = orbit[layout.swap(key)] = v
+    assert orbit.keys() == ref_vertex.keys()
+    assert ref_vertex[kernel.keys[g.initial]] == r.initial
+    won, ref_won = zielonka(g)[0], zielonka(r)[0]
+    for v, key in enumerate(kernel.keys):
+        for image in (key, layout.swap(key)):
+            u = ref_vertex[image]
+            assert (g.owner[v], g.priority[v]) == (r.owner[u], r.priority[u])
+            assert won.winner(v) == ref_won.winner(u)
+        u = ref_vertex[key]
+        assert kernel.descriptions[v] == reference.descriptions[u]
+        assert g.succ[v] == [orbit[packed[t]] for t in r.succ[u]]
+    auto = [key for key, d in zip(kernel.keys, kernel.descriptions) if d.startswith("A ")]
+    assert kernel.n_automaton_vertices == len(auto)
+    assert reference.n_automaton_vertices == sum(2 - (k == layout.swap(k)) for k in auto)
+    assert kernel.n_sink_vertices == sum(k < 0 for k in kernel.keys)
 
 
 def random_block(rng):
@@ -93,11 +146,19 @@ def test_bundled_rows_match_reference(monkeypatch, tmp_path):
     assert len(blocks) == 16 + 6
     for name, (args, kwargs), dumped in blocks:
         reference = reference_arena.build_game(*args, **kwargs, collapse=True, prune_decided=True)
-        assert_same_arena(arena.build_game(*args, **kwargs), reference)
-        # --dump-game output: the same game under the winner's strategy
-        regions, s0, s1 = zielonka(reference.game)
-        strategy = s0 if reference.game.initial in regions.w0 else s1
-        assert dumped == arena.export_dot(reference, strategy=strategy), name
+        kernel = arena.build_game(*args, **kwargs)
+        # simsec and sgni bind different systems; od, ni and ni-async are symmetric
+        assert kernel.swap_quotient == (not name.endswith(("-simsec", "-sgni"))), name
+        if kernel.swap_quotient:
+            assert_orbit_quotient(kernel, reference)
+            shown = kernel
+        else:
+            assert_same_arena(kernel, reference)
+            shown = reference
+        # --dump-game output: that game under the winner's strategy
+        regions, s0, s1 = zielonka(shown.game)
+        strategy = s0 if shown.game.initial in regions.w0 else s1
+        assert dumped == arena.export_dot(shown, strategy=strategy), name
 
 
 @pytest.mark.parametrize("collapse,prune_decided", MODES)
@@ -111,3 +172,106 @@ def test_vertex_cap_fires_at_the_same_count(collapse, prune_decided):
             assert builder(*args, cap=n).game.n_vertices == n
             with pytest.raises(VertexCapError, match=f"cap of {n - 1} "):
                 builder(*args, cap=n - 1)
+
+
+# two copies of one structure, atoms x and y of each
+TWO_COPY_ATOMS = (("x", "p1"), ("y", "p1"), ("x", "p2"), ("y", "p2"))
+TWO_COPY_INDEX = {atom: int(atom[1] == "p2") for atom in TWO_COPY_ATOMS}
+
+
+def swap_paths(f):
+    """The formula with paths ``p1`` and ``p2`` exchanged."""
+    if isinstance(f, F.Atom):
+        return F.Atom(f.prop, {"p1": "p2", "p2": "p1"}[f.var])
+    return type(f)(*(swap_paths(getattr(f, name)) for name in f.__dataclass_fields__))
+
+
+def two_copy_block(g, coalitions, body, atoms=TWO_COPY_ATOMS):
+    quants = [(coalition, g) for coalition in coalitions]
+    atom_copy = {atom: TWO_COPY_INDEX[atom] for atom in atoms}
+    return quants, ltl_to_dpa(body, atoms), atoms, atom_copy
+
+
+def check_against_reference(block):
+    """Compare the kernel's game with the reference's; returns both."""
+    kernel = build_game(*block)
+    reference = reference_arena.build_game(*block, collapse=True, prune_decided=True)
+    if not kernel.swap_quotient:
+        assert_same_arena(kernel, reference)
+        return kernel, reference
+    assert_orbit_quotient(kernel, reference)
+    # the cap counts orbits
+    n = kernel.game.n_vertices
+    assert build_game(*block, cap=n).game.n_vertices == n
+    with pytest.raises(VertexCapError, match=f"cap of {n - 1} "):
+        build_game(*block, cap=n - 1)
+    return kernel, reference
+
+
+def quotients(block):
+    return check_against_reference(block)[0].swap_quotient
+
+
+def test_symmetric_bodies_build_the_orbit_quotient():
+    rng = random.Random(808)
+    quotiented = smaller = 0
+    for _ in range(60):
+        g = random_structure(rng, max_states=5)
+        coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
+        f = random_ltl(rng, rng.randint(1, 5), TWO_COPY_ATOMS)
+        block = two_copy_block(g, [coalition, coalition], F.And(f, swap_paths(f)))
+        kernel, reference = check_against_reference(block)
+        quotiented += kernel.swap_quotient
+        smaller += kernel.game.n_vertices < reference.game.n_vertices
+    assert quotiented >= 50 and smaller >= 10
+
+
+def test_asymmetric_blocks_keep_every_vertex():
+    rng = random.Random(809)
+    kept = 0
+    for _ in range(60):
+        g = random_structure(rng, max_states=5)
+        coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
+        # a body read on one side only: symmetric only by accident
+        f = random_ltl(rng, rng.randint(1, 5), TWO_COPY_ATOMS)
+        kept += not quotients(two_copy_block(g, [coalition, coalition], f))
+        # a symmetric body under unequal coalitions
+        block = two_copy_block(g, [frozenset(), frozenset(g.agents)], F.And(f, swap_paths(f)))
+        assert not quotients(block)
+    assert kept >= 30
+
+
+SYMMETRIC_BODY = F.parse_ltl("G (x{p1} <-> x{p2}) & F y{p1} & F y{p2}")
+
+
+def test_swap_needs_every_atom_in_both_copies():
+    g = random_structure(random.Random(3), max_states=4)
+    body = F.parse_ltl("G (x{p1} <-> x{p2})")
+    assert quotients(two_copy_block(g, [frozenset()] * 2, body))
+    one_sided = (("x", "p1"), ("x", "p2"), ("y", "p1"))
+    assert not quotients(two_copy_block(g, [frozenset()] * 2, body, one_sided))
+
+
+def test_swap_needs_equal_coalitions_and_one_structure():
+    g = random_structure(random.Random(4), max_states=4)
+    twin = random_structure(random.Random(4), max_states=4)
+    a = frozenset(g.agents[:1])
+    assert quotients(two_copy_block(g, [a, a], SYMMETRIC_BODY))
+    assert not quotients(two_copy_block(g, [a, frozenset()], SYMMETRIC_BODY))
+    block = two_copy_block(g, [a, a], SYMMETRIC_BODY)
+    block[0][1] = (a, twin)
+    assert not quotients(block)
+
+
+def test_swap_needs_colours_to_match():
+    # x on one side only leads to accepting state 1 or rejecting state 2:
+    # swapping the letters maps the transitions, but not the colours
+    atoms = (("x", "p1"), ("x", "p2"))
+    dpa = DPA(atoms, 0, [0, 0, 1], [[0, 1, 2, 0], [1] * 4, [2] * 4])
+    g = random_structure(random.Random(6), max_states=4)
+    assert not quotients(([(frozenset(), g)] * 2, dpa, atoms, {atoms[0]: 0, atoms[1]: 1}))
+
+
+def test_swap_needs_a_symmetric_body():
+    g = random_structure(random.Random(5), max_states=4)
+    assert not quotients(two_copy_block(g, [frozenset()] * 2, F.parse_ltl("G x{p1} & F y{p2}")))

@@ -45,6 +45,12 @@ def test_run_reports_sizes_and_timings():
     assert ni.sizes["dpa.determinized"] == 1
     assert ni.sizes["dpa.safra_steps"] == 30
     assert ni.sizes["nba.states"] == 4
+    # od and ni bind one system twice under equal coalitions; simsec and
+    # sgni bind different systems
+    assert report.sizes["game.swap_quotient"] == ni.sizes["game.swap_quotient"] == 1
+    for prop in ("simsec", "sgni:3"):
+        other = run(CheckConfig(systems=[spec("p1.imp")], prop=prop))
+        assert other.sizes["game.swap_quotient"] == 0, prop
     assert set(report.timings_ms) == {"build", "translate", "arena", "solve"}
 
 

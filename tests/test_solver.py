@@ -241,3 +241,21 @@ def test_stats_count_subgames_and_attractor_edges():
     again: dict = {}
     zielonka(game, again)
     assert again == stats
+
+
+def test_second_call_skipped_when_the_opponent_attracts_nothing():
+    # 0 (priority 0) leads into the even cycle 1-2; the odd cycle 3-4 is
+    # closed.  At the root and in the subgame of priority 1 the opponent's
+    # attractor to what it won adds nothing, so neither repeats its call:
+    # three subgames are solved, where the full recursion solves six.
+    game = ParityGame(
+        succ=[[1], [2, 0], [1], [4], [3]],
+        owner=[1, 1, 1, 0, 0],
+        priority=[0, 2, 2, 1, 1],
+    )
+    stats: dict = {}
+    regions, s0, s1 = zielonka(game, stats)
+    assert regions == brute_force_solve(game)
+    assert regions.w0 == frozenset({0, 1, 2}) and regions.w1 == frozenset({3, 4})
+    assert verify_strategy(game, regions, s0, s1)
+    assert stats["calls"] == 3

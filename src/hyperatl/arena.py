@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .ltl2dpa import DPA, empty_states, universal_states
+from .ltl2dpa import DPA, decided_states
 from .solver import ParityGame
 from .structures import MSCGS
 
@@ -306,7 +306,7 @@ def build_game(
     letters = [(c.letter_mask, st, sz) for c, (st, sz, _) in zip(copies, dims)]
     sink = [
         _LOSE if lose else _WIN if win else None
-        for lose, win in zip(empty_states(dpa), universal_states(dpa))
+        for lose, win in zip(*decided_states(dpa))
     ]
     colors, trans = dpa.colors, dpa.trans
     product = itertools.product

@@ -34,10 +34,6 @@ class ConfigError(Exception):
     pass
 
 
-class ResourceCapError(Exception):
-    pass
-
-
 # What ends a check early: bad input (exit 2) or a resource cap (exit 3).
 USAGE_ERRORS = (
     ConfigError,
@@ -47,7 +43,7 @@ USAGE_ERRORS = (
     arena.ArenaError,
     structures.TransformError,
 )
-CAP_ERRORS = (ResourceCapError, StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError)
+CAP_ERRORS = (StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError)
 
 
 @dataclass
@@ -210,10 +206,7 @@ def run(config: CheckConfig) -> Report:
     for spec in config.systems:
         if spec.system_id in loaded:
             raise ConfigError(f"system {spec.system_id!r} bound twice")
-        try:
-            loaded[spec.system_id] = _load_system(spec, config.widths, config.cap_states)
-        except StateCapError as e:
-            raise ResourceCapError(str(e)) from e
+        loaded[spec.system_id] = _load_system(spec, config.widths, config.cap_states)
 
     if config.prop is not None:
         base_spec = config.systems[0]
@@ -240,10 +233,7 @@ def run(config: CheckConfig) -> Report:
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, systems[rq.system]) for rq in info.quantifiers]
-    try:
-        built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
-    except arena.VertexCapError as e:
-        raise ResourceCapError(str(e)) from e
+    built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
     t_arena = time.perf_counter()
 
     solver_stats: dict = {}

@@ -1,0 +1,140 @@
+"""Explicit graph algorithms shared by the checker's layers.
+
+A graph is a list ``succ`` of successor lists over the vertices
+``0..n-1``.  :func:`explore` numbers the keys a search reaches from an
+initial key, :func:`scc` decomposes a graph into strongly connected
+components, :func:`predecessors` inverts the edges, and
+:func:`cycle_parities` says which parities of minimal priority the cycles
+through each vertex have (nested SCC decomposition as for parity word
+automata, King, Kupferman & Vardi, FoSSaCS 2001).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional, Sequence
+
+
+def explore(
+    init,
+    row_of: Callable,
+    cap: Optional[int] = None,
+    error: Optional[Exception] = None,
+) -> tuple[list, list]:
+    """Number the keys reachable from ``init`` in breadth-first order.
+
+    ``row_of(key, number)`` returns the row of ``key`` and calls ``number``
+    on each successor key to get its vertex.  Numbering a new key when
+    ``cap`` keys are numbered already raises ``error``; without a cap the
+    search is unbounded.  Returns the keys in vertex order and their rows.
+    """
+    index = {init: 0}
+    order = [init]
+
+    def number(key) -> int:
+        got = index.get(key)
+        if got is None:
+            got = len(order)
+            if cap is not None and got >= cap:
+                raise error
+            index[key] = got
+            order.append(key)
+        return got
+
+    rows = []
+    for key in order:  # grows while the search runs
+        rows.append(row_of(key, number))
+    return order, rows
+
+
+def predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Per vertex: the vertices with an edge into it, in edge order."""
+    preds: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for t in row:
+            preds[t].append(v)
+    return preds
+
+
+def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
+    """Strongly connected components of ``succ`` restricted to ``allowed``.
+
+    ``allowed[v]`` says whether vertex ``v`` belongs to the graph, and
+    ``succ[v]`` lists its successors (those not allowed are skipped).  The
+    components come bottom first: every component reachable from another
+    one precedes it.  Iterative Tarjan, so the depth of the graph is bounded
+    by memory, not by the recursion limit.
+    """
+    n = len(allowed)
+    # visit number of a vertex on the stack; -1 before its visit, n after
+    # its component is emitted (so it never lowers a low-link)
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if not allowed[root] or index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, it, pos = work[-1]
+            lv = low[v]
+            for w in it:
+                if allowed[w]:
+                    x = index[w]
+                    if x < 0:
+                        low[v] = lv
+                        index[w] = low[w] = counter
+                        counter += 1
+                        work.append((w, iter(succ[w]), len(stack)))
+                        stack.append(w)
+                        break
+                    if x < lv:
+                        lv = x
+            else:
+                work.pop()
+                if lv == index[v]:
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for u in comp:
+                        index[u] = n
+                    comps.append(comp)
+                else:
+                    low[v] = lv
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+    return comps
+
+
+def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> list[int]:
+    """Per vertex: bit ``p`` is set iff it lies on a cycle whose minimal priority has parity ``p``.
+
+    In a component with a cycle, every vertex lies on a cycle through a
+    vertex of the component's minimal priority, so all of them get that
+    priority's bit.  A cycle of the other parity avoids those vertices, so
+    it is sought inside the rest of the component, and only while the other
+    bit is still missing.  The vertices of one component share their bits,
+    since the same enclosing components set them.
+    """
+    bits = [0] * len(succ)
+    pending = [range(len(succ))]
+    while pending:
+        verts = pending.pop()
+        local = {v: i for i, v in enumerate(verts)}
+        sub = [[local[t] for t in succ[v] if t in local] for v in verts]
+        for comp in scc(sub, [True] * len(verts)):
+            if len(comp) == 1 and comp[0] not in sub[comp[0]]:
+                continue
+            members = [verts[i] for i in comp]
+            low = min(priority[v] for v in members)
+            for v in members:
+                bits[v] |= 1 << (low & 1)
+            if bits[members[0]] != 3:
+                rest = [v for v in members if priority[v] != low]
+                if rest:
+                    pending.append(rest)
+    return bits

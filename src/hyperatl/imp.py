@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
+from .graph import explore
 from .lexer import Cursor, ParseError
 from .structures import MSCGS
 
@@ -434,14 +435,6 @@ def parse_program(text: str, width_overrides: Optional[Mapping[str, int]] = None
 # Compilation to an explicit game structure
 
 
-def initial_state(widths: Mapping[str, int]) -> dict[str, BitVector]:
-    return {x: (False,) * w for x, w in widths.items()}
-
-
-def _labels(state: Mapping[str, BitVector]) -> frozenset[str]:
-    return frozenset(f"{x}[{i}]" for x, bits in state.items() for i, b in enumerate(bits) if b)
-
-
 def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = "G") -> MSCGS:
     """Enumerate the reachable configurations of a program as a game structure.
 
@@ -450,41 +443,21 @@ def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = 
     All variables start as all-zero vectors.
     """
     var_order = tuple(widths)
-    init_sigma = initial_state(widths)
+    init = (program, tuple((False,) * widths[x] for x in var_order))
 
-    def key(prog, sigma):
-        return (prog, tuple(sigma[x] for x in var_order))
+    def row_of(key, number) -> tuple[int, ...]:
+        prog, values = key
+        succs = successors(prog, dict(zip(var_order, values)), widths)
+        return tuple(number((p, tuple(s[x] for x in var_order))) for p, s in succs)
 
-    index: dict = {}
-    configs: list[tuple[object, dict]] = []
-    order: list = []
-
-    def intern(prog, sigma) -> int:
-        k = key(prog, sigma)
-        if k in index:
-            return index[k]
-        if len(configs) >= cap:
-            raise StateCapError(f"state cap of {cap} exceeded")
-        index[k] = len(configs)
-        configs.append((prog, sigma))
-        order.append(k)
-        return index[k]
-
-    intern(program, init_sigma)
-    succ_ids: list[tuple[int, ...]] = []
-    owners: list[str] = []
-    frontier = 0
-    while frontier < len(configs):
-        prog, sigma = configs[frontier]
-        frontier += 1
-        succs = successors(prog, sigma, widths)
-        owners.append(controlling_player(prog))
-        succ_ids.append(tuple(intern(p, s) for p, s in succs))
-
+    order, succ_ids = explore(init, row_of, cap, StateCapError(f"state cap of {cap} exceeded"))
     props = frozenset(f"{x}[{i}]" for x in var_order for i in range(widths[x]))
-    labels = [_labels(sigma) for _, sigma in configs]
-    decisions = [((owners[s], len(succ_ids[s])),) for s in range(len(configs))]
-    state_names = [f"s{idx}" for idx in range(len(configs))]
+    labels = [
+        frozenset(f"{x}[{i}]" for x, bits in zip(var_order, values) for i, b in enumerate(bits) if b)
+        for _, values in order
+    ]
+    decisions = [((controlling_player(prog), len(row)),) for (prog, _), row in zip(order, succ_ids)]
+    state_names = [f"s{idx}" for idx in range(len(order))]
     return MSCGS(
         name=name,
         agents=AGENTS,
@@ -492,7 +465,7 @@ def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = 
         props=props,
         labels=labels,
         decisions=decisions,
-        table=list(succ_ids),
+        table=succ_ids,
         initial=0,
         state_names=state_names,
     )

@@ -15,35 +15,11 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from . import formula as F
-from .solver import scc
+from .graph import cycle_parities, explore, predecessors
 
 
 class AutomatonCapError(Exception):
     """Raised when a construction exceeds its configured state cap."""
-
-
-def _explore(init, row_of, cap: int, what: str) -> tuple[list, list]:
-    """Number the keys reachable from ``init`` in breadth-first order.
-
-    ``row_of(key, number)`` returns the transition row of ``key`` and calls
-    ``number`` on each successor key to get its state.  Returns the keys in
-    state order and their rows.
-    """
-    index = {init: 0}
-    order = [init]
-
-    def number(key) -> int:
-        if key not in index:
-            if len(order) >= cap:
-                raise AutomatonCapError(f"state cap of {cap} exceeded in {what}")
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    rows = []
-    for key in order:  # grows while the search runs
-        rows.append(row_of(key, number))
-    return order, rows
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +197,8 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
                 row.append(tuple(sorted(succs)))
         return row
 
-    order, trans = _explore(init, row_of, cap, "breakpoint construction")
+    error = AutomatonCapError(f"state cap of {cap} exceeded in breakpoint construction")
+    order, trans = explore(init, row_of, cap, error)
     accepting = frozenset(i for i, (_big, owing) in enumerate(order) if not owing)
     return NBA(apa.atoms, 0, accepting, trans)
 
@@ -425,7 +402,8 @@ def nba_to_dpa(
             ids.append(by_column[column])
         return [ids[c] for c in cls]
 
-    order, trans = _explore(init_key, row_of, cap, "determinization")
+    error = AutomatonCapError(f"state cap of {cap} exceeded in determinization")
+    order, trans = explore(init_key, row_of, cap, error)
     if stats is not None:
         stats["safra_steps"] = steps
     colors = [key[2] for key in order]
@@ -494,12 +472,7 @@ def _neutralize_transient(dpa: DPA) -> DPA:
     Such states are visited at most once per run, so their colour never
     decides acceptance; a uniform choice lets the quotient merge them.
     """
-    succ = _distinct_successors(dpa)
-    on_cycle = [False] * dpa.n_states
-    for comp in scc(succ, [True] * dpa.n_states):
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            for q in comp:
-                on_cycle[q] = True
+    on_cycle = [bits != 0 for bits in cycle_parities(_distinct_successors(dpa), dpa.colors)]
     if all(on_cycle):
         return dpa
     fill = min(dpa.colors[q] for q in range(dpa.n_states) if on_cycle[q])
@@ -586,44 +559,25 @@ def _distinct_successors(dpa: DPA) -> list[list[int]]:
     return [list(set(row)) for row in dpa.trans]
 
 
-def _has_dominated_cycle(dpa: DPA, parity: int) -> list[bool]:
-    """Per state: is a cycle whose minimal colour has ``parity`` reachable?"""
-    n = dpa.n_states
+def decided_states(dpa: DPA) -> tuple[list[bool], list[bool]]:
+    """Per state: does it accept no word at all, and does it accept every word?
+
+    A state accepts some word iff it reaches a cycle whose minimal colour
+    is even, and rejects some word iff it reaches one whose minimal colour
+    is odd; the bits of :func:`graph.cycle_parities` are closed backwards.
+    """
     succ = _distinct_successors(dpa)
-    good = [False] * n
-    for c in sorted(set(dpa.colors)):
-        if c % 2 != parity:
-            continue
-        for members in scc(succ, [color >= c for color in dpa.colors]):
-            has_cycle = len(members) > 1 or members[0] in succ[members[0]]
-            if has_cycle and any(dpa.colors[q] == c for q in members):
-                for q in members:
-                    good[q] = True
-    # propagate backwards: a state reaching a good state is good
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for q in range(n):
-        for t in succ[q]:
-            preds[t].append(q)
-    stack = [q for q in range(n) if good[q]]
+    reach = cycle_parities(succ, dpa.colors)
+    preds = predecessors(succ)
+    stack = [q for q, bits in enumerate(reach) if bits]
     while stack:
         q = stack.pop()
+        bits = reach[q]
         for p in preds[q]:
-            if not good[p]:
-                good[p] = True
+            if bits & ~reach[p]:
+                reach[p] |= bits
                 stack.append(p)
-    return good
-
-
-def empty_states(dpa: DPA) -> list[bool]:
-    """Per state: does it accept no word at all?"""
-    good = _has_dominated_cycle(dpa, parity=0)
-    return [not g for g in good]
-
-
-def universal_states(dpa: DPA) -> list[bool]:
-    """Per state: does it accept every word?"""
-    bad = _has_dominated_cycle(dpa, parity=1)
-    return [not b for b in bad]
+    return [not bits & 1 for bits in reach], [not bits & 2 for bits in reach]
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +585,23 @@ def universal_states(dpa: DPA) -> list[bool]:
 
 
 def _cubes(letters: list[int], n_bits: int) -> list[str]:
-    """Greedy merge of full assignments into don't-care cubes for edge labels."""
-    cubes = {tuple((letter >> i & 1) for i in range(n_bits)) for letter in letters}
-    cubes = {tuple(map(str, c)) for c in cubes}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(cubes), 2):
-            diff = [i for i in range(n_bits) if a[i] != b[i]]
-            if len(diff) == 1 and all(a[i] == b[i] for i in range(n_bits) if i != diff[0]):
-                merged = tuple(a[i] if i != diff[0] else "*" for i in range(n_bits))
-                cubes.discard(a)
-                cubes.discard(b)
-                cubes.add(merged)
-                changed = True
-                break
-    return ["".join(c) for c in sorted(cubes)]
+    """An exact, disjoint cover of ``letters`` by don't-care cubes, for edge labels.
+
+    Character ``i`` of a cube gives bit ``i``.  Bit by bit, each pair of
+    cubes that differ only at that bit becomes one cube with ``*`` there.
+    """
+    top = 1 << n_bits  # a leading 1 keeps the leading zeros; it is dropped when reversing
+    cubes = {format(letter | top, "b")[:0:-1] for letter in letters}
+    for i in range(n_bits):
+        merged = set()
+        for c in cubes:
+            head, bit, tail = c[:i], c[i], c[i + 1 :]
+            if head + ("1" if bit == "0" else "0") + tail not in cubes:
+                merged.add(c)
+            elif bit == "0":
+                merged.add(head + "*" + tail)
+        cubes = merged
+    return sorted(cubes)
 
 
 def export_dot(dpa: DPA, name: str = "dpa") -> str:

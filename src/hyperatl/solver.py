@@ -8,7 +8,9 @@ an explicit stack and touching only the current subgame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
+
+from .graph import cycle_parities, predecessors, scc
 
 
 @dataclass
@@ -29,11 +31,7 @@ class ParityGame:
         return sum(len(row) for row in self.succ)
 
     def predecessors(self) -> list[list[int]]:
-        preds: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for v, row in enumerate(self.succ):
-            for t in row:
-                preds[t].append(v)
-        return preds
+        return predecessors(self.succ)
 
     def check(self) -> None:
         n = self.n_vertices
@@ -56,64 +54,6 @@ class WinningRegions:
 
     def winner(self, v: int) -> int:
         return 0 if v in self.w0 else 1
-
-
-PositionalStrategy = dict
-
-
-def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
-    """Strongly connected components of ``succ`` restricted to ``allowed``.
-
-    ``allowed[v]`` says whether vertex ``v`` belongs to the graph, and
-    ``succ[v]`` lists its successors (those not allowed are skipped).  The
-    components come bottom first: every component reachable from another
-    one precedes it.  Iterative Tarjan, so the depth of the graph is bounded
-    by memory, not by the recursion limit.
-    """
-    n = len(allowed)
-    # visit number of a vertex on the stack; -1 before its visit, n after
-    # its component is emitted (so it never lowers a low-link)
-    index = [-1] * n
-    low = [0] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if not allowed[root] or index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        work = [(root, iter(succ[root]), len(stack))]
-        stack.append(root)
-        while work:
-            v, it, pos = work[-1]
-            lv = low[v]
-            for w in it:
-                if allowed[w]:
-                    x = index[w]
-                    if x < 0:
-                        low[v] = lv
-                        index[w] = low[w] = counter
-                        counter += 1
-                        work.append((w, iter(succ[w]), len(stack)))
-                        stack.append(w)
-                        break
-                    if x < lv:
-                        lv = x
-            else:
-                work.pop()
-                if lv == index[v]:
-                    comp = stack[pos:]
-                    del stack[pos:]
-                    for u in comp:
-                        index[u] = n
-                    comps.append(comp)
-                else:
-                    low[v] = lv
-                    u = work[-1][0]
-                    if lv < low[u]:
-                        low[u] = lv
-    return comps
 
 
 def zielonka(game: ParityGame, stats: Optional[dict] = None):
@@ -367,7 +307,7 @@ def verify_strategy(
     """
     for player, strategy in ((0, strategy0), (1, strategy1)):
         region = regions.w0 if player == 0 else regions.w1
-        edges: dict[int, list[int]] = {}
+        edges: list[list[int]] = [[] for _ in range(game.n_vertices)]
         for v in region:
             if game.owner[v] == player:
                 if v not in strategy:
@@ -381,33 +321,6 @@ def verify_strategy(
                     return False
                 edges[v] = list(game.succ[v])
         # no cycle inside the restriction may have opponent parity
-        if _has_cycle_of_parity(edges, game.priority, 1 - player):
+        if any(bits >> (1 - player) & 1 for bits in cycle_parities(edges, game.priority)):
             return False
     return True
-
-
-def _has_cycle_of_parity(
-    edges: Mapping[int, list[int]], priority: Sequence[int], parity: int
-) -> bool:
-    """Does the graph ``edges`` hold a cycle whose minimal priority has ``parity``?
-
-    In a component with a cycle, every vertex of minimal priority lies on a
-    cycle; if that priority has the other parity, any cycle of ``parity``
-    avoids those vertices, so the check goes on inside the rest of the
-    component only.
-    """
-    pending = [list(edges)]
-    while pending:
-        verts = pending.pop()
-        local = {v: i for i, v in enumerate(verts)}
-        succ = [[local[t] for t in edges[v] if t in local] for v in verts]
-        for comp in scc(succ, [True] * len(verts)):
-            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-                continue
-            low = min(priority[verts[i]] for i in comp)
-            if low % 2 == parity:
-                return True
-            rest = [verts[i] for i in comp if priority[verts[i]] != low]
-            if rest:
-                pending.append(rest)
-    return False

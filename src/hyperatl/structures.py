@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .graph import explore
+
 SCHED = "sched"
 STUT_PROP = "stut"
 
@@ -56,9 +58,6 @@ class MSCGS:
         for agent, arity in self.decisions[state]:
             idx = idx * arity + (moves.get(agent, 0) % arity)
         return self.table[state][idx]
-
-    def successors(self, state: int) -> tuple[int, ...]:
-        return self.table[state]
 
     def decode_choice(self, state: int, idx: int) -> list[tuple[str, int]]:
         """Per-slot moves selecting entry ``idx`` of the successor table."""
@@ -122,29 +121,16 @@ def stutter_transform(g: MSCGS) -> MSCGS:
         raise TransformError(f"agent {SCHED!r} already present in {g.name!r}")
     sched_stage = g.max_stage() + 1
 
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(s: int, b: int) -> int:
-        k = (s, b)
-        if k not in index:
-            index[k] = len(order)
-            order.append(k)
-        return index[k]
-
-    intern(g.initial, 0)
-    table: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(order):
-        s, _b = order[frontier]
-        frontier += 1
+    def row_of(key, number) -> tuple[int, ...]:
+        s, _frozen = key
         row: list[int] = []
         # per base joint choice, the scheduler picks progress (0) or freeze (1)
         for t in g.table[s]:
-            row.append(intern(t, 0))
-            row.append(intern(s, 1))
-        table.append(tuple(row))
+            row.append(number((t, 0)))
+            row.append(number((s, 1)))
+        return tuple(row)
 
+    order, table = explore((g.initial, 0), row_of)
     labels = []
     decisions = []
     names = []

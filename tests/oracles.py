@@ -14,7 +14,8 @@ import itertools
 from typing import Mapping, Sequence
 
 from hyperatl import formula as F
-from hyperatl.ltl2dpa import _DEAD, DPA, NBA, _explore, _safra_step
+from hyperatl.graph import explore
+from hyperatl.ltl2dpa import _DEAD, DPA, NBA, AutomatonCapError, _safra_step
 from hyperatl.solver import ParityGame, WinningRegions
 
 Assignment = Mapping[tuple[str, str], bool]
@@ -167,7 +168,8 @@ def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:
             row.append(number((tree2, record2, color)))
         return row
 
-    order, trans = _explore(init_key, row_of, cap, "determinization")
+    error = AutomatonCapError(f"state cap of {cap} exceeded in determinization")
+    order, trans = explore(init_key, row_of, cap, error)
     colors = [key[2] for key in order]
     return DPA(nba.atoms, 0, colors, trans)
 

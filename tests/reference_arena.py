@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from hyperatl.arena import ArenaError, VertexCapError
-from hyperatl.ltl2dpa import DPA, empty_states, universal_states
+from hyperatl.ltl2dpa import DPA, decided_states
 from hyperatl.solver import ParityGame
 from hyperatl.structures import MSCGS
 
@@ -116,8 +116,7 @@ def build_game(
         for i, (coalition, structure) in enumerate(quants)
     ]
     max_stage = max(c.max_stage for c in copies)
-    losing = empty_states(dpa) if prune_decided else None
-    winning = universal_states(dpa) if prune_decided else None
+    losing, winning = decided_states(dpa) if prune_decided else (None, None)
 
     index: dict = {}
     order: list = []

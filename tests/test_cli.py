@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -118,6 +119,27 @@ def test_exit_codes_via_main(tmp_path, capsys):
         == EXIT_RESOURCE
     )
     capsys.readouterr()
+
+
+def test_vertex_cap_exits_with_one_line(capsys):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", "od", "--cap-vertices", "1"]
+    assert cli.main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err == "resource limit: vertex cap of 1 exceeded\n"
+    assert captured.out == ""
+
+
+def test_suite_records_a_capped_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CheckConfig", functools.partial(CheckConfig, cap_vertices=1))
+    entry = {"name": "capped", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [entry]}))
+    rows, ok = run_suite(str(m))
+    assert not ok
+    assert [(r.name, r.verdict, r.ok, r.message) for r in rows] == [
+        ("capped", "cap", False, "vertex cap of 1 exceeded")
+    ]
 
 
 def test_usage_errors():

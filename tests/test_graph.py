@@ -1,0 +1,93 @@
+import random
+
+import pytest
+
+from hyperatl.graph import cycle_parities, explore, predecessors
+
+
+class Capped(Exception):
+    pass
+
+
+def chain(key, number):
+    """Row of the path 0 -> 1 -> ... -> 9 -> 9."""
+    return [number(min(key + 1, 9))]
+
+
+def tree(key, number):
+    """Row of the complete binary tree of depth 3, keys as paths from the root."""
+    return [number(key + c) for c in "ab"] if len(key) < 3 else []
+
+
+def test_explore_numbers_breadth_first():
+    order, rows = explore("", tree)
+    assert order[:7] == ["", "a", "b", "aa", "ab", "ba", "bb"]
+    assert len(order) == 15
+    assert rows[0] == [1, 2] and rows[2] == [5, 6] and rows[14] == []
+
+
+def test_explore_fires_at_exactly_cap_keys():
+    order, rows = explore(0, chain)
+    assert order == list(range(10))
+    assert rows == [[i + 1] for i in range(9)] + [[9]]
+    assert explore(0, chain, 10, Capped("cap of 10"))[0] == order
+    with pytest.raises(Capped, match="^cap of 9$"):
+        explore(0, chain, 9, Capped("cap of 9"))
+
+
+def test_predecessors_invert_the_edges():
+    assert predecessors([[1, 2], [2], [0, 2], []]) == [[2], [0], [0, 1, 2], []]
+
+
+def simple_cycles(succ) -> set[frozenset]:
+    """The vertex sets of all simple cycles, each found from its least vertex."""
+    found = set()
+
+    def extend(path):
+        for t in succ[path[-1]]:
+            if t == path[0]:
+                found.add(frozenset(path))
+            elif t > path[0] and t not in path:
+                extend(path + [t])
+
+    for v in range(len(succ)):
+        extend([v])
+    return found
+
+
+def brute_cycle_parities(succ, priority) -> list[int]:
+    """``cycle_parities`` from the simple cycles alone.
+
+    A cycle (closed walk) with minimal priority ``m`` is a connected union
+    of simple cycles whose least minimum is ``m``.  So from every simple
+    cycle of minimum ``m``, the simple cycles of minimum at least ``m`` that
+    chain to it through shared vertices give their vertices the bit of
+    ``m``'s parity.
+    """
+    cycles = [(min(priority[v] for v in c), c) for c in simple_cycles(succ)]
+    bits = [0] * len(succ)
+    for low, cycle in cycles:
+        reached = set(cycle)
+        grown = True
+        while grown:
+            grown = False
+            for m, other in cycles:
+                if m >= low and other & reached and not other <= reached:
+                    reached |= other
+                    grown = True
+        for v in reached:
+            bits[v] |= 1 << (low & 1)
+    return bits
+
+
+def test_cycle_parities_match_simple_cycle_enumeration():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        succ = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+        priority = [rng.randint(0, 5) for _ in range(n)]
+        bits = cycle_parities(succ, priority)
+        assert bits == brute_cycle_parities(succ, priority), (succ, priority)
+        seen.update(bits)
+    assert seen == {0, 1, 2, 3}

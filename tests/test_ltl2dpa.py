@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
 
-from conftest import ATOM_POOL, random_lasso, random_ltl
+from conftest import ATOM_POOL, random_dpa, random_lasso, random_ltl
 from oracles import (
     assignment_to_letter,
+    brute_force_solve,
     dpa_accepts_lasso,
     eval_lasso,
     letter_to_assignment,
@@ -16,20 +18,21 @@ from hyperatl import formula as F
 from hyperatl import props
 from hyperatl.formula import parse_ltl, to_nnf
 from hyperatl.ltl2dpa import (
+    DPA,
     NBA,
     _letter_classes,
     _neutralize_transient,
     _quotient,
     apa_to_nba,
     compress_colors,
+    decided_states,
     deterministic_nba_to_dpa,
-    empty_states,
     export_dot,
     ltl_to_apa,
     ltl_to_dpa,
     nba_to_dpa,
-    universal_states,
 )
+from hyperatl.solver import ParityGame
 
 A = ("a", "p")
 B = ("b", "p")
@@ -332,10 +335,10 @@ SHORTCUT_BODIES = sorted(name for name, sizes in BUILTIN_SIZES.items() if not si
 def guided_lasso(rng, dpa, atoms, dead):
     """Random lasso along a run of ``dpa`` that may avoid empty states.
 
-    ``dead`` is ``empty_states(dpa)``.  The walk stops when the run revisits
-    a state, and the loop is the part read since that state's first visit;
-    how often a step may enter an empty state is drawn per lasso, so both
-    verdicts are common.
+    ``dead`` is the first list of ``decided_states(dpa)``.  The walk stops
+    when the run revisits a state, and the loop is the part read since that
+    state's first visit; how often a step may enter an empty state is drawn
+    per lasso, so both verdicts are common.
     """
     slip = rng.choice((0.0, 0.02, 0.2, 1.0))
     first_visit: dict = {}
@@ -362,7 +365,7 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
     assert stats["determinized"] is False
     determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
     rng = random.Random(31)
-    dead = empty_states(dpa)
+    dead, _ = decided_states(dpa)
     verdicts = []
     for _ in range(500):
         pre, loop = guided_lasso(rng, dpa, atoms, dead)
@@ -458,7 +461,7 @@ def test_wide_body_determinizes_per_letter_class():
     assert stats["safra_steps"] == 6133
     assert elapsed < 5.0, f"translation took {elapsed:.1f} s"
     rng = random.Random(37)
-    dead = empty_states(dpa)
+    dead, _ = decided_states(dpa)
     verdicts = []
     for _ in range(200):
         pre, loop = guided_lasso(rng, dpa, atoms, dead)
@@ -466,6 +469,11 @@ def test_wide_body_determinizes_per_letter_class():
         assert dpa_accepts_lasso(dpa, pre, loop) == expected
         verdicts.append(expected)
     assert 0 < sum(verdicts) < 200
+    start = time.perf_counter()
+    dot = export_dot(dpa)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"DOT export took {elapsed:.1f} s"
+    assert_labels_partition(dpa, dot)
 
 
 def test_shortcut_without_accepting_state_rejects_everything():
@@ -551,14 +559,57 @@ def test_empty_and_universal_state_analysis():
     f = parse_ltl("G (o[0]{p1} <-> o[0]{p2})")
     atoms = F.collect_atoms(f)
     dpa = ltl_to_dpa(f, atoms)
-    dead = empty_states(dpa)
-    alive = universal_states(dpa)
+    dead, alive = decided_states(dpa)
     assert any(dead), "a violated safety body must have a rejecting sink"
     assert not alive[dpa.initial]
     assert not dead[dpa.initial]
     universal = ltl_to_dpa(F.TrueF(), (A,))
-    assert universal_states(universal) == [True]
-    assert empty_states(universal) == [False]
+    assert decided_states(universal) == ([False], [True])
+
+
+def test_decided_states_match_one_player_games():
+    """Empty iff player 0 owning every vertex loses; universal iff player 1 owning every vertex does."""
+    rng = random.Random(53)
+    found = [0, 0]
+    for _ in range(300):
+        dpa = random_dpa(rng, ATOM_POOL[: rng.randint(0, 2)], max_states=5, max_color=4)
+        succ = [sorted(set(row)) for row in dpa.trans]
+        states = range(dpa.n_states)
+        empty, universal = decided_states(dpa)
+        w0 = brute_force_solve(ParityGame(succ, [0] * dpa.n_states, dpa.colors)).w0
+        assert empty == [q not in w0 for q in states]
+        w0 = brute_force_solve(ParityGame(succ, [1] * dpa.n_states, dpa.colors)).w0
+        assert universal == [q in w0 for q in states]
+        found[0] += any(empty)
+        found[1] += any(universal)
+    assert min(found) > 30
+
+
+def assert_labels_partition(dpa: DPA, dot: str) -> None:
+    """The cubes of each edge label of ``dot`` cover the edge's letters, each once."""
+    expected: dict = {}
+    for q, row in enumerate(dpa.trans):
+        for letter, t in enumerate(row):
+            expected.setdefault((q, t), []).append(letter)
+    got = {}
+    for q, t, label in re.findall(r'q(\d+) -> q(\d+) \[label="([^"]*)"\]', dot):
+        covered = []
+        for cube in label.split(" | "):
+            assert len(cube) == len(dpa.atoms)
+            stars = [i for i, c in enumerate(cube) if c == "*"]
+            base = sum(1 << i for i, c in enumerate(cube) if c == "1")
+            for bits in itertools.product((0, 1), repeat=len(stars)):
+                covered.append(base + sum(b << i for b, i in zip(bits, stars)))
+        got[(int(q), int(t))] = sorted(covered)
+    assert got == expected
+
+
+def test_dpa_edge_labels_partition_the_letters():
+    rng = random.Random(59)
+    pool = [(f"x{i}", "p") for i in range(6)]
+    for _ in range(200):
+        dpa = random_dpa(rng, pool[: rng.randint(1, 6)], max_states=4)
+        assert_labels_partition(dpa, export_dot(dpa))
 
 
 def test_dpa_dot_deterministic():

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -106,11 +107,21 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot parse {what} {str(path)!r}: {e}") from e
 
 
+@contextmanager
+def _nesting_limit(what: str):
+    """Report a ``what`` nested beyond Python's recursion limit as bad input."""
+    try:
+        yield
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ConfigError(f"{what} is nested too deeply (Python's recursion limit is {limit})") from None
+
+
 def _parse_transform(text: str, where: str = "") -> tuple:
     """``stutter`` or ``shift=k``, from ``--system`` or a manifest's ``transforms``."""
     if text == "stutter":
         return ("stutter",)
-    if text.startswith("shift="):
+    if isinstance(text, str) and text.startswith("shift="):
         return ("shift", _int(text.split("=", 1)[1], f"{where}shift"))
     raise ConfigError(f"{where}unknown transform {text!r}")
 
@@ -128,8 +139,9 @@ def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple]) -> struc
 
 def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.MSCGS:
     text = _read_text(spec.program_path, "program")
-    declared, program = imp.parse_program(text, width_overrides=widths or None)
-    g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
+    with _nesting_limit(f"program {spec.program_path!r}"):
+        declared, program = imp.parse_program(text, width_overrides=widths or None)
+        g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
     return _apply_transforms(g, spec.transforms)
 
 
@@ -194,6 +206,11 @@ def _expand_builtin(
 
 def run(config: CheckConfig) -> Report:
     """Check one formula against its bound systems and report the verdict."""
+    with _nesting_limit("formula"):
+        return _run(config)
+
+
+def _run(config: CheckConfig) -> Report:
     if not config.systems:
         raise ConfigError("at least one --system binding is required")
     caps = {"--cap-states": config.cap_states, "--cap-vertices": config.cap_vertices}
@@ -316,17 +333,29 @@ class SuiteRow:
     message: str = ""  # why an "error" or "cap" row ended
 
 
+def _json_of(kind: type, value, what: str):
+    """``value`` if it is a ``kind`` (dict or list); a ConfigError otherwise."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ConfigError(f"{what} must be a JSON {name}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
     configs = []
-    for i, entry in enumerate(data.get("entries", [])):
+    entries = _json_of(dict, data, "manifest").get("entries", [])
+    for i, entry in enumerate(_json_of(list, entries, "manifest entries")):
+        _json_of(dict, entry, f"manifest entry {i}")
         for key in ("name", "program", "prop"):
-            if key not in entry:
-                raise ConfigError(f"manifest entry {i} has no {key!r}")
+            if not isinstance(entry.get(key), str):
+                raise ConfigError(f"manifest entry {i} needs a string {key!r}")
         name = entry["name"]
         program = manifest_path.parent / entry["program"]
-        transforms = tuple(_parse_transform(t, f"{name}: ") for t in entry.get("transforms", []))
-        widths = {k: _int(v, f"{name}: width of {k}") for k, v in entry.get("widths", {}).items()}
+        transforms = _json_of(list, entry.get("transforms", []), f"{name}: transforms")
+        transforms = tuple(_parse_transform(t, f"{name}: ") for t in transforms)
+        widths = _json_of(dict, entry.get("widths", {}), f"{name}: widths")
+        widths = {k: _int(v, f"{name}: width of {k}") for k, v in widths.items()}
         config = CheckConfig(
             systems=[SystemSpec("G", str(program), transforms)],
             prop=entry["prop"],
@@ -345,6 +374,7 @@ def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[Su
     manifest_path = _resolve_manifest(manifest)
     data = _read_json(manifest_path, "manifest")
     expectations = _read_json(expect_file, "expectations") if expect_file else {}
+    expectations = _json_of(dict, expectations, "expectations")
 
     rows: list[SuiteRow] = []
     for name, config, expected in _suite_configs(manifest_path, data):

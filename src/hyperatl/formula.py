@@ -135,7 +135,6 @@ class HyperFormula:
     block: tuple[Quantifier, ...]
     body: Ltl
     negated: bool = False
-    bracketed: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,8 @@ class _Parser(Cursor):
         body = self.parse_ltl()
         if not self.at_eof():
             raise self.error("trailing input after formula")
-        f = HyperFormula(block=tuple(block), body=body, negated=negated, bracketed=True)
-        _check_bindings(f, self.text)
+        f = HyperFormula(block=tuple(block), body=body, negated=negated)
+        _check_bindings(f)
         return f
 
     def parse_quantifier(self) -> Quantifier:
@@ -293,7 +292,7 @@ class _Parser(Cursor):
         return Atom(prop=prop, var=var)
 
 
-def _check_bindings(f: HyperFormula, text: Optional[str] = None) -> None:
+def _check_bindings(f: HyperFormula) -> None:
     seen = set()
     for q in f.block:
         if q.var in seen:
@@ -508,8 +507,6 @@ def validate_fragment(
     A quantifier without an ``@`` annotation binds to ``default_system``,
     or to the single structure when only one is supplied.
     """
-    if len(f.block) > 1 and not f.bracketed:
-        raise FormulaError("unsupported fragment: multiple quantifiers must share one block")
     if default_system is None and len(systems) == 1:
         default_system = next(iter(systems))
     var_to_copy: dict[str, int] = {}

@@ -63,15 +63,15 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     keeps the play inside the winning region, and is certified by
     :func:`verify_strategy` in the test suite.
 
-    A vertex with a self-loop and a priority of its owner's parity is won by
-    its owner, who can stay there; so is that owner's attractor to it.  A
-    game with more than three priorities is then cut into strongly connected
-    components, solved bottom first by Zielonka's algorithm; the regions of
-    each are attracted into the components above it, which are solved on
-    what remains undecided.  With at most three priorities (every arena of
-    the bundled suites) Zielonka's algorithm needs only a few attractor
-    passes over the whole game, fewer than the decomposition costs, so the
-    rest is solved as one subgame.
+    A game with more than three priorities is cut into strongly connected
+    components, solved bottom first by Zielonka's algorithm on what is still
+    undecided of each.  The one attractor of the recursion then spreads the
+    regions of a component over the undecided components above it: first
+    player 0's, which a player-1 vertex may escape into player 1's region,
+    then player 1's.  With at most three priorities (every arena of the
+    bundled suites) Zielonka's algorithm needs only a few attractor passes
+    over the whole game, fewer than the decomposition costs, so the game is
+    solved as one subgame.
 
     If ``stats`` is given, it receives ``calls``, the number of subgames
     solved, and ``attractor_edges``, the predecessor edges the attractors
@@ -79,36 +79,42 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     """
     game.check()
     solver = _Solver(game, game.predecessors(), stats is not None)
-    succ, owner, priority = game.succ, game.owner, game.priority
-    loops: list = [[], []]
-    for v, row in enumerate(succ):
-        if v in row and owner[v] == priority[v] & 1:
-            loops[owner[v]].append(v)
-    solver.decide(loops, [dict(zip(loops[0], loops[0])), dict(zip(loops[1], loops[1]))])
-    winner = solver.winner
-    if len(set(priority)) > 3:
-        components = scc(succ, [w < 0 for w in winner])
+    n = game.n_vertices
+    if len(set(game.priority)) <= 3:
+        regions, strategy = solver.solve(set(range(n)))
     else:
-        components = [[v for v, w in enumerate(winner) if w < 0]]
-    for comp in components:
-        sub = {v for v in comp if winner[v] < 0}
-        if sub:
-            solver.decide(*solver.solve(sub))
+        regions, strategy = [set(), set()], [{}, {}]
+        undecided = set(range(n))
+        for comp in scc(game.succ, [True] * n):
+            sub = undecided.intersection(comp)
+            if not sub:
+                continue
+            undecided -= sub
+            w, s = solver.solve(sub)
+            if undecided:
+                # an edge into w[1], a trap for player 0, is an escape from
+                # player 0's attractor, which takes no vertex of w[1]
+                undecided |= w[1]
+                solver.attract(0, w[0], undecided, s[0])
+                undecided -= w[1]
+                solver.attract(1, w[1], undecided, s[1])
+            for p in (0, 1):
+                regions[p] = _merge(regions[p], w[p])
+                strategy[p] = _merge(strategy[p], s[p])
     if stats is not None:
         stats["calls"] = solver.calls
         stats["attractor_edges"] = solver.edges
-    w0 = frozenset([v for v, w in enumerate(winner) if w == 0])
-    w1 = frozenset([v for v, w in enumerate(winner) if w == 1])
-    return WinningRegions(w0, w1), solver.strategy[0], solver.strategy[1]
+    return WinningRegions(frozenset(regions[0]), frozenset(regions[1])), strategy[0], strategy[1]
 
 
 class _Solver:
     """The state of one :func:`zielonka` run.
 
-    ``decide`` grows the two winning regions of the whole game.  ``solve``
-    runs Zielonka's recursive algorithm on one undecided subgame, on an
+    ``solve`` runs Zielonka's recursive algorithm on one subgame, on an
     explicit stack: a subgame is a set of vertices, and each call touches
-    only its vertices and their edges.
+    only its vertices and their edges.  ``attract`` is the one attractor,
+    used by the recursion and to settle the regions of a solved component
+    in the rest of the game.
     """
 
     def __init__(self, game: ParityGame, preds: list[list[int]], count: bool) -> None:
@@ -117,55 +123,13 @@ class _Solver:
         self.count = count
         self.calls = 0
         self.edges = 0
-        self.winner = [-1] * game.n_vertices
-        self.undecided = game.n_vertices
-        self.strategy = [{}, {}]
-        # per undecided vertex: its edges that do not lead into the region
-        # of its owner's opponent
-        self.escapes = [len(row) for row in game.succ]
-
-    def decide(self, regions: list, strategies: list) -> None:
-        """Add ``regions[p]``, and ``p``'s attractor to it, to ``p``'s wins.
-
-        Each ``regions[p]`` must be won by ``p`` in the undecided part of
-        the game, with ``strategies[p]``.
-        """
-        preds, owner, winner, escapes = self.preds, self.owner, self.winner, self.escapes
-        todos = []
-        for player in (0, 1):
-            todo = list(regions[player])
-            for v in todo:
-                winner[v] = player
-            self.undecided -= len(todo)
-            self.strategy[player] = _merge(self.strategy[player], strategies[player])
-            todos.append(todo)
-        for player, todo in enumerate(todos):
-            if not self.undecided:
-                return
-            mine = self.strategy[player]
-            known = len(todo)
-            for u in todo:
-                for v in preds[u]:
-                    if winner[v] >= 0:
-                        continue
-                    if owner[v] == player:
-                        winner[v] = player
-                        mine[v] = u
-                        todo.append(v)
-                    else:
-                        escapes[v] -= 1
-                        if not escapes[v]:
-                            winner[v] = player
-                            todo.append(v)
-            self.undecided -= len(todo) - known
-            if self.count:
-                self.edges += sum(map(len, map(preds.__getitem__, todo)))
 
     def attract(self, player: int, attr: set, rest: set, strategy: dict) -> None:
         """Move to ``attr`` the vertices of ``rest`` that ``player`` can force into it.
 
-        The subgame is ``attr | rest`` and stays so.  Attracted vertices of
-        ``player`` get the edge they use in ``strategy``.
+        The subgame is ``attr | rest`` and stays so; an opponent's edge out
+        of it is no escape.  Attracted vertices of ``player`` get the edge
+        they use in ``strategy``.
         """
         succ, preds, owner = self.succ, self.preds, self.owner
         todo = list(attr)

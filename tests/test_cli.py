@@ -331,3 +331,66 @@ def test_python_m_hyperatl_runs_the_cli():
     )
     assert proc.returncode == EXIT_SATISFIED, proc.stderr
     assert proc.stdout.startswith("verdict: satisfied")
+
+
+ENTRY = {"name": "case", "program": "p1.imp", "prop": "od"}
+MALFORMED_SUITES = {
+    "manifest list": ([1], None, "manifest must be a JSON object"),
+    "entry number": ({"entries": [3]}, None, "manifest entry 0 must be a JSON object"),
+    "widths list": ({"entries": [dict(ENTRY, widths=["h", 2])]}, None, "case: widths must be a JSON object"),
+    "expect list": ({"entries": [ENTRY]}, ["case"], "expectations must be a JSON object"),
+    "entries object": ({"entries": {"case": ENTRY}}, None, "manifest entries must be a JSON array"),
+    "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, None, "case: transforms must be"),
+    "prop number": ({"entries": [dict(ENTRY, prop=5)]}, None, "manifest entry 0 needs a string 'prop'"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SUITES))
+def test_malformed_suite_input_is_a_usage_error(tmp_path, capsys, shape):
+    manifest, expect, message = MALFORMED_SUITES[shape]
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(manifest))
+    argv = ["suite", "--manifest", str(m)]
+    if expect is not None:
+        e = tmp_path / "expect.json"
+        e.write_text(json.dumps(expect))
+        argv += ["--expect", str(e)]
+    assert message in usage_error(capsys, argv)
+
+
+DEEP_FORMULAS = {
+    "parentheses": "[ forall p1 . forall p2 . ] " + "(" * 3000 + "o[0]{p1}" + ")" * 3000,
+    "next": "[ forall p1 . forall p2 . ] X[5000] o[0]{p1}",
+}
+DEEP_PROGRAMS = {
+    "negations": "var o:1;\no := " + "!" * 3000 + "o;\n",
+    "statements": "var o:1;\n" + "o := !o;\n" * 900,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+def test_deeply_nested_formula_is_a_usage_error(tmp_path, capsys, shape):
+    f = tmp_path / "f.hq"
+    f.write_text(DEEP_FORMULAS[shape])
+    argv = ["check", "--system", f"G={bundled_asset('p1.imp')}", "--formula", str(f)]
+    assert "formula is nested too deeply" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_PROGRAMS))
+def test_deeply_nested_program_is_a_usage_error(tmp_path, capsys, shape):
+    prog = tmp_path / "deep.imp"
+    prog.write_text(DEEP_PROGRAMS[shape])
+    argv = ["check", "--system", f"G={prog}", "--prop", "od"]
+    assert "deep.imp' is nested too deeply" in usage_error(capsys, argv)
+
+
+def test_suite_records_a_deeply_nested_program_as_an_error_row(tmp_path):
+    prog = tmp_path / "deep.imp"
+    prog.write_text(DEEP_PROGRAMS["negations"])
+    good = {"name": "good", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [{"name": "deep", "program": str(prog), "prop": "od"}, good]}))
+    rows, ok = run_suite(str(m))
+    assert not ok
+    assert [(r.name, r.verdict) for r in rows] == [("deep", "error"), ("good", "satisfied")]
+    assert "nested too deeply" in rows[0].message

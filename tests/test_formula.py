@@ -41,7 +41,7 @@ THREE_AGENTS = FakeSystem(["xi_N", "xi_H", "xi_L"], ["o[0]", "l[0]", "h[0]", "x[
 def test_parse_od_shape():
     f = parse_formula("[ forall p1 . forall p2 . ] G (o[0]{p1} <-> o[0]{p2})")
     assert len(f.block) == 2
-    assert f.bracketed and not f.negated
+    assert not f.negated
     assert all(isinstance(q.spec, Forall) for q in f.block)
     assert isinstance(f.body, Globally)
 

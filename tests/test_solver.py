@@ -259,3 +259,21 @@ def test_second_call_skipped_when_the_opponent_attracts_nothing():
     assert regions.w0 == frozenset({0, 1, 2}) and regions.w1 == frozenset({3, 4})
     assert verify_strategy(game, regions, s0, s1)
     assert stats["calls"] == 3
+
+
+def test_player_one_escapes_into_the_region_player_one_won_below():
+    # The bottom component {0, 1} splits: player 0 loops on 0 (priority 0),
+    # player 1 loops on 1 (priority 1).  Player 1's vertex 2 above it has
+    # one edge into each region, so player 0's attractor to {0} must count
+    # the edge into {1} as an escape and leave 2 to player 1; so is 3,
+    # whose only edge leads to 2.  Four priorities select the decomposition.
+    game = ParityGame(
+        succ=[[0, 1], [1, 0], [0, 1], [2]],
+        owner=[0, 1, 1, 0],
+        priority=[0, 1, 2, 3],
+    )
+    regions, s0, s1 = zielonka(game)
+    assert regions == brute_force_solve(game)
+    assert regions.w0 == frozenset({0}) and regions.w1 == frozenset({1, 2, 3})
+    assert s1[2] == 1
+    assert verify_strategy(game, regions, s0, s1)

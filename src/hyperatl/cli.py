@@ -341,6 +341,13 @@ def _json_of(kind: type, value, what: str):
     return value
 
 
+def _expected_verdict(value, what: str) -> Optional[str]:
+    """An expected verdict: ``satisfied``, ``violated`` or None; a ConfigError otherwise."""
+    if value not in (None, "satisfied", "violated"):
+        raise ConfigError(f"{what} must be 'satisfied' or 'violated', got {json.dumps(value)[:40]}")
+    return value
+
+
 def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
     configs = []
@@ -361,7 +368,7 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
             prop=entry["prop"],
             widths=widths,
         )
-        configs.append((name, config, entry.get("expect")))
+        configs.append((name, config, _expected_verdict(entry.get("expect"), f"{name}: expect")))
     return configs
 
 
@@ -374,11 +381,12 @@ def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[Su
     manifest_path = _resolve_manifest(manifest)
     data = _read_json(manifest_path, "manifest")
     expectations = _read_json(expect_file, "expectations") if expect_file else {}
-    expectations = _json_of(dict, expectations, "expectations")
+    for name, value in _json_of(dict, expectations, "expectations").items():
+        _expected_verdict(value, f"expectations: {name}")
 
     rows: list[SuiteRow] = []
     for name, config, expected in _suite_configs(manifest_path, data):
-        expected = expectations.get(name, expected)
+        expected = expectations.get(name) or expected
         start = time.perf_counter()
         try:
             report = run(config)
@@ -436,8 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--dump-game", metavar="FILE")
     check.add_argument("--dump-sys", action="append", default=[], metavar="ID=FILE")
     check.add_argument("--report", metavar="FILE")
-    check.add_argument("--format", choices=("human", "record"), default="human",
-                       help="stdout style: readable lines or the flat record")
 
     suite = sub.add_parser("suite", help="run a manifest of checks")
     suite.add_argument("--manifest", required=True)
@@ -475,14 +481,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report_path=args.report,
             )
             report = run(config)
-            if args.format == "record":
-                print(report.record(), end="")
-            else:
-                print(f"verdict: {report.verdict}")
-                for key in sorted(report.sizes):
-                    print(f"  {key} = {report.sizes[key]}")
-                for key in ("build", "translate", "arena", "solve"):
-                    print(f"  time.{key}_ms = {report.timings_ms[key]:.1f}")
+            print(f"verdict: {report.verdict}")
+            for key in sorted(report.sizes):
+                print(f"  {key} = {report.sizes[key]}")
+            for key in ("build", "translate", "arena", "solve"):
+                print(f"  time.{key}_ms = {report.timings_ms[key]:.1f}")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED
         rows, ok = run_suite(args.manifest, args.expect)
         print(format_suite(rows))

@@ -141,6 +141,7 @@ class HyperFormula:
 # Parser
 
 _RESERVED = {"forall", "exists", "true", "false", "X", "G", "F", "U", "R"}
+_PREFIX = {"!": Not, "G": Globally, "F": Eventually}
 
 
 class _Parser(Cursor):
@@ -164,7 +165,7 @@ class _Parser(Cursor):
         while not self.at_punct("]"):
             block.append(self.parse_quantifier())
         self.expect_punct("]")
-        body = self.parse_ltl()
+        body = self.parse_infix()
         if not self.at_eof():
             raise self.error("trailing input after formula")
         f = HyperFormula(block=tuple(block), body=body, negated=negated)
@@ -197,86 +198,45 @@ class _Parser(Cursor):
         self.expect_punct(".")
         return Quantifier(spec=spec, var=var, system=system)
 
-    # -- LTL body; precedence: unary > U/R > & > | > -> > <->
+    # -- LTL body; precedence: unary > U/R (right) > & > | > -> (right) > <-> (right)
 
-    def parse_ltl(self) -> Ltl:
-        return self.parse_iff()
+    infix = {
+        "<->": (1, True, lambda l, r, _: Iff(l, r)),
+        "->": (2, True, lambda l, r, _: Implies(l, r)),
+        "|": (3, False, lambda l, r, _: Or(l, r)),
+        "&": (4, False, lambda l, r, _: And(l, r)),
+        "U": (5, True, lambda l, r, _: Until(l, r)),
+        "R": (5, True, lambda l, r, _: Release(l, r)),
+    }
 
-    def parse_iff(self) -> Ltl:
-        left = self.parse_implies()
-        if self.at_punct("<->"):
-            self.next()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Ltl:
-        left = self.parse_or()
-        if self.at_punct("->"):
-            self.next()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Ltl:
-        left = self.parse_and()
-        while self.at_punct("|"):
-            self.next()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Ltl:
-        left = self.parse_until()
-        while self.at_punct("&"):
-            self.next()
-            left = And(left, self.parse_until())
-        return left
-
-    def parse_until(self) -> Ltl:
-        left = self.parse_unary()
-        if self.at_ident("U"):
-            self.next()
-            return Until(left, self.parse_until())
-        if self.at_ident("R"):
-            self.next()
-            return Release(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> Ltl:
+    def parse_operand(self) -> Ltl:
         kind, val, _ = self.peek()
-        if kind == "punct" and val == "!":
+        if kind == "ident" and val not in _RESERVED:
+            return self.parse_atom()
+        if val in ("true", "false"):
             self.next()
-            return Not(self.parse_unary())
-        if kind == "punct" and val == "(":
+            return TrueF() if val == "true" else FalseF()
+        if val in _PREFIX:
             self.next()
-            inner = self.parse_ltl()
+            return _PREFIX[val](self.parse_operand())
+        if val == "X":
+            self.next()
+            reps = 1
+            if self.at_punct("["):
+                self.next()
+                reps = int(self.expect_nat("expected repetition count after 'X['"))
+                self.expect_punct("]")
+            inner = self.parse_operand()
+            for _ in range(reps):
+                inner = Next(inner)
+            return inner
+        if val == "(":
+            self.next()
+            inner = self.parse_infix()
             self.expect_punct(")")
             return inner
         if kind == "ident":
-            if val == "true":
-                self.next()
-                return TrueF()
-            if val == "false":
-                self.next()
-                return FalseF()
-            if val == "X":
-                self.next()
-                reps = 1
-                if self.at_punct("["):
-                    self.next()
-                    reps = int(self.expect_nat("expected repetition count after 'X['"))
-                    self.expect_punct("]")
-                inner = self.parse_unary()
-                for _ in range(reps):
-                    inner = Next(inner)
-                return inner
-            if val == "G":
-                self.next()
-                return Globally(self.parse_unary())
-            if val == "F":
-                self.next()
-                return Eventually(self.parse_unary())
-            if val in _RESERVED:
-                raise self.error(f"reserved word {val!r} cannot start an atom")
-            return self.parse_atom()
+            raise self.error(f"reserved word {val!r} cannot start an atom")
         raise self.error("expected a formula")
 
     def parse_atom(self) -> Ltl:
@@ -311,7 +271,7 @@ def parse_formula(text: str) -> HyperFormula:
 def parse_ltl(text: str) -> Ltl:
     """Parse a bare LTL formula (no quantifier block)."""
     p = _Parser(text)
-    body = p.parse_ltl()
+    body = p.parse_infix()
     if not p.at_eof():
         raise p.error("trailing input after formula")
     return body

@@ -188,8 +188,9 @@ class While:
 
 @dataclass(frozen=True)
 class Seq:
-    first: "Program"
-    second: "Program"
+    """Two or more statements run in order; none of them is itself a ``Seq``."""
+
+    stmts: tuple["Program", ...]
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,34 @@ Program = Union[Assign, ReadH, ReadL, IfExpr, IfStar, While, Seq, Terminated]
 TERMINATED = Terminated()
 
 
+def _sequence(stmts: tuple):
+    """The program that runs ``stmts`` (no ``Seq`` among them, at least one) in order."""
+    return stmts[0] if len(stmts) == 1 else Seq(stmts)
+
+
+def _followed_by(p, rest: tuple):
+    """``p`` and then the statements ``rest``, as one flat program."""
+    match p:
+        case Terminated():
+            return _sequence(rest)
+        case Seq(stmts):
+            return Seq(stmts + rest)
+    return Seq((p,) + rest)
+
+
+def _head(p):
+    """The statement that takes ``p``'s next step."""
+    return p.stmts[0] if isinstance(p, Seq) else p
+
+
 def controlling_player(p) -> str:
     """Agent that picks the successor; only reads and ``if (*)`` offer a choice."""
-    match p:
+    match _head(p):
         case ReadH(_):
             return AGENT_H
         case ReadL(_):
             return AGENT_L
-        case Seq(first, _):
-            return controlling_player(first)
-        case _:
-            return AGENT_N
+    return AGENT_N
 
 
 def _read_values(width: int) -> list[BitVector]:
@@ -243,16 +261,11 @@ def successors(
             return [(then, dict(state)), (els, dict(state))]
         case While(cond, body):
             if eval_expr(cond, state)[0]:
-                return [(Seq(body, program), dict(state))]
+                return [(_followed_by(body, (program,)), dict(state))]
             return [(TERMINATED, dict(state))]
-        case Seq(first, second):
-            out = []
-            for p1, s1 in successors(first, state, widths):
-                if p1 == TERMINATED:
-                    out.append((second, s1))
-                else:
-                    out.append((Seq(p1, second), s1))
-            return out
+        case Seq(stmts):
+            rest = stmts[1:]
+            return [(_followed_by(p1, rest), s1) for p1, s1 in successors(stmts[0], state, widths)]
         case Terminated():
             return [(TERMINATED, dict(state))]
     raise TypeError(f"not a program: {program!r}")
@@ -289,19 +302,16 @@ class _Parser(Cursor):
                 raise self.error("bit width must be at least 1")
             self.expect_punct(";")
             self.widths[name] = width
-        body = self.parse_stmts(top=True)
+        body = self.parse_stmts()
         if not self.at_eof():
             raise self.error("expected statement")
         return self.widths, body
 
-    def parse_stmts(self, top: bool = False):
+    def parse_stmts(self):
         stmts = [self.parse_stmt()]
         while not (self.at_eof() or self.at_punct("}")):
             stmts.append(self.parse_stmt())
-        node = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            node = Seq(s, node)
-        return node
+        return _sequence(tuple(stmts))
 
     def parse_block(self):
         self.expect_punct("{")
@@ -311,37 +321,25 @@ class _Parser(Cursor):
 
     def parse_stmt(self):
         k, v, pos = self.peek()
-        if k == "ident" and v == "if":
+        if k == "ident" and v in ("if", "while"):
             self.next()
             self.expect_punct("(")
-            if self.at_punct("*"):
+            cond = None
+            if v == "if" and self.at_punct("*"):
                 self.next()
-                self.expect_punct(")")
-                then = self.parse_block()
-                if not self.at_ident("else"):
-                    raise self.error("expected 'else'")
-                self.next()
-                els = self.parse_block()
-                return IfStar(then, els)
-            cond = self.parse_expr()
-            if expr_width(cond, self.widths, self.text) != 1:
-                raise ProgramError("guard must have width 1", pos, self.text)
+            else:
+                cond = self.parse_infix()
+                if expr_width(cond, self.widths, self.text) != 1:
+                    raise ProgramError("guard must have width 1", pos, self.text)
             self.expect_punct(")")
             then = self.parse_block()
+            if v == "while":
+                return While(cond, then)
             if not self.at_ident("else"):
                 raise self.error("expected 'else'")
             self.next()
             els = self.parse_block()
-            return IfExpr(cond, then, els)
-        if k == "ident" and v == "while":
-            self.next()
-            self.expect_punct("(")
-            cond = self.parse_expr()
-            if expr_width(cond, self.widths, self.text) != 1:
-                raise ProgramError("guard must have width 1", pos, self.text)
-            self.expect_punct(")")
-            body = self.parse_block()
-            return While(cond, body)
+            return IfStar(then, els) if cond is None else IfExpr(cond, then, els)
         name = self.expect_ident()
         if name not in self.widths:
             raise ProgramError(f"undeclared variable {name!r}", pos, self.text)
@@ -350,7 +348,7 @@ class _Parser(Cursor):
             _, which, _ = self.next()
             self.expect_punct(";")
             return ReadH(name) if which == "read_H" else ReadL(name)
-        expr = self.parse_expr()
+        expr = self.parse_infix()
         w = expr_width(expr, self.widths, self.text)
         if w != self.widths[name]:
             raise ProgramError(
@@ -361,60 +359,37 @@ class _Parser(Cursor):
         self.expect_punct(";")
         return Assign(name, expr)
 
-    # expression precedence: postfix [] > ! > @ > & > |
-    def parse_expr(self):
-        left = self.parse_and()
-        while self.at_punct("|"):
-            pos = self.next()[2]
-            left = OrE(left, self.parse_and(), pos)
-        return left
+    # expression precedence: postfix [] > ! > @ > & > |, all left-associative
 
-    def parse_and(self):
-        left = self.parse_concat()
-        while self.at_punct("&"):
-            pos = self.next()[2]
-            left = AndE(left, self.parse_concat(), pos)
-        return left
+    infix = {
+        "|": (1, False, OrE),
+        "&": (2, False, AndE),
+        "@": (3, False, lambda l, r, _: Concat(l, r)),
+    }
 
-    def parse_concat(self):
-        left = self.parse_unary()
-        while self.at_punct("@"):
+    def parse_operand(self):
+        k, v, pos = self.peek()
+        if v == "!":
             self.next()
-            left = Concat(left, self.parse_unary())
-        return left
-
-    def parse_unary(self):
-        if self.at_punct("!"):
+            return NotE(self.parse_operand())
+        if v == "(":
             self.next()
-            return NotE(self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self):
-        e = self.parse_primary()
+            e = self.parse_infix()
+            self.expect_punct(")")
+        elif k == "ident" and v not in _KEYWORDS:
+            self.next()
+            e = Var(v, pos)
+        elif v in ("true", "false"):
+            self.next()
+            e = TrueE() if v == "true" else FalseE()
+        else:
+            raise self.error("expected expression")
         while self.at_punct("["):
             self.next()
             pos = self.peek()[2]
             e = Index(e, int(self.expect_nat("expected bit index")), pos)
             self.expect_punct("]")
         return e
-
-    def parse_primary(self):
-        k, v, pos = self.peek()
-        if k == "punct" and v == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect_punct(")")
-            return e
-        if k == "ident" and v == "true":
-            self.next()
-            return TrueE()
-        if k == "ident" and v == "false":
-            self.next()
-            return FalseE()
-        if k == "ident" and v not in _KEYWORDS:
-            self.next()
-            return Var(v, pos)
-        raise self.error("expected expression")
 
 
 def parse_program(text: str, width_overrides: Optional[Mapping[str, int]] = None):
@@ -444,13 +419,18 @@ def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = 
     """
     var_order = tuple(widths)
     init = (program, tuple((False,) * widths[x] for x in var_order))
+    cap_error = StateCapError(f"state cap of {cap} exceeded")
 
     def row_of(key, number) -> tuple[int, ...]:
         prog, values = key
+        head = _head(prog)
+        # a read's 2^w successors are distinct states; 2^w > cap iff w >= cap.bit_length()
+        if isinstance(head, (ReadH, ReadL)) and widths[head.var] >= cap.bit_length():
+            raise cap_error
         succs = successors(prog, dict(zip(var_order, values)), widths)
         return tuple(number((p, tuple(s[x] for x in var_order))) for p, s in succs)
 
-    order, succ_ids = explore(init, row_of, cap, StateCapError(f"state cap of {cap} exceeded"))
+    order, succ_ids = explore(init, row_of, cap, cap_error)
     props = frozenset(f"{x}[{i}]" for x in var_order for i in range(widths[x]))
     labels = [
         frozenset(f"{x}[{i}]" for x, bits in zip(var_order, values) for i, b in enumerate(bits) if b)

@@ -4,14 +4,18 @@ Specifications (``formula.py``) and programs (``imp.py``) share one token
 shape: punctuation, natural numbers, identifiers and an end marker, each
 with its offset into the text.  What differs between the two languages is
 data on the parser class: its punctuation, whether ``#`` starts a comment,
-the keywords that are not identifiers, and its error class.
+the keywords that are not identifiers, its binary operators and its error
+class.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 Token = tuple[str, str, int]  # (kind, value, offset); kind: punct, nat, ident or eof
+
+# precedence (higher binds tighter), right-associative?, node(left, right, offset)
+Infix = tuple[int, bool, Callable]
 
 
 class ParseError(Exception):
@@ -71,11 +75,34 @@ class Cursor:
     keywords: frozenset[str] = frozenset()  # identifiers that ``expect_ident`` rejects
     ident_name = "identifier"
     error_class: type = ParseError
+    # binary operators by token value; punctuation and identifiers never share one
+    infix: Mapping[str, Infix] = {}
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text, self.punct, self.comments, self.error_class)
         self.pos = 0
+
+    def parse_operand(self):
+        """One operand of a binary operator: a prefix operator's term or a primary."""
+        raise NotImplementedError
+
+    def parse_infix(self, min_prec: int = 0):
+        """Operands joined by ``infix`` operators of at least ``min_prec``.
+
+        Precedence climbing (Pratt, *Top down operator precedence*, POPL
+        1973): a tighter operator is parsed by the recursive call for the
+        right operand, so one Python frame serves every precedence level.
+        """
+        left = self.parse_operand()
+        while True:
+            _, val, pos = self.peek()
+            op = self.infix.get(val)
+            if op is None or op[0] < min_prec:
+                return left
+            prec, right_assoc, node = op
+            self.next()
+            left = node(left, self.parse_infix(prec if right_assoc else prec + 1), pos)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]

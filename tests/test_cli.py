@@ -130,6 +130,14 @@ def test_vertex_cap_exits_with_one_line(capsys):
     assert captured.out == ""
 
 
+def test_wide_read_hits_the_state_cap_before_its_values_are_enumerated(tmp_path, capsys):
+    prog = tmp_path / "wide.imp"
+    prog.write_text("var o:1;\nvar h:40;\nh := read_H;\no := h[0];\n")
+    argv = ["check", "--system", f"G={prog}", "--prop", "od", "--cap-states", "1000"]
+    assert cli.main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "resource limit: state cap of 1000 exceeded\n"
+
+
 def test_suite_records_a_capped_row(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CheckConfig", functools.partial(CheckConfig, cap_vertices=1))
     entry = {"name": "capped", "program": str(bundled_asset("p1.imp")), "prop": "od"}
@@ -342,6 +350,9 @@ MALFORMED_SUITES = {
     "entries object": ({"entries": {"case": ENTRY}}, None, "manifest entries must be a JSON array"),
     "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, None, "case: transforms must be"),
     "prop number": ({"entries": [dict(ENTRY, prop=5)]}, None, "manifest entry 0 needs a string 'prop'"),
+    "expect number": ({"entries": [dict(ENTRY, expect=5)]}, None, "case: expect must be 'satisfied' or 'violated', got 5"),
+    "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, None, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
+    "expect file list value": ({"entries": [ENTRY]}, {"a": ["satisfied"]}, "expectations: a must be"),
 }
 
 
@@ -364,7 +375,12 @@ DEEP_FORMULAS = {
 }
 DEEP_PROGRAMS = {
     "negations": "var o:1;\no := " + "!" * 3000 + "o;\n",
-    "statements": "var o:1;\n" + "o := !o;\n" * 900,
+    "statements": "var o:1;\n" + "if (o) {\n" * 1000 + "o := !o;\n" + "} else { o := o; }\n" * 1000,
+}
+BOUNDED_DEPTH = {  # (program or None for p1, formula or None for od)
+    "formula parentheses": (None, "[ forall p1 . forall p2 . ] " + "(" * 300 + "G (o[0]{p1} <-> o[0]{p2})" + ")" * 300),
+    "program parentheses": ("var o:1;\no := " + "(" * 300 + "!o" + ")" * 300 + ";\n", None),
+    "statements": ("var o:1;\n" + "o := !o;\n" * 900, None),
 }
 
 
@@ -374,6 +390,19 @@ def test_deeply_nested_formula_is_a_usage_error(tmp_path, capsys, shape):
     f.write_text(DEEP_FORMULAS[shape])
     argv = ["check", "--system", f"G={bundled_asset('p1.imp')}", "--formula", str(f)]
     assert "formula is nested too deeply" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("shape", sorted(BOUNDED_DEPTH))
+def test_deep_input_within_the_nesting_limit_is_checked(tmp_path, capsys, shape):
+    program, formula = BOUNDED_DEPTH[shape]
+    prog = tmp_path / "p.imp"
+    prog.write_text(program or bundled_asset("p1.imp").read_text())
+    argv = ["check", "--system", f"G={prog}", "--prop", "od"]
+    if formula is not None:
+        f = tmp_path / "f.hq"
+        f.write_text(formula)
+        argv[-2:] = ["--formula", str(f)]
+    assert cli.main(argv) == EXIT_SATISFIED, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_PROGRAMS))

@@ -85,14 +85,27 @@ def test_x_tower_sugar():
     assert f == Next(Next(Next(Atom("a", "p"))))
 
 
-def test_precedence_until_binds_tighter_than_and():
-    f = parse_ltl("a{p} U b{p} & c{p}")
-    assert f == And(Until(Atom("a", "p"), Atom("b", "p")), Atom("c", "p"))
+A, B, C = (Atom(x, "p") for x in "abc")
+PRECEDENCE = {
+    "until binds tighter than and": ("a{p} U b{p} & c{p}", And(Until(A, B), C)),
+    "implication right assoc": ("a{p} -> b{p} -> c{p}", F.Implies(A, F.Implies(B, C))),
+    "and left assoc": ("a{p} & b{p} & c{p}", And(And(A, B), C)),
+    "or left assoc": ("a{p} | b{p} | c{p}", F.Or(F.Or(A, B), C)),
+    "until right assoc": ("a{p} U b{p} U c{p}", Until(A, Until(B, C))),
+    "until and release share a level": ("a{p} R b{p} U c{p}", Release(A, Until(B, C))),
+    "iff right assoc": ("a{p} <-> b{p} <-> c{p}", F.Iff(A, F.Iff(B, C))),
+    "or binds tighter than implication": ("a{p} -> b{p} | c{p}", F.Implies(A, F.Or(B, C))),
+    "and binds tighter than or": ("a{p} | b{p} & c{p}", F.Or(A, And(B, C))),
+    "implication binds tighter than iff": ("a{p} -> b{p} <-> c{p}", F.Iff(F.Implies(A, B), C)),
+    "unary binds tighter than until": ("! a{p} U G b{p}", Until(Not(A), Globally(B))),
+    "parentheses": ("(a{p} | b{p}) & c{p}", And(F.Or(A, B), C)),
+}
 
 
-def test_precedence_implication_right_assoc():
-    f = parse_ltl("a{p} -> b{p} -> c{p}")
-    assert f == F.Implies(Atom("a", "p"), F.Implies(Atom("b", "p"), Atom("c", "p")))
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_precedence(case):
+    text, tree = PRECEDENCE[case]
+    assert parse_ltl(text) == tree
 
 
 def test_nnf_until_dual():

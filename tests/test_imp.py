@@ -53,8 +53,27 @@ def test_parse_p1_shape():
     assert widths == {"o": 1, "h": 1, "l": 1}
     # init assignment first, then the loop
     assert isinstance(prog, Seq)
-    assert isinstance(prog.first, Assign)
-    assert isinstance(prog.second, While)
+    assert [type(s) for s in prog.stmts] == [Assign, While]
+
+
+X, Y, Z, W = (imp.Var(x) for x in "xyzw")
+PRECEDENCE = {  # (declared widths, expression, tree)
+    "or over and over concat": ("x:2 y:2 z:1 w:1", "x | y & z @ w", imp.OrE(X, imp.AndE(Y, imp.Concat(Z, W)))),
+    "and left assoc": ("x:1 y:1 z:1", "x & y & z", imp.AndE(imp.AndE(X, Y), Z)),
+    "or left assoc": ("x:1 y:1 z:1", "x | y | z", imp.OrE(imp.OrE(X, Y), Z)),
+    "concat left assoc": ("x:1 y:1 z:1", "x @ y @ z", imp.Concat(imp.Concat(X, Y), Z)),
+    "index binds tighter than not": ("x:2 y:1", "!x[0] & y", imp.AndE(imp.NotE(imp.Index(X, 0)), Y)),
+    "parentheses": ("x:1 y:1 z:1", "(x | y)[0] & z", imp.AndE(imp.Index(imp.OrE(X, Y), 0), Z)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_precedence(case):
+    decls, text, tree = PRECEDENCE[case]
+    widths = dict((name, int(w)) for name, w in (d.split(":") for d in decls.split()))
+    width = imp.expr_width(tree, widths, "")
+    declared = "".join(f"var {name}:{w}; " for name, w in widths.items())
+    assert parse_program(f"{declared}var t:{width}; t := {text};")[1] == Assign("t", tree)
 
 
 def imp_asset(name):
@@ -105,7 +124,22 @@ def test_while_unrolls_on_true_guard():
     body = Assign("x", TrueE())
     prog = While(Var("x"), body)
     succs = successors(prog, {"x": (True,)}, {"x": 1})
-    assert succs == [(Seq(body, prog), {"x": (True,)})]
+    assert succs == [(Seq((body, prog)), {"x": (True,)})]
+
+
+def test_steps_splice_into_one_flat_sequence():
+    from hyperatl.imp import Var
+
+    body = Seq((Assign("x", TrueE()), ReadH("x")))
+    loop = While(Var("x"), body)
+    last = Assign("x", Var("x"))
+    state, widths = {"x": (True,)}, {"x": 1}
+    [(unrolled, _)] = successors(Seq((loop, last)), state, widths)
+    assert unrolled == Seq((*body.stmts, loop, last))
+    [(at_read, _)] = successors(unrolled, state, widths)
+    assert at_read == Seq((ReadH("x"), loop, last))
+    assert controlling_player(at_read) == AGENT_H
+    assert [p for p, _ in successors(at_read, state, widths)] == [Seq((loop, last))] * 2
 
 
 def test_terminated_self_loop():
@@ -113,7 +147,7 @@ def test_terminated_self_loop():
 
 
 def test_controlling_player():
-    assert controlling_player(Seq(ReadH("x"), TERMINATED)) == AGENT_H
+    assert controlling_player(Seq((ReadH("x"), imp.ReadL("x")))) == AGENT_H
     assert controlling_player(IfStar(TERMINATED, TERMINATED)) == AGENT_N
     assert controlling_player(Terminated()) == AGENT_N
     assert controlling_player(imp.ReadL("x")) == AGENT_L
@@ -124,6 +158,16 @@ def test_controlling_player():
 
 def reference_reach(prog, widths):
     """Brute-force reachable ⟨program, state⟩ sets straight off the step rules."""
+
+    def seq(*parts):
+        # the statements of ``parts`` in order, flattened, without TERMINATED
+        stmts = []
+        for part in parts:
+            if isinstance(part, imp.Seq):
+                stmts.extend(part.stmts)
+            elif part != TERMINATED:
+                stmts.append(part)
+        return stmts[0] if len(stmts) == 1 else imp.Seq(tuple(stmts))
 
     def step(p, sigma):
         match p:
@@ -138,13 +182,10 @@ def reference_reach(prog, widths):
                 return [(a, dict(sigma)), (b, dict(sigma))]
             case imp.While(c, body):
                 if eval_expr(c, sigma)[0]:
-                    return [(imp.Seq(body, p), dict(sigma))]
+                    return [(seq(body, p), dict(sigma))]
                 return [(TERMINATED, dict(sigma))]
-            case imp.Seq(a, b):
-                out = []
-                for p2, s2 in step(a, sigma):
-                    out.append((b, s2) if p2 == TERMINATED else (imp.Seq(p2, b), s2))
-                return out
+            case imp.Seq((a, *rest)):
+                return [(seq(p2, *rest), s2) for p2, s2 in step(a, sigma)]
             case imp.Terminated():
                 return [(TERMINATED, dict(sigma))]
 
@@ -227,9 +268,7 @@ def test_deterministic_configs_have_single_successor():
     seen = reference_reach(prog, widths)
     for p, sigma in seen.values():
         succs = successors(p, sigma, widths)
-        head = p
-        while isinstance(head, imp.Seq):
-            head = head.first
+        head = p.stmts[0] if isinstance(p, imp.Seq) else p
         if isinstance(head, (imp.ReadH, imp.ReadL, imp.IfStar)):
             if isinstance(head, imp.IfStar):
                 assert len(succs) == 2
@@ -253,3 +292,10 @@ def test_state_cap_enforced():
     widths, prog = parse_program(text)
     with pytest.raises(StateCapError):
         build_cgs(prog, widths, cap=5)
+
+
+def test_read_fits_a_cap_that_holds_all_its_values():
+    widths, prog = parse_program("var x:3; x := read_H;")
+    assert build_cgs(prog, widths, cap=9).n_states == 9
+    with pytest.raises(StateCapError):
+        build_cgs(prog, widths, cap=8)

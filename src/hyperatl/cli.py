@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -75,6 +76,7 @@ class Report:
     sizes: dict
     timings_ms: dict
     strategy_vertices: int = 0
+    peak_rss_mb: float = 0.0  # of the whole process so far; not a size, so not in ``sizes``
 
     def record(self) -> str:
         lines = [f"verdict {self.verdict}", f"formula {self.formula}"]
@@ -82,6 +84,7 @@ class Report:
             lines.append(f"{key} {self.sizes[key]}")
         for key in ("build", "translate", "arena", "solve"):
             lines.append(f"time.{key}_ms {self.timings_ms[key]:.1f}")
+        lines.append(f"mem.peak_rss_mb {self.peak_rss_mb:.1f}")
         lines.append(f"strategy.vertices {self.strategy_vertices}")
         return "\n".join(lines) + "\n"
 
@@ -204,6 +207,27 @@ def _expand_builtin(
     raise ConfigError(f"unknown builtin property {prop!r}")
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size (``ru_maxrss`` is in KiB, on macOS in bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _quotients(systems: dict, info) -> dict[str, structures.MSCGS]:
+    """Per bound system id: its structure quotiented by what the formula reads.
+
+    Each structure object is quotiented once, by the propositions of every
+    atom whose copy it binds, so ids bound to one object share one quotient.
+    """
+    bound = {rq.system: systems[rq.system] for rq in info.quantifiers}
+    read: dict[int, set] = {id(g): set() for g in bound.values()}
+    for (prop, _), copy in info.atom_copy.items():
+        read[id(bound[info.quantifiers[copy].system])].add(prop)
+    objects = {id(g): g for g in bound.values()}
+    quotients = {key: structures.quotient(g, read[key]) for key, g in objects.items()}
+    return {sid: quotients[id(g)] for sid, g in bound.items()}
+
+
 def run(config: CheckConfig) -> Report:
     """Check one formula against its bound systems and report the verdict."""
     with _nesting_limit("formula"):
@@ -242,6 +266,7 @@ def _run(config: CheckConfig) -> Report:
         if sid not in systems:
             raise ConfigError(f"--dump-sys names unbound system {sid!r}")
     info = validate_fragment(formula, systems)
+    bound = _quotients(systems, info)
     t_build = time.perf_counter()
 
     body = to_nnf(formula.body)
@@ -249,7 +274,7 @@ def _run(config: CheckConfig) -> Report:
     dpa = ltl2dpa.ltl_to_dpa(body, info.atoms, stats=translate_stats)
     t_translate = time.perf_counter()
 
-    quants = [(rq.coalition, systems[rq.system]) for rq in info.quantifiers]
+    quants = [(rq.coalition, bound[rq.system]) for rq in info.quantifiers]
     built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
     t_arena = time.perf_counter()
 
@@ -278,6 +303,8 @@ def _run(config: CheckConfig) -> Report:
     }
     for sid in sorted(systems):
         sizes[f"system.{sid}.states"] = systems[sid].n_states
+    for sid in sorted(bound):
+        sizes[f"system.{sid}.classes"] = bound[sid].n_states
     report = Report(
         verdict="satisfied" if satisfied else "violated",
         formula=format_hyper(formula),
@@ -289,6 +316,7 @@ def _run(config: CheckConfig) -> Report:
             "solve": (t_solve - t_arena) * 1000,
         },
         strategy_vertices=len(winner_strategy),
+        peak_rss_mb=_peak_rss_mb(),
     )
 
     if config.dump_dpa:
@@ -384,8 +412,13 @@ def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[Su
     for name, value in _json_of(dict, expectations, "expectations").items():
         _expected_verdict(value, f"expectations: {name}")
 
+    configs = _suite_configs(manifest_path, data)
+    unknown = sorted(set(expectations) - {name for name, _, _ in configs})
+    if unknown:
+        raise ConfigError(f"expectations name no manifest row: {', '.join(unknown)}")
+
     rows: list[SuiteRow] = []
-    for name, config, expected in _suite_configs(manifest_path, data):
+    for name, config, expected in configs:
         expected = expectations.get(name) or expected
         start = time.perf_counter()
         try:

@@ -3,7 +3,8 @@
 A graph is a list ``succ`` of successor lists over the vertices
 ``0..n-1``.  :func:`explore` numbers the keys a search reaches from an
 initial key, :func:`scc` decomposes a graph into strongly connected
-components, :func:`predecessors` inverts the edges, and
+components, :func:`predecessors` inverts the edges, :func:`refine`
+computes the coarsest bisimulation that refines a partition, and
 :func:`cycle_parities` says which parities of minimal priority the cycles
 through each vertex have (nested SCC decomposition as for parity word
 automata, King, Kupferman & Vardi, FoSSaCS 2001).
@@ -53,6 +54,74 @@ def predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:
         for t in row:
             preds[t].append(v)
     return preds
+
+
+def refine(block: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The coarsest refinement of ``block`` in which equal blocks have equal rows of blocks.
+
+    ``block[v]`` is the initial block of vertex ``v`` and ``rows[v]`` lists
+    its successors in order.  Two vertices stay together iff they agree on
+    their block and, entry by entry, on the blocks of their rows: the
+    coarsest stable partition, a bisimulation.  The result numbers the
+    blocks 0, 1, ... in the order of their first vertex.
+
+    A vertex whose block number changes marks its predecessors, and only
+    marked vertices are signed again.  When a block splits, its largest part
+    keeps the number, so a vertex moves at most log2(n) times and the work
+    follows the edges into moved vertices, not rounds times edges (the
+    smaller-half rule of Hopcroft 1971; Paige & Tarjan, SICOMP 1987).
+    """
+    ids: dict = {}
+    block = [ids.setdefault(b, len(ids)) for b in block]
+    members: list[set[int]] = [set() for _ in ids]
+    for v, b in enumerate(block):
+        members[b].add(v)
+    preds = predecessors(rows)
+
+    def signature(v: int) -> tuple:
+        return tuple([block[t] for t in rows[v]])
+
+    def move(part) -> None:
+        new = len(members)
+        members.append(set(part))
+        for v in part:
+            block[v] = new
+            marked.update(preds[v])
+
+    marked = set(range(len(rows)))
+    while marked:
+        by_block: dict[int, list[int]] = {}
+        for v in marked:
+            if len(members[block[v]]) > 1:
+                by_block.setdefault(block[v], []).append(v)
+        # sign the marked vertices before any number changes; the unmarked
+        # members of a block still share one signature, read off any of them
+        splits = []
+        for b, verts in by_block.items():
+            parts: dict[tuple, list[int]] = {}
+            for v in verts:
+                parts.setdefault(signature(v), []).append(v)
+            unmarked = len(members[b]) - len(verts)
+            common = None
+            if unmarked:
+                common = signature(next(v for v in members[b] if v not in marked))
+                parts.setdefault(common, [])
+            if len(parts) > 1:
+                splits.append((b, parts, common, unmarked))
+        marked = set()
+        for b, parts, common, unmarked in splits:
+            keep = max(parts, key=lambda key: len(parts[key]) + (unmarked if key == common else 0))
+            for key, part in parts.items():
+                if key != keep and key != common:
+                    members[b].difference_update(part)
+                    move(part)
+            if common is not None and common != keep:
+                # the unmarked members leave with their part
+                kept = set(parts[keep])
+                move([v for v in members[b] if v not in kept])
+                members[b] = kept
+    ids = {}
+    return [ids.setdefault(b, len(ids)) for b in block]
 
 
 def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:

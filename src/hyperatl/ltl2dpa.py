@@ -15,7 +15,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from . import formula as F
-from .graph import cycle_parities, explore, predecessors
+from .graph import cycle_parities, explore, predecessors, refine
 
 
 class AutomatonCapError(Exception):
@@ -441,19 +441,7 @@ def _quotient(dpa: DPA, reps: Optional[Sequence[int]] = None) -> DPA:
         rows = dpa.trans
     else:
         rows = [[row[v] for v in reps] for row in dpa.trans]
-    color_ids = {c: i for i, c in enumerate(sorted(set(dpa.colors)))}
-    block = [color_ids[c] for c in dpa.colors]
-    while True:
-        signatures: dict = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q], tuple(block[t] for t in rows[q]))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
-        if new_block == block:
-            break
-        block = new_block
+    block = refine(dpa.colors, rows)
     n_blocks = max(block) + 1
     if n_blocks == n:
         return dpa

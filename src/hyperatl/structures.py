@@ -11,10 +11,11 @@ scheduling agent, whose later stage lets it react to the others' choices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .graph import explore
+from .graph import explore, refine
 
 SCHED = "sched"
 STUT_PROP = "stut"
@@ -188,6 +189,73 @@ def shift_transform(g: MSCGS, k: int) -> MSCGS:
         initial=0,
         state_names=names,
     )
+
+
+def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
+    """``g`` up to the bisimulation that respects every move vector, seen through ``props``.
+
+    Two states fall into one class iff they have equal labels restricted to
+    ``props``, equal decision slots, and successors in one class entry by
+    entry of their tables (:func:`graph.refine`).  Each class keeps the
+    slots, table and state name of its first state.  Then two moves of a
+    slot merge when their slices of the table lead to the same classes for
+    every choice of the other slots, so the merged slot keeps one move per
+    distinct slice.  Labels and the proposition set are restricted to
+    ``props``.
+
+    Mapping each state to its class and each move to the move that stands
+    for it keeps the owner of every decision and the successor of every
+    move vector up to the class, so a game over the quotient is a
+    functional bisimulation image of the game over ``g``, with the same
+    winners (alternating bisimulation preserves ATL*: Alur, Henzinger,
+    Kupferman & Vardi, CONCUR 1998).
+    """
+    keep = frozenset(props) & g.props
+    kinds: dict = {}
+    initial = [
+        kinds.setdefault((g.labels[s] & keep, g.decisions[s]), len(kinds))
+        for s in range(g.n_states)
+    ]
+    block = refine(initial, g.table)
+    first: dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    decisions, table = [], []
+    for s in first.values():
+        slots, row = _merge_moves(g.decisions[s], [block[t] for t in g.table[s]])
+        decisions.append(slots)
+        table.append(row)
+    return MSCGS(
+        name=g.name,
+        agents=g.agents,
+        stages=dict(g.stages),
+        props=keep,
+        labels=[g.labels[s] & keep for s in first.values()],
+        decisions=decisions,
+        table=table,
+        initial=block[g.initial],
+        state_names=[g.state_names[s] for s in first.values()],
+    )
+
+
+def _merge_moves(slots, row: list[int]) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
+    """Keep, per slot, the first move of each distinct slice of ``row``."""
+    strides = []
+    stride = len(row)
+    for _, arity in slots:
+        stride //= arity
+        strides.append(stride)
+    kept = []
+    for (_, arity), stride in zip(slots, strides):
+        first: dict[tuple, int] = {}
+        for m in range(arity):
+            piece = tuple(t for i, t in enumerate(row) if i // stride % arity == m)
+            first.setdefault(piece, m)
+        kept.append(list(first.values()))
+    new_row = tuple(
+        row[sum(m * st for m, st in zip(moves, strides))] for moves in itertools.product(*kept)
+    )
+    return tuple((agent, len(k)) for (agent, _), k in zip(slots, kept)), new_row
 
 
 def export_dot(g: MSCGS) -> str:

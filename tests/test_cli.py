@@ -106,6 +106,11 @@ def test_dumps_written_and_deterministic(tmp_path):
     record = paths["report"].read_text()
     assert record.startswith("verdict satisfied\n")
     assert "game.vertices" in record and "time.solve_ms" in record
+    # the loaded structure and its quotient; peak memory is no size
+    assert "system.G.states 17\n" in record and "system.G.classes 9\n" in record
+    peak = [line.split() for line in record.splitlines() if line.startswith("mem.")]
+    assert len(peak) == 1 and peak[0][0] == "mem.peak_rss_mb" and float(peak[0][1]) > 0
+    assert not any(key.startswith("mem.") for key in run(config).sizes)
 
 
 def test_exit_codes_via_main(tmp_path, capsys):
@@ -353,6 +358,7 @@ MALFORMED_SUITES = {
     "expect number": ({"entries": [dict(ENTRY, expect=5)]}, None, "case: expect must be 'satisfied' or 'violated', got 5"),
     "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, None, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
     "expect file list value": ({"entries": [ENTRY]}, {"a": ["satisfied"]}, "expectations: a must be"),
+    "expect unknown name": ({"entries": [ENTRY]}, {"case": "satisfied", "b": "violated", "a": None}, "expectations name no manifest row: a, b"),
 }
 
 

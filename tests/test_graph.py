@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyperatl.graph import cycle_parities, explore, predecessors
+from hyperatl.graph import cycle_parities, explore, predecessors, refine
 
 
 class Capped(Exception):
@@ -91,3 +91,33 @@ def test_cycle_parities_match_simple_cycle_enumeration():
         assert bits == brute_cycle_parities(succ, priority), (succ, priority)
         seen.update(bits)
     assert seen == {0, 1, 2, 3}
+
+
+def refine_by_rounds(block, rows):
+    """Signature rounds over every vertex until the partition is stable."""
+    while True:
+        signatures = {}
+        new = [
+            signatures.setdefault((block[v], tuple(block[t] for t in row)), len(signatures))
+            for v, row in enumerate(rows)
+        ]
+        if new == block:
+            return block
+        block = new
+
+
+def test_refine_matches_signature_rounds():
+    rng = random.Random(12)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        rows = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        block = [rng.randint(0, 2) for _ in range(n)]
+        assert refine(block, rows) == refine_by_rounds(block, rows)
+
+
+def test_refine_splits_a_long_chain_in_linear_work():
+    # every state of an alternating chain into a self-loop is distinct,
+    # which signature rounds find only after one round per state
+    n = 20000
+    rows = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+    assert refine([v % 2 for v in range(n)], rows) == list(range(n))

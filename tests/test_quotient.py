@@ -1,0 +1,239 @@
+"""The structure quotient against the games of the unquotiented structures.
+
+``structures.quotient`` merges the states of a bound structure that the
+formula cannot tell apart, and the moves that lead to the same classes for
+every co-move.  The arena over the quotient must be a functional
+bisimulation image of the arena over the loaded structures: every raw
+vertex is bisimilar to a quotient vertex, with the same owner, priority and
+winner, and the initial vertices are bisimilar.  The raw games here are
+built by ``arena.build_game`` from the structures as loaded.
+"""
+
+import json
+import random
+
+from conftest import random_dpa, random_ltl, random_structure
+from hyperatl import arena, cli, structures
+from hyperatl.arena import build_game
+from hyperatl.formula import FragmentInfo, ResolvedQuantifier
+from hyperatl.ltl2dpa import ltl_to_dpa
+from hyperatl.solver import zielonka
+from hyperatl.structures import MSCGS, quotient
+
+
+def quotient_block(quants, atoms, atom_copy):
+    """The block as ``cli.run`` passes it to the arena: one quotient per structure object."""
+    systems = {f"S{id(g)}": g for _, g in quants}
+    info = FragmentInfo(
+        quantifiers=tuple(
+            ResolvedQuantifier(f"p{i + 1}", f"S{id(g)}", coalition)
+            for i, (coalition, g) in enumerate(quants)
+        ),
+        atoms=atoms,
+        atom_copy=atom_copy,
+    )
+    bound = cli._quotients(systems, info)
+    return [(coalition, bound[f"S{id(g)}"]) for coalition, g in quants]
+
+
+def widened(rng, g: MSCGS) -> MSCGS:
+    """``g`` with each state split in two by an unread proposition ``z``.
+
+    Each successor entry picks one of the two halves at random, as an input
+    bit that the formula never reads would.
+    """
+    n = g.n_states
+    return MSCGS(
+        name=g.name,
+        agents=g.agents,
+        stages=g.stages,
+        props=g.props | {"z"},
+        labels=[g.labels[s] | ({"z"} if half else set()) for s in range(n) for half in (0, 1)],
+        decisions=[g.decisions[s] for s in range(n) for _ in (0, 1)],
+        table=[tuple(2 * t + rng.randint(0, 1) for t in g.table[s]) for s in range(n) for _ in (0, 1)],
+        initial=2 * g.initial,
+        state_names=[f"{g.state_names[s]}{'z' * half}" for s in range(n) for half in (0, 1)],
+    )
+
+
+def random_block(rng):
+    """1-3 copies over 1-3 structure objects, half of them widened, each atom read with probability 0.6."""
+    k = rng.randint(1, 3)
+    pool = [random_structure(rng, max_states=6 if k < 3 else 3) for _ in range(rng.randint(1, k))]
+    pool = [widened(rng, g) if rng.random() < 0.5 else g for g in pool]
+    quants = []
+    for _ in range(k):
+        g = rng.choice(pool)
+        quants.append((frozenset(a for a in g.agents if rng.random() < 0.5), g))
+    atoms = tuple(
+        (p, f"p{i + 1}") for i in range(k) for p in ("x", "y") if rng.random() < 0.6
+    )
+    atom_copy = {atom: int(atom[1][1:]) - 1 for atom in atoms}
+    if atoms and rng.random() < 0.5:
+        dpa = ltl_to_dpa(random_ltl(rng, rng.randint(1, 4), atoms), atoms)
+    else:
+        dpa = random_dpa(rng, atoms, max_states=4)
+    return quants, dpa, atoms, atom_copy
+
+
+def initial_winner(built):
+    return built.game.initial in zielonka(built.game)[0].w0
+
+
+def test_random_blocks_keep_their_winner():
+    rng = random.Random(1206)
+    shared = smaller = 0
+    for _ in range(2000):
+        quants, dpa, atoms, atom_copy = random_block(rng)
+        raw = build_game(quants, dpa, atoms, atom_copy)
+        reduced = build_game(quotient_block(quants, atoms, atom_copy), dpa, atoms, atom_copy)
+        assert initial_winner(raw) == initial_winner(reduced)
+        shared += len({id(g) for _, g in quants}) < len(quants)
+        smaller += reduced.game.n_vertices < raw.game.n_vertices
+    assert shared >= 1000 and smaller >= 400
+
+
+def bisimulation(a, b) -> list[int]:
+    """Coarsest bisimulation on the disjoint union of games ``a`` and ``b``.
+
+    Two vertices are related iff they have the same owner and priority and
+    their successors reach the same classes (as sets: a repeated move adds
+    no choice).  ``a``'s vertices come first.
+    """
+    shift = a.n_vertices
+    succ = a.succ + [[t + shift for t in row] for row in b.succ]
+    kinds = {}
+    block = [kinds.setdefault(k, len(kinds)) for k in zip(a.owner + b.owner, a.priority + b.priority)]
+    while True:
+        signatures = {}
+        new = [
+            signatures.setdefault((block[v], frozenset(block[t] for t in row)), len(signatures))
+            for v, row in enumerate(succ)
+        ]
+        if new == block:
+            return block
+        block = new
+
+
+def assert_homomorphic_image(raw, reduced):
+    """Every raw vertex has a bisimilar quotient vertex with its owner, priority and winner."""
+    g, q = raw.game, reduced.game
+    block = bisimulation(g, q)
+    image = {block[g.n_vertices + u]: u for u in range(q.n_vertices)}
+    assert block[g.initial] == block[g.n_vertices + q.initial]
+    won, won_q = zielonka(g)[0], zielonka(q)[0]
+    for v in range(g.n_vertices):
+        u = image[block[v]]
+        assert (g.owner[v], g.priority[v]) == (q.owner[u], q.priority[u])
+        assert won.winner(v) == won_q.winner(u)
+
+
+def test_random_blocks_map_onto_their_quotient_game():
+    rng = random.Random(1207)
+    for _ in range(300):
+        quants, dpa, atoms, atom_copy = random_block(rng)
+        raw = build_game(quants, dpa, atoms, atom_copy)
+        reduced = build_game(quotient_block(quants, atoms, atom_copy), dpa, atoms, atom_copy)
+        assert_homomorphic_image(raw, reduced)
+
+
+def test_bundled_rows_map_onto_their_quotient_game(monkeypatch):
+    """The q1w1 and q2 rows of Table 5b, with the loaded structures put back."""
+    raw_of = {}
+    blocks = []
+    original_quotient, original_build = structures.quotient, arena.build_game
+
+    def quotient_spy(g, props):
+        q = original_quotient(g, props)
+        raw_of[id(q)] = g
+        return q
+
+    def build_spy(*args, **kwargs):
+        blocks.append(args)
+        return original_build(*args, **kwargs)
+
+    monkeypatch.setattr(structures, "quotient", quotient_spy)
+    monkeypatch.setattr(arena, "build_game", build_spy)
+    path = cli.bundled_asset("table5b.json")
+    names = []
+    for entry in json.loads(path.read_text())["entries"]:
+        if not entry["name"].startswith(("q1w1-", "q2-")):
+            continue
+        config = cli.CheckConfig(
+            systems=[cli.SystemSpec("G", str(path.parent / entry["program"]))],
+            prop=entry["prop"],
+            widths=entry.get("widths", {}),
+        )
+        cli.run(config)
+        names.append(entry["name"])
+        quants, dpa, atoms, atom_copy = blocks.pop()
+        raw_quants = [(coalition, raw_of[id(q)]) for coalition, q in quants]
+        raw = original_build(raw_quants, dpa, atoms, atom_copy)
+        reduced = original_build(quants, dpa, atoms, atom_copy)
+        assert reduced.game.n_vertices < raw.game.n_vertices, entry["name"]
+        assert_homomorphic_image(raw, reduced)
+    assert len(names) == 6
+
+
+def structure(labels, decisions, table):
+    return MSCGS(
+        name="S",
+        agents=("a", "b"),
+        stages={"a": 0, "b": 1},
+        props=frozenset({"x", "y"}),
+        labels=[frozenset(lab) for lab in labels],
+        decisions=decisions,
+        table=table,
+        initial=0,
+        state_names=[f"s{i}" for i in range(len(labels))],
+    )
+
+
+def test_states_merge_only_on_read_labels_and_equal_slots():
+    one = (("a", 1),)
+    g = structure(
+        labels=[{"x"}, {"x", "y"}, {"x"}, set()],
+        decisions=[(("a", 2),), one, one, (("b", 1),)],
+        table=[(1, 2), (3,), (3,), (3,)],
+    )
+    q = quotient(g, {"x"})
+    # s1 and s2 agree on x; y is not read
+    assert q.n_states == 3 and q.state_names == ["s0", "s1", "s3"]
+    assert q.props == frozenset({"x"}) and q.labels == [{"x"}, {"x"}, set()]
+    # both moves of s0 now lead to one class, so they merge
+    assert q.decisions[0] == (("a", 1),) and q.table[0] == (1,)
+    assert quotient(g, {"x", "y"}).n_states == 4
+
+
+def test_moves_merge_only_when_equal_for_every_co_move():
+    slots = (("a", 3), ("b", 2))
+    # rows by a's move: (1, 2), (1, 2), (1, 1); a's moves 0 and 1 agree
+    # for both moves of b, move 2 differs when b plays 1
+    g = structure(
+        labels=[set(), {"x"}, {"y"}],
+        decisions=[slots, (("a", 1),), (("a", 1),)],
+        table=[(1, 2, 1, 2, 1, 1), (1,), (2,)],
+    )
+    q = quotient(g, {"x", "y"})
+    assert q.n_states == 3
+    assert q.decisions[0] == (("a", 2), ("b", 2))
+    assert q.table[0] == (1, 2, 1, 1)
+    # with nothing read, every move of s0 leads to the class of s1 and s2
+    q = quotient(g, set())
+    assert q.n_states == 2
+    assert q.decisions[0] == (("a", 1), ("b", 1)) and q.table[0] == (1,)
+
+
+def test_table5b_runs_in_full_on_the_quotient():
+    rows, ok = cli.run_suite("table5b")
+    assert ok and len(rows) == 12
+    sizes = {r.name: r.sizes for r in rows}
+    assert sizes["q1w3-ni-async"]["game.vertices"] == 2118
+    assert sizes["q1w3-od-async"]["game.vertices"] == 810
+    # h[1..] is never read and h is not in the formula, so the stuttered
+    # q1 has 22 classes at every input width
+    for width, states in ((1, 62), (2, 122), (3, 242)):
+        for prop in ("od-async", "ni-async"):
+            row = sizes[f"q1w{width}-{prop}"]
+            assert row["system.G_stut.states"] == states
+            assert row["system.G_stut.classes"] == 22

@@ -166,6 +166,10 @@ def _expand_builtin(
     Returns (formula, systems map).
     """
     name, param = _parse_prop_name(prop)
+    if param is not None and name in ("od", "ni", "simsec", "od-async"):
+        raise ConfigError(f"builtin property {name!r} takes no parameter, got {prop!r}")
+    if body_file is not None and name != "ahltl":
+        raise ConfigError(f"--formula goes with --prop ahltl:n only, not with {prop!r}")
     base_id = base_spec.system_id
     systems = {base_id: base}
 

@@ -7,10 +7,18 @@ construction) → deterministic (node-tree construction with an index
 appearance record, skipped when the breakpoint automaton is already
 deterministic), with min-even parity acceptance throughout: a run is
 accepting iff the minimal colour seen infinitely often is even.
+
+A body that is an obligation (an ∧/∨ combination of safety and co-safety
+formulas) conjoined with ``G F`` literals skips the chain for the whole
+body: each maximal safety or co-safety subformula gets a deterministic
+automaton from the chain's first two stages, and their product, with the
+``G F`` conjuncts degeneralized by a set, is a DPA with colours {0, 1}.
+Every DPA then goes through the same tidy step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -338,18 +346,18 @@ def _safra_step(root, letter, nba):
 _DEAD = (None, (), 1)
 
 
-def _letter_classes(nba: NBA) -> tuple[list[int], list[int]]:
-    """Partition the letters by their column ``(trans[0][v], trans[1][v], ...)``.
+def _letter_classes(rows: Sequence[Sequence]) -> tuple[list[int], list[int]]:
+    """Partition the letters by their column ``(rows[0][v], rows[1][v], ...)``.
 
-    Letters with equal columns move every state alike, so determinization
-    and the quotients read one letter per class.  Returns the class of each
-    letter and the first letter of each class (its representative), in
-    increasing letter order.
+    Letters with equal columns of an automaton's ``trans`` move every state
+    alike, so determinization and the quotients read one letter per class.
+    Returns the class of each letter and the first letter of each class
+    (its representative), in increasing letter order.
     """
     ids: dict = {}
     cls: list[int] = []
     reps: list[int] = []
-    for letter, column in enumerate(zip(*nba.trans)):
+    for letter, column in enumerate(zip(*rows)):
         c = ids.setdefault(column, len(ids))
         if c == len(reps):
             reps.append(letter)
@@ -377,7 +385,7 @@ def nba_to_dpa(
     ``_letter_classes``) whose column on those states is new.  If ``stats``
     is a dict it receives the number of steps as ``safra_steps``.
     """
-    cls, reps = _letter_classes(nba) if classes is None else classes
+    cls, reps = _letter_classes(nba.trans) if classes is None else classes
     neutral = 2 * (nba.n_states + 2) + 3
     init_tree = (0, frozenset((nba.initial,)), ())
     init_key = (init_tree, (0,), neutral)
@@ -500,40 +508,226 @@ def deterministic_nba_to_dpa(nba: NBA) -> DPA:
     return DPA(nba.atoms, nba.initial, colors, trans)
 
 
+def _is_deterministic(nba: NBA) -> bool:
+    return all(len(succs) <= 1 for row in nba.trans for succs in row)
+
+
+# ---------------------------------------------------------------------------
+# Obligation ∧ G F bodies: a product of deterministic automata, no Safra
+#
+# An obligation is a Boolean combination of safety and co-safety formulas;
+# conjoined with ``G F ψ`` for propositional ``ψ`` it has a deterministic
+# Büchi automaton (Dax, Eisinger & Klaedtke, ATVA 2007; Esparza, Křetínský &
+# Sickert, LICS 2018).  Each leaf becomes a deterministic automaton that says
+# whether a prefix is still alive; the ``G F`` conjuncts are degeneralized by
+# the *set* of those seen since the last round, so permuting them (as the
+# copy swap of the arena does) permutes the states.
+
+_SAFETY, _COSAFETY = 1, 2
+
+
+def _kind(f: F.Ltl) -> int:
+    """Bit ``_SAFETY`` if ``f`` uses only literals, X, G and R; ``_COSAFETY`` if F, U for G, R."""
+    match f:
+        case F.Atom() | F.Not() | F.TrueF() | F.FalseF():
+            return _SAFETY | _COSAFETY
+        case F.And(l, r) | F.Or(l, r):
+            return _kind(l) & _kind(r)
+        case F.Next(h):
+            return _kind(h)
+        case F.Globally(h):
+            return _kind(h) & _SAFETY
+        case F.Release(l, r):
+            return _kind(l) & _kind(r) & _SAFETY
+        case F.Eventually(h):
+            return _kind(h) & _COSAFETY
+        case F.Until(l, r):
+            return _kind(l) & _kind(r) & _COSAFETY
+    raise TypeError(f"not an NNF node: {f!r}")
+
+
+def _combination(f: F.Ltl, leaves: list) -> Optional[object]:
+    """``f`` as an ∧/∨ tree over maximal safety and co-safety subformulas, or None.
+
+    Appends ``(safety formula, negated)`` per leaf to ``leaves``; a leaf
+    node is its index, an inner node ``(all, l, r)`` or ``(any, l, r)``.
+    A co-safety leaf holds iff its safety negation dies.
+    """
+    kind = _kind(f)
+    if kind:
+        if kind & _SAFETY:
+            leaves.append((f, False))
+        else:
+            leaves.append((F.to_nnf(F.Not(f)), True))
+        return len(leaves) - 1
+    if isinstance(f, (F.And, F.Or)):
+        l, r = _combination(f.left, leaves), _combination(f.right, leaves)
+        if l is not None and r is not None:
+            return (all if isinstance(f, F.And) else any, l, r)
+    return None
+
+
+def _holds(node, flags: Sequence[bool]) -> bool:
+    if isinstance(node, int):
+        return flags[node]
+    op, l, r = node
+    return op((_holds(l, flags), _holds(r, flags)))
+
+
+def _first_letter_truth(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> Optional[list[bool]]:
+    """Per letter, the truth of ``f`` if the first letter alone decides it, else None."""
+    apa = ltl_to_apa(f, atoms)
+    row = apa.trans[apa.initial]
+    if all(t == _TRUE or t == _FALSE for t in row):
+        return [t == _TRUE for t in row]
+    return None
+
+
+def _conjuncts(f: F.Ltl) -> list[F.Ltl]:
+    if isinstance(f, F.And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
+
+
+def _obligation_parts(f: F.Ltl, atoms: Sequence[tuple[str, str]]):
+    """``(leaves, combination, fair)`` if the NNF body ``f`` is an obligation ∧ G F, else None.
+
+    ``fair`` lists, per ``G F ψ`` conjunct whose ``ψ`` the first letter
+    decides, the truth of ``ψ`` per letter; the other conjuncts together
+    are the obligation.
+    """
+    fair, rest = [], []
+    for c in _conjuncts(f):
+        truth = None
+        if isinstance(c, F.Globally) and isinstance(c.operand, F.Eventually):
+            truth = _first_letter_truth(c.operand.operand, atoms)
+        if truth is None:
+            rest.append(c)
+        else:
+            fair.append(truth)
+    leaves: list = []
+    obligation = functools.reduce(F.And, rest) if rest else F.TrueF()
+    combination = _combination(obligation, leaves)
+    if combination is None:
+        return None
+    return leaves, combination, fair
+
+
+def _alive_automaton(nba: NBA, cap: int) -> DPA:
+    """Deterministic: colour 0 iff some run of ``nba``, all of whose states accept, is alive.
+
+    That is ``nba`` itself when it is deterministic, else its powerset with
+    the empty set as the only state of colour 1.
+    """
+    if _is_deterministic(nba):
+        return deterministic_nba_to_dpa(nba)
+    cls, reps = _letter_classes(nba.trans)
+
+    def row_of(key, number) -> list[int]:
+        ids = [number(frozenset(t for q in key for t in nba.trans[q][v])) for v in reps]
+        return [ids[c] for c in cls]
+
+    error = AutomatonCapError(f"state cap of {cap} exceeded in the powerset construction")
+    order, trans = explore(frozenset((nba.initial,)), row_of, cap, error)
+    return DPA(nba.atoms, 0, [0 if key else 1 for key in order], trans)
+
+
+def _obligation_product(leaves, combination, fair, atoms, cap):
+    """The DPA of an obligation ∧ G F body, its letter class representatives, and leaf sizes.
+
+    A state is (leaf states, the ``G F`` indices seen since the last round,
+    whether the last letter completed a round).  It has colour 0 iff the
+    leaves' flags satisfy ``combination`` and a round was just completed.
+    Alive flags only ever fall, so every cycle keeps them constant, and it
+    accepts iff they satisfy the combination and every ``ψ`` recurs on it.
+    With one leaf and no ``G F`` conjunct the product is the leaf's
+    automaton.  The sizes are the APA and NBA states summed over the leaves.
+    """
+    machines = []
+    sizes = [0, 0]
+    for leaf, _negated in leaves:
+        apa = ltl_to_apa(leaf, atoms)
+        nba = apa_to_nba(apa, cap=cap)
+        sizes[0] += apa.n_states
+        sizes[1] += nba.n_states
+        machines.append(_alive_automaton(nba, cap))
+    negated = [neg for _leaf, neg in leaves]
+    hits = [sum(truth[v] << i for i, truth in enumerate(fair)) for v in range(1 << len(atoms))]
+    full = (1 << len(fair)) - 1
+    cls, reps = _letter_classes([row for m in machines for row in m.trans] + [hits])
+    if len(machines) == 1 and not fair:
+        # one leaf: its automaton is the product, read through its flag
+        (m,), (neg,) = machines, negated
+        colors = [int((c == 0) == neg) for c in m.colors]
+        return DPA(m.atoms, m.initial, colors, m.trans), reps, sizes
+    tables = [m.trans for m in machines]
+
+    def row_of(key, number) -> list[int]:
+        states, seen, _wrapped = key
+        rows = [table[q] for table, q in zip(tables, states)]
+        ids = []
+        for v in reps:
+            nxt = tuple([row[v] for row in rows])
+            got = seen | hits[v]
+            ids.append(number((nxt, 0, 1) if got == full else (nxt, got, 0)))
+        return [ids[c] for c in cls]
+
+    init = (tuple(m.initial for m in machines), 0, int(full == 0))
+    error = AutomatonCapError(f"state cap of {cap} exceeded in the obligation product")
+    order, trans = explore(init, row_of, cap, error)
+    colors = []
+    for states, _seen, wrapped in order:
+        flags = [(m.colors[q] == 0) != neg for m, q, neg in zip(machines, states, negated)]
+        colors.append(0 if wrapped and _holds(combination, flags) else 1)
+    return DPA(tuple(atoms), 0, colors, trans), reps, sizes
+
+
 def ltl_to_dpa(
     f: F.Ltl,
     atoms: Optional[Sequence[tuple[str, str]]] = None,
     cap: int = 10**6,
     stats: Optional[dict] = None,
 ) -> DPA:
-    """Full chain: normal form, alternating, breakpoint, determinize, tidy.
+    """Full chain: normal form, deterministic automaton, tidy.
 
-    The letters are partitioned once by the breakpoint automaton's columns,
-    and determinization and the quotients work per letter class.  A
-    breakpoint automaton that is already deterministic skips
-    determinization.  Tidying is the one place the DPA is reduced:
-    quotient, neutral colours for states on no cycle, quotient, colour
-    compression.  If ``stats`` is a dict it receives the state counts
-    ``apa_states`` and ``nba_states``, whether the chain ``determinized``
-    and its ``safra_steps`` (0 without determinization).
+    A body that is an obligation conjoined with ``G F`` literals becomes a
+    product of deterministic automata per safety and co-safety leaf (see
+    :func:`_obligation_product`).  Any other body goes alternating →
+    breakpoint → determinization; the letters are partitioned once by the
+    breakpoint automaton's columns, and determinization and the quotients
+    work per letter class.  A breakpoint automaton that is already
+    deterministic skips determinization.  Tidying is the one place the DPA
+    is reduced: quotient, neutral colours for states on no cycle, quotient,
+    colour compression.  If ``stats`` is a dict it receives the state
+    counts ``apa_states`` and ``nba_states`` (summed over the leaves of a
+    product), whether the chain ``determinized`` and its ``safra_steps``
+    (0 without determinization).
     """
-    apa = ltl_to_apa(F.to_nnf(f), atoms)
-    nba = apa_to_nba(apa, cap=cap)
-    classes = _letter_classes(nba)
-    determinize = any(len(succs) > 1 for row in nba.trans for succs in row)
+    nnf = F.to_nnf(f)
+    if atoms is None:
+        atoms = F.collect_atoms(nnf)
     if stats is not None:
         stats["safra_steps"] = 0
-    if determinize:
-        dpa = nba_to_dpa(nba, cap, classes, stats)
+    parts = _obligation_parts(nnf, atoms)
+    determinize = False
+    if parts is not None:
+        dpa, reps, sizes = _obligation_product(*parts, atoms, cap)
     else:
-        dpa = deterministic_nba_to_dpa(nba)
-    # the DPA's columns are constant on the classes in both branches; both
+        apa = ltl_to_apa(nnf, atoms)
+        nba = apa_to_nba(apa, cap=cap)
+        sizes = [apa.n_states, nba.n_states]
+        classes = _letter_classes(nba.trans)
+        determinize = not _is_deterministic(nba)
+        if determinize:
+            dpa = nba_to_dpa(nba, cap, classes, stats)
+        else:
+            dpa = deterministic_nba_to_dpa(nba)
+        reps = classes[1]
+    # the DPA's columns are constant on the classes on every route; both
     # quotients stay: quotienting only after neutralizing merges less
-    reps = classes[1]
     dpa = _quotient(_neutralize_transient(_quotient(dpa, reps)), reps)
     if stats is not None:
-        stats["apa_states"] = apa.n_states
-        stats["nba_states"] = nba.n_states
+        stats["apa_states"], stats["nba_states"] = sizes
         stats["determinized"] = determinize
     return compress_colors(dpa)
 

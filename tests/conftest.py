@@ -14,6 +14,16 @@ ATOM_POOL = (("a", "p"), ("b", "p"), ("c", "p"))
 
 def random_ltl(rng: random.Random, size: int, atoms=ATOM_POOL, nnf_only: bool = True):
     """Random formula of the given size; sugar/negations only when allowed."""
+    unary = [F.Next, F.Globally, F.Eventually]
+    binary = [F.And, F.Or, F.Until, F.Release]
+    if not nnf_only:
+        unary.append(F.Not)
+        binary.extend([F.Implies, F.Iff])
+    return _random_formula(rng, size, atoms, unary, binary)
+
+
+def _random_formula(rng: random.Random, size: int, atoms, unary, binary):
+    """Random formula of the given size over the given operators."""
     if size <= 1:
         r = rng.random()
         if r < 0.1:
@@ -22,19 +32,36 @@ def random_ltl(rng: random.Random, size: int, atoms=ATOM_POOL, nnf_only: bool = 
             return F.FalseF()
         atom = F.Atom(*atoms[rng.randrange(len(atoms))])
         return F.Not(atom) if rng.random() < 0.3 else atom
-    unary = [F.Next, F.Globally, F.Eventually]
-    binary = [F.And, F.Or, F.Until, F.Release]
-    if not nnf_only:
-        unary.append(F.Not)
-        binary.extend([F.Implies, F.Iff])
     if rng.random() < 0.45:
-        return rng.choice(unary)(random_ltl(rng, size - 1, atoms, nnf_only))
+        return rng.choice(unary)(_random_formula(rng, size - 1, atoms, unary, binary))
     left = rng.randint(1, size - 1)
     op = rng.choice(binary)
     return op(
-        random_ltl(rng, left, atoms, nnf_only),
-        random_ltl(rng, size - left, atoms, nnf_only),
+        _random_formula(rng, left, atoms, unary, binary),
+        _random_formula(rng, size - left, atoms, unary, binary),
     )
+
+
+SAFETY_OPS = ([F.Next, F.Globally], [F.And, F.Or, F.Release])
+COSAFETY_OPS = ([F.Next, F.Eventually], [F.And, F.Or, F.Until])
+
+
+def random_obligation_body(rng: random.Random, atoms=ATOM_POOL):
+    """Random obligation ∧ G F body.
+
+    One to three random formulas of size 2–5, safety and co-safety in turn,
+    joined by random ∧/∨ and conjoined with zero to two ``G F`` literals.
+    """
+    body = None
+    turn = rng.randrange(2)
+    for i in range(rng.randint(1, 3)):
+        unary, binary = (SAFETY_OPS, COSAFETY_OPS)[(turn + i) % 2]
+        part = _random_formula(rng, rng.randint(2, 5), atoms, unary, binary)
+        body = part if body is None else rng.choice((F.And, F.Or))(body, part)
+    for _ in range(rng.randint(0, 2)):
+        atom = F.Atom(*rng.choice(atoms))
+        body = F.And(body, F.Globally(F.Eventually(rng.choice((atom, F.Not(atom))))))
+    return body
 
 
 def random_lasso(rng: random.Random, atoms, max_prefix: int = 4, max_loop: int = 4):

@@ -29,7 +29,7 @@ def spec(name, transforms=()):
     return SystemSpec("G", str(bundled_asset(name)), transforms)
 
 
-def test_run_reports_sizes_and_timings():
+def test_run_reports_sizes_and_timings(tmp_path):
     report = run(CheckConfig(systems=[spec("p1.imp")], prop="od"))
     assert report.verdict == "satisfied"
     assert report.sizes["system.G.states"] > 0
@@ -42,10 +42,20 @@ def test_run_reports_sizes_and_timings():
     assert report.sizes["dpa.determinized"] == 0
     assert report.sizes["dpa.safra_steps"] == 0
     assert report.sizes["dpa.states"] == 2
+    # the ni body is an obligation: a product of one automaton per leaf,
+    # whose APA and NBA states are summed
     ni = run(CheckConfig(systems=[spec("p1.imp")], prop="ni"))
-    assert ni.sizes["dpa.determinized"] == 1
-    assert ni.sizes["dpa.safra_steps"] == 30
-    assert ni.sizes["nba.states"] == 4
+    assert ni.sizes["dpa.determinized"] == 0
+    assert ni.sizes["dpa.safra_steps"] == 0
+    assert ni.sizes["apa.states"] == 16
+    assert ni.sizes["nba.states"] == 2
+    assert ni.sizes["dpa.states"] == 3
+    # F G is outside the obligation ∧ G F class and determinizes
+    fg = tmp_path / "fg.hatl"
+    fg.write_text("[ forall p1 . forall p2 . ] F G (o[0]{p1} <-> o[0]{p2})")
+    safra = run(CheckConfig(systems=[spec("p1.imp")], formula_file=str(fg)))
+    assert safra.sizes["dpa.determinized"] == 1
+    assert safra.sizes["dpa.safra_steps"] == 10
     # od and ni bind one system twice under equal coalitions; simsec and
     # sgni bind different systems
     assert report.sizes["game.swap_quotient"] == ni.sizes["game.swap_quotient"] == 1
@@ -280,6 +290,28 @@ def test_non_integer_sgni_lookahead_is_a_usage_error(capsys):
     assert "'x'" in usage_error(capsys, argv)
     argv = ["check", "--system", f"G={prog}", "--prop", "sgni:0"]
     assert "shift distance" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "prop, with_formula, message",
+    [
+        ("od:7", False, "'od' takes no parameter"),
+        ("ni:1", False, "'ni' takes no parameter"),
+        ("simsec:x", False, "'simsec' takes no parameter"),
+        ("od-async:2", False, "'od-async' takes no parameter"),
+        ("od", True, "--formula goes with --prop ahltl:n only"),
+        ("sgni:3", True, "--formula goes with --prop ahltl:n only"),
+        ("ni-async:r[0]", True, "--formula goes with --prop ahltl:n only"),
+    ],
+)
+def test_ignored_builtin_input_is_a_usage_error(capsys, tmp_path, prop, with_formula, message):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", prop]
+    if with_formula:
+        body = tmp_path / "f.hatl"
+        body.write_text("G (o[0]{p1} <-> o[0]{p2})")
+        argv += ["--formula", str(body)]
+    assert message in usage_error(capsys, argv)
 
 
 def test_non_integer_width_is_a_usage_error(capsys):

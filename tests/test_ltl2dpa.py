@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from conftest import ATOM_POOL, random_dpa, random_lasso, random_ltl
+from conftest import (
+    ATOM_POOL,
+    random_dpa,
+    random_lasso,
+    random_ltl,
+    random_obligation_body,
+    random_structure,
+)
 from oracles import (
     assignment_to_letter,
     brute_force_solve,
@@ -16,12 +23,16 @@ from oracles import (
 )
 from hyperatl import formula as F
 from hyperatl import props
+from hyperatl.arena import _copy_swap
 from hyperatl.formula import parse_ltl, to_nnf
 from hyperatl.ltl2dpa import (
     DPA,
     NBA,
+    AutomatonCapError,
+    _is_deterministic,
     _letter_classes,
     _neutralize_transient,
+    _obligation_parts,
     _quotient,
     apa_to_nba,
     compress_colors,
@@ -316,20 +327,24 @@ BUILTIN_BODIES = {
     "sgni:3": props.expand_sgni(["o[0]"], ["l[0]"], ["h[0]"], 3, "G", "G_shift3").body,
     "od-async": props.expand_od_async(["o[0]"], "G_stut").body,
     "ni-async": props.expand_ni_async(["o[0]"], ["l[0]"], "r[0]", "G_stut").body,
+    # outside the obligation ∧ G F class, with a nondeterministic NBA
+    "fg": parse_ltl("F G a{p}"),
 }
 
 # APA, NBA and DPA states, DPA colours, whether the chain determinized, and
-# its tree steps
+# its tree steps; the product route sums APA and NBA states over its leaves
 BUILTIN_SIZES = {
     "od": (8, 1, 2, 2, False, 0),
-    "ni": (17, 4, 7, 2, True, 30),
-    "simsec": (21, 7, 14, 2, True, 340),
+    "ni": (16, 2, 3, 2, False, 0),
+    "simsec": (20, 6, 8, 2, False, 0),
     "sgni:3": (43, 585, 586, 2, False, 0),
-    "od-async": (16, 9, 5, 2, False, 0),
-    "ni-async": (34, 27, 52, 3, True, 1021),
+    "od-async": (8, 1, 5, 2, False, 0),
+    "ni-async": (24, 3, 12, 2, False, 0),
+    "fg": (3, 2, 5, 3, True, 10),
 }
 
-SHORTCUT_BODIES = sorted(name for name, sizes in BUILTIN_SIZES.items() if not sizes[4])
+# the bodies whose whole breakpoint automaton is deterministic
+SHORTCUT_BODIES = ["od", "od-async", "sgni:3"]
 
 
 def guided_lasso(rng, dpa, atoms, dead):
@@ -355,25 +370,80 @@ def guided_lasso(rng, dpa, atoms, dead):
     return word[:split], word[split:]
 
 
+def tidy(raw, reps=None):
+    """The tidy step of ``ltl_to_dpa``, over full rows without ``reps``."""
+    return compress_colors(_quotient(_neutralize_transient(_quotient(raw, reps)), reps))
+
+
 @pytest.mark.parametrize("name", SHORTCUT_BODIES)
 def test_shortcut_agrees_with_determinization_and_oracle(name):
+    """The shortcut, Safra and the product all agree with the lasso oracle."""
     f = BUILTIN_BODIES[name]
     nnf = to_nnf(f)
     atoms = F.collect_atoms(nnf)
-    stats: dict = {}
-    dpa = ltl_to_dpa(f, atoms, stats=stats)
-    assert stats["determinized"] is False
-    determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
+    nba = apa_to_nba(ltl_to_apa(nnf, atoms))
+    assert _is_deterministic(nba)
+    shortcut = tidy(deterministic_nba_to_dpa(nba))
+    determinized = nba_to_dpa(nba)
+    dpa = ltl_to_dpa(f, atoms)
     rng = random.Random(31)
-    dead, _ = decided_states(dpa)
     verdicts = []
-    for _ in range(500):
-        pre, loop = guided_lasso(rng, dpa, atoms, dead)
-        expected = eval_lasso(f, pre, loop)
-        assert dpa_accepts_lasso(dpa, pre, loop) == expected
-        assert dpa_accepts_lasso(determinized, pre, loop) == expected
-        verdicts.append(expected)
+    for guide in (dpa, shortcut):
+        dead, _ = decided_states(guide)
+        for _ in range(250):
+            pre, loop = guided_lasso(rng, guide, atoms, dead)
+            expected = eval_lasso(f, pre, loop)
+            for automaton in (dpa, shortcut, determinized):
+                assert dpa_accepts_lasso(automaton, pre, loop) == expected
+            verdicts.append(expected)
     assert 50 <= sum(verdicts) <= 450
+
+
+# -- obligation ∧ G F bodies: the product route ------------------------------
+
+FOUR_ATOMS = ATOM_POOL + (("d", "p"),)
+
+
+def test_obligation_product_agrees_with_oracle_and_determinization():
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(400):
+        atoms = rng.choice((ATOM_POOL, FOUR_ATOMS))
+        f = random_obligation_body(rng, atoms)
+        nnf = to_nnf(f)
+        assert _obligation_parts(nnf, atoms) is not None, f
+        stats: dict = {}
+        dpa = ltl_to_dpa(f, atoms, stats=stats)
+        assert stats["safra_steps"] == 0 and not stats["determinized"]
+        determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
+        for guide in (dpa, determinized):
+            dead, _ = decided_states(guide)
+            for _ in range(5):
+                pre, loop = guided_lasso(rng, guide, atoms, dead)
+                expected = eval_lasso(f, pre, loop)
+                assert dpa_accepts_lasso(dpa, pre, loop) == expected, f
+                assert dpa_accepts_lasso(determinized, pre, loop) == expected, f
+                verdicts.append(expected)
+    assert len(verdicts) // 5 <= sum(verdicts) <= len(verdicts) * 4 // 5
+
+
+@pytest.mark.parametrize("name", ["od-async", "ni-async"])
+def test_product_keeps_the_copy_swap(name):
+    """Degeneralizing by a set leaves the DPA symmetric under swapping the copies."""
+    nnf = to_nnf(BUILTIN_BODIES[name])
+    atoms = F.collect_atoms(nnf)
+    assert _obligation_parts(nnf, atoms) is not None
+    g = random_structure(random.Random(0))
+    quants = [(frozenset({"sched"}), g)] * 2
+    atom_copy = {atom: int(atom[1] == "p2") for atom in atoms}
+    assert _copy_swap(quants, ltl_to_dpa(nnf, atoms), atoms, atom_copy) is not None
+
+
+def test_product_respects_the_state_cap():
+    f = BUILTIN_BODIES["ni-async"]
+    assert ltl_to_dpa(f, cap=100).n_states == 12
+    with pytest.raises(AutomatonCapError, match="cap of 5 exceeded in the obligation product"):
+        ltl_to_dpa(f, cap=5)
 
 
 def test_translation_sizes_of_builtin_bodies():
@@ -416,17 +486,23 @@ def tables(dpa):
 
 
 def assert_matches_per_letter(f, atoms):
-    """Raw and tidied DPAs equal those of one tree step per state and letter."""
+    """Raw and tidied DPAs equal those of one tree step per state and letter.
+
+    Determinization and the tidy step run per letter class, and the tidy
+    step reads full rows on the comparison side, as before letter classes.
+    A body outside the obligation ∧ G F class must come out of
+    ``ltl_to_dpa`` as that tidied DPA.
+    """
     nba = apa_to_nba(ltl_to_apa(to_nnf(f), atoms))
     per_letter = nba_to_dpa_per_letter(nba)
-    assert tables(nba_to_dpa(nba)) == tables(per_letter)
-    stats: dict = {}
-    dpa = ltl_to_dpa(f, atoms, stats=stats)
-    raw = per_letter if stats["determinized"] else deterministic_nba_to_dpa(nba)
-    # the tidy step over full rows, as before letter classes
-    tidied = compress_colors(_quotient(_neutralize_transient(_quotient(raw))))
-    assert tables(dpa) == tables(tidied)
-    return len(_letter_classes(nba)[1]), nba.n_letters
+    classes = _letter_classes(nba.trans)
+    assert tables(nba_to_dpa(nba, classes=classes)) == tables(per_letter)
+    raw = deterministic_nba_to_dpa(nba) if _is_deterministic(nba) else per_letter
+    tidied = tidy(raw)
+    assert tables(tidy(raw, classes[1])) == tables(tidied)
+    if _obligation_parts(to_nnf(f), atoms) is None:
+        assert tables(ltl_to_dpa(f, atoms)) == tables(tidied)
+    return len(classes[1]), nba.n_letters
 
 
 @pytest.mark.parametrize(
@@ -455,19 +531,25 @@ def test_wide_body_determinizes_per_letter_class():
     assert len(atoms) == 12
     stats: dict = {}
     start = time.perf_counter()
-    dpa = ltl_to_dpa(AHLTL_12, atoms, stats=stats)
+    nba = apa_to_nba(ltl_to_apa(to_nnf(AHLTL_12), atoms))
+    classes = _letter_classes(nba.trans)
+    dpa = tidy(nba_to_dpa(nba, classes=classes, stats=stats), classes[1])
     elapsed = time.perf_counter() - start
     # one step per letter and state would be 1,331,200
     assert stats["safra_steps"] == 6133
     assert elapsed < 5.0, f"translation took {elapsed:.1f} s"
+    # the body is in the obligation ∧ G F class, so ltl_to_dpa takes the product
+    product = ltl_to_dpa(AHLTL_12, atoms)
     rng = random.Random(37)
-    dead, _ = decided_states(dpa)
     verdicts = []
-    for _ in range(200):
-        pre, loop = guided_lasso(rng, dpa, atoms, dead)
-        expected = eval_lasso(AHLTL_12, pre, loop)
-        assert dpa_accepts_lasso(dpa, pre, loop) == expected
-        verdicts.append(expected)
+    for guide in (dpa, product):
+        dead, _ = decided_states(guide)
+        for _ in range(100):
+            pre, loop = guided_lasso(rng, guide, atoms, dead)
+            expected = eval_lasso(AHLTL_12, pre, loop)
+            assert dpa_accepts_lasso(dpa, pre, loop) == expected
+            assert dpa_accepts_lasso(product, pre, loop) == expected
+            verdicts.append(expected)
     assert 0 < sum(verdicts) < 200
     start = time.perf_counter()
     dot = export_dot(dpa)

@@ -228,7 +228,7 @@ def test_table5b_runs_in_full_on_the_quotient():
     rows, ok = cli.run_suite("table5b")
     assert ok and len(rows) == 12
     sizes = {r.name: r.sizes for r in rows}
-    assert sizes["q1w3-ni-async"]["game.vertices"] == 2118
+    assert sizes["q1w3-ni-async"]["game.vertices"] == 2437
     assert sizes["q1w3-od-async"]["game.vertices"] == 810
     # h[1..] is never read and h is not in the formula, so the stuttered
     # q1 has 22 classes at every input width

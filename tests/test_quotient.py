@@ -237,3 +237,8 @@ def test_table5b_runs_in_full_on_the_quotient():
             row = sizes[f"q1w{width}-{prop}"]
             assert row["system.G_stut.states"] == states
             assert row["system.G_stut.classes"] == 22
+    # the asynchronous bodies' automata keep the copy swap
+    for name, row in sizes.items():
+        if name.endswith("-async"):
+            assert row["game.swap_quotient"] == 1, name
+            assert row["dpa.safra_steps"] == 0, name

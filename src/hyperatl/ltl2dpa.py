@@ -11,15 +11,17 @@ accepting iff the minimal colour seen infinitely often is even.
 A body that is an obligation (an ∧/∨ combination of safety and co-safety
 formulas) conjoined with ``G F`` literals skips the chain for the whole
 body: each maximal safety or co-safety subformula gets a deterministic
-automaton from the chain's first two stages, and their product, with the
-``G F`` conjuncts degeneralized by a set, is a DPA with colours {0, 1}.
-Every DPA then goes through the same tidy step.
+automaton by one subset construction on its alternating automaton, over
+antichains of state sets and one letter class at a time, and their
+product, with the ``G F`` conjuncts degeneralized by a set, is a DPA with
+colours {0, 1}.  Every DPA then goes through the same tidy step.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Optional, Sequence
 
 from . import formula as F
@@ -467,12 +469,15 @@ def _neutralize_transient(dpa: DPA) -> DPA:
 
     Such states are visited at most once per run, so their colour never
     decides acceptance; a uniform choice lets the quotient merge them.
+    Returns ``dpa`` itself if no colour changes.
     """
     on_cycle = [bits != 0 for bits in cycle_parities(_distinct_successors(dpa), dpa.colors)]
     if all(on_cycle):
         return dpa
     fill = min(dpa.colors[q] for q in range(dpa.n_states) if on_cycle[q])
     colors = [c if cyc else fill for c, cyc in zip(dpa.colors, on_cycle)]
+    if colors == dpa.colors:
+        return dpa
     return DPA(dpa.atoms, dpa.initial, colors, dpa.trans)
 
 
@@ -613,23 +618,81 @@ def _obligation_parts(f: F.Ltl, atoms: Sequence[tuple[str, str]]):
     return leaves, combination, fair
 
 
-def _alive_automaton(nba: NBA, cap: int) -> DPA:
-    """Deterministic: colour 0 iff some run of ``nba``, all of whose states accept, is alive.
+def _minimal(sets: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of bitmask sets, ordered by size and then by value."""
+    out: list[int] = []
+    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+        if all(t & s != t for t in out):
+            out.append(s)
+    return tuple(out)
 
-    That is ``nba`` itself when it is deterministic, else its powerset with
-    the empty set as the only state of colour 1.
+
+def _safety_automaton(apa: APA, cap: int) -> DPA:
+    """Deterministic: colour 0 iff the prefix read so far leaves ``apa`` a run tree.
+
+    Every state of a safety APA has colour 0, so its word is accepted iff
+    some run tree never gets stuck, and a subset construction decides that
+    prefix by prefix.  A state is the antichain of the sets of APA states
+    that the surviving run trees track, each set a bitmask: a superset dies
+    whenever the set it contains does, so it is dropped (De Wulf, Doyen,
+    Henzinger & Raskin, CAV 2006).  The empty antichain is the dead state,
+    the only one of colour 1.  The letters are partitioned once by the
+    APA's columns, and each set steps once per class.
     """
-    if _is_deterministic(nba):
-        return deterministic_nba_to_dpa(nba)
-    cls, reps = _letter_classes(nba.trans)
+    cls, reps = _letter_classes(apa.trans)
+    models = [[[sum(1 << t for t in m) for m in row[v]] for v in reps] for row in apa.trans]
+    # One field of ``width`` bits per class holds a state's single model, or
+    # a flag above the states' bits if it has none or several.  ORed over a
+    # set's members, the fields give the union of the single models and say
+    # whether the set is stuck or needs a product of the several models.
+    stuck, several = 1 << apa.n_states, 2 << apa.n_states
+    width = apa.n_states + 2
+    field = (1 << width) - 1
+    shifts = [c * width for c in range(len(reps))]
+    packed = [
+        sum(
+            (got[0] if len(got) == 1 else several if got else stuck) << shift
+            for shift, got in zip(shifts, row)
+        )
+        for row in models
+    ]
+
+    def combine(members: list[int], c: int, joined: int) -> tuple[int, ...]:
+        """The antichain of ``joined`` ORed with each choice of the several models."""
+        choices = [models[q][c] for q in members if len(models[q][c]) > 1]
+        return _minimal(
+            functools.reduce(operator.or_, combo, joined) for combo in itertools.product(*choices)
+        )
+
+    def step(s: int) -> list[tuple[int, ...]]:
+        """Per class, the antichain of successor sets of the set ``s``."""
+        members = [q for q in range(apa.n_states) if s >> q & 1]
+        joined = 0
+        for q in members:
+            joined |= packed[q]
+        fields = [joined >> shift & field for shift in shifts]
+        return [
+            (j,) if j < stuck else () if j & stuck else combine(members, c, j ^ several)
+            for c, j in enumerate(fields)
+        ]
 
     def row_of(key, number) -> list[int]:
-        ids = [number(frozenset(t for q in key for t in nba.trans[q][v])) for v in reps]
-        return [ids[c] for c in cls]
+        if not key:
+            return [number(key)] * apa.n_letters
+        rows = [step(s) for s in key]
+        if len(rows) == 1:
+            succ = rows[0]
+        else:
+            succ = [_minimal(itertools.chain(*sets)) for sets in zip(*rows)]
+        # number each distinct successor once, in the order of its first class
+        ids = dict.fromkeys(succ)
+        for sets in ids:
+            ids[sets] = number(sets)
+        return [ids[succ[c]] for c in cls]
 
-    error = AutomatonCapError(f"state cap of {cap} exceeded in the powerset construction")
-    order, trans = explore(frozenset((nba.initial,)), row_of, cap, error)
-    return DPA(nba.atoms, 0, [0 if key else 1 for key in order], trans)
+    error = AutomatonCapError(f"state cap of {cap} exceeded in the safety automaton")
+    order, trans = explore((1 << apa.initial,), row_of, cap, error)
+    return DPA(apa.atoms, 0, [0 if key else 1 for key in order], trans)
 
 
 def _obligation_product(leaves, combination, fair, atoms, cap):
@@ -641,16 +704,16 @@ def _obligation_product(leaves, combination, fair, atoms, cap):
     Alive flags only ever fall, so every cycle keeps them constant, and it
     accepts iff they satisfy the combination and every ``ψ`` recurs on it.
     With one leaf and no ``G F`` conjunct the product is the leaf's
-    automaton.  The sizes are the APA and NBA states summed over the leaves.
+    automaton.  The sizes are the states of the leaves' APAs and of their
+    safety automata, each summed over the leaves.
     """
     machines = []
     sizes = [0, 0]
     for leaf, _negated in leaves:
         apa = ltl_to_apa(leaf, atoms)
-        nba = apa_to_nba(apa, cap=cap)
+        machines.append(_safety_automaton(apa, cap))
         sizes[0] += apa.n_states
-        sizes[1] += nba.n_states
-        machines.append(_alive_automaton(nba, cap))
+        sizes[1] += machines[-1].n_states
     negated = [neg for _leaf, neg in leaves]
     hits = [sum(truth[v] << i for i, truth in enumerate(fair)) for v in range(1 << len(atoms))]
     full = (1 << len(fair)) - 1
@@ -691,17 +754,20 @@ def ltl_to_dpa(
     """Full chain: normal form, deterministic automaton, tidy.
 
     A body that is an obligation conjoined with ``G F`` literals becomes a
-    product of deterministic automata per safety and co-safety leaf (see
-    :func:`_obligation_product`).  Any other body goes alternating →
+    product of deterministic automata per safety and co-safety leaf, each
+    built straight from the leaf's alternating automaton (see
+    :func:`_safety_automaton` and :func:`_obligation_product`); this route
+    builds no breakpoint automaton.  Any other body goes alternating →
     breakpoint → determinization; the letters are partitioned once by the
     breakpoint automaton's columns, and determinization and the quotients
     work per letter class.  A breakpoint automaton that is already
     deterministic skips determinization.  Tidying is the one place the DPA
-    is reduced: quotient, neutral colours for states on no cycle, quotient,
-    colour compression.  If ``stats`` is a dict it receives the state
-    counts ``apa_states`` and ``nba_states`` (summed over the leaves of a
-    product), whether the chain ``determinized`` and its ``safra_steps``
-    (0 without determinization).
+    is reduced: quotient, neutral colours for states on no cycle, a second
+    quotient if that changed a colour, colour compression.  If ``stats`` is
+    a dict it receives the state counts ``apa_states`` and ``nba_states``
+    (on a product, the states of the leaves' APAs and safety automata,
+    dead states included, each summed over the leaves), whether the chain
+    ``determinized`` and its ``safra_steps`` (0 without determinization).
     """
     nnf = F.to_nnf(f)
     if atoms is None:
@@ -724,8 +790,12 @@ def ltl_to_dpa(
             dpa = deterministic_nba_to_dpa(nba)
         reps = classes[1]
     # the DPA's columns are constant on the classes on every route; both
-    # quotients stay: quotienting only after neutralizing merges less
-    dpa = _quotient(_neutralize_transient(_quotient(dpa, reps)), reps)
+    # quotients stay: quotienting only after neutralizing merges less, and
+    # the second one has nothing to merge unless a colour changed
+    dpa = _quotient(dpa, reps)
+    neutral = _neutralize_transient(dpa)
+    if neutral is not dpa:
+        dpa = _quotient(neutral, reps)
     if stats is not None:
         stats["apa_states"], stats["nba_states"] = sizes
         stats["determinized"] = determinize
@@ -787,7 +857,11 @@ def _cubes(letters: list[int], n_bits: int) -> list[str]:
 
 
 def export_dot(dpa: DPA, name: str = "dpa") -> str:
-    """Deterministic DOT rendering; edge labels are assignment cubes."""
+    """Deterministic DOT rendering; edge labels are assignment cubes.
+
+    An edge's letters are a union of the DPA's letter classes, so the rows
+    are read once per class and each distinct union is labelled once.
+    """
     n_bits = len(dpa.atoms)
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
     atom_names = " ".join(f"{p}{{{v}}}" for p, v in dpa.atoms)
@@ -795,12 +869,22 @@ def export_dot(dpa: DPA, name: str = "dpa") -> str:
     for q in range(dpa.n_states):
         shape = "doublecircle" if q == dpa.initial else "circle"
         lines.append(f'  q{q} [label="q{q} c{dpa.colors[q]}", shape={shape}];')
+    cls, reps = _letter_classes(dpa.trans)
+    letters_of: list[list[int]] = [[] for _ in reps]
+    for letter, c in enumerate(cls):
+        letters_of[c].append(letter)
+    labels: dict[tuple[int, ...], str] = {}
     for q in range(dpa.n_states):
         by_target: dict[int, list[int]] = {}
-        for letter, t in enumerate(dpa.trans[q]):
-            by_target.setdefault(t, []).append(letter)
+        for c, letter in enumerate(reps):
+            by_target.setdefault(dpa.trans[q][letter], []).append(c)
         for t in sorted(by_target):
-            label = " | ".join(_cubes(by_target[t], n_bits)) if n_bits else "*"
+            classes = tuple(by_target[t])
+            label = labels.get(classes)
+            if label is None:
+                letters = [v for c in classes for v in letters_of[c]]
+                label = " | ".join(_cubes(letters, n_bits)) if n_bits else "*"
+                labels[classes] = label
             lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -46,6 +46,11 @@ SAFETY_OPS = ([F.Next, F.Globally], [F.And, F.Or, F.Release])
 COSAFETY_OPS = ([F.Next, F.Eventually], [F.And, F.Or, F.Until])
 
 
+def random_safety_formula(rng: random.Random, size: int, atoms=ATOM_POOL):
+    """Random safety formula (literals, X, G, ∧, ∨, R) of the given size."""
+    return _random_formula(rng, size, atoms, *SAFETY_OPS)
+
+
 def random_obligation_body(rng: random.Random, atoms=ATOM_POOL):
     """Random obligation ∧ G F body.
 

@@ -3,9 +3,12 @@
 ``eval_lasso`` evaluates a formula bottom-up over an ultimately periodic
 word, ``dpa_accepts_lasso`` runs a deterministic parity automaton on one,
 and ``brute_force_solve`` solves a small parity game by enumerating
-positional strategy pairs.  ``nba_to_dpa_per_letter`` is the exception: it
+positional strategy pairs.  Two are exceptions.  ``nba_to_dpa_per_letter``
 determinizes with the checker's own tree step, but runs it once per letter
 and state, so it judges the grouping of letters into classes, not the step.
+``safety_automaton_via_nba`` builds a safety leaf's deterministic automaton
+the long way, through the checker's breakpoint automaton, so it judges the
+direct subset construction on antichains.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from typing import Mapping, Sequence
 
 from hyperatl import formula as F
 from hyperatl.graph import explore
-from hyperatl.ltl2dpa import _DEAD, DPA, NBA, AutomatonCapError, _safra_step
+from hyperatl.ltl2dpa import (
+    _DEAD,
+    APA,
+    DPA,
+    NBA,
+    AutomatonCapError,
+    _safra_step,
+    apa_to_nba,
+    deterministic_nba_to_dpa,
+)
 from hyperatl.solver import ParityGame, WinningRegions
 
 Assignment = Mapping[tuple[str, str], bool]
@@ -172,6 +184,30 @@ def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:
     order, trans = explore(init_key, row_of, cap, error)
     colors = [key[2] for key in order]
     return DPA(nba.atoms, 0, colors, trans)
+
+
+def safety_automaton_via_nba(apa: APA) -> DPA:
+    """Colour 0 iff some run of ``apa``'s breakpoint automaton is alive.
+
+    Every state of a safety APA has colour 0, so every state of its
+    breakpoint automaton accepts.  The breakpoint automaton is read as the
+    DPA when it is deterministic (with a rejecting sink for empty rows),
+    and otherwise its powerset is built letter by letter, with the empty
+    set as the only state of colour 1.
+    """
+    assert not any(apa.colors), "a safety APA has colour 0 everywhere"
+    nba = apa_to_nba(apa)
+    if all(len(succs) <= 1 for row in nba.trans for succs in row):
+        return deterministic_nba_to_dpa(nba)
+
+    def row_of(key, number) -> list[int]:
+        return [
+            number(frozenset(t for q in key for t in nba.trans[q][v]))
+            for v in range(nba.n_letters)
+        ]
+
+    order, trans = explore(frozenset((nba.initial,)), row_of)
+    return DPA(nba.atoms, 0, [0 if key else 1 for key in order], trans)
 
 
 def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:

@@ -36,19 +36,20 @@ def test_run_reports_sizes_and_timings(tmp_path):
     assert report.sizes["game.vertices"] > 0
     assert 0 < report.sizes["game.automaton_vertices"] < report.sizes["game.vertices"]
     assert report.sizes["game.sink_vertices"] <= 2
-    # the od body's breakpoint automaton is one state with no choice
+    # the od body is one safety leaf: its automaton is one live state and
+    # the dead state
     assert report.sizes["apa.states"] == 8
-    assert report.sizes["nba.states"] == 1
+    assert report.sizes["nba.states"] == 2
     assert report.sizes["dpa.determinized"] == 0
     assert report.sizes["dpa.safra_steps"] == 0
     assert report.sizes["dpa.states"] == 2
     # the ni body is an obligation: a product of one automaton per leaf,
-    # whose APA and NBA states are summed
+    # whose APA states and safety automaton states are summed
     ni = run(CheckConfig(systems=[spec("p1.imp")], prop="ni"))
     assert ni.sizes["dpa.determinized"] == 0
     assert ni.sizes["dpa.safra_steps"] == 0
     assert ni.sizes["apa.states"] == 16
-    assert ni.sizes["nba.states"] == 2
+    assert ni.sizes["nba.states"] == 4
     assert ni.sizes["dpa.states"] == 3
     # F G is outside the obligation ∧ G F class and determinizes
     fg = tmp_path / "fg.hatl"

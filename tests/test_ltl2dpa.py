@@ -11,6 +11,7 @@ from conftest import (
     random_lasso,
     random_ltl,
     random_obligation_body,
+    random_safety_formula,
     random_structure,
 )
 from oracles import (
@@ -20,11 +21,13 @@ from oracles import (
     eval_lasso,
     letter_to_assignment,
     nba_to_dpa_per_letter,
+    safety_automaton_via_nba,
 )
 from hyperatl import formula as F
-from hyperatl import props
+from hyperatl import ltl2dpa, props
 from hyperatl.arena import _copy_swap
 from hyperatl.formula import parse_ltl, to_nnf
+from hyperatl.graph import explore
 from hyperatl.ltl2dpa import (
     DPA,
     NBA,
@@ -34,6 +37,7 @@ from hyperatl.ltl2dpa import (
     _neutralize_transient,
     _obligation_parts,
     _quotient,
+    _safety_automaton,
     apa_to_nba,
     compress_colors,
     decided_states,
@@ -332,14 +336,15 @@ BUILTIN_BODIES = {
 }
 
 # APA, NBA and DPA states, DPA colours, whether the chain determinized, and
-# its tree steps; the product route sums APA and NBA states over its leaves
+# its tree steps; the product route sums the APA states and the states of the
+# safety automata (dead state included) over its leaves in place of NBA states
 BUILTIN_SIZES = {
-    "od": (8, 1, 2, 2, False, 0),
-    "ni": (16, 2, 3, 2, False, 0),
-    "simsec": (20, 6, 8, 2, False, 0),
-    "sgni:3": (43, 585, 586, 2, False, 0),
-    "od-async": (8, 1, 5, 2, False, 0),
-    "ni-async": (24, 3, 12, 2, False, 0),
+    "od": (8, 2, 2, 2, False, 0),
+    "ni": (16, 4, 3, 2, False, 0),
+    "simsec": (20, 8, 8, 2, False, 0),
+    "sgni:3": (43, 586, 586, 2, False, 0),
+    "od-async": (8, 2, 5, 2, False, 0),
+    "ni-async": (24, 6, 12, 2, False, 0),
     "fg": (3, 2, 5, 3, True, 10),
 }
 
@@ -402,6 +407,7 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
 # -- obligation ∧ G F bodies: the product route ------------------------------
 
 FOUR_ATOMS = ATOM_POOL + (("d", "p"),)
+WIDE_POOL = tuple((name, "p") for name in "abcdef")  # 64 letters
 
 
 def test_obligation_product_agrees_with_oracle_and_determinization():
@@ -446,6 +452,51 @@ def test_product_respects_the_state_cap():
         ltl_to_dpa(f, cap=5)
 
 
+def test_product_route_builds_no_breakpoint_automaton(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product route called apa_to_nba")
+
+    monkeypatch.setattr(ltl2dpa, "apa_to_nba", refuse)
+    for name, f in BUILTIN_BODIES.items():
+        if name != "fg":
+            ltl_to_dpa(f)
+    rng = random.Random(67)
+    for _ in range(50):
+        ltl_to_dpa(random_obligation_body(rng), ATOM_POOL)
+
+
+def test_safety_automaton_respects_the_state_cap():
+    f = BUILTIN_BODIES["sgni:3"]
+    assert ltl_to_dpa(f, cap=586).n_states == 586
+    with pytest.raises(AutomatonCapError, match="cap of 585 exceeded in the safety automaton"):
+        ltl_to_dpa(f, cap=585)
+
+
+def bfs_renumbered(dpa):
+    """Initial state, colours and rows of ``dpa``, its states numbered breadth-first."""
+    order, rows = explore(dpa.initial, lambda q, number: [number(t) for t in dpa.trans[q]])
+    return 0, [dpa.colors[q] for q in order], rows
+
+
+@pytest.mark.parametrize(
+    "seed, count, pool", [(71, 300, ATOM_POOL), (73, 200, WIDE_POOL)], ids=["3-atoms", "6-atoms"]
+)
+def test_safety_automaton_matches_the_breakpoint_route(seed, count, pool):
+    """The subset construction on antichains tidies to the powerset of the breakpoint automaton."""
+    rng = random.Random(seed)
+    several = dying = 0
+    for _ in range(count):
+        f = random_safety_formula(rng, rng.randint(3, 10), pool)
+        apa = ltl_to_apa(f, pool)
+        direct = _safety_automaton(apa, 10**6)
+        reference = safety_automaton_via_nba(apa)
+        assert bfs_renumbered(tidy(direct)) == bfs_renumbered(tidy(reference)), f
+        several += any(len(models) > 1 for row in apa.trans for models in row)
+        dying += 1 in direct.colors
+    # many leaves have entries with several models, and most can die
+    assert several >= count // 5 and dying > count // 2, (several, dying)
+
+
 def test_translation_sizes_of_builtin_bodies():
     for name, f in BUILTIN_BODIES.items():
         stats: dict = {}
@@ -462,9 +513,6 @@ def test_translation_sizes_of_builtin_bodies():
 
 
 # -- determinization per letter class ------------------------------------------
-
-WIDE_POOL = tuple((name, "p") for name in "abcdef")  # 64 letters
-
 
 def ahltl_body(text):
     return props.expand_ahltl(3, parse_ltl(text), "G_stut").body

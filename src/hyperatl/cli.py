@@ -89,11 +89,14 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _int(text: str, what: str) -> int:
+def _int(value: object, what: str) -> int:
+    """``value`` read as an integer: a string of one, or an ``int`` that is no ``bool``."""
     try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} expects an integer, got {text!r}") from None
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{what} expects an integer, got {value!r}")
 
 
 def _read_text(path, what: str) -> str:

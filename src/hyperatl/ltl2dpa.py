@@ -36,11 +36,11 @@ class AutomatonCapError(Exception):
 # Alternating parity automata (colors 0/1) built structurally from NNF input.
 #
 # A transition is kept in minimal-model form: the antichain of minimal state
-# sets whose joint acceptance satisfies it, so ``()`` is false and
-# ``(frozenset(),)`` is true.
+# sets whose joint acceptance satisfies it, each set a bitmask over the
+# states (bit ``q`` for state ``q``), so ``()`` is false and ``(0,)`` is true.
 
 _FALSE: tuple = ()
-_TRUE = (frozenset(),)
+_TRUE = (0,)
 
 
 class _Automaton:
@@ -59,7 +59,7 @@ class _Automaton:
 
 class APA(_Automaton):
     def __init__(self, atoms, initial, colors, trans):
-        super().__init__(atoms, initial, trans)  # antichains of successor sets
+        super().__init__(atoms, initial, trans)  # antichains of successor bitmasks
         self.colors = colors  # per state, 0 or 1
 
 
@@ -120,38 +120,37 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
     return APA(atoms, initial, colors, trans)
 
 
-def _antichain(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    """Minimal elements only, ordered by size and then by sorted elements."""
-    pool = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    out: list[frozenset] = []
-    for s in pool:
-        if not any(t <= s for t in out):
+def _minimal(sets: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of bitmask sets, ordered by size and then by value."""
+    out: list[int] = []
+    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+        if all(t & s != t for t in out):
             out.append(s)
     return tuple(out)
 
 
-def _goto(q: int) -> tuple[frozenset, ...]:
-    return (frozenset((q,)),)
+def _goto(q: int) -> tuple[int, ...]:
+    return (1 << q,)
 
 
 # Operands are canonical antichains, so a constant operand gives the other
 # operand (or the constant) as it is.
 
 
-def _or(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+def _or(a: tuple, b: tuple) -> tuple[int, ...]:
     if not a or b == _TRUE:
         return b
     if not b or a == _TRUE:
         return a
-    return _antichain(a + b)
+    return _minimal(a + b)
 
 
-def _and(a: tuple, b: tuple) -> tuple[frozenset, ...]:
+def _and(a: tuple, b: tuple) -> tuple[int, ...]:
     if not a or b == _TRUE:
         return a
     if not b or a == _TRUE:
         return b
-    return _antichain(x | y for x in a for y in b)
+    return _minimal(x | y for x in a for y in b)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +172,10 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
     """
     if any(c not in (0, 1) for c in apa.colors):
         raise ValueError("unsupported input: breakpoint construction needs colors in {0,1}")
-    fstates = frozenset(q for q in range(apa.n_states) if apa.colors[q] == 0)
+    fstates = sum(1 << q for q in range(apa.n_states) if apa.colors[q] == 0)
     models = apa.trans  # minimal successor sets per state and letter
-    init = (frozenset((apa.initial,)), frozenset((apa.initial,)) - fstates)
+    start = 1 << apa.initial
+    init = (start, start & ~fstates)
 
     def row_of(key, number) -> list[tuple[int, ...]]:
         big, owing = key
@@ -184,8 +184,8 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
         # union per combination keeps each branch's choice visible to the
         # breakpoint component (a globally minimal set could hide the escape
         # one owing branch needs)
-        states = sorted(big)
-        owing_at = [i for i, q in enumerate(states) if q in owing]
+        states = [q for q in range(apa.n_states) if big >> q & 1]
+        owing_at = [i for i, q in enumerate(states) if owing >> q & 1]
         for letter in range(apa.n_letters):
             choices = []
             for q in states:
@@ -198,12 +198,12 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
             else:
                 succs = set()
                 for combo in itertools.product(*choices):
-                    nxt_big = frozenset().union(*combo)
+                    nxt_big = functools.reduce(operator.or_, combo, 0)
                     if owing:
-                        nxt_owing = frozenset().union(*(combo[i] for i in owing_at))
+                        nxt_owing = functools.reduce(operator.or_, (combo[i] for i in owing_at), 0)
                     else:
                         nxt_owing = nxt_big
-                    succs.add(number((nxt_big, nxt_owing - fstates)))
+                    succs.add(number((nxt_big, nxt_owing & ~fstates)))
                 row.append(tuple(sorted(succs)))
         return row
 
@@ -618,15 +618,6 @@ def _obligation_parts(f: F.Ltl, atoms: Sequence[tuple[str, str]]):
     return leaves, combination, fair
 
 
-def _minimal(sets: Iterable[int]) -> tuple[int, ...]:
-    """The antichain of bitmask sets, ordered by size and then by value."""
-    out: list[int] = []
-    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
-        if all(t & s != t for t in out):
-            out.append(s)
-    return tuple(out)
-
-
 def _safety_automaton(apa: APA, cap: int) -> DPA:
     """Deterministic: colour 0 iff the prefix read so far leaves ``apa`` a run tree.
 
@@ -640,7 +631,7 @@ def _safety_automaton(apa: APA, cap: int) -> DPA:
     APA's columns, and each set steps once per class.
     """
     cls, reps = _letter_classes(apa.trans)
-    models = [[[sum(1 << t for t in m) for m in row[v]] for v in reps] for row in apa.trans]
+    models = [[row[v] for v in reps] for row in apa.trans]
     # One field of ``width`` bits per class holds a state's single model, or
     # a flag above the states' bits if it has none or several.  ORed over a
     # set's members, the fields give the union of the single models and say

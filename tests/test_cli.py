@@ -333,11 +333,15 @@ def test_manifest_entry_without_program_is_a_usage_error(tmp_path, capsys):
     assert "'program'" in usage_error(capsys, ["suite", "--manifest", str(m)])
 
 
-def test_non_integer_manifest_width_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "width, shown", [("z", "'z'"), (2.7, "2.7"), (True, "True")], ids=["string", "float", "bool"]
+)
+def test_non_integer_manifest_width_is_a_usage_error(tmp_path, capsys, width, shown):
     m = tmp_path / "m.json"
     entry = {"name": "case", "program": str(bundled_asset("q1.imp")), "prop": "od"}
-    m.write_text(json.dumps({"entries": [dict(entry, widths={"h": "z"})]}))
-    assert "'z'" in usage_error(capsys, ["suite", "--manifest", str(m)])
+    m.write_text(json.dumps({"entries": [dict(entry, widths={"h": width})]}))
+    message = usage_error(capsys, ["suite", "--manifest", str(m)])
+    assert f"case: width of h expects an integer, got {shown}" in message
 
 
 def test_unknown_manifest_transform_is_a_usage_error(tmp_path, capsys):

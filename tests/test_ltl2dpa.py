@@ -34,6 +34,7 @@ from hyperatl.ltl2dpa import (
     AutomatonCapError,
     _is_deterministic,
     _letter_classes,
+    _minimal,
     _neutralize_transient,
     _obligation_parts,
     _quotient,
@@ -70,8 +71,8 @@ def all_lassos(atoms, max_total):
 
 # -- structural checks on the alternating automaton ---------------------------
 #
-# A transition is the antichain of minimal successor sets: () is false and
-# (frozenset(),) is true.
+# A transition is the antichain of minimal successor sets, each a bitmask
+# over the states: () is false and (0,) is true.
 
 
 def letter_of(atoms, *true_atoms):
@@ -83,7 +84,7 @@ def test_apa_literal_single_state():
     assert apa.n_states == 1
     assert apa.colors == [0]
     assert apa.trans[0][0] == ()
-    assert apa.trans[0][1] == (frozenset(),)
+    assert apa.trans[0][1] == (0,)
 
 
 def test_apa_until_shape_and_colors():
@@ -92,8 +93,8 @@ def test_apa_until_shape_and_colors():
     assert apa.colors[root] == 1
     row = apa.trans[root]
     # reading {a} keeps the obligation, {b} discharges it, {} violates it
-    assert row[letter_of((A, B), A)] == (frozenset({root}),)
-    assert row[letter_of((A, B), B)] == (frozenset(),)
+    assert row[letter_of((A, B), A)] == (1 << root,)
+    assert row[letter_of((A, B), B)] == (0,)
     assert row[letter_of((A, B))] == ()
 
 
@@ -103,8 +104,8 @@ def test_apa_release_root_color_zero():
     assert apa.colors[root] == 0
     row = apa.trans[root]
     # {b} keeps the obligation, {a, b} releases it, {a} violates it
-    assert row[letter_of((A, B), B)] == (frozenset({root}),)
-    assert row[letter_of((A, B), A, B)] == (frozenset(),)
+    assert row[letter_of((A, B), B)] == (1 << root,)
+    assert row[letter_of((A, B), A, B)] == (0,)
     assert row[letter_of((A, B), A)] == ()
 
 
@@ -113,9 +114,18 @@ def test_apa_next_delays_one_step():
     sub = apa.trans[apa.initial][0]
     assert sub == apa.trans[apa.initial][1]  # letter-independent
     (succ,) = sub
-    (child,) = succ
+    assert succ.bit_count() == 1
+    child = succ.bit_length() - 1
     assert child != apa.initial
-    assert apa.trans[child] == [(), (frozenset(),)]
+    assert apa.trans[child] == [(), (0,)]
+
+
+def assert_canonical_antichain(sets, n_states):
+    """No member contains another (so none repeats), members come by (size, value)."""
+    assert all(isinstance(s, int) and 0 <= s < 1 << n_states for s in sets)
+    assert not any(s & t == s for s, t in itertools.permutations(sets, 2))
+    keys = [(s.bit_count(), s) for s in sets]
+    assert keys == sorted(keys)
 
 
 def test_apa_rows_are_canonical_antichains():
@@ -125,11 +135,20 @@ def test_apa_rows_are_canonical_antichains():
         for row in apa.trans:
             assert len(row) == apa.n_letters
             for sets in row:
-                # no member contains another (so none repeats)
-                assert not any(s <= t for s, t in itertools.permutations(sets, 2))
-                keys = [(len(s), sorted(s)) for s in sets]
-                assert keys == sorted(keys)
-                assert all(0 <= q < apa.n_states for s in sets for q in s)
+                assert_canonical_antichain(sets, apa.n_states)
+
+
+def test_minimal_is_the_antichain_of_minimal_sets():
+    """``_minimal`` keeps exactly the sets with no proper subset in the family."""
+    rng = random.Random(9)
+    for _ in range(500):
+        n = rng.randint(0, 6)
+        family = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
+        got = _minimal(family)
+        assert_canonical_antichain(got, n)
+        assert set(got) == {s for s in family if not any(t & s == t != s for t in family)}
+        # every input set contains some kept set
+        assert all(any(t & s == t for t in got) for s in family)
 
 
 def test_apa_rejects_non_nnf():
@@ -333,6 +352,8 @@ BUILTIN_BODIES = {
     "ni-async": props.expand_ni_async(["o[0]"], ["l[0]"], "r[0]", "G_stut").body,
     # outside the obligation ∧ G F class, with a nondeterministic NBA
     "fg": parse_ltl("F G a{p}"),
+    # outside the class, with a deterministic NBA
+    "response": parse_ltl("G (a{p} -> F b{p})"),
 }
 
 # APA, NBA and DPA states, DPA colours, whether the chain determinized, and
@@ -346,10 +367,12 @@ BUILTIN_SIZES = {
     "od-async": (8, 2, 5, 2, False, 0),
     "ni-async": (24, 6, 12, 2, False, 0),
     "fg": (3, 2, 5, 3, True, 10),
+    "response": (5, 2, 2, 2, False, 0),
 }
 
-# the bodies whose whole breakpoint automaton is deterministic
-SHORTCUT_BODIES = ["od", "od-async", "sgni:3"]
+# the bodies whose whole breakpoint automaton is deterministic; only
+# ``response`` gets to it through ltl_to_dpa, the others take the product
+SHORTCUT_BODIES = ["od", "od-async", "sgni:3", "response"]
 
 
 def guided_lasso(rng, dpa, atoms, dead):
@@ -382,7 +405,7 @@ def tidy(raw, reps=None):
 
 @pytest.mark.parametrize("name", SHORTCUT_BODIES)
 def test_shortcut_agrees_with_determinization_and_oracle(name):
-    """The shortcut, Safra and the product all agree with the lasso oracle."""
+    """``ltl_to_dpa``, the shortcut and Safra all agree with the lasso oracle."""
     f = BUILTIN_BODIES[name]
     nnf = to_nnf(f)
     atoms = F.collect_atoms(nnf)
@@ -402,6 +425,15 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
                 assert dpa_accepts_lasso(automaton, pre, loop) == expected
             verdicts.append(expected)
     assert 50 <= sum(verdicts) <= 450
+
+
+def test_response_body_skips_determinization():
+    """``G (a -> F b)`` is no obligation ∧ G F; its breakpoint automaton is read as the DPA."""
+    nnf = to_nnf(BUILTIN_BODIES["response"])
+    atoms = F.collect_atoms(nnf)
+    assert _obligation_parts(nnf, atoms) is None
+    # Safra on the same breakpoint automaton tidies to 4 states, twice BUILTIN_SIZES' 2
+    assert tidy(nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))).n_states == 4
 
 
 # -- obligation ∧ G F bodies: the product route ------------------------------
@@ -458,7 +490,7 @@ def test_product_route_builds_no_breakpoint_automaton(monkeypatch):
 
     monkeypatch.setattr(ltl2dpa, "apa_to_nba", refuse)
     for name, f in BUILTIN_BODIES.items():
-        if name != "fg":
+        if name not in ("fg", "response"):
             ltl_to_dpa(f)
     rng = random.Random(67)
     for _ in range(50):

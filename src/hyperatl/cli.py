@@ -196,19 +196,21 @@ def _expand_builtin(
         sid = shifted(1)
         return props.expand_simsec(DEFAULT_OUT, DEFAULT_LOW, base_id, sid), systems
     if name == "sgni":
-        k = _int(param, "sgni:k") if param else 3
+        k = 3 if param is None else _int(param, "sgni:k")
         sid = shifted(k)
         f = props.expand_sgni(DEFAULT_OUT, DEFAULT_LOW, DEFAULT_HIGH, k, base_id, sid)
         return f, systems
     if name == "od-async":
         return props.expand_od_async(DEFAULT_OUT, stuttered()), systems
     if name == "ni-async":
-        r = param or "r[0]"
+        if param == "":
+            raise ConfigError("ni-async:r expects an atomic proposition, got ''")
+        r = "r[0]" if param is None else param
         return props.expand_ni_async(DEFAULT_OUT, DEFAULT_LOW, r, stuttered()), systems
     if name == "ahltl":
         if body_file is None:
             raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
-        n = _int(param, "ahltl:n") if param else 2
+        n = 2 if param is None else _int(param, "ahltl:n")
         body = parse_ltl(_read_text(body_file, "formula").strip())
         return props.expand_ahltl(n, body, stuttered()), systems
     raise ConfigError(f"unknown builtin property {prop!r}")

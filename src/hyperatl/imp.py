@@ -193,14 +193,7 @@ class Seq:
     stmts: tuple["Program", ...]
 
 
-@dataclass(frozen=True)
-class Terminated:
-    pass
-
-
-Program = Union[Assign, ReadH, ReadL, IfExpr, IfStar, While, Seq, Terminated]
-
-TERMINATED = Terminated()
+Program = Union[Assign, ReadH, ReadL, IfExpr, IfStar, While, Seq]
 
 
 def _sequence(stmts: tuple):
@@ -208,67 +201,50 @@ def _sequence(stmts: tuple):
     return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
 
-def _followed_by(p, rest: tuple):
-    """``p`` and then the statements ``rest``, as one flat program."""
-    match p:
-        case Terminated():
-            return _sequence(rest)
-        case Seq(stmts):
-            return Seq(stmts + rest)
-    return Seq((p,) + rest)
-
-
-def _head(p):
-    """The statement that takes ``p``'s next step."""
-    return p.stmts[0] if isinstance(p, Seq) else p
-
-
-def controlling_player(p) -> str:
-    """Agent that picks the successor; only reads and ``if (*)`` offer a choice."""
-    match _head(p):
-        case ReadH(_):
-            return AGENT_H
-        case ReadL(_):
-            return AGENT_L
-    return AGENT_N
-
-
 def _read_values(width: int) -> list[BitVector]:
     # lexicographic with False < True; bit 0 is most significant
     return [tuple(bits) for bits in itertools.product((False, True), repeat=width)]
 
 
-def successors(
-    program, state: Mapping[str, BitVector], widths: Mapping[str, int]
-) -> list[tuple[object, dict[str, BitVector]]]:
-    """All one-step successors of a configuration, in deterministic order."""
-    match program:
-        case Assign(var, expr):
-            new = dict(state)
-            new[var] = eval_expr(expr, state)
-            return [(TERMINATED, new)]
-        case ReadH(var) | ReadL(var):
-            out = []
-            for value in _read_values(widths[var]):
-                new = dict(state)
-                new[var] = value
-                out.append((TERMINATED, new))
-            return out
-        case IfExpr(cond, then, els):
-            branch = then if eval_expr(cond, state)[0] else els
-            return [(branch, dict(state))]
-        case IfStar(then, els):
-            return [(then, dict(state)), (els, dict(state))]
-        case While(cond, body):
-            if eval_expr(cond, state)[0]:
-                return [(_followed_by(body, (program,)), dict(state))]
-            return [(TERMINATED, dict(state))]
-        case Seq(stmts):
-            rest = stmts[1:]
-            return [(_followed_by(p1, rest), s1) for p1, s1 in successors(stmts[0], state, widths)]
-        case Terminated():
-            return [(TERMINATED, dict(state))]
-    raise TypeError(f"not a program: {program!r}")
+# ---------------------------------------------------------------------------
+# Program points
+
+
+def _number_points(program) -> tuple[int, list[tuple]]:
+    """The entry point of ``program`` and, per program point, its statement and targets.
+
+    A point is the rest of the program still to run, numbered once as the
+    pair (next statement, point after it).  Structurally equal pairs share a
+    number, so points whose remaining statements are equal are one point.
+    Point 0 has run every statement and targets itself.  An ``if`` or
+    ``if (*)`` targets the entries of its two branches, a ``while`` the entry
+    of its body and then the point after it, any other statement the point
+    after it.
+    """
+    index: dict = {}
+    points: list = [(None, (0,))]
+
+    def enter(p, after: int) -> int:
+        for s in reversed(p.stmts if isinstance(p, Seq) else (p,)):
+            after = point(s, after)
+        return after
+
+    def point(s, after: int) -> int:
+        got = index.get((s, after))
+        if got is None:
+            got = index[s, after] = len(points)
+            points.append(None)  # a loop's body runs back to the loop's point
+            match s:
+                case IfExpr(_, then, els) | IfStar(then, els):
+                    targets = (enter(then, after), enter(els, after))
+                case While(_, body):
+                    targets = (enter(body, got), after)
+                case _:
+                    targets = (after,)
+            points[got] = (s, targets)
+        return got
+
+    return enter(program, 0), points
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +389,32 @@ def parse_program(text: str, width_overrides: Optional[Mapping[str, int]] = None
 def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = "G") -> MSCGS:
     """Enumerate the reachable configurations of a program as a game structure.
 
-    States are ⟨program, variable state⟩ pairs; the agent returned by
-    :func:`controlling_player` owns the choice among the successor list.
-    All variables start as all-zero vectors.
+    States are ⟨program point, variable values⟩ pairs; ``xi_H`` and ``xi_L``
+    own the states at their reads, ``xi_N`` all others, and the owner picks
+    among the successor list.  All variables start as all-zero vectors.
     """
+    entry, points = _number_points(program)
     var_order = tuple(widths)
-    init = (program, tuple((False,) * widths[x] for x in var_order))
+    init = (entry, tuple((False,) * widths[x] for x in var_order))
     cap_error = StateCapError(f"state cap of {cap} exceeded")
 
     def row_of(key, number) -> tuple[int, ...]:
-        prog, values = key
-        head = _head(prog)
-        # a read's 2^w successors are distinct states; 2^w > cap iff w >= cap.bit_length()
-        if isinstance(head, (ReadH, ReadL)) and widths[head.var] >= cap.bit_length():
-            raise cap_error
-        succs = successors(prog, dict(zip(var_order, values)), widths)
-        return tuple(number((p, tuple(s[x] for x in var_order))) for p, s in succs)
+        at, values = key
+        stmt, targets = points[at]
+        state = dict(zip(var_order, values))
+        match stmt:
+            case Assign(var, expr):
+                writes = [eval_expr(expr, state)]
+            case ReadH(var) | ReadL(var):
+                # a read's 2^w successors are distinct states; 2^w > cap iff w >= cap.bit_length()
+                if widths[var] >= cap.bit_length():
+                    raise cap_error
+                writes = _read_values(widths[var])
+            case IfExpr(cond) | While(cond):
+                return (number((targets[not eval_expr(cond, state)[0]], values)),)
+            case _:  # if (*) and the end
+                return tuple(number((t, values)) for t in targets)
+        return tuple(number((targets[0], tuple({**state, var: v}.values()))) for v in writes)
 
     order, succ_ids = explore(init, row_of, cap, cap_error)
     props = frozenset(f"{x}[{i}]" for x in var_order for i in range(widths[x]))
@@ -436,7 +422,10 @@ def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = 
         frozenset(f"{x}[{i}]" for x, bits in zip(var_order, values) for i, b in enumerate(bits) if b)
         for _, values in order
     ]
-    decisions = [((controlling_player(prog), len(row)),) for (prog, _), row in zip(order, succ_ids)]
+    owners = {ReadH: AGENT_H, ReadL: AGENT_L}
+    decisions = [
+        ((owners.get(type(points[at][0]), AGENT_N), len(row)),) for (at, _), row in zip(order, succ_ids)
+    ]
     state_names = [f"s{idx}" for idx in range(len(order))]
     return MSCGS(
         name=name,

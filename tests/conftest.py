@@ -122,6 +122,57 @@ def random_structure(rng: random.Random, max_states: int = 6, props=("x", "y")) 
     )
 
 
+def random_program(rng: random.Random, max_block: int = 3, depth: int = 2) -> str:
+    """Random program text over one to three variables of width 1–2.
+
+    Blocks hold one to ``max_block`` statements: assignments, ``read_H`` /
+    ``read_L``, and, down to ``depth`` levels of nesting, ``if``, ``if (*)``
+    and ``while``.  Half of the ``if`` statements have two identical
+    branches, which parse to equal but distinct objects.
+    """
+    widths = {x: rng.randint(1, 2) for x in "xyz"[: rng.randint(1, 3)]}
+
+    def bit(size: int) -> str:
+        if size <= 1:
+            if rng.random() < 0.2:
+                return rng.choice(("true", "false"))
+            x = rng.choice(list(widths))
+            return f"{x}[{rng.randrange(widths[x])}]"
+        r = rng.random()
+        if r < 0.3:
+            return f"!{bit(size - 1)}"
+        return f"({bit(size - 1)} {'&' if r < 0.65 else '|'} {bit(size - 1)})"
+
+    def expr(width: int) -> str:
+        if width == 1:
+            return bit(rng.randint(1, 3))
+        same = [x for x, w in widths.items() if w == 2]
+        if same and rng.random() < 0.5:
+            x = rng.choice(same)
+            return rng.choice((x, f"!{x}", f"({x} & {rng.choice(same)})"))
+        return f"{bit(rng.randint(1, 2))} @ {bit(rng.randint(1, 2))}"
+
+    def block(depth: int) -> str:
+        return " ".join(stmt(depth) for _ in range(rng.randint(1, max_block)))
+
+    def stmt(depth: int) -> str:
+        kind = rng.choice(("assign", "read") + (("if", "if*", "while") if depth else ()))
+        if kind in ("if", "if*"):
+            then = block(depth - 1)
+            els = then if rng.random() < 0.5 else block(depth - 1)
+            guard = "*" if kind == "if*" else bit(rng.randint(1, 3))
+            return f"if ({guard}) {{ {then} }} else {{ {els} }}"
+        if kind == "while":
+            return f"while ({bit(rng.randint(1, 3))}) {{ {block(depth - 1)} }}"
+        x = rng.choice(list(widths))
+        if kind == "read":
+            return f"{x} := {rng.choice(('read_H', 'read_L'))};"
+        return f"{x} := {expr(widths[x])};"
+
+    decls = "".join(f"var {x}:{w}; " for x, w in widths.items())
+    return decls + block(depth)
+
+
 def random_dpa(rng: random.Random, atoms, max_states: int = 5, max_color: int = 2) -> DPA:
     n = rng.randint(1, max_states)
     n_letters = 1 << len(atoms)

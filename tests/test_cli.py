@@ -294,6 +294,24 @@ def test_non_integer_sgni_lookahead_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "prop, message",
+    [
+        ("sgni:", "sgni:k expects an integer, got ''"),
+        ("ni-async:", "ni-async:r expects an atomic proposition, got ''"),
+        ("ahltl:", "ahltl:n expects an integer, got ''"),
+    ],
+)
+def test_empty_builtin_parameter_is_a_usage_error(capsys, tmp_path, prop, message):
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}", "--prop", prop]
+    if prop == "ahltl:":
+        body = tmp_path / "f.hatl"
+        body.write_text("G (o[0]{p1} <-> o[0]{p2})")
+        argv += ["--formula", str(body)]
+    assert message in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
     "prop, with_formula, message",
     [
         ("od:7", False, "'od' takes no parameter"),
@@ -423,7 +441,7 @@ DEEP_PROGRAMS = {
 BOUNDED_DEPTH = {  # (program or None for p1, formula or None for od)
     "formula parentheses": (None, "[ forall p1 . forall p2 . ] " + "(" * 300 + "G (o[0]{p1} <-> o[0]{p2})" + ")" * 300),
     "program parentheses": ("var o:1;\no := " + "(" * 300 + "!o" + ")" * 300 + ";\n", None),
-    "statements": ("var o:1;\n" + "o := !o;\n" * 900, None),
+    "statements": ("var o:1;\n" + "o := !o;\n" * 10_000, None),
 }
 
 

@@ -1,27 +1,24 @@
 import itertools
+import random
+import time
 
 import pytest
 
+from conftest import random_program
 from hyperatl import imp
 from hyperatl.imp import (
     AGENT_H,
     AGENT_L,
     AGENT_N,
     Assign,
-    IfStar,
     ProgramError,
-    ReadH,
     Seq,
     StateCapError,
-    TERMINATED,
-    Terminated,
     TrueE,
     While,
     build_cgs,
-    controlling_player,
     eval_expr,
     parse_program,
-    successors,
 )
 from hyperatl.structures import validate
 
@@ -101,181 +98,207 @@ def test_eval_negate_then_project():
     assert eval_expr(Index(NotE(Var("x")), 1), {"x": (True, False)}) == (True,)
 
 
+def build(text):
+    widths, prog = parse_program(text)
+    return build_cgs(prog, widths)
+
+
 def test_read_fanout_and_order():
-    widths = {"x": 2}
-    succs = successors(ReadH("x"), {"x": (False, False)}, widths)
-    values = [s["x"] for _, s in succs]
+    g = build("var x:2; x := read_H;")
+    assert g.owner(0) == AGENT_H
+    assert g.table[0] == (1, 2, 3, 4)
     # lexicographic, leftmost bit most significant
-    assert values == [(False, False), (False, True), (True, False), (True, True)]
-    assert all(p == TERMINATED for p, _ in succs)
+    assert g.labels[1:] == [frozenset(), {"x[1]"}, {"x[0]"}, {"x[0]", "x[1]"}]
+    assert all(g.table[s] == (s,) for s in range(1, 5))
 
 
 def test_while_exit_on_false_guard():
-    from hyperatl.imp import Var
-
-    prog = While(Var("x"), Assign("x", TrueE()))
-    succs = successors(prog, {"x": (False,)}, {"x": 1})
-    assert succs == [(TERMINATED, {"x": (False,)})]
+    g = build("var x:1; while (x) { x := true; }")
+    assert g.table == [(1,), (1,)]
+    assert g.labels == [frozenset(), frozenset()]
 
 
 def test_while_unrolls_on_true_guard():
-    from hyperatl.imp import Var
-
-    body = Assign("x", TrueE())
-    prog = While(Var("x"), body)
-    succs = successors(prog, {"x": (True,)}, {"x": 1})
-    assert succs == [(Seq((body, prog)), {"x": (True,)})]
+    g = build("var x:1; x := true; while (x) { x := true; }")
+    # the loop steps into its body, and the body runs back to the loop
+    assert g.table == [(1,), (2,), (1,)]
+    assert g.labels == [frozenset(), {"x[0]"}, {"x[0]"}]
 
 
 def test_steps_splice_into_one_flat_sequence():
-    from hyperatl.imp import Var
-
-    body = Seq((Assign("x", TrueE()), ReadH("x")))
-    loop = While(Var("x"), body)
-    last = Assign("x", Var("x"))
-    state, widths = {"x": (True,)}, {"x": 1}
-    [(unrolled, _)] = successors(Seq((loop, last)), state, widths)
-    assert unrolled == Seq((*body.stmts, loop, last))
-    [(at_read, _)] = successors(unrolled, state, widths)
-    assert at_read == Seq((ReadH("x"), loop, last))
-    assert controlling_player(at_read) == AGENT_H
-    assert [p for p, _ in successors(at_read, state, widths)] == [Seq((loop, last))] * 2
+    g = build("var x:1; x := true; while (x) { x := true; x := read_H; } x := x;")
+    # body, loop and the statement after the loop run as one sequence: both
+    # read values go back to the loop, which exits to ``x := x`` and the end
+    assert g.table == [(1,), (2,), (3,), (4, 1), (5,), (6,), (6,)]
+    assert [g.owner(s) for s in range(g.n_states)] == [AGENT_N] * 3 + [AGENT_H] + [AGENT_N] * 3
+    assert g.labels[4:] == [frozenset()] * 3
 
 
 def test_terminated_self_loop():
-    assert successors(TERMINATED, {}, {}) == [(TERMINATED, {})]
+    g = build("var x:1; x := !x;")
+    assert g.table == [(1,), (1,)]
+    assert g.decisions[1] == ((AGENT_N, 1),)
+    assert g.labels[1] == {"x[0]"}
 
 
 def test_controlling_player():
-    assert controlling_player(Seq((ReadH("x"), imp.ReadL("x")))) == AGENT_H
-    assert controlling_player(IfStar(TERMINATED, TERMINATED)) == AGENT_N
-    assert controlling_player(Terminated()) == AGENT_N
-    assert controlling_player(imp.ReadL("x")) == AGENT_L
+    owners = {
+        "x := read_H;": AGENT_H,
+        "x := read_L;": AGENT_L,
+        "x := !x;": AGENT_N,
+        "if (x) { x := x; } else { x := !x; }": AGENT_N,
+        "if (*) { x := x; } else { x := !x; }": AGENT_N,
+        "while (x) { x := x; }": AGENT_N,
+    }
+    for stmt, agent in owners.items():
+        assert build(f"var x:1; {stmt}").owner(0) == agent, stmt
+
+
+def test_identical_branches_are_one_point():
+    g = build("var x:1; if (*) { x := !x; } else { x := !x; }")
+    assert g.table == [(1, 1), (2,), (2,)]
 
 
 # -- reference enumeration, independent of build_cgs -------------------------
+#
+# A configuration is the flat tuple of statements still to run, () once all
+# of them have run, and the variable values.
+
+
+def flat(p):
+    return p.stmts if isinstance(p, Seq) else (p,)
+
+
+def step(rest, sigma, widths):
+    """All one-step successors of a configuration, in order, straight off the step rules."""
+    if not rest:
+        return [((), sigma)]
+    p, after = rest[0], rest[1:]
+    match p:
+        case imp.Assign(x, e):
+            return [(after, {**sigma, x: eval_expr(e, sigma)})]
+        case imp.ReadH(x) | imp.ReadL(x):
+            vals = itertools.product((False, True), repeat=widths[x])
+            return [(after, {**sigma, x: tuple(v)}) for v in vals]
+        case imp.IfExpr(c, a, b):
+            return [(flat(a if eval_expr(c, sigma)[0] else b) + after, sigma)]
+        case imp.IfStar(a, b):
+            return [(flat(a) + after, sigma), (flat(b) + after, sigma)]
+        case imp.While(c, body):
+            if eval_expr(c, sigma)[0]:
+                return [(flat(body) + rest, sigma)]
+            return [(after, sigma)]
+    raise TypeError(f"not a statement: {p!r}")
+
+
+def owner(rest):
+    return {imp.ReadH: AGENT_H, imp.ReadL: AGENT_L}.get(type(rest[0]) if rest else None, AGENT_N)
 
 
 def reference_reach(prog, widths):
-    """Brute-force reachable ⟨program, state⟩ sets straight off the step rules."""
+    """The configurations reachable from the start, breadth first, and their successor rows."""
+    init = (flat(prog), {x: (False,) * w for x, w in widths.items()})
+    index = {}
+    configs, rows = [], []
 
-    def seq(*parts):
-        # the statements of ``parts`` in order, flattened, without TERMINATED
-        stmts = []
-        for part in parts:
-            if isinstance(part, imp.Seq):
-                stmts.extend(part.stmts)
-            elif part != TERMINATED:
-                stmts.append(part)
-        return stmts[0] if len(stmts) == 1 else imp.Seq(tuple(stmts))
+    def number(config):
+        rest, sigma = config
+        key = (rest, tuple(sorted(sigma.items())))
+        if key not in index:
+            index[key] = len(configs)
+            configs.append(config)
+        return index[key]
 
-    def step(p, sigma):
-        match p:
-            case imp.Assign(x, e):
-                return [(TERMINATED, {**sigma, x: eval_expr(e, sigma)})]
-            case imp.ReadH(x) | imp.ReadL(x):
-                vals = itertools.product((False, True), repeat=widths[x])
-                return [(TERMINATED, {**sigma, x: tuple(v)}) for v in vals]
-            case imp.IfExpr(c, a, b):
-                return [(a if eval_expr(c, sigma)[0] else b, dict(sigma))]
-            case imp.IfStar(a, b):
-                return [(a, dict(sigma)), (b, dict(sigma))]
-            case imp.While(c, body):
-                if eval_expr(c, sigma)[0]:
-                    return [(seq(body, p), dict(sigma))]
-                return [(TERMINATED, dict(sigma))]
-            case imp.Seq((a, *rest)):
-                return [(seq(p2, *rest), s2) for p2, s2 in step(a, sigma)]
-            case imp.Terminated():
-                return [(TERMINATED, dict(sigma))]
+    number(init)
+    for rest, sigma in configs:  # grows while the search runs
+        rows.append(tuple(number(c) for c in step(rest, sigma, widths)))
+    return configs, rows
 
-    def key(p, sigma):
-        return (p, tuple(sorted((x, v) for x, v in sigma.items())))
 
-    init = {x: (False,) * w for x, w in widths.items()}
-    seen = {key(prog, init): (prog, init)}
-    frontier = [(prog, init)]
-    while frontier:
-        p, sigma = frontier.pop()
-        for p2, s2 in step(p, sigma):
-            k = key(p2, s2)
-            if k not in seen:
-                seen[k] = (p2, s2)
-                frontier.append((p2, s2))
-    return seen
+def assert_matches_reference(prog, widths):
+    """``build_cgs`` numbers, labels, owns and links every state as the reference does."""
+    g = build_cgs(prog, widths)
+    configs, rows = reference_reach(prog, widths)
+    assert validate(g) == []
+    assert g.n_states == len(configs)
+    assert g.table == rows
+    assert g.state_names == [f"s{v}" for v in range(len(configs))]
+    for v, (rest, sigma) in enumerate(configs):
+        assert g.labels[v] == {f"{x}[{i}]" for x, bits in sigma.items() for i, b in enumerate(bits) if b}
+        assert g.decisions[v] == ((owner(rest), len(rows[v])),)
+    return g, configs
 
 
 def test_build_cgs_read_then_stop_against_reference():
     widths, prog = parse_program("var x:1; x := read_H;")
-    ref = reference_reach(prog, widths)
-    g = build_cgs(prog, widths)
+    g, _ = assert_matches_reference(prog, widths)
     # initial read config plus one terminated config per read value
-    assert g.n_states == len(ref) == 3
+    assert g.n_states == 3
     assert g.owner(0) == AGENT_H
     assert {g.owner(s) for s in range(1, 3)} == {AGENT_N}
 
 
 def test_build_cgs_p1_against_reference():
-    text = imp_asset("p1.imp").read_text()
-    widths, prog = parse_program(text)
-    ref = reference_reach(prog, widths)
-    g = build_cgs(prog, widths)
-    assert g.n_states == len(ref)
-    assert validate(g) == []
+    widths, prog = parse_program(imp_asset("p1.imp").read_text())
+    assert_matches_reference(prog, widths)
 
 
 def test_build_cgs_terminated_only():
-    g = build_cgs(TERMINATED, {})
-    assert g.n_states == 1
-    assert g.table[0] == (0,)
-    assert g.owner(0) == AGENT_N
-    assert g.labels[0] == frozenset()
+    g = build("var x:1; x := false;")
+    # the assignment keeps the all-zero values, yet the end is a point of its own
+    assert g.n_states == 2
+    assert g.table == [(1,), (1,)]
+    assert g.owner(1) == AGENT_N
+    assert g.labels[1] == frozenset()
 
 
 def test_build_cgs_label_soundness_and_owner_agreement():
-    text = imp_asset("p2.imp").read_text()
-    widths, prog = parse_program(text)
-    g = build_cgs(prog, widths)
-    assert validate(g) == []
-    # walk the structure alongside an independent breadth-first enumeration;
-    # discovery order matches because successor order is deterministic
-    init = {x: (False,) * w for x, w in widths.items()}
-    configs = [(prog, init)]
-    index = {(prog, tuple(sorted(init.items()))): 0}
-    frontier = 0
-    while frontier < len(configs):
-        p, sigma = configs[frontier]
-        frontier += 1
-        expected_labels = {
-            f"{x}[{i}]" for x, bits in sigma.items() for i, b in enumerate(bits) if b
-        }
-        assert g.labels[frontier - 1] == expected_labels
-        assert g.owner(frontier - 1) == controlling_player(p)
-        succ_ids = []
-        for p2, s2 in successors(p, sigma, widths):
-            k = (p2, tuple(sorted(s2.items())))
-            if k not in index:
-                index[k] = len(configs)
-                configs.append((p2, s2))
-            succ_ids.append(index[k])
-        assert list(g.table[frontier - 1]) == succ_ids
-    assert len(configs) == g.n_states
+    # p2's two identical ``if`` branches are one point
+    widths, prog = parse_program(imp_asset("p2.imp").read_text())
+    assert_matches_reference(prog, widths)
+
+
+# p1 and p2 are checked against the reference above
+BUNDLED = {name: (name, None) for name in ("fig1b", "p3", "p4", "q1", "q2")}
+BUNDLED.update({f"q1 h={h}": ("q1", {"h": h}) for h in range(1, 5)})
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLED))
+def test_build_cgs_matches_reference_on_bundled_programs(case):
+    name, overrides = BUNDLED[case]
+    widths, prog = parse_program(imp_asset(f"{name}.imp").read_text(), overrides)
+    assert_matches_reference(prog, widths)
+
+
+def test_build_cgs_matches_reference_on_random_programs():
+    for seed in range(400):
+        text = random_program(random.Random(seed))
+        widths, prog = parse_program(text)
+        try:
+            assert_matches_reference(prog, widths)
+        except AssertionError as e:
+            raise AssertionError(f"seed {seed}: {text}") from e
 
 
 def test_deterministic_configs_have_single_successor():
-    text = imp_asset("q2.imp").read_text()
-    widths, prog = parse_program(text)
-    seen = reference_reach(prog, widths)
-    for p, sigma in seen.values():
-        succs = successors(p, sigma, widths)
-        head = p.stmts[0] if isinstance(p, imp.Seq) else p
-        if isinstance(head, (imp.ReadH, imp.ReadL, imp.IfStar)):
-            if isinstance(head, imp.IfStar):
-                assert len(succs) == 2
-            else:
-                assert len(succs) == 2 ** widths[head.var]
+    widths, prog = parse_program(imp_asset("q2.imp").read_text())
+    g, configs = assert_matches_reference(prog, widths)
+    for v, (rest, _) in enumerate(configs):
+        head = rest[0] if rest else None
+        if isinstance(head, imp.IfStar):
+            assert g.arity(v) == 2
+        elif isinstance(head, (imp.ReadH, imp.ReadL)):
+            assert g.arity(v) == 2 ** widths[head.var]
         else:
-            assert len(succs) == 1
+            assert g.arity(v) == 1
+
+
+def test_straight_line_build_is_linear():
+    widths, prog = parse_program("var o:1;\n" + "o := !o;\n" * 10_000)
+    start = time.perf_counter()
+    g = build_cgs(prog, widths)
+    assert time.perf_counter() - start < 2.0
+    assert g.n_states == 10_001
 
 
 def test_width_override_changes_fanout():

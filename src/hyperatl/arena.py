@@ -35,7 +35,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .ltl2dpa import DPA, decided_states
+# the values of ``DPA.sink`` are the keys of the two decided sinks, both
+# negative; every other vertex key is >= 0
+from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN
 from .solver import ParityGame
 from .structures import MSCGS
 
@@ -46,11 +48,6 @@ class ArenaError(Exception):
 
 class VertexCapError(Exception):
     """Raised when the reachable arena exceeds the configured vertex cap."""
-
-
-# Reserved keys of the two decided sinks; every other vertex key is >= 0.
-_LOSE = -1
-_WIN = -2
 
 
 @dataclass
@@ -204,7 +201,9 @@ def _copy_swap(
     coalitions, every atom's proposition is read in both copies, and a
     search of the DPA against itself from ``(initial, initial)``, on letters
     with the copies' atoms swapped, pairs each state with exactly one state
-    of equal colour.  Then ``trans[sigma[q]][swap(v)] == sigma[trans[q][v]]``.
+    of equal colour and sink.  Then ``trans[sigma[q]][swap(v)] == sigma[trans[q][v]]``.
+    Only that search needs every row, so the DPA is completed only once
+    the cheap conditions hold.
     """
     if len(quants) != 2:
         return None
@@ -225,13 +224,14 @@ def _copy_swap(
     for v in range(1, dpa.n_letters):
         low = v & -v
         perm[v] = perm[v ^ low] | partner[low.bit_length() - 1]
-    colors, trans = dpa.colors, dpa.trans
+    dpa.complete()
+    colors, trans, sink = dpa.colors, dpa.trans, dpa.sink
     sigma = [-1] * dpa.n_states
     sigma[dpa.initial] = dpa.initial
     queue = [dpa.initial]
     for q in queue:
         s = sigma[q]
-        if colors[s] != colors[q]:
+        if colors[s] != colors[q] or sink[s] != sink[q]:
             return None
         for t, u in set(zip(trans[q], map(trans[s].__getitem__, perm))):
             if sigma[t] < 0:
@@ -255,8 +255,13 @@ def build_game(
 
     Move-selection stages at which no agent of any copy acts get no
     vertices, and the last move choice of a round performs the joint step.
-    Automaton states whose residual language is empty (resp. universal) are
-    replaced by one losing (resp. winning) sink; winners are unchanged.
+    Automaton states that ``dpa.sink`` marks as accepting no word (resp.
+    every word) are replaced by one losing (resp. winning) sink; winners
+    are unchanged.  The DPA decides its sinks itself: a tidied DPA by
+    ``ltl2dpa.decided_states`` over all its states, the on-the-fly product
+    locally, as each state is numbered.  A row of the DPA is read through
+    ``dpa.row(q)`` the first time the arena steps state ``q``, so a product
+    is built only as far as the game reaches it.
     The game without these shortcuts is built by ``tests/reference_arena.py``.
     Vertices are numbered in BFS order from the initial one, and each row
     lists its successors in move-vector product order (copy by copy).
@@ -304,11 +309,8 @@ def build_game(
         owned_by_one = step < auto and not pairs[step][1]
         phases.append((lookups, int(owned_by_one), (i + 1) % nph, after == auto))
     letters = [(c.letter_mask, st, sz) for c, (st, sz, _) in zip(copies, dims)]
-    sink = [
-        _LOSE if lose else _WIN if win else None
-        for lose, win in zip(*decided_states(dpa))
-    ]
-    colors, trans = dpa.colors, dpa.trans
+    # the product appends to these lists as the search reaches new states
+    sink, colors, trans = dpa.sink, dpa.colors, dpa.trans
     product = itertools.product
 
     initial_key = sink[dpa.initial]
@@ -341,7 +343,10 @@ def build_game(
             value = 0
             for mask, st, sz in letters:
                 value |= mask[rest // st % sz]
-            q = trans[q][value]
+            step = trans[q]
+            if step is None:
+                step = dpa.row(q)
+            q = step[value]
         options = [table[rest // st % sz] for table, st, sz in lookups]
         target = sink[q] if fires else None
         base = (q * nph + following) * size

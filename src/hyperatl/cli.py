@@ -36,7 +36,8 @@ class ConfigError(Exception):
     pass
 
 
-# What ends a check early: bad input (exit 2) or a resource cap (exit 3).
+# What ends a check early: bad input (exit 2), or a resource cap or exhausted
+# memory (exit 3).
 USAGE_ERRORS = (
     ConfigError,
     FormulaError,
@@ -45,7 +46,12 @@ USAGE_ERRORS = (
     arena.ArenaError,
     structures.TransformError,
 )
-CAP_ERRORS = (StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError)
+CAP_ERRORS = (StateCapError, arena.VertexCapError, ltl2dpa.AutomatonCapError, MemoryError)
+
+
+def _message(e: Exception) -> str:
+    """The one-line message of an error that ends a check (a MemoryError often has none)."""
+    return str(e) or "out of memory"
 
 
 @dataclass
@@ -280,7 +286,7 @@ def _run(config: CheckConfig) -> Report:
 
     body = to_nnf(formula.body)
     translate_stats: dict = {}
-    dpa = ltl2dpa.ltl_to_dpa(body, info.atoms, stats=translate_stats)
+    dpa = ltl2dpa.ltl_to_dpa(body, info.atoms, cap=config.cap_states, stats=translate_stats)
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, bound[rq.system]) for rq in info.quantifiers]
@@ -435,7 +441,7 @@ def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[Su
         except (USAGE_ERRORS + CAP_ERRORS) as e:
             verdict = "cap" if isinstance(e, CAP_ERRORS) else "error"
             millis = (time.perf_counter() - start) * 1000
-            rows.append(SuiteRow(name, verdict, expected, False, millis, {}, str(e)))
+            rows.append(SuiteRow(name, verdict, expected, False, millis, {}, _message(e)))
             continue
         millis = (time.perf_counter() - start) * 1000
         ok = expected is None or report.verdict == expected
@@ -536,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CAP_ERRORS as e:
-        print(f"resource limit: {e}", file=sys.stderr)
+        print(f"resource limit: {_message(e)}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

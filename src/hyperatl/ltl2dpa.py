@@ -14,7 +14,11 @@ body: each maximal safety or co-safety subformula gets a deterministic
 automaton by one subset construction on its alternating automaton, over
 antichains of state sets and one letter class at a time, and their
 product, with the ``G F`` conjuncts degeneralized by a set, is a DPA with
-colours {0, 1}.  Every DPA then goes through the same tidy step.
+colours {0, 1}.  The product and its leaves are built on demand, one row
+when the arena first steps a state, and kept canonical by local rules
+(decided sinks, don't-care leaves, the round bit only where it sets the
+colour) instead of a quotient.  The chain's DPAs are built whole and
+tidied: quotients and colour compression.
 """
 
 from __future__ import annotations
@@ -217,14 +221,38 @@ def apa_to_nba(apa: APA, cap: int = 10**6) -> NBA:
 # Deterministic parity automaton
 
 
+# What ``DPA.sink`` says of a state: it accepts no word, or every word.
+LOSE, WIN = -1, -2
+
+
 class DPA(_Automaton):
+    """One successor state per letter; ``row(q)`` is the row of state ``q``.
+
+    ``sink[q]`` is ``LOSE`` or ``WIN`` if state ``q`` accepts no word or
+    every word, and None if the automaton leaves it undecided.  This class
+    holds every row; :class:`_ProductDPA` computes a row when first asked.
+    """
+
     def __init__(self, atoms, initial, colors, trans):
-        super().__init__(atoms, initial, trans)  # one successor state each
+        super().__init__(atoms, initial, trans)
         self.colors = colors
 
     @property
     def n_colors(self) -> int:
         return len(set(self.colors))
+
+    def row(self, q: int) -> list[int]:
+        return self.trans[q]
+
+    def complete(self) -> "DPA":
+        """Fill every row of a state reachable from the initial one; returns ``self``."""
+        return self
+
+    @functools.cached_property
+    def sink(self) -> list[Optional[int]]:
+        """By :func:`decided_states`, over every state."""
+        empty, universal = decided_states(self)
+        return [LOSE if e else WIN if u else None for e, u in zip(empty, universal)]
 
 
 # A node tree is a recursive tuple (name, label frozenset, children tuple);
@@ -526,7 +554,9 @@ def _is_deterministic(nba: NBA) -> bool:
 # Sickert, LICS 2018).  Each leaf becomes a deterministic automaton that says
 # whether a prefix is still alive; the ``G F`` conjuncts are degeneralized by
 # the *set* of those seen since the last round, so permuting them (as the
-# copy swap of the arena does) permutes the states.
+# copy swap of the arena does) permutes the states.  The product and its
+# leaves are built on the fly, only as far as the arena steps them
+# (Courcoubetis, Vardi, Wolper & Yannakakis, FMSD 1992).
 
 _SAFETY, _COSAFETY = 1, 2
 
@@ -579,6 +609,34 @@ def _holds(node, flags: Sequence[bool]) -> bool:
     return op((_holds(l, flags), _holds(r, flags)))
 
 
+def _leaves_of(node) -> list[int]:
+    if isinstance(node, int):
+        return [node]
+    return _leaves_of(node[1]) + _leaves_of(node[2])
+
+
+def _settle(node, values: Sequence[Optional[bool]], unread: list) -> Optional[bool]:
+    """The value of ``node`` over three-valued leaf ``values`` (None: not fixed yet).
+
+    Appends to ``unread`` the leaves that no longer matter: those below an
+    operand whose sibling is fixed to the operator's absorbing value (false
+    for ``all``, true for ``any``).  The combination reads every leaf once,
+    so this one pass is exact.
+    """
+    if isinstance(node, int):
+        return values[node]
+    op, l, r = node
+    a, b = _settle(l, values, unread), _settle(r, values, unread)
+    absorbing = op is any
+    if a is absorbing:
+        unread += _leaves_of(r)
+        return a
+    if b is absorbing:
+        unread += _leaves_of(l)
+        return b
+    return None if a is None or b is None else a
+
+
 def _first_letter_truth(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> Optional[list[bool]]:
     """Per letter, the truth of ``f`` if the first letter alone decides it, else None."""
     apa = ltl_to_apa(f, atoms)
@@ -618,122 +676,230 @@ def _obligation_parts(f: F.Ltl, atoms: Sequence[tuple[str, str]]):
     return leaves, combination, fair
 
 
-def _safety_automaton(apa: APA, cap: int) -> DPA:
-    """Deterministic: colour 0 iff the prefix read so far leaves ``apa`` a run tree.
+class _Leaf:
+    """A safety leaf's deterministic automaton, stepped only as far as it is read.
 
     Every state of a safety APA has colour 0, so its word is accepted iff
     some run tree never gets stuck, and a subset construction decides that
     prefix by prefix.  A state is the antichain of the sets of APA states
     that the surviving run trees track, each set a bitmask: a superset dies
     whenever the set it contains does, so it is dropped (De Wulf, Doyen,
-    Henzinger & Raskin, CAV 2006).  The empty antichain is the dead state,
-    the only one of colour 1.  The letters are partitioned once by the
-    APA's columns, and each set steps once per class.
+    Henzinger & Raskin, CAV 2006).  APA states that are true on every
+    letter are left out of the sets.  The empty antichain ``()`` is dead and
+    ``(0,)``, a run tree with nothing pending, accepts every word; both loop
+    on every letter.  The letters are partitioned once by the APA's columns,
+    and each set steps once per class.  ``row(s)`` steps state ``s`` when
+    first asked; ``counts["nba_states"]`` counts the states numbered so far.
     """
-    cls, reps = _letter_classes(apa.trans)
-    models = [[row[v] for v in reps] for row in apa.trans]
-    # One field of ``width`` bits per class holds a state's single model, or
-    # a flag above the states' bits if it has none or several.  ORed over a
-    # set's members, the fields give the union of the single models and say
-    # whether the set is stuck or needs a product of the several models.
-    stuck, several = 1 << apa.n_states, 2 << apa.n_states
-    width = apa.n_states + 2
-    field = (1 << width) - 1
-    shifts = [c * width for c in range(len(reps))]
-    packed = [
-        sum(
-            (got[0] if len(got) == 1 else several if got else stuck) << shift
-            for shift, got in zip(shifts, row)
-        )
-        for row in models
-    ]
 
-    def combine(members: list[int], c: int, joined: int) -> tuple[int, ...]:
+    def __init__(self, apa: APA, cap: int, counts: dict):
+        self.cls, reps = _letter_classes(apa.trans)
+        self.models = [[row[v] for v in reps] for row in apa.trans]
+        self.members = range(apa.n_states)
+        # One field of ``width`` bits per class holds a state's single model, or
+        # a flag above the states' bits if it has none or several.  ORed over a
+        # set's members, the fields give the union of the single models and say
+        # whether the set is stuck or needs a product of the several models.
+        self.stuck, self.several = 1 << apa.n_states, 2 << apa.n_states
+        width = apa.n_states + 2
+        self.field = (1 << width) - 1
+        self.shifts = [c * width for c in range(len(reps))]
+        self.packed = [
+            sum(
+                (got[0] if len(got) == 1 else self.several if got else self.stuck) << shift
+                for shift, got in zip(self.shifts, row)
+            )
+            for row in self.models
+        ]
+        self.trivial = sum(
+            1 << q for q, row in enumerate(apa.trans) if all(t == _TRUE for t in row)
+        )
+        self.cap, self.counts = cap, counts
+        self.keys: list[tuple[int, ...]] = []
+        self.rows: list[Optional[list[int]]] = []
+        self.index: dict = {}
+        self.initial = self.number((1 << apa.initial,))
+
+    def number(self, key: tuple[int, ...]) -> int:
+        """The state of an antichain, numbered on first sight."""
+        s = self.index.get(key)
+        if s is None:
+            canonical = key
+            if any(x & self.trivial for x in key):
+                canonical = _minimal(x & ~self.trivial for x in key)
+            s = self.index.get(canonical)
+            if s is None:
+                s = len(self.keys)
+                if s >= self.cap:
+                    raise AutomatonCapError(
+                        f"state cap of {self.cap} exceeded in the safety automaton"
+                    )
+                self.keys.append(canonical)
+                self.rows.append(None)
+                self.index[canonical] = s
+                self.counts["nba_states"] += 1
+            self.index[key] = s
+        return s
+
+    def _combine(self, members: list[int], c: int, joined: int) -> tuple[int, ...]:
         """The antichain of ``joined`` ORed with each choice of the several models."""
-        choices = [models[q][c] for q in members if len(models[q][c]) > 1]
+        choices = [self.models[q][c] for q in members if len(self.models[q][c]) > 1]
         return _minimal(
             functools.reduce(operator.or_, combo, joined) for combo in itertools.product(*choices)
         )
 
-    def step(s: int) -> list[tuple[int, ...]]:
+    def _step(self, s: int) -> list[tuple[int, ...]]:
         """Per class, the antichain of successor sets of the set ``s``."""
-        members = [q for q in range(apa.n_states) if s >> q & 1]
+        members = [q for q in self.members if s >> q & 1]
         joined = 0
         for q in members:
-            joined |= packed[q]
-        fields = [joined >> shift & field for shift in shifts]
+            joined |= self.packed[q]
+        stuck, field = self.stuck, self.field
+        fields = [joined >> shift & field for shift in self.shifts]
         return [
-            (j,) if j < stuck else () if j & stuck else combine(members, c, j ^ several)
+            (j,) if j < stuck else () if j & stuck else self._combine(members, c, j ^ self.several)
             for c, j in enumerate(fields)
         ]
 
-    def row_of(key, number) -> list[int]:
-        if not key:
-            return [number(key)] * apa.n_letters
-        rows = [step(s) for s in key]
-        if len(rows) == 1:
-            succ = rows[0]
-        else:
-            succ = [_minimal(itertools.chain(*sets)) for sets in zip(*rows)]
-        # number each distinct successor once, in the order of its first class
-        ids = dict.fromkeys(succ)
-        for sets in ids:
-            ids[sets] = number(sets)
-        return [ids[succ[c]] for c in cls]
+    def row(self, s: int) -> list[int]:
+        """Per letter, the successor of state ``s``."""
+        row = self.rows[s]
+        if row is None:
+            key = self.keys[s]
+            if key == () or key == _TRUE:
+                row = [s] * len(self.cls)
+            else:
+                steps = [self._step(x) for x in key]
+                if len(steps) == 1:
+                    succ = steps[0]
+                else:
+                    succ = [_minimal(itertools.chain(*sets)) for sets in zip(*steps)]
+                ids = list(map(self.number, succ))
+                row = list(map(ids.__getitem__, self.cls))
+            self.rows[s] = row
+        return row
 
-    error = AutomatonCapError(f"state cap of {cap} exceeded in the safety automaton")
-    order, trans = explore((1 << apa.initial,), row_of, cap, error)
-    return DPA(apa.atoms, 0, [0 if key else 1 for key in order], trans)
 
-
-def _obligation_product(leaves, combination, fair, atoms, cap):
-    """The DPA of an obligation ∧ G F body, its letter class representatives, and leaf sizes.
+class _ProductDPA(DPA):
+    """The DPA of an obligation ∧ G F body, built as far as its rows are asked for.
 
     A state is (leaf states, the ``G F`` indices seen since the last round,
     whether the last letter completed a round).  It has colour 0 iff the
-    leaves' flags satisfy ``combination`` and a round was just completed.
-    Alive flags only ever fall, so every cycle keeps them constant, and it
-    accepts iff they satisfy the combination and every ``ψ`` recurs on it.
-    With one leaf and no ``G F`` conjunct the product is the leaf's
-    automaton.  The sizes are the states of the leaves' APAs and of their
-    safety automata, each summed over the leaves.
+    leaves' current flags satisfy ``combination`` and a round was just
+    completed.  A flag changes at most once along a run, so every cycle
+    keeps the flags constant, and it accepts iff they satisfy the
+    combination and every ``ψ`` recurs on it.
+
+    A state is numbered, with its colour and sink, when first reached, and
+    its row is computed by ``row(q)`` when first asked for; ``complete()``
+    computes every row.  Three local rules keep the states canonical, in
+    place of a quotient:
+
+    * a dead or universal leaf has a fixed flag; if the fixed flags make
+      the combination false, the state is the ``LOSE`` sink, and if they
+      make it true and there is no ``G F`` conjunct, the ``WIN`` sink;
+    * a leaf the combination no longer reads (:func:`_settle`) is replaced
+      by the don't-care state -1, which loops on every letter;
+    * the round bit is kept only where the current flags satisfy the
+      combination, since it only sets the colour.
+
+    A row groups the letters by their column (``G F`` set, then each
+    leaf's successor) and numbers one state per distinct column; the state
+    of each column is memoized across rows.
     """
-    machines = []
-    sizes = [0, 0]
-    for leaf, _negated in leaves:
-        apa = ltl_to_apa(leaf, atoms)
-        machines.append(_safety_automaton(apa, cap))
-        sizes[0] += apa.n_states
-        sizes[1] += machines[-1].n_states
-    negated = [neg for _leaf, neg in leaves]
-    hits = [sum(truth[v] << i for i, truth in enumerate(fair)) for v in range(1 << len(atoms))]
-    full = (1 << len(fair)) - 1
-    cls, reps = _letter_classes([row for m in machines for row in m.trans] + [hits])
-    if len(machines) == 1 and not fair:
-        # one leaf: its automaton is the product, read through its flag
-        (m,), (neg,) = machines, negated
-        colors = [int((c == 0) == neg) for c in m.colors]
-        return DPA(m.atoms, m.initial, colors, m.trans), reps, sizes
-    tables = [m.trans for m in machines]
 
-    def row_of(key, number) -> list[int]:
-        states, seen, _wrapped = key
-        rows = [table[q] for table, q in zip(tables, states)]
-        ids = []
-        for v in reps:
-            nxt = tuple([row[v] for row in rows])
-            got = seen | hits[v]
-            ids.append(number((nxt, 0, 1) if got == full else (nxt, got, 0)))
-        return [ids[c] for c in cls]
+    def __init__(self, leaves, combination, fair, atoms, cap: int, stats: dict):
+        super().__init__(tuple(atoms), 0, [], [])
+        self.sink: list[Optional[int]] = []
+        self.leaves = []
+        stats["apa_states"] = stats["nba_states"] = 0
+        for leaf, _negated in leaves:
+            apa = ltl_to_apa(leaf, atoms)
+            stats["apa_states"] += apa.n_states
+            self.leaves.append(_Leaf(apa, cap, stats))
+        self.negated = [neg for _leaf, neg in leaves]
+        self.combination = combination
+        self.hits = [
+            sum(truth[v] << i for i, truth in enumerate(fair)) for v in range(self.n_letters)
+        ]
+        self.full = (1 << len(fair)) - 1
+        self.cap = cap
+        self.keys: list = []
+        self.index: dict = {}
+        self.memo: dict = {}  # column -> state
+        self.seen_rows: dict = {}  # G F set -> per letter, that set with the letter's hits
+        self.unread_row = [-1] * self.n_letters
+        init = tuple(leaf.initial for leaf in self.leaves)
+        self.initial = self._state(init, 0, self.full == 0)
 
-    init = (tuple(m.initial for m in machines), 0, int(full == 0))
-    error = AutomatonCapError(f"state cap of {cap} exceeded in the obligation product")
-    order, trans = explore(init, row_of, cap, error)
-    colors = []
-    for states, _seen, wrapped in order:
-        flags = [(m.colors[q] == 0) != neg for m, q, neg in zip(machines, states, negated)]
-        colors.append(0 if wrapped and _holds(combination, flags) else 1)
-    return DPA(tuple(atoms), 0, colors, trans), reps, sizes
+    def _state(self, states: tuple, seen: int, wrapped: bool) -> int:
+        """The number of the canonical form of a state, numbered on first sight."""
+        values: list[Optional[bool]] = []
+        flags = []
+        for leaf, s, neg in zip(self.leaves, states, self.negated):
+            key = leaf.keys[s] if s >= 0 else None  # -1: any flag will do
+            values.append(neg if key == () else (not neg) if key == _TRUE else None)
+            flags.append((key != ()) != neg)
+        unread: list[int] = []
+        value = _settle(self.combination, values, unread)
+        if value is False:
+            key = LOSE
+        elif value and not self.full:
+            key = WIN
+        else:
+            if unread:
+                states = tuple(-1 if i in unread else s for i, s in enumerate(states))
+            key = (states, seen, int(wrapped and _holds(self.combination, flags)))
+        q = self.index.get(key)
+        if q is None:
+            q = len(self.keys)
+            if q >= self.cap:
+                raise AutomatonCapError(
+                    f"state cap of {self.cap} exceeded in the obligation product"
+                )
+            self.keys.append(key)
+            self.index[key] = q
+            if isinstance(key, int):
+                self.colors.append(int(key == LOSE))
+                self.sink.append(key)
+                self.trans.append([q] * self.n_letters)
+            else:
+                self.colors.append(1 - key[2])
+                self.sink.append(None)
+                self.trans.append(None)
+        return q
+
+    def _successor(self, column: tuple) -> int:
+        """The state a letter with ``column`` (``G F`` set, leaf states) leads to."""
+        q = self.memo.get(column)
+        if q is None:
+            wrapped = column[0] == self.full
+            q = self.memo[column] = self._state(column[1:], 0 if wrapped else column[0], wrapped)
+        return q
+
+    def row(self, q: int) -> list[int]:
+        row = self.trans[q]
+        if row is None:
+            states, seen, _wrapped = self.keys[q]
+            got = self.seen_rows.get(seen)
+            if got is None:
+                got = self.seen_rows[seen] = [seen | h for h in self.hits]
+            leaf_rows = [
+                leaf.row(s) if s >= 0 else self.unread_row for leaf, s in zip(self.leaves, states)
+            ]
+            columns = list(zip(got, *leaf_rows))
+            ids = dict.fromkeys(columns)
+            for column in ids:
+                ids[column] = self._successor(column)
+            row = self.trans[q] = list(map(ids.__getitem__, columns))
+        return row
+
+    def complete(self) -> DPA:
+        q = 0
+        while q < len(self.trans):
+            self.row(q)
+            q += 1
+        return self
 
 
 def ltl_to_dpa(
@@ -742,55 +908,59 @@ def ltl_to_dpa(
     cap: int = 10**6,
     stats: Optional[dict] = None,
 ) -> DPA:
-    """Full chain: normal form, deterministic automaton, tidy.
+    """Normal form, then a deterministic automaton by one of three routes.
 
-    A body that is an obligation conjoined with ``G F`` literals becomes a
-    product of deterministic automata per safety and co-safety leaf, each
-    built straight from the leaf's alternating automaton (see
-    :func:`_safety_automaton` and :func:`_obligation_product`); this route
-    builds no breakpoint automaton.  Any other body goes alternating →
+    A body that is an obligation conjoined with ``G F`` literals becomes the
+    product :class:`_ProductDPA` of deterministic automata per safety and
+    co-safety leaf, each built straight from the leaf's alternating
+    automaton; this route builds no breakpoint automaton and has no tidy
+    step.  Its states and rows are made on demand, so when it is returned
+    only its initial state exists, and ``cap`` bounds the states that the
+    product and each leaf number later.  Any other body goes alternating →
     breakpoint → determinization; the letters are partitioned once by the
     breakpoint automaton's columns, and determinization and the quotients
     work per letter class.  A breakpoint automaton that is already
-    deterministic skips determinization.  Tidying is the one place the DPA
-    is reduced: quotient, neutral colours for states on no cycle, a second
-    quotient if that changed a colour, colour compression.  If ``stats`` is
-    a dict it receives the state counts ``apa_states`` and ``nba_states``
-    (on a product, the states of the leaves' APAs and safety automata,
-    dead states included, each summed over the leaves), whether the chain
-    ``determinized`` and its ``safra_steps`` (0 without determinization).
+    deterministic skips determinization.  These two routes fill every row,
+    are tidied (quotient, neutral colours for states on no cycle, a second
+    quotient if that changed a colour, colour compression), and have their
+    sinks decided here by :func:`decided_states`.  If ``stats`` is a dict it
+    receives the state counts ``apa_states`` and ``nba_states``, whether the
+    chain ``determinized`` and its ``safra_steps`` (0 without
+    determinization).  On a product the counts are the states of the
+    leaves' APAs and of their safety automata, each summed over the leaves;
+    the second counts the states numbered so far, dead states included, and
+    grows while the product is stepped.
     """
     nnf = F.to_nnf(f)
     if atoms is None:
         atoms = F.collect_atoms(nnf)
-    if stats is not None:
-        stats["safra_steps"] = 0
+    if stats is None:
+        stats = {}
+    stats["safra_steps"] = 0
+    stats["determinized"] = False
     parts = _obligation_parts(nnf, atoms)
-    determinize = False
     if parts is not None:
-        dpa, reps, sizes = _obligation_product(*parts, atoms, cap)
+        return _ProductDPA(*parts, atoms, cap, stats)
+    apa = ltl_to_apa(nnf, atoms)
+    nba = apa_to_nba(apa, cap=cap)
+    stats["apa_states"], stats["nba_states"] = apa.n_states, nba.n_states
+    classes = _letter_classes(nba.trans)
+    if _is_deterministic(nba):
+        dpa = deterministic_nba_to_dpa(nba)
     else:
-        apa = ltl_to_apa(nnf, atoms)
-        nba = apa_to_nba(apa, cap=cap)
-        sizes = [apa.n_states, nba.n_states]
-        classes = _letter_classes(nba.trans)
-        determinize = not _is_deterministic(nba)
-        if determinize:
-            dpa = nba_to_dpa(nba, cap, classes, stats)
-        else:
-            dpa = deterministic_nba_to_dpa(nba)
-        reps = classes[1]
-    # the DPA's columns are constant on the classes on every route; both
-    # quotients stay: quotienting only after neutralizing merges less, and
-    # the second one has nothing to merge unless a colour changed
+        stats["determinized"] = True
+        dpa = nba_to_dpa(nba, cap, classes, stats)
+    reps = classes[1]
+    # the DPA's columns are constant on the classes; both quotients stay:
+    # quotienting only after neutralizing merges less, and the second one
+    # has nothing to merge unless a colour changed
     dpa = _quotient(dpa, reps)
     neutral = _neutralize_transient(dpa)
     if neutral is not dpa:
         dpa = _quotient(neutral, reps)
-    if stats is not None:
-        stats["apa_states"], stats["nba_states"] = sizes
-        stats["determinized"] = determinize
-    return compress_colors(dpa)
+    dpa = compress_colors(dpa)
+    _ = dpa.sink  # decided now, as part of the translation
+    return dpa
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +1021,10 @@ def export_dot(dpa: DPA, name: str = "dpa") -> str:
     """Deterministic DOT rendering; edge labels are assignment cubes.
 
     An edge's letters are a union of the DPA's letter classes, so the rows
-    are read once per class and each distinct union is labelled once.
+    are read once per class and each distinct union is labelled once.  An
+    automaton built on the fly is completed first.
     """
+    dpa.complete()
     n_bits = len(dpa.atoms)
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
     atom_names = " ".join(f"{p}{{{v}}}" for p, v in dpa.atoms)

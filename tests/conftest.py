@@ -51,19 +51,22 @@ def random_safety_formula(rng: random.Random, size: int, atoms=ATOM_POOL):
     return _random_formula(rng, size, atoms, *SAFETY_OPS)
 
 
-def random_obligation_body(rng: random.Random, atoms=ATOM_POOL):
+def random_obligation_body(
+    rng: random.Random, atoms=ATOM_POOL, max_parts: int = 3, max_size: int = 5, max_fair: int = 2
+):
     """Random obligation ∧ G F body.
 
-    One to three random formulas of size 2–5, safety and co-safety in turn,
-    joined by random ∧/∨ and conjoined with zero to two ``G F`` literals.
+    One to ``max_parts`` random formulas of size 2–``max_size``, safety and
+    co-safety in turn, joined by random ∧/∨ and conjoined with zero to
+    ``max_fair`` ``G F`` literals.
     """
     body = None
     turn = rng.randrange(2)
-    for i in range(rng.randint(1, 3)):
+    for i in range(rng.randint(1, max_parts)):
         unary, binary = (SAFETY_OPS, COSAFETY_OPS)[(turn + i) % 2]
-        part = _random_formula(rng, rng.randint(2, 5), atoms, unary, binary)
+        part = _random_formula(rng, rng.randint(2, max_size), atoms, unary, binary)
         body = part if body is None else rng.choice((F.And, F.Or))(body, part)
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, max_fair)):
         atom = F.Atom(*rng.choice(atoms))
         body = F.And(body, F.Globally(F.Eventually(rng.choice((atom, F.Not(atom))))))
     return body
@@ -179,3 +182,10 @@ def random_dpa(rng: random.Random, atoms, max_states: int = 5, max_color: int = 
     colors = [rng.randint(0, max_color) for _ in range(n)]
     trans = [[rng.randrange(n) for _ in range(n_letters)] for _ in range(n)]
     return DPA(tuple(atoms), 0, colors, trans)
+
+
+def swap_paths(f):
+    """The formula with paths ``p1`` and ``p2`` exchanged."""
+    if isinstance(f, F.Atom):
+        return F.Atom(f.prop, {"p1": "p2", "p2": "p1"}[f.var])
+    return type(f)(*(swap_paths(getattr(f, name)) for name in f.__dataclass_fields__))

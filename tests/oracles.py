@@ -24,8 +24,11 @@ from hyperatl.ltl2dpa import (
     DPA,
     NBA,
     AutomatonCapError,
+    _neutralize_transient,
+    _quotient,
     _safra_step,
     apa_to_nba,
+    compress_colors,
     deterministic_nba_to_dpa,
 )
 from hyperatl.solver import ParityGame, WinningRegions
@@ -132,12 +135,16 @@ def eval_lasso(f: F.Ltl, prefix: Sequence[Assignment], loop: Sequence[Assignment
 def dpa_accepts_lasso(
     dpa: DPA, prefix: Sequence[Assignment], loop: Sequence[Assignment]
 ) -> bool:
-    """Run the unique path and test the minimal colour on the recurrent cycle."""
+    """Run the unique path and test the minimal colour on the recurrent cycle.
+
+    Rows are read through ``dpa.row``, so an automaton built on the fly is
+    stepped along the lasso only.
+    """
     if not loop:
         raise ValueError("loop must be nonempty")
     state = dpa.initial
     for a in prefix:
-        state = dpa.trans[state][assignment_to_letter(a, dpa.atoms)]
+        state = dpa.row(state)[assignment_to_letter(a, dpa.atoms)]
     loop_letters = [assignment_to_letter(a, dpa.atoms) for a in loop]
     seen: dict = {}
     trail: list[int] = []
@@ -145,10 +152,15 @@ def dpa_accepts_lasso(
     while (pos, state) not in seen:
         seen[(pos, state)] = len(trail)
         trail.append(state)
-        state = dpa.trans[state][loop_letters[pos]]
+        state = dpa.row(state)[loop_letters[pos]]
         pos = (pos + 1) % len(loop_letters)
     cycle = trail[seen[(pos, state)]:]
     return min(dpa.colors[q] for q in cycle) % 2 == 0
+
+
+def tidy(raw: DPA, reps=None) -> DPA:
+    """The tidy step of ``ltl_to_dpa``'s chain routes, over full rows without ``reps``."""
+    return compress_colors(_quotient(_neutralize_transient(_quotient(raw, reps)), reps))
 
 
 def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:

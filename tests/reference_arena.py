@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from hyperatl.arena import ArenaError, VertexCapError
-from hyperatl.ltl2dpa import DPA, decided_states
+from hyperatl.ltl2dpa import DPA, LOSE
 from hyperatl.solver import ParityGame
 from hyperatl.structures import MSCGS
 
@@ -98,9 +98,10 @@ def build_game(
 
     ``collapse`` skips move-selection vertices whose acting agent set is
     empty (their unique successor is substituted).  ``prune_decided``
-    replaces automaton states with empty (resp. universal) residual language
-    by a single losing (resp. winning) sink; winners are unchanged but
-    vertex counts differ, so it stays off where exact shape matters.
+    replaces the automaton states that ``dpa.sink`` marks as accepting no
+    word (resp. every word) by a single losing (resp. winning) sink; winners
+    are unchanged but vertex counts differ, so it stays off where exact
+    shape matters.  An automaton built on the fly is completed first.
     """
     k = len(quants)
     if k == 0:
@@ -116,7 +117,7 @@ def build_game(
         for i, (coalition, structure) in enumerate(quants)
     ]
     max_stage = max(c.max_stage for c in copies)
-    losing, winning = decided_states(dpa) if prune_decided else (None, None)
+    dpa.complete()
 
     index: dict = {}
     order: list = []
@@ -161,11 +162,8 @@ def build_game(
             stage, team = (stage, False) if team else (stage + 1, True)
 
     def automaton_key(q, js):
-        if prune_decided:
-            if losing[q]:
-                return ("LOSE",)
-            if winning[q]:
-                return ("WIN",)
+        if prune_decided and dpa.sink[q] is not None:
+            return ("LOSE",) if dpa.sink[q] == LOSE else ("WIN",)
         return ("A", q, js)
 
     initial = intern(automaton_key(dpa.initial, tuple(c.structure.initial for c in copies)))

@@ -3,14 +3,15 @@ import random
 import pytest
 
 import reference_arena
-from conftest import random_dpa, random_structure
-from oracles import brute_force_solve
+from conftest import random_dpa, random_obligation_body, random_structure, swap_paths
+from oracles import brute_force_solve, tidy
 from hyperatl import arena
+from hyperatl import formula as F
 from hyperatl.arena import ArenaError, VertexCapError, build_game
 from hyperatl.cli import bundled_asset
 from hyperatl.formula import parse_formula, to_nnf, validate_fragment
 from hyperatl.imp import build_cgs, parse_program
-from hyperatl.ltl2dpa import DPA, ltl_to_dpa
+from hyperatl.ltl2dpa import DPA, apa_to_nba, ltl_to_apa, ltl_to_dpa, nba_to_dpa
 from hyperatl.solver import zielonka
 from hyperatl.structures import MSCGS, stutter_transform
 
@@ -221,6 +222,38 @@ def test_randomized_collapse_cross_check():
         assert same_winner(collapsed, full)
         agree += 1
     assert agree == 50
+
+
+TWO_COPY_ATOMS = (("x", "p1"), ("y", "p1"), ("x", "p2"), ("y", "p2"))
+
+
+def test_lazy_product_games_match_the_determinized_chain():
+    """The game over the on-the-fly product has the winner of the exact game
+    over the determinized automaton, on random obligation ∧ G F bodies."""
+    rng = random.Random(2029)
+    atom_copy = {atom: int(atom[1] == "p2") for atom in TWO_COPY_ATOMS}
+    wins = swapped = 0
+    for _ in range(400):
+        g = random_structure(rng, max_states=3)
+        coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
+        if rng.random() < 0.5:
+            # one structure, one coalition, a symmetric body: the copy swap
+            # applies; halves of the usual size keep Safra small
+            quants = [(coalition, g)] * 2
+            body = random_obligation_body(rng, TWO_COPY_ATOMS, 2, 3, 1)
+            body = F.And(body, swap_paths(body))
+        else:
+            body = random_obligation_body(rng, TWO_COPY_ATOMS)
+            h = random_structure(rng, max_states=3)
+            quants = [(coalition, g), (frozenset(a for a in h.agents if rng.random() < 0.5), h)]
+        nnf = to_nnf(body)
+        lazy = build_game(quants, ltl_to_dpa(nnf, TWO_COPY_ATOMS), TWO_COPY_ATOMS, atom_copy)
+        chain = tidy(nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, TWO_COPY_ATOMS))))
+        exact = build_exact(quants, chain, TWO_COPY_ATOMS, atom_copy)
+        assert same_winner(lazy, exact), body
+        wins += lazy.game.initial in zielonka(lazy.game)[0].w0
+        swapped += lazy.swap_quotient
+    assert 80 <= wins <= 320 and swapped >= 150, (wins, swapped)
 
 
 def test_vertex_cap():

@@ -18,7 +18,7 @@ import random
 import pytest
 
 import reference_arena
-from conftest import random_dpa, random_ltl, random_structure
+from conftest import random_dpa, random_ltl, random_structure, swap_paths
 from hyperatl import arena, cli
 from hyperatl import formula as F
 from hyperatl.arena import VertexCapError, build_game
@@ -177,13 +177,6 @@ def test_vertex_cap_fires_at_the_same_count(collapse, prune_decided):
 # two copies of one structure, atoms x and y of each
 TWO_COPY_ATOMS = (("x", "p1"), ("y", "p1"), ("x", "p2"), ("y", "p2"))
 TWO_COPY_INDEX = {atom: int(atom[1] == "p2") for atom in TWO_COPY_ATOMS}
-
-
-def swap_paths(f):
-    """The formula with paths ``p1`` and ``p2`` exchanged."""
-    if isinstance(f, F.Atom):
-        return F.Atom(f.prop, {"p1": "p2", "p2": "p1"}[f.var])
-    return type(f)(*(swap_paths(getattr(f, name)) for name in f.__dataclass_fields__))
 
 
 def two_copy_block(g, coalitions, body, atoms=TWO_COPY_ATOMS):

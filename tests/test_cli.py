@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import hyperatl
 import reference_arena
-from hyperatl import arena, cli
+from hyperatl import arena, cli, ltl2dpa
 from hyperatl.cli import (
     CheckConfig,
     ConfigError,
@@ -164,6 +165,52 @@ def test_suite_records_a_capped_row(tmp_path, monkeypatch):
     assert [(r.name, r.verdict, r.ok, r.message) for r in rows] == [
         ("capped", "cap", False, "vertex cap of 1 exceeded")
     ]
+
+
+def sgni_on_p2(cap_states):
+    prog = bundled_asset("p2.imp")
+    return ["check", "--system", f"G={prog}", "--prop", "sgni:3", "--cap-states", str(cap_states)]
+
+
+def test_state_cap_counts_the_automaton_states_the_arena_reaches(capsys):
+    """``p2-sgni`` steps 218 of the 586 states of its body's automaton."""
+    assert cli.main(sgni_on_p2(300)) == EXIT_SATISFIED
+    assert "  dpa.states = 218\n" in capsys.readouterr().out
+    assert cli.main(sgni_on_p2(50)) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+
+def test_automaton_cap_fires_while_the_arena_is_built():
+    config = CheckConfig(systems=[spec("p2.imp")], prop="sgni:3", cap_states=100)
+    with pytest.raises(ltl2dpa.AutomatonCapError, match="cap of 100 exceeded") as info:
+        run(config)
+    assert "build_game" in [entry.name for entry in info.traceback]
+
+
+def test_dpa_dump_completes_the_automaton(tmp_path):
+    dump = tmp_path / "dpa.dot"
+    report = run(CheckConfig(systems=[spec("p2.imp")], prop="sgni:3", dump_dpa=str(dump)))
+    # the report counts the states the arena reached, before the dump
+    assert report.sizes["dpa.states"] == 218
+    assert len(re.findall(r"^  q\d+ \[", dump.read_text(), re.M)) == 586
+
+
+def test_memory_exhaustion_ends_like_a_cap(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(ltl2dpa, "ltl_to_dpa", exhausted)
+    prog = str(bundled_asset("p1.imp"))
+    assert cli.main(["check", "--system", f"G={prog}", "--prop", "od"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+    entry = {"name": "exhausted", "program": prog, "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [entry]}))
+    rows, ok = run_suite(str(m))
+    assert not ok
+    assert [(r.name, r.verdict, r.message) for r in rows] == [("exhausted", "cap", "out of memory")]
 
 
 def test_usage_errors():

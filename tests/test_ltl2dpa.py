@@ -22,6 +22,7 @@ from oracles import (
     letter_to_assignment,
     nba_to_dpa_per_letter,
     safety_automaton_via_nba,
+    tidy,
 )
 from hyperatl import formula as F
 from hyperatl import ltl2dpa, props
@@ -35,10 +36,8 @@ from hyperatl.ltl2dpa import (
     _is_deterministic,
     _letter_classes,
     _minimal,
-    _neutralize_transient,
     _obligation_parts,
     _quotient,
-    _safety_automaton,
     apa_to_nba,
     compress_colors,
     decided_states,
@@ -276,7 +275,7 @@ def test_dpa_totality():
     rng = random.Random(4)
     for _ in range(50):
         f = random_ltl(rng, rng.randint(1, 6))
-        dpa = ltl_to_dpa(f, ATOM_POOL)
+        dpa = ltl_to_dpa(f, ATOM_POOL).complete()
         for q in range(dpa.n_states):
             assert len(dpa.trans[q]) == dpa.n_letters
             assert all(0 <= t < dpa.n_states for t in dpa.trans[q])
@@ -398,11 +397,6 @@ def guided_lasso(rng, dpa, atoms, dead):
     return word[:split], word[split:]
 
 
-def tidy(raw, reps=None):
-    """The tidy step of ``ltl_to_dpa``, over full rows without ``reps``."""
-    return compress_colors(_quotient(_neutralize_transient(_quotient(raw, reps)), reps))
-
-
 @pytest.mark.parametrize("name", SHORTCUT_BODIES)
 def test_shortcut_agrees_with_determinization_and_oracle(name):
     """``ltl_to_dpa``, the shortcut and Safra all agree with the lasso oracle."""
@@ -413,7 +407,7 @@ def test_shortcut_agrees_with_determinization_and_oracle(name):
     assert _is_deterministic(nba)
     shortcut = tidy(deterministic_nba_to_dpa(nba))
     determinized = nba_to_dpa(nba)
-    dpa = ltl_to_dpa(f, atoms)
+    dpa = ltl_to_dpa(f, atoms).complete()
     rng = random.Random(31)
     verdicts = []
     for guide in (dpa, shortcut):
@@ -451,7 +445,7 @@ def test_obligation_product_agrees_with_oracle_and_determinization():
         nnf = to_nnf(f)
         assert _obligation_parts(nnf, atoms) is not None, f
         stats: dict = {}
-        dpa = ltl_to_dpa(f, atoms, stats=stats)
+        dpa = ltl_to_dpa(f, atoms, stats=stats).complete()
         assert stats["safra_steps"] == 0 and not stats["determinized"]
         determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
         for guide in (dpa, determinized):
@@ -479,9 +473,9 @@ def test_product_keeps_the_copy_swap(name):
 
 def test_product_respects_the_state_cap():
     f = BUILTIN_BODIES["ni-async"]
-    assert ltl_to_dpa(f, cap=100).n_states == 12
+    assert ltl_to_dpa(f, cap=100).complete().n_states == 12
     with pytest.raises(AutomatonCapError, match="cap of 5 exceeded in the obligation product"):
-        ltl_to_dpa(f, cap=5)
+        ltl_to_dpa(f, cap=5).complete()
 
 
 def test_product_route_builds_no_breakpoint_automaton(monkeypatch):
@@ -499,9 +493,9 @@ def test_product_route_builds_no_breakpoint_automaton(monkeypatch):
 
 def test_safety_automaton_respects_the_state_cap():
     f = BUILTIN_BODIES["sgni:3"]
-    assert ltl_to_dpa(f, cap=586).n_states == 586
+    assert ltl_to_dpa(f, cap=586).complete().n_states == 586
     with pytest.raises(AutomatonCapError, match="cap of 585 exceeded in the safety automaton"):
-        ltl_to_dpa(f, cap=585)
+        ltl_to_dpa(f, cap=585).complete()
 
 
 def bfs_renumbered(dpa):
@@ -514,13 +508,19 @@ def bfs_renumbered(dpa):
     "seed, count, pool", [(71, 300, ATOM_POOL), (73, 200, WIDE_POOL)], ids=["3-atoms", "6-atoms"]
 )
 def test_safety_automaton_matches_the_breakpoint_route(seed, count, pool):
-    """The subset construction on antichains tidies to the powerset of the breakpoint automaton."""
+    """The subset construction on antichains tidies to the powerset of the breakpoint automaton.
+
+    A safety body is a product of one leaf with no ``G F`` conjunct, whose
+    colour is 0 iff the leaf is alive.
+    """
     rng = random.Random(seed)
     several = dying = 0
     for _ in range(count):
         f = random_safety_formula(rng, rng.randint(3, 10), pool)
-        apa = ltl_to_apa(f, pool)
-        direct = _safety_automaton(apa, 10**6)
+        (leaf, negated), *others = _obligation_parts(f, pool)[0]
+        assert not negated and not others
+        apa = ltl_to_apa(leaf, pool)
+        direct = ltl_to_dpa(f, pool).complete()
         reference = safety_automaton_via_nba(apa)
         assert bfs_renumbered(tidy(direct)) == bfs_renumbered(tidy(reference)), f
         several += any(len(models) > 1 for row in apa.trans for models in row)
@@ -532,7 +532,7 @@ def test_safety_automaton_matches_the_breakpoint_route(seed, count, pool):
 def test_translation_sizes_of_builtin_bodies():
     for name, f in BUILTIN_BODIES.items():
         stats: dict = {}
-        dpa = ltl_to_dpa(f, stats=stats)
+        dpa = ltl_to_dpa(f, stats=stats).complete()
         got = (
             stats["apa_states"],
             stats["nba_states"],
@@ -619,7 +619,7 @@ def test_wide_body_determinizes_per_letter_class():
     assert stats["safra_steps"] == 6133
     assert elapsed < 5.0, f"translation took {elapsed:.1f} s"
     # the body is in the obligation ∧ G F class, so ltl_to_dpa takes the product
-    product = ltl_to_dpa(AHLTL_12, atoms)
+    product = ltl_to_dpa(AHLTL_12, atoms).complete()
     rng = random.Random(37)
     verdicts = []
     for guide in (dpa, product):
@@ -720,7 +720,7 @@ def test_dpa_accepts_lasso_on_constant_automata():
 def test_empty_and_universal_state_analysis():
     f = parse_ltl("G (o[0]{p1} <-> o[0]{p2})")
     atoms = F.collect_atoms(f)
-    dpa = ltl_to_dpa(f, atoms)
+    dpa = ltl_to_dpa(f, atoms).complete()
     dead, alive = decided_states(dpa)
     assert any(dead), "a violated safety body must have a rejecting sink"
     assert not alive[dpa.initial]

@@ -124,16 +124,14 @@ def refine(block: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
     return [ids.setdefault(b, len(ids)) for b in block]
 
 
-def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
-    """Strongly connected components of ``succ`` restricted to ``allowed``.
+def scc(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph ``succ``.
 
-    ``allowed[v]`` says whether vertex ``v`` belongs to the graph, and
-    ``succ[v]`` lists its successors (those not allowed are skipped).  The
-    components come bottom first: every component reachable from another
-    one precedes it.  Iterative Tarjan, so the depth of the graph is bounded
-    by memory, not by the recursion limit.
+    The components come bottom first: every component reachable from
+    another one precedes it.  Iterative Tarjan, so the depth of the graph is
+    bounded by memory, not by the recursion limit.
     """
-    n = len(allowed)
+    n = len(succ)
     # visit number of a vertex on the stack; -1 before its visit, n after
     # its component is emitted (so it never lowers a low-link)
     index = [-1] * n
@@ -142,7 +140,7 @@ def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if not allowed[root] or index[root] >= 0:
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -152,17 +150,16 @@ def scc(succ, allowed: Sequence[bool]) -> list[list[int]]:
             v, it, pos = work[-1]
             lv = low[v]
             for w in it:
-                if allowed[w]:
-                    x = index[w]
-                    if x < 0:
-                        low[v] = lv
-                        index[w] = low[w] = counter
-                        counter += 1
-                        work.append((w, iter(succ[w]), len(stack)))
-                        stack.append(w)
-                        break
-                    if x < lv:
-                        lv = x
+                x = index[w]
+                if x < 0:
+                    low[v] = lv
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if x < lv:
+                    lv = x
             else:
                 work.pop()
                 if lv == index[v]:
@@ -195,7 +192,7 @@ def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> li
         verts = pending.pop()
         local = {v: i for i, v in enumerate(verts)}
         sub = [[local[t] for t in succ[v] if t in local] for v in verts]
-        for comp in scc(sub, [True] * len(verts)):
+        for comp in scc(sub):
             if len(comp) == 1 and comp[0] not in sub[comp[0]]:
                 continue
             members = [verts[i] for i in comp]

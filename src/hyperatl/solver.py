@@ -15,7 +15,7 @@ from .graph import cycle_parities, predecessors, scc
 
 @dataclass
 class ParityGame:
-    """Explicit two-player game; every vertex must have a successor."""
+    """Explicit two-player game; every vertex must have a successor and owner 0 or 1."""
 
     succ: list[list[int]]
     owner: list[int]
@@ -39,6 +39,9 @@ class ParityGame:
             raise ValueError("inconsistent vertex arrays")
         if not 0 <= self.initial < n:
             raise ValueError("initial vertex out of range")
+        if not {0, 1}.issuperset(self.owner):
+            v = next(v for v, o in enumerate(self.owner) if o != 0 and o != 1)
+            raise ValueError(f"vertex {v} has owner {self.owner[v]!r}, not 0 or 1")
         for v, row in enumerate(self.succ):
             if not row:
                 raise ValueError(f"vertex {v} has no successor")
@@ -64,11 +67,16 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     :func:`verify_strategy` in the test suite.
 
     A game with more than three priorities is cut into strongly connected
-    components, solved bottom first by Zielonka's algorithm on what is still
-    undecided of each.  The one attractor of the recursion then spreads the
-    regions of a component over the undecided components above it: first
-    player 0's, which a player-1 vertex may escape into player 1's region,
-    then player 1's.  With at most three priorities (every arena of the
+    components, which are decided bottom first, so every edge that leaves a
+    component leads into a region already decided (Friedmann & Lange, ATVA
+    2009).  A vertex on no cycle goes to its owner if some successor is in
+    the owner's region, and to the opponent otherwise.  Inside a component
+    with a cycle, a vertex with an edge into its owner's region is that
+    owner's seed: player 0's attractor to its seeds runs first, and a
+    player-1 seed's edge into player 1's region counts there as an escape;
+    player 1's attractor to its seeds follows, and Zielonka's algorithm
+    solves what is left.  Predecessors are listed per component, and only
+    for its own edges.  With at most three priorities (every arena of the
     bundled suites) Zielonka's algorithm needs only a few attractor passes
     over the whole game, fewer than the decomposition costs, so the game is
     solved as one subgame.
@@ -78,33 +86,77 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     visited.
     """
     game.check()
-    solver = _Solver(game, game.predecessors(), stats is not None)
     n = game.n_vertices
     if len(set(game.priority)) <= 3:
+        solver = _Solver(game, game.predecessors(), stats is not None)
         regions, strategy = solver.solve(set(range(n)))
     else:
-        regions, strategy = [set(), set()], [{}, {}]
-        undecided = set(range(n))
-        for comp in scc(game.succ, [True] * n):
-            sub = undecided.intersection(comp)
-            if not sub:
-                continue
-            undecided -= sub
-            w, s = solver.solve(sub)
-            if undecided:
-                # an edge into w[1], a trap for player 0, is an escape from
-                # player 0's attractor, which takes no vertex of w[1]
-                undecided |= w[1]
-                solver.attract(0, w[0], undecided, s[0])
-                undecided -= w[1]
-                solver.attract(1, w[1], undecided, s[1])
-            for p in (0, 1):
-                regions[p] = _merge(regions[p], w[p])
-                strategy[p] = _merge(strategy[p], s[p])
+        # predecessors inside components, listed as each one is reached
+        solver = _Solver(game, [None] * n, stats is not None)
+        regions, strategy = _solve_by_components(game, solver)
     if stats is not None:
         stats["calls"] = solver.calls
         stats["attractor_edges"] = solver.edges
     return WinningRegions(frozenset(regions[0]), frozenset(regions[1])), strategy[0], strategy[1]
+
+
+def _solve_by_components(game: ParityGame, solver: "_Solver"):
+    """Regions ``[w0, w1]`` and strategies ``[s0, s1]``, one component at a time."""
+    succ, owner = game.succ, game.owner
+    # the winner of each decided vertex, -1 while undecided: the components
+    # come bottom first, so an undecided successor lies in the same component
+    won = [-1] * game.n_vertices
+    preds = solver.preds
+    regions: list[set] = [set(), set()]
+    strategy: list[dict] = [{}, {}]
+    for comp in scc(succ):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+            v = comp[0]
+            p = owner[v]
+            for t in succ[v]:
+                if won[t] == p:
+                    strategy[p][v] = t
+                    break
+            else:
+                p = 1 - p
+            won[v] = p
+            regions[p].add(v)
+            continue
+        for v in comp:
+            preds[v] = []
+        seeds: list[set] = [set(), set()]
+        escapes = []
+        for v in comp:
+            p = owner[v]
+            seeded = False
+            for t in succ[v]:
+                w = won[t]
+                if w < 0:
+                    preds[t].append(v)
+                elif w == p and not seeded:
+                    seeded = True
+                    strategy[p][v] = t
+                    seeds[p].add(v)
+                    if p:
+                        escapes.append(t)
+        rest = set(comp).difference(seeds[0])
+        if seeds[0]:
+            # the edge of a player-1 seed into player 1's region, outside
+            # the component, is an escape from player 0's attractor
+            rest.update(escapes)
+            solver.attract(0, seeds[0], rest, strategy[0])
+            rest.difference_update(escapes)
+        if seeds[1]:
+            rest.difference_update(seeds[1])
+            solver.attract(1, seeds[1], rest, strategy[1])
+        w, s = solver.solve(rest) if rest else ([set(), set()], [{}, {}])
+        for p in (0, 1):
+            won_p = _merge(seeds[p], w[p])
+            for v in won_p:
+                won[v] = p
+            regions[p] = _merge(regions[p], won_p)
+            strategy[p] = _merge(strategy[p], s[p])
+    return regions, strategy
 
 
 class _Solver:
@@ -113,11 +165,13 @@ class _Solver:
     ``solve`` runs Zielonka's recursive algorithm on one subgame, on an
     explicit stack: a subgame is a set of vertices, and each call touches
     only its vertices and their edges.  ``attract`` is the one attractor,
-    used by the recursion and to settle the regions of a solved component
-    in the rest of the game.
+    used by the recursion and to spread the regions decided below a
+    component into it.  ``preds`` lists the predecessors of each vertex: all
+    of them, or, when the game is solved one component at a time, those in
+    the vertex's component, listed when that component is reached.
     """
 
-    def __init__(self, game: ParityGame, preds: list[list[int]], count: bool) -> None:
+    def __init__(self, game: ParityGame, preds: list, count: bool) -> None:
         self.succ, self.owner, self.priority = game.succ, game.owner, game.priority
         self.preds = preds
         self.count = count
@@ -128,8 +182,11 @@ class _Solver:
         """Move to ``attr`` the vertices of ``rest`` that ``player`` can force into it.
 
         The subgame is ``attr | rest`` and stays so; an opponent's edge out
-        of it is no escape.  Attracted vertices of ``player`` get the edge
-        they use in ``strategy``.
+        of it is no escape.  A vertex of ``rest`` is attracted only as a
+        listed predecessor of a vertex of ``attr``, so a vertex outside the
+        listed edges stays in ``rest`` and the opponent's edges into it are
+        escapes.  Attracted vertices of ``player`` get the edge they use in
+        ``strategy``.
         """
         succ, preds, owner = self.succ, self.preds, self.owner
         todo = list(attr)

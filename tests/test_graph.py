@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyperatl.graph import cycle_parities, explore, predecessors, refine
+from hyperatl.graph import cycle_parities, explore, predecessors, refine, scc
 
 
 class Capped(Exception):
@@ -37,6 +37,45 @@ def test_explore_fires_at_exactly_cap_keys():
 
 def test_predecessors_invert_the_edges():
     assert predecessors([[1, 2], [2], [0, 2], []]) == [[2], [0], [0, 1, 2], []]
+
+
+def reachable(succ) -> list[set[int]]:
+    """Per vertex: the vertices it reaches, itself included."""
+    closure = []
+    for v in range(len(succ)):
+        seen = {v}
+        todo = [v]
+        for u in todo:
+            for t in succ[u]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        closure.append(seen)
+    return closure
+
+
+def test_scc_matches_reachability_closure():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        succ = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+        reach = reachable(succ)
+        comps = scc(succ)
+        assert sorted(v for comp in comps for v in comp) == list(range(n))
+        position = {v: i for i, comp in enumerate(comps) for v in comp}
+        for u in range(n):
+            for v in range(n):
+                mutual = v in reach[u] and u in reach[v]
+                assert (position[u] == position[v]) == mutual
+                # bottom first: a component precedes those that reach it
+                if v in reach[u] and not mutual:
+                    assert position[v] < position[u]
+
+
+def test_scc_of_a_long_path_needs_no_recursion():
+    n = 200_000
+    succ = [[v + 1] for v in range(n - 1)] + [[]]
+    assert scc(succ) == [[v] for v in reversed(range(n))]
 
 
 def simple_cycles(succ) -> set[frozenset]:

@@ -146,9 +146,16 @@ def test_check_rejects_missing_successor():
         zielonka(g)
 
 
-def solve_within(game, seconds):
+@pytest.mark.parametrize("owner", [2, -1])
+def test_check_rejects_owner_other_than_zero_or_one(owner):
+    g = ParityGame(succ=[[1], [0]], owner=[0, owner], priority=[0, 1])
+    with pytest.raises(ValueError, match=f"vertex 1 has owner {owner}, not 0 or 1"):
+        zielonka(g)
+
+
+def solve_within(game, seconds, stats=None):
     start = time.perf_counter()
-    solution = zielonka(game)
+    solution = zielonka(game, stats)
     elapsed = time.perf_counter() - start
     assert elapsed <= seconds, f"{elapsed:.1f}s (budget {seconds}s)"
     return solution
@@ -277,3 +284,59 @@ def test_player_one_escapes_into_the_region_player_one_won_below():
     assert regions.w0 == frozenset({0}) and regions.w1 == frozenset({1, 2, 3})
     assert s1[2] == 1
     assert verify_strategy(game, regions, s0, s1)
+
+
+def test_component_decomposition_matches_brute_force_on_random_games():
+    # With up to seven priorities most of these games are solved one
+    # component at a time, and small ones often have a player-1 vertex on a
+    # cycle with an edge down into a region player 1 won below.
+    rng = random.Random(18)
+    for _ in range(1000):
+        g = random_game(rng, max_vertices=9, max_degree=3, max_priority=6)
+        regions, s0, s1 = zielonka(g)
+        assert regions == brute_force_solve(g)
+        assert verify_strategy(g, regions, s0, s1)
+
+
+def test_player_one_keeps_its_edge_down_from_inside_a_component():
+    # The bottom component {0, 1} splits: 0 goes to player 0, 1 to player 1.
+    # Above it, {2, 3} is a cycle.  Player 0's vertex 3 has an edge down to
+    # 0, so player 0's attractor starts there; player 1's vertex 2 reaches 3
+    # but also has an edge down to 1, which must count as its escape: 2 goes
+    # to player 1 and 3 to player 0.
+    game = ParityGame(
+        succ=[[0, 1], [1, 0], [3, 1], [2, 0]],
+        owner=[0, 1, 1, 0],
+        priority=[0, 1, 2, 4],
+    )
+    regions, s0, s1 = zielonka(game)
+    assert regions == brute_force_solve(game)
+    assert regions.w0 == frozenset({0, 3}) and regions.w1 == frozenset({1, 2})
+    assert s0[3] == 0 and s1[2] == 1
+    assert verify_strategy(game, regions, s0, s1)
+
+
+def path_into_cycle(length: int) -> ParityGame:
+    """A path of ``length`` vertices into a cycle with four priorities.
+
+    Player 1's vertex 3 picks between the cycles 0-1-2-3 (minimal priority
+    0) and 2-3 (minimal priority 1), so player 1 wins everything.  Path
+    vertex ``4 + i`` moves to ``3 + i``, the first one to vertex 3.
+    """
+    succ = [[1], [2], [3], [0, 2]] + [[3 + i] for i in range(length)]
+    owner = [0, 0, 0, 1] + [i % 2 for i in range(length)]
+    priority = [0, 3, 1, 2] + [i % 4 for i in range(length)]
+    return ParityGame(succ=succ, owner=owner, priority=priority)
+
+
+def test_off_cycle_vertices_cost_no_attractor_work():
+    counts = []
+    for length, seconds in ((10, 1.0), (50_000, 2.0)):
+        game = path_into_cycle(length)
+        stats: dict = {}
+        regions, s0, s1 = solve_within(game, seconds, stats)
+        assert regions.w1 == frozenset(range(game.n_vertices))
+        assert s1[3] == 2
+        assert verify_strategy(game, regions, s0, s1)
+        counts.append(stats["attractor_edges"])
+    assert counts[0] == counts[1]

@@ -138,12 +138,19 @@ def _parse_transform(text: str, where: str = "") -> tuple:
     raise ConfigError(f"{where}unknown transform {text!r}")
 
 
-def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple]) -> structures.MSCGS:
+def _shift(g: structures.MSCGS, k: int, cap: int) -> structures.MSCGS:
+    """``g`` shifted by ``k``; the ``k`` added states count against ``cap`` before any is built."""
+    if g.n_states + k > cap:
+        raise StateCapError(f"state cap of {cap} exceeded")
+    return structures.shift_transform(g, k)
+
+
+def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple], cap: int) -> structures.MSCGS:
     for t in transforms:
         if t[0] == "stutter":
             g = structures.stutter_transform(g)
         elif t[0] == "shift":
-            g = structures.shift_transform(g, t[1])
+            g = _shift(g, t[1], cap)
         else:
             raise ConfigError(f"unknown transform {t[0]!r}")
     return g
@@ -154,7 +161,7 @@ def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.
     with _nesting_limit(f"program {spec.program_path!r}"):
         declared, program = imp.parse_program(text, width_overrides=widths or None)
         g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
-    return _apply_transforms(g, spec.transforms)
+    return _apply_transforms(g, spec.transforms, cap_states)
 
 
 def _parse_prop_name(prop: str) -> tuple[str, Optional[str]]:
@@ -169,6 +176,7 @@ def _expand_builtin(
     base_spec: SystemSpec,
     base: structures.MSCGS,
     body_file: Optional[str],
+    cap_states: int,
 ) -> tuple[HyperFormula, dict]:
     """Builtin property against one base system; derives transformed twins.
 
@@ -191,7 +199,7 @@ def _expand_builtin(
 
     def shifted(k: int) -> str:
         sid = f"{base_id}_shift{k}"
-        systems[sid] = structures.shift_transform(base, k)
+        systems[sid] = _shift(base, k, cap_states)
         return sid
 
     if name == "od":
@@ -268,8 +276,9 @@ def _run(config: CheckConfig) -> Report:
         base_spec = config.systems[0]
         if len(config.systems) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
+        base = loaded[base_spec.system_id]
         formula, systems = _expand_builtin(
-            config.prop, base_spec, loaded[base_spec.system_id], config.formula_file
+            config.prop, base_spec, base, config.formula_file, config.cap_states
         )
     elif config.formula_file is not None:
         formula = parse_formula(_read_text(config.formula_file, "formula").strip())

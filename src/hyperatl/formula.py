@@ -10,6 +10,7 @@ proposition off one bound path.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -224,7 +225,16 @@ class _Parser(Cursor):
             reps = 1
             if self.at_punct("["):
                 self.next()
+                at = self.peek()[2]
                 reps = int(self.expect_nat("expected repetition count after 'X['"))
+                limit = sys.getrecursionlimit()
+                if reps > limit:  # too deep to check anyway, so refuse it before building it
+                    raise FormulaError(
+                        f"formula is nested too deeply (repetition count {reps}"
+                        f" is above Python's recursion limit of {limit})",
+                        at,
+                        self.text,
+                    )
                 self.expect_punct("]")
             inner = self.parse_operand()
             for _ in range(reps):

@@ -1,4 +1,4 @@
-"""Tokenizer, token cursor and positioned errors shared by both parsers.
+"""Scanner, token cursor and positioned errors shared by both parsers.
 
 Specifications (``formula.py``) and programs (``imp.py``) share one token
 shape: punctuation, natural numbers, identifiers and an end marker, each
@@ -10,6 +10,7 @@ class.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Mapping, Optional, Sequence
 
 Token = tuple[str, str, int]  # (kind, value, offset); kind: punct, nat, ident or eof
@@ -30,43 +31,6 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-def _tokenize(text: str, punct: Sequence[str], comments: bool, error: type) -> list[Token]:
-    """Split ``text``; ``punct`` is tried in order, so longer symbols come first."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if comments and c == "#":  # comment to end of line
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        p = next((p for p in punct if text.startswith(p, i)), None)
-        if p is not None:
-            tokens.append(("punct", p, i))
-            i += len(p)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise error(f"unexpected character {c!r}", i, text)
-    tokens.append(("eof", "", n))
-    return tokens
-
-
 class Cursor:
     """A position in the token list of one text; subclasses set the language data."""
 
@@ -77,10 +41,33 @@ class Cursor:
     error_class: type = ParseError
     # binary operators by token value; punctuation and identifiers never share one
     infix: Mapping[str, Infix] = {}
+    scanner: re.Pattern  # compiled per subclass from ``punct`` and ``comments``
+
+    def __init_subclass__(cls, **kwargs):
+        """Compile the class's scanner: one alternative per token kind, tried in order.
+
+        Whitespace and comments match no group.  Longer punctuation comes
+        first, so it wins over its prefixes.  A number is a run of decimal
+        digits (``\\d``), which ``int`` reads.  ``\\w+`` takes every identifier,
+        which starts with a letter or ``_``; a run that starts with another
+        digit or numeral (``²``, ``Ⅷ``) is an unexpected character.
+        """
+        super().__init_subclass__(**kwargs)
+        skip = r"\s+|#[^\n]*" if cls.comments else r"\s+"
+        punct = "|".join(map(re.escape, sorted(cls.punct, key=len, reverse=True)))
+        tokens = rf"(?P<punct>{punct})|(?P<nat>\d+)|(?P<ident>\w+)|(?P<bad>.)"
+        cls.scanner = re.compile(f"{skip}|{tokens}", re.S)
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text, self.punct, self.comments, self.error_class)
+        self.tokens: list[Token] = []
+        for m in self.scanner.finditer(text):
+            kind, value, at = m.lastgroup, m[0], m.start()
+            if kind == "bad" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+                raise self.error_class(f"unexpected character {value[0]!r}", at, text)
+            if kind:
+                self.tokens.append((kind, value, at))
+        self.tokens.append(("eof", "", len(text)))
         self.pos = 0
 
     def parse_operand(self):

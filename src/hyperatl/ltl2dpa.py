@@ -602,13 +602,6 @@ def _combination(f: F.Ltl, leaves: list) -> Optional[object]:
     return None
 
 
-def _holds(node, flags: Sequence[bool]) -> bool:
-    if isinstance(node, int):
-        return flags[node]
-    op, l, r = node
-    return op((_holds(l, flags), _holds(r, flags)))
-
-
 def _leaves_of(node) -> list[int]:
     if isinstance(node, int):
         return [node]
@@ -621,7 +614,8 @@ def _settle(node, values: Sequence[Optional[bool]], unread: list) -> Optional[bo
     Appends to ``unread`` the leaves that no longer matter: those below an
     operand whose sibling is fixed to the operator's absorbing value (false
     for ``all``, true for ``any``).  The combination reads every leaf once,
-    so this one pass is exact.
+    so this one pass is exact.  Over two-valued ``values`` it is the
+    combination's truth value.
     """
     if isinstance(node, int):
         return values[node]
@@ -849,7 +843,7 @@ class _ProductDPA(DPA):
         else:
             if unread:
                 states = tuple(-1 if i in unread else s for i, s in enumerate(states))
-            key = (states, seen, int(wrapped and _holds(self.combination, flags)))
+            key = (states, seen, int(wrapped and _settle(self.combination, flags, [])))
         q = self.index.get(key)
         if q is None:
             q = len(self.keys)

@@ -3,7 +3,8 @@
 ``eval_lasso`` evaluates a formula bottom-up over an ultimately periodic
 word, ``dpa_accepts_lasso`` runs a deterministic parity automaton on one,
 and ``brute_force_solve`` solves a small parity game by enumerating
-positional strategy pairs.  Two are exceptions.  ``nba_to_dpa_per_letter``
+positional strategy pairs, and ``tokenize_by_character`` scans a text one
+character at a time.  Two are exceptions.  ``nba_to_dpa_per_letter``
 determinizes with the checker's own tree step, but runs it once per letter
 and state, so it judges the grouping of letters into classes, not the step.
 ``safety_automaton_via_nba`` builds a safety leaf's deterministic automaton
@@ -18,6 +19,7 @@ from typing import Mapping, Sequence
 
 from hyperatl import formula as F
 from hyperatl.graph import explore
+from hyperatl.lexer import ParseError, Token
 from hyperatl.ltl2dpa import (
     _DEAD,
     APA,
@@ -46,6 +48,47 @@ def assignment_to_letter(assignment: Assignment, atoms: Sequence[tuple[str, str]
 
 def letter_to_assignment(letter: int, atoms: Sequence[tuple[str, str]]) -> dict:
     return {atom: bool(letter >> i & 1) for i, atom in enumerate(atoms)}
+
+
+def tokenize_by_character(text: str, punct: Sequence[str], comments: bool) -> list[Token]:
+    """``text`` split by one test per character; ``punct`` is tried in order.
+
+    A number is a run of ``str.isdigit`` characters, so it may hold digits
+    (``²``) that ``int`` cannot read.
+    """
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if comments and c == "#":  # comment to end of line
+            j = text.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        p = next((p for p in punct if text.startswith(p, i)), None)
+        if p is not None:
+            tokens.append(("punct", p, i))
+            i += len(p)
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i, text)
+    tokens.append(("eof", "", n))
+    return tokens
 
 
 def eval_lasso(f: F.Ltl, prefix: Sequence[Assignment], loop: Sequence[Assignment]) -> bool:

@@ -155,6 +155,23 @@ def test_wide_read_hits_the_state_cap_before_its_values_are_enumerated(tmp_path,
     assert capsys.readouterr().err == "resource limit: state cap of 1000 exceeded\n"
 
 
+@pytest.mark.parametrize(
+    "transform, prop, cap",
+    [
+        (",shift=2000", "od", 1000),
+        ("", "sgni:2000", 1000),
+        (",shift=1000000000", "od", 10**6),
+        ("", "sgni:1000000000", 10**6),
+    ],
+)
+def test_shift_counts_its_states_against_the_state_cap(capsys, transform, prop, cap):
+    """The chain of ``k`` states is refused before any of it is built."""
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}{transform}", "--prop", prop, "--cap-states", str(cap)]
+    assert cli.main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err == f"resource limit: state cap of {cap} exceeded\n"
+
+
 def test_suite_records_a_capped_row(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CheckConfig", functools.partial(CheckConfig, cap_vertices=1))
     entry = {"name": "capped", "program": str(bundled_asset("p1.imp")), "prop": "od"}
@@ -531,3 +548,40 @@ def test_suite_records_a_deeply_nested_program_as_an_error_row(tmp_path):
     assert not ok
     assert [(r.name, r.verdict) for r in rows] == [("deep", "error"), ("good", "satisfied")]
     assert "nested too deeply" in rows[0].message
+
+
+NON_DECIMAL_PROGRAM = "var o:1;\nvar h:1;\nh := read_H;\no := h[²];\n"
+NON_DECIMAL = {  # (program or None for p1, --formula text or None, --prop or None)
+    "program": (NON_DECIMAL_PROGRAM, None, "od"),
+    "formula": (None, "[ forall p1 . forall p2 . ] X[²] o[0]{p1}", None),
+    "ahltl body": (None, "G (o[²]{p1} <-> o[0]{p2})", "ahltl:2"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NON_DECIMAL))
+def test_non_decimal_digit_is_a_positioned_usage_error(tmp_path, capsys, where):
+    program, formula, prop = NON_DECIMAL[where]
+    prog = tmp_path / "p.imp"
+    prog.write_text(program or bundled_asset("p1.imp").read_text())
+    argv = ["check", "--system", f"G={prog}"]
+    if formula is not None:
+        f = tmp_path / "f.hq"
+        f.write_text(formula)
+        argv += ["--formula", str(f)]
+    if prop is not None:
+        argv += ["--prop", prop]
+    assert re.fullmatch(r"error: \d+:\d+: unexpected character '²'\n", usage_error(capsys, argv))
+
+
+def test_suite_records_a_non_decimal_digit_as_an_error_row(tmp_path):
+    prog = tmp_path / "bad.imp"
+    prog.write_text(NON_DECIMAL_PROGRAM)
+    good = {"name": "good", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [{"name": "bad", "program": str(prog), "prop": "od"}, good]}))
+    rows, ok = run_suite(str(m))
+    assert not ok
+    assert [(r.name, r.verdict, r.message) for r in rows] == [
+        ("bad", "error", "4:8: unexpected character '²'"),
+        ("good", "satisfied", ""),
+    ]

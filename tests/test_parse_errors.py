@@ -1,9 +1,17 @@
 """Full parse-error messages, ``line:col:`` prefix included, for both languages."""
 
+import random
+import sys
+
 import pytest
 
+from hyperatl import formula, imp
 from hyperatl.formula import FormulaError, parse_formula, parse_ltl
 from hyperatl.imp import ProgramError, parse_program
+from hyperatl.lexer import ParseError
+from oracles import tokenize_by_character
+
+LIMIT = sys.getrecursionlimit()
 
 FORMULA_ERRORS = [
     ("[ forall p1 . ] G o[0]{p1} $", "1:28: unexpected character '$'"),
@@ -19,6 +27,14 @@ FORMULA_ERRORS = [
     ("[ forall p1 . ] o[x]{p1}", "1:19: expected bit index"),
     ("[ forall p1 . ] G o[0]{p1} )", "1:28: trailing input after formula"),
     ("[ <<>> p1 . ] true", "1:5: expected identifier"),
+    # a digit that is not decimal, or a numeral, starts no number and no identifier
+    ("[ forall p1 . ] X[²] o[0]{p1}", "1:19: unexpected character '²'"),
+    ("[ forall p1 . ] G o[0]{Ⅷ}", "1:24: unexpected character 'Ⅷ'"),
+    (
+        "[ forall p1 . ] X[100000000] o[0]{p1}",
+        "1:19: formula is nested too deeply (repetition count 100000000"
+        f" is above Python's recursion limit of {LIMIT})",
+    ),
 ]
 
 LTL_ERRORS = [
@@ -45,6 +61,8 @@ PROGRAM_ERRORS = [
     ("var x : 1;\nx := y;", "2:6: undeclared variable 'y'"),
     ("var x : 1;\nx := x & (x @ x);", "2:8: operand widths differ (1 vs 2)"),
     ("var x : 1;\nx := x[3];", "2:8: bit index 3 out of range for width 1"),
+    ("var x : 1;\nx := x[²];", "2:8: unexpected character '²'"),
+    ("var Ⅷ : 1;\nx := x;", "1:5: unexpected character 'Ⅷ'"),
 ]
 
 
@@ -67,3 +85,45 @@ def test_program_error_message(text, message):
     with pytest.raises(ProgramError) as info:
         parse_program(text)
     assert str(info.value) == message
+
+
+# Every symbol either language uses, and characters on the edges of the
+# classes a scanner tests: letters, decimal digits (``٣`` too), digits that
+# are not decimal (``²``), numerals (``Ⅷ``) and whitespace (U+00A0, U+2028).
+SCAN_ALPHABET = ["0", "7", "a", "Z", "_", "#", " ", "\n", "é", "٣", "²", "Ⅷ", "\u00a0", "\u2028"]
+
+
+def reference_scan(text: str, parser: type):
+    """The character loop's tokens of ``text``, or of the part before its error, and that error."""
+    try:
+        return tokenize_by_character(text, parser.punct, parser.comments), None
+    except ParseError as e:
+        return tokenize_by_character(text[: e.pos], parser.punct, parser.comments), str(e)
+
+
+@pytest.mark.parametrize("parser", [formula._Parser, imp._Parser], ids=["formula", "program"])
+def test_scanner_matches_the_character_loop(parser):
+    """Equal tokens where every number is decimal; elsewhere an error at its first other digit."""
+    rng = random.Random(19)
+    pieces = SCAN_ALPHABET + list(parser.punct)
+    outcomes = {"tokens": 0, "error": 0, "non-decimal": 0}
+    for _ in range(2500):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(16)))
+        tokens, error = reference_scan(text, parser)
+        bad = [
+            at + i
+            for kind, value, at in tokens
+            if kind == "nat"
+            for i, c in enumerate(value)
+            if not c.isdecimal()
+        ]
+        if bad:
+            error = str(ParseError(f"unexpected character {text[bad[0]]!r}", bad[0], text))
+            outcomes["non-decimal"] += 1
+        outcomes["error" if error else "tokens"] += 1
+        try:
+            got = parser(text).tokens
+        except parser.error_class as e:
+            got = str(e)
+        assert got == (error or tokens), text
+    assert min(outcomes.values()) >= 200, outcomes

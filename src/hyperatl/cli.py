@@ -20,11 +20,6 @@ from typing import Optional, Sequence
 from . import arena, imp, ltl2dpa, props, solver, structures
 from .formula import FormulaError, HyperFormula, format_hyper, parse_formula, parse_ltl, to_nnf, validate_fragment
 from .imp import ProgramError, StateCapError
-from .props import TemplateError
-
-DEFAULT_OUT = ["o[0]"]
-DEFAULT_LOW = ["l[0]"]
-DEFAULT_HIGH = ["h[0]"]
 
 EXIT_SATISFIED = 0
 EXIT_VIOLATED = 1
@@ -42,7 +37,6 @@ USAGE_ERRORS = (
     ConfigError,
     FormulaError,
     ProgramError,
-    TemplateError,
     arena.ArenaError,
     structures.TransformError,
 )
@@ -112,10 +106,17 @@ def _read_text(path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {str(path)!r}: {e}") from e
 
 
+def _write_text(path, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write {what} {str(path)!r}: {e}") from e
+
+
 def _read_json(path, what: str):
     try:
         return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, or a number too long for ``int``
         raise ConfigError(f"cannot parse {what} {str(path)!r}: {e}") from e
 
 
@@ -203,28 +204,30 @@ def _expand_builtin(
         return sid
 
     if name == "od":
-        return props.expand_od(DEFAULT_OUT), systems
+        return props.expand_od(), systems
     if name == "ni":
-        return props.expand_ni(DEFAULT_OUT, DEFAULT_LOW), systems
+        return props.expand_ni(), systems
     if name == "simsec":
-        sid = shifted(1)
-        return props.expand_simsec(DEFAULT_OUT, DEFAULT_LOW, base_id, sid), systems
+        return props.expand_simsec(base_id, shifted(1)), systems
     if name == "sgni":
         k = 3 if param is None else _int(param, "sgni:k")
-        sid = shifted(k)
-        f = props.expand_sgni(DEFAULT_OUT, DEFAULT_LOW, DEFAULT_HIGH, k, base_id, sid)
-        return f, systems
+        sid = shifted(k)  # refuses k < 1, and a k that the state cap cannot hold, first
+        limit = sys.getrecursionlimit()
+        if k > limit:  # too deep to check, so refused before its towers of X are built
+            raise ConfigError(f"sgni:k lookahead {k} is above Python's recursion limit of {limit}")
+        return props.expand_sgni(k, base_id, sid), systems
     if name == "od-async":
-        return props.expand_od_async(DEFAULT_OUT, stuttered()), systems
+        return props.expand_od_async(stuttered()), systems
     if name == "ni-async":
         if param == "":
             raise ConfigError("ni-async:r expects an atomic proposition, got ''")
-        r = "r[0]" if param is None else param
-        return props.expand_ni_async(DEFAULT_OUT, DEFAULT_LOW, r, stuttered()), systems
+        return props.expand_ni_async("r[0]" if param is None else param, stuttered()), systems
     if name == "ahltl":
         if body_file is None:
             raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
         n = 2 if param is None else _int(param, "ahltl:n")
+        if n < 1:
+            raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
         body = parse_ltl(_read_text(body_file, "formula").strip())
         return props.expand_ahltl(n, body, stuttered()), systems
     raise ConfigError(f"unknown builtin property {prop!r}")
@@ -344,15 +347,13 @@ def _run(config: CheckConfig) -> Report:
     )
 
     if config.dump_dpa:
-        Path(config.dump_dpa).write_text(ltl2dpa.export_dot(dpa), encoding="utf-8")
+        _write_text(config.dump_dpa, ltl2dpa.export_dot(dpa), "--dump-dpa")
     if config.dump_game:
-        Path(config.dump_game).write_text(
-            arena.export_dot(built, strategy=winner_strategy), encoding="utf-8"
-        )
+        _write_text(config.dump_game, arena.export_dot(built, strategy=winner_strategy), "--dump-game")
     for sid, path in sorted(config.dump_sys.items()):
-        Path(path).write_text(structures.export_dot(systems[sid]), encoding="utf-8")
+        _write_text(path, structures.export_dot(systems[sid]), "--dump-sys")
     if config.report_path:
-        Path(config.report_path).write_text(report.record(), encoding="utf-8")
+        _write_text(config.report_path, report.record(), "--report")
     return report
 
 

@@ -226,7 +226,7 @@ class _Parser(Cursor):
             if self.at_punct("["):
                 self.next()
                 at = self.peek()[2]
-                reps = int(self.expect_nat("expected repetition count after 'X['"))
+                reps = self.expect_int("expected repetition count after 'X['")
                 limit = sys.getrecursionlimit()
                 if reps > limit:  # too deep to check anyway, so refuse it before building it
                     raise FormulaError(

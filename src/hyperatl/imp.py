@@ -272,7 +272,7 @@ class _Parser(Cursor):
             if name in self.widths:
                 raise self.error(f"variable {name!r} declared twice")
             self.expect_punct(":")
-            declared = int(self.expect_nat("expected bit width"))
+            declared = self.expect_int("expected bit width")
             width = self.width_overrides.get(name, declared)
             if width < 1:
                 raise self.error("bit width must be at least 1")
@@ -363,7 +363,7 @@ class _Parser(Cursor):
         while self.at_punct("["):
             self.next()
             pos = self.peek()[2]
-            e = Index(e, int(self.expect_nat("expected bit index")), pos)
+            e = Index(e, self.expect_int("expected bit index"), pos)
             self.expect_punct("]")
         return e
 

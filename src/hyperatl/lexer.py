@@ -131,3 +131,12 @@ class Cursor:
             raise self.error(message)
         self.next()
         return val
+
+    def expect_int(self, message: str) -> int:
+        """A number's value; one longer than ``int`` reads is a positioned error."""
+        at = self.peek()[2]
+        digits = self.expect_nat(message)
+        try:
+            return int(digits)
+        except ValueError:  # above ``sys.get_int_max_str_digits()``
+            raise self.error_class(f"number too long ({len(digits)} digits)", at, self.text) from None

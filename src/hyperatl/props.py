@@ -1,9 +1,11 @@
 """Built-in property templates for information-flow and asynchronous checks.
 
-Each builder assembles formula text and runs it through the parser, so the
-grammar stays the single source of truth.  ``O``/``L``/``H`` are lists of
-labelled proposition names (e.g. ``["o[0]"]``); path variables are always
-``p1``, ``p2``, ... in quantifier order.
+Each builder returns its formula tree, built from the ``formula`` AST
+constructors; no formula text is assembled or parsed.  The propositions are
+fixed: the output ``o[0]``, the low input ``l[0]``, the high input ``h[0]``
+and the stutter marker ``stut`` (see ``structures.stutter_transform``).
+Path variables are ``p1``, ``p2``, ... in quantifier order.  The builders
+trust their parameters; ``cli._expand_builtin`` checks them.
 
 Two recipes are intentionally not named builders because the bundled
 benchmarks do not exercise them; both are expressible directly:
@@ -19,110 +21,94 @@ prefix that is outside the supported single-block fragment.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import reduce
+from typing import Optional
 
-from .formula import FormulaError, HyperFormula, Ltl, format_ltl, parse_formula
+from .formula import (
+    And,
+    Atom,
+    Coalition,
+    Eventually,
+    Exists,
+    Forall,
+    Globally,
+    HyperFormula,
+    Iff,
+    Implies,
+    Ltl,
+    Next,
+    Not,
+    Quantifier,
+)
+from .structures import SCHED, STUT_PROP
+
+OUT, LOW, HIGH = "o[0]", "l[0]", "h[0]"
+_SCHED = Coalition((SCHED,))
 
 
-class TemplateError(FormulaError):
-    """Raised when a template's parameters are inconsistent."""
+def _same(prop: str, left: str, right: str, delay: int = 0) -> Ltl:
+    """``prop{left} <-> X^delay prop{right}``."""
+    later: Ltl = Atom(prop, right)
+    for _ in range(delay):
+        later = Next(later)
+    return Iff(Atom(prop, left), later)
 
 
-def _conj(parts: Sequence[str]) -> str:
-    if not parts:
-        return "true"
-    return " & ".join(parts) if len(parts) == 1 else "(" + " & ".join(parts) + ")"
+def _fair(var: str) -> Ltl:
+    """``G F ! stut{var}``: the scheduler of ``var`` does not stutter forever."""
+    return Globally(Eventually(Not(Atom(STUT_PROP, var))))
 
 
-def _match(props: Sequence[str], left: str, right: str, right_prefix: str = "") -> str:
-    return _conj([f"({p}{{{left}}} <-> {right_prefix}{p}{{{right}}})" for p in props])
+def _ni(delay: int = 0) -> Ltl:
+    """``G`` equal low inputs ``-> G`` equal outputs, ``p2`` read ``delay`` steps late."""
+    return Implies(Globally(_same(LOW, "p1", "p2", delay)), Globally(_same(OUT, "p1", "p2", delay)))
 
 
-def _fair(var: str) -> str:
-    return f"(G F ! stut{{{var}}})"
+def _copies(n: int, spec, system: Optional[str] = None) -> tuple[Quantifier, ...]:
+    """``n`` quantifiers ``spec p1 @ system . ... spec pn @ system .``."""
+    return tuple(Quantifier(spec, f"p{i + 1}", system) for i in range(n))
 
 
-def expand_od(O: Sequence[str]) -> HyperFormula:
+def expand_od() -> HyperFormula:
     """All traces agree on the outputs at every step."""
-    if not O:
-        raise TemplateError("observational determinism needs at least one output")
-    return parse_formula(f"[ forall p1 . forall p2 . ] G {_match(O, 'p1', 'p2')}")
+    return HyperFormula(_copies(2, Forall()), Globally(_same(OUT, "p1", "p2")))
 
 
-def expand_ni(O: Sequence[str], L: Sequence[str]) -> HyperFormula:
+def expand_ni() -> HyperFormula:
     """Equal low inputs force equal outputs."""
-    if not O:
-        raise TemplateError("non-interference needs at least one output")
-    premise = f"G {_match(L, 'p1', 'p2')}" if L else "true"
-    return parse_formula(
-        f"[ forall p1 . forall p2 . ] ({premise}) -> G {_match(O, 'p1', 'p2')}"
-    )
+    return HyperFormula(_copies(2, Forall()), _ni())
 
 
-def expand_simsec(
-    O: Sequence[str],
-    L: Sequence[str],
-    sys: str,
-    sys_shift: str,
-) -> HyperFormula:
+def expand_simsec(sys: str, sys_shift: str) -> HyperFormula:
     """Lock-step matching with a one-step-lookahead strategy for xi_N.
 
     The second copy runs one position late, so its references carry a next
     operator; the nondeterminism player of the late copy must reproduce the
     reference outputs whenever the low inputs match.
     """
-    if not O:
-        raise TemplateError("simulation security needs at least one output")
-    premise = f"G {_match(L, 'p1', 'p2', 'X ')}" if L else "true"
-    return parse_formula(
-        f"[ forall p1 @ {sys} . <<xi_N>> p2 @ {sys_shift} . ] "
-        f"({premise}) -> G {_match(O, 'p1', 'p2', 'X ')}"
-    )
+    block = (Quantifier(Forall(), "p1", sys), Quantifier(Coalition(("xi_N",)), "p2", sys_shift))
+    return HyperFormula(block, _ni(1))
 
 
-def expand_sgni(
-    O: Sequence[str],
-    L: Sequence[str],
-    H: Sequence[str],
-    k: int,
-    sys: str,
-    sys_shift_k: str,
-) -> HyperFormula:
+def expand_sgni(k: int, sys: str, sys_shift_k: str) -> HyperFormula:
     """Existence of a matching trace built with a k-step view on the future.
 
     The witness copy is shifted by k, so every reference to it carries k
     next operators; it must agree with the first trace on high inputs and
     with the second on outputs and low inputs.
     """
-    if k < 1:
-        raise TemplateError("lookahead must be at least 1")
-    if not O:
-        raise TemplateError("generalized non-interference needs at least one output")
-    x = f"X[{k}] " if k > 1 else "X "
-    high = f"G {_match(H, 'p1', 'p3', x)}" if H else "true"
-    low_out = _conj(
-        [f"({p}{{p2}} <-> {x}{p}{{p3}})" for p in O]
-        + [f"({p}{{p2}} <-> {x}{p}{{p3}})" for p in L]
-    )
-    return parse_formula(
-        f"[ forall p1 @ {sys} . forall p2 @ {sys} . exists p3 @ {sys_shift_k} . ] "
-        f"({high}) & G {low_out}"
-    )
+    block = _copies(2, Forall(), sys) + (Quantifier(Exists(), "p3", sys_shift_k),)
+    low_out = And(_same(OUT, "p2", "p3", k), _same(LOW, "p2", "p3", k))
+    return HyperFormula(block, And(Globally(_same(HIGH, "p1", "p3", k)), Globally(low_out)))
 
 
-def expand_od_async(O: Sequence[str], sys_stut: str) -> HyperFormula:
+def expand_od_async(sys_stut: str) -> HyperFormula:
     """Schedulers may stutter either copy, fairly, to align the outputs."""
-    if not O:
-        raise TemplateError("observational determinism needs at least one output")
-    return parse_formula(
-        f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
-        f"{_fair('p1')} & {_fair('p2')} & G {_match(O, 'p1', 'p2')}"
-    )
+    body = reduce(And, (_fair("p1"), _fair("p2"), Globally(_same(OUT, "p1", "p2"))))
+    return HyperFormula(_copies(2, _SCHED, sys_stut), body)
 
 
-def expand_ni_async(
-    O: Sequence[str], L: Sequence[str], r: str, sys_stut: str
-) -> HyperFormula:
+def expand_ni_async(r: str, sys_stut: str) -> HyperFormula:
     """Asynchronous non-interference with aligned read positions.
 
     The alignment proposition ``r`` forces the schedulers to keep the read
@@ -130,14 +116,8 @@ def expand_ni_async(
     invalidate the premise by misaligning the inputs, which satisfies the
     implication vacuously.
     """
-    if not O:
-        raise TemplateError("non-interference needs at least one output")
-    premise = f"G {_match(L, 'p1', 'p2')}" if L else "true"
-    implication = f"(({premise}) -> G {_match(O, 'p1', 'p2')})"
-    return parse_formula(
-        f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
-        f"{implication} & {_fair('p1')} & {_fair('p2')} & G {_match([r], 'p1', 'p2')}"
-    )
+    body = reduce(And, (_ni(), _fair("p1"), _fair("p2"), Globally(_same(r, "p1", "p2"))))
+    return HyperFormula(_copies(2, _SCHED, sys_stut), body)
 
 
 def expand_ahltl(n: int, body: Ltl, sys_stut: str) -> HyperFormula:
@@ -150,8 +130,5 @@ def expand_ahltl(n: int, body: Ltl, sys_stut: str) -> HyperFormula:
     stutter-invariant parts the reduction is exact, otherwise it is a sound
     approximation.
     """
-    if n < 1:
-        raise TemplateError("at least one copy is required")
-    block = " ".join(f"<<sched>> p{i + 1} @ {sys_stut} ." for i in range(n))
-    fair = " & ".join(_fair(f"p{i + 1}") for i in range(n))
-    return parse_formula(f"[ {block} ] ({format_ltl(body)}) & {fair}")
+    block = _copies(n, _SCHED, sys_stut)
+    return HyperFormula(block, reduce(And, (_fair(q.var) for q in block), body))

@@ -125,15 +125,18 @@ def random_structure(rng: random.Random, max_states: int = 6, props=("x", "y")) 
     )
 
 
-def random_program(rng: random.Random, max_block: int = 3, depth: int = 2) -> str:
-    """Random program text over one to three variables of width 1–2.
+def random_program(rng: random.Random, max_block: int = 3, depth: int = 2, names=None) -> str:
+    """Random program text over the variables ``names``, each of width 1–2.
 
+    Without ``names`` the variables are one to three of ``x``, ``y``, ``z``.
     Blocks hold one to ``max_block`` statements: assignments, ``read_H`` /
     ``read_L``, and, down to ``depth`` levels of nesting, ``if``, ``if (*)``
     and ``while``.  Half of the ``if`` statements have two identical
     branches, which parse to equal but distinct objects.
     """
-    widths = {x: rng.randint(1, 2) for x in "xyz"[: rng.randint(1, 3)]}
+    if names is None:
+        names = "xyz"[: rng.randint(1, 3)]
+    widths = {x: rng.randint(1, 2) for x in names}
 
     def bit(size: int) -> str:
         if size <= 1:

@@ -10,6 +10,10 @@ and state, so it judges the grouping of letters into classes, not the step.
 ``safety_automaton_via_nba`` builds a safety leaf's deterministic automaton
 the long way, through the checker's breakpoint automaton, so it judges the
 direct subset construction on antichains.
+
+The ``text_*`` builders assemble each builtin property as formula text over
+lists of output, low and high propositions and parse it; ``props`` builds
+the same formulas as trees over fixed propositions.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 from typing import Mapping, Sequence
 
 from hyperatl import formula as F
+from hyperatl.formula import format_ltl, parse_formula
 from hyperatl.graph import explore
 from hyperatl.lexer import ParseError, Token
 from hyperatl.ltl2dpa import (
@@ -328,3 +333,74 @@ def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:
     w0 = frozenset(v for v in range(n) if wins0[v])
     w1 = frozenset(v for v in range(n) if not wins0[v])
     return WinningRegions(w0, w1)
+
+
+# -- builtin properties through formula text ----------------------------------
+
+
+def _conj(parts: Sequence[str]) -> str:
+    if not parts:
+        return "true"
+    return " & ".join(parts) if len(parts) == 1 else "(" + " & ".join(parts) + ")"
+
+
+def _match(props: Sequence[str], left: str, right: str, right_prefix: str = "") -> str:
+    return _conj([f"({p}{{{left}}} <-> {right_prefix}{p}{{{right}}})" for p in props])
+
+
+def _fair(var: str) -> str:
+    return f"(G F ! stut{{{var}}})"
+
+
+def text_od(O: Sequence[str]) -> F.HyperFormula:
+    return parse_formula(f"[ forall p1 . forall p2 . ] G {_match(O, 'p1', 'p2')}")
+
+
+def text_ni(O: Sequence[str], L: Sequence[str]) -> F.HyperFormula:
+    premise = f"G {_match(L, 'p1', 'p2')}" if L else "true"
+    return parse_formula(f"[ forall p1 . forall p2 . ] ({premise}) -> G {_match(O, 'p1', 'p2')}")
+
+
+def text_simsec(O: Sequence[str], L: Sequence[str], sys: str, sys_shift: str) -> F.HyperFormula:
+    premise = f"G {_match(L, 'p1', 'p2', 'X ')}" if L else "true"
+    return parse_formula(
+        f"[ forall p1 @ {sys} . <<xi_N>> p2 @ {sys_shift} . ] "
+        f"({premise}) -> G {_match(O, 'p1', 'p2', 'X ')}"
+    )
+
+
+def text_sgni(
+    O: Sequence[str], L: Sequence[str], H: Sequence[str], k: int, sys: str, sys_shift_k: str
+) -> F.HyperFormula:
+    x = f"X[{k}] " if k > 1 else "X "
+    high = f"G {_match(H, 'p1', 'p3', x)}" if H else "true"
+    low_out = _conj(
+        [f"({p}{{p2}} <-> {x}{p}{{p3}})" for p in O]
+        + [f"({p}{{p2}} <-> {x}{p}{{p3}})" for p in L]
+    )
+    return parse_formula(
+        f"[ forall p1 @ {sys} . forall p2 @ {sys} . exists p3 @ {sys_shift_k} . ] "
+        f"({high}) & G {low_out}"
+    )
+
+
+def text_od_async(O: Sequence[str], sys_stut: str) -> F.HyperFormula:
+    return parse_formula(
+        f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
+        f"{_fair('p1')} & {_fair('p2')} & G {_match(O, 'p1', 'p2')}"
+    )
+
+
+def text_ni_async(O: Sequence[str], L: Sequence[str], r: str, sys_stut: str) -> F.HyperFormula:
+    premise = f"G {_match(L, 'p1', 'p2')}" if L else "true"
+    implication = f"(({premise}) -> G {_match(O, 'p1', 'p2')})"
+    return parse_formula(
+        f"[ <<sched>> p1 @ {sys_stut} . <<sched>> p2 @ {sys_stut} . ] "
+        f"{implication} & {_fair('p1')} & {_fair('p2')} & G {_match([r], 'p1', 'p2')}"
+    )
+
+
+def text_ahltl(n: int, body: F.Ltl, sys_stut: str) -> F.HyperFormula:
+    block = " ".join(f"<<sched>> p{i + 1} @ {sys_stut} ." for i in range(n))
+    fair = " & ".join(_fair(f"p{i + 1}") for i in range(n))
+    return parse_formula(f"[ {block} ] ({format_ltl(body)}) & {fair}")

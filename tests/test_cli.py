@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,9 @@ def test_shift_counts_its_states_against_the_state_cap(capsys, transform, prop, 
     """The chain of ``k`` states is refused before any of it is built."""
     prog = str(bundled_asset("p1.imp"))
     argv = ["check", "--system", f"G={prog}{transform}", "--prop", prop, "--cap-states", str(cap)]
+    start = time.perf_counter()
     assert cli.main(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == f"resource limit: state cap of {cap} exceeded\n"
 
 
@@ -585,3 +588,58 @@ def test_suite_records_a_non_decimal_digit_as_an_error_row(tmp_path):
         ("bad", "error", "4:8: unexpected character '²'"),
         ("good", "satisfied", ""),
     ]
+
+
+def test_builtin_parameters_are_checked_before_a_formula_is_built(tmp_path, capsys):
+    prog = str(bundled_asset("p1.imp"))
+    # a formula fragment in place of the alignment proposition is one unknown proposition
+    argv = ["check", "--system", f"G={prog}", "--prop", "ni-async:o[0]{p1} | true | o[0]"]
+    assert "proposition 'o[0]{p1} | true | o[0]' is not labelled" in usage_error(capsys, argv)
+    # a lookahead too deep to check is refused without a position in formula text
+    limit = sys.getrecursionlimit()
+    argv = ["check", "--system", f"G={prog}", "--prop", f"sgni:{limit + 500}"]
+    err = usage_error(capsys, argv)
+    assert f"lookahead {limit + 500} is above Python's recursion limit" in err
+    assert not re.search(r"\d+:\d+:", err)
+    body = tmp_path / "f.hatl"
+    body.write_text("G o[0]{p1}")
+    for n in ("0", "-2"):
+        argv = ["check", "--system", f"G={prog}", "--prop", f"ahltl:{n}", "--formula", str(body)]
+        assert f"ahltl:n needs at least one copy, got {n}" in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", ["--dump-dpa", "--dump-game", "--dump-sys", "--report"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, flag, where):
+    path = tmp_path / "missing" / "out.dot" if where == "missing directory" else tmp_path
+    argv = ["check", "--system", f"G={bundled_asset('p1.imp')}", "--prop", "od"]
+    argv += [flag, f"G={path}" if flag == "--dump-sys" else str(path)]
+    assert f"cannot write {flag} {str(path)!r}" in usage_error(capsys, argv)
+
+
+LONG = "7" * 5000  # more digits than ``int`` reads by default
+LONG_NUMBERS = {  # (program or None for p1, --formula text or None for od)
+    "program width": (f"var o:{LONG};\no := o;\n", None),
+    "program index": (f"var o:1;\no := o[{LONG}];\n", None),
+    "formula": (None, f"[ forall p1 . forall p2 . ] X[{LONG}] o[0]{{p1}}"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_NUMBERS))
+def test_number_too_long_for_int_is_a_positioned_usage_error(tmp_path, capsys, where):
+    program, formula = LONG_NUMBERS[where]
+    prog = tmp_path / "p.imp"
+    prog.write_text(program or bundled_asset("p1.imp").read_text())
+    argv = ["check", "--system", f"G={prog}", "--prop", "od"]
+    if formula is not None:
+        f = tmp_path / "f.hq"
+        f.write_text(formula)
+        argv[-2:] = ["--formula", str(f)]
+    assert re.fullmatch(r"error: \d+:\d+: number too long \(5000 digits\)\n", usage_error(capsys, argv))
+
+
+def test_manifest_number_too_long_for_int_is_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    program = json.dumps(str(bundled_asset("q1.imp")))
+    m.write_text(f'{{"entries": [{{"name": "case", "program": {program}, "prop": "od", "widths": {{"h": {LONG}}}}}]}}')
+    assert f"cannot parse manifest {str(m)!r}" in usage_error(capsys, ["suite", "--manifest", str(m)])

@@ -343,12 +343,12 @@ def test_oracle_equivalence_sample():
 # -- deterministic breakpoint automata skip determinization ---------------------
 
 BUILTIN_BODIES = {
-    "od": props.expand_od(["o[0]"]).body,
-    "ni": props.expand_ni(["o[0]"], ["l[0]"]).body,
-    "simsec": props.expand_simsec(["o[0]"], ["l[0]"], "G", "G_shift1").body,
-    "sgni:3": props.expand_sgni(["o[0]"], ["l[0]"], ["h[0]"], 3, "G", "G_shift3").body,
-    "od-async": props.expand_od_async(["o[0]"], "G_stut").body,
-    "ni-async": props.expand_ni_async(["o[0]"], ["l[0]"], "r[0]", "G_stut").body,
+    "od": props.expand_od().body,
+    "ni": props.expand_ni().body,
+    "simsec": props.expand_simsec("G", "G_shift1").body,
+    "sgni:3": props.expand_sgni(3, "G", "G_shift3").body,
+    "od-async": props.expand_od_async("G_stut").body,
+    "ni-async": props.expand_ni_async("r[0]", "G_stut").body,
     # outside the obligation ∧ G F class, with a nondeterministic NBA
     "fg": parse_ltl("F G a{p}"),
     # outside the class, with a deterministic NBA

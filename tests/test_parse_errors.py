@@ -12,6 +12,7 @@ from hyperatl.lexer import ParseError
 from oracles import tokenize_by_character
 
 LIMIT = sys.getrecursionlimit()
+LONG = "7" * 5000
 
 FORMULA_ERRORS = [
     ("[ forall p1 . ] G o[0]{p1} $", "1:28: unexpected character '$'"),
@@ -35,6 +36,8 @@ FORMULA_ERRORS = [
         "1:19: formula is nested too deeply (repetition count 100000000"
         f" is above Python's recursion limit of {LIMIT})",
     ),
+    # a number longer than ``int`` reads (``sys.get_int_max_str_digits()``)
+    pytest.param(f"[ forall p1 . ] X[{LONG}] o[0]{{p1}}", "1:19: number too long (5000 digits)", id="long X"),
 ]
 
 LTL_ERRORS = [
@@ -63,6 +66,8 @@ PROGRAM_ERRORS = [
     ("var x : 1;\nx := x[3];", "2:8: bit index 3 out of range for width 1"),
     ("var x : 1;\nx := x[²];", "2:8: unexpected character '²'"),
     ("var Ⅷ : 1;\nx := x;", "1:5: unexpected character 'Ⅷ'"),
+    pytest.param(f"var x : {LONG};\nx := x;", "1:9: number too long (5000 digits)", id="long width"),
+    pytest.param(f"var x : 1;\nx := x[{LONG}];", "2:8: number too long (5000 digits)", id="long index"),
 ]
 
 
@@ -85,6 +90,14 @@ def test_program_error_message(text, message):
     with pytest.raises(ProgramError) as info:
         parse_program(text)
     assert str(info.value) == message
+
+
+def test_numbers_keep_their_meaning():
+    """Leading zeros: a formula's bit index is kept as written, other numbers are read as ints."""
+    assert parse_ltl("X[007] o[007]{p1}") == parse_ltl("X X X X X X X o[007]{p1}")
+    assert parse_ltl("o[007]{p1}") == formula.Atom("o[007]", "p1")
+    widths, program = parse_program("var x : 02;\nx := x[01] @ x[00];")
+    assert widths == {"x": 2} and program == parse_program("var x : 2;\nx := x[1] @ x[0];")[1]
 
 
 # Every symbol either language uses, and characters on the edges of the

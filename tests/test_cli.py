@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -169,9 +168,7 @@ def test_shift_counts_its_states_against_the_state_cap(capsys, transform, prop, 
     """The chain of ``k`` states is refused before any of it is built."""
     prog = str(bundled_asset("p1.imp"))
     argv = ["check", "--system", f"G={prog}{transform}", "--prop", prop, "--cap-states", str(cap)]
-    start = time.perf_counter()
     assert cli.main(argv) == EXIT_RESOURCE
-    assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == f"resource limit: state cap of {cap} exceeded\n"
 
 

@@ -1,22 +1,25 @@
 """Game arena for one bracketed quantifier block over parallel copies.
 
-Automaton-step vertices hold (q, joint state) and advance the body automaton
-on the assignment read off the joint labels.  Move-selection vertices extend
-partial move vectors stage by stage: at each stage the coalition agents fix
-their moves first (player 0's turn), then the adversarial agents (player 1),
-until all copies hold a total vector and the joint transition fires.  Every
-vertex inherits the colour of its automaton component as priority, so the
-chains between automaton steps are priority-constant and skipping stages
-with no acting agents cannot change any cycle's minimal colour.
+Move-selection vertices extend partial move vectors stage by stage: at each
+stage the coalition agents fix their moves first (player 0's turn), then
+the adversarial agents (player 1), until all copies hold a total vector.
+The edge that completes the vector fires the joint transition and steps
+the body automaton on the labels of the joint state it reaches, so a
+vertex's automaton state has already read the labels of its joint state
+and there are no vertices for the automaton step.  Every vertex takes the
+colour of its automaton state as priority, so the rounds are
+priority-constant and skipping stages with no acting agents cannot change
+any cycle's minimal colour.
 
 The builder works on packed integers.  A copy's position inside one round
 of move selection is the local position ``state * width + partial``, where
 ``partial`` indexes the moves fixed so far, and a vertex is the key
 ``(q * n_phases + phase) * size + sum(local_c * stride_c)`` over its copies;
 the two decided sinks get negative keys.  Per-copy tables, computed once,
-give each local position's successors in every phase, so the search loop
-only sums table entries and interns the results.  Vertex labels are made
-from the kept keys when first asked for.
+give each local position's successors in every phase, and on the firing
+edge also the copy's letter, so the search only sums table entries and
+interns the results.  Vertex labels are made from the kept keys when first
+asked for.
 
 When both quantifiers of a two-copy block range over the same structure
 with the same coalition, and the body automaton commutes with swapping the
@@ -55,6 +58,7 @@ class BuiltArena:
     """The game plus what a report needs; vertex labels are made on demand."""
 
     game: ParityGame
+    # vertices that begin a round (entered by an automaton step)
     n_automaton_vertices: int
     n_sink_vertices: int
     keys: list[int] = field(repr=False)
@@ -78,7 +82,8 @@ class _CopyInfo:
     current round, in the canonical move order (by stage, coalition before
     adversaries, then agent index), and ``width`` bounds it over all states.
     The protocol steps of a round are the (stage, team) pairs, then the
-    automaton step.
+    automaton step, which fixes no move; it has a phase of its own only in
+    a block where no agent acts.
     """
 
     def __init__(
@@ -135,13 +140,18 @@ class _CopyInfo:
             for p, moves in enumerate(vectors):
                 self.fire[s * w + p] = structure.delta(s, dict(zip(move_order, moves))) * w
 
-    def successors(self, a: int, b: int, stride: int) -> list[Optional[tuple[int, ...]]]:
+    def successors(
+        self, a: int, b: int, stride: int, size: int
+    ) -> list[Optional[tuple[int, ...]]]:
         """Per local position live at step ``a``: its positions at step ``b``.
 
-        Positions come times ``stride``, in move-vector product order; when
-        ``b`` is the automaton step the round ends and the joint step fires.
-        Only step ``a`` fixes moves: the steps skipped between ``a`` and ``b``
-        have no acting agent in any copy.
+        Positions come times ``stride``, in move-vector product order.  When
+        ``b`` is the automaton step the round ends, the joint step fires, and
+        each entry is ``letter * size + position * stride``: the copies'
+        letters set disjoint bits, so the sum of one entry per copy divides
+        by ``size`` into the joint letter and the joint position.  Only step
+        ``a`` fixes moves: the steps skipped between ``a`` and ``b`` have no
+        acting agent in any copy.
         """
         n, w = self.n_states, self.width
         auto = len(self.step_arity) - 1
@@ -153,7 +163,11 @@ class _CopyInfo:
                 nxt = range(s * w + p * r, s * w + (p + 1) * r)
                 if b == auto:
                     nxt = [self.fire[x] for x in nxt]
-                table[s * w + p] = tuple(x * stride for x in nxt)
+                    table[s * w + p] = tuple(
+                        self.letter_mask[x] * size + x * stride for x in nxt
+                    )
+                else:
+                    table[s * w + p] = tuple(x * stride for x in nxt)
         return table
 
 
@@ -254,10 +268,13 @@ def build_game(
     """Construct the reachable arena for the given quantifier block.
 
     Move-selection stages at which no agent of any copy acts get no
-    vertices, and the last move choice of a round performs the joint step.
-    Automaton states that ``dpa.sink`` marks as accepting no word (resp.
-    every word) are replaced by one losing (resp. winning) sink; winners
-    are unchanged.  The DPA decides its sinks itself: a tidied DPA by
+    vertices.  The last move choice of a round performs the joint step and
+    steps the automaton on the labels of the joint state it reaches, so the
+    next round begins in that state; the initial vertex has read the labels
+    of the initial joint state.  Automaton states that ``dpa.sink`` marks as
+    accepting no word (resp. every word) are replaced by one losing (resp.
+    winning) sink, entered by the step that reaches them; winners are
+    unchanged.  The DPA decides its sinks itself: a tidied DPA by
     ``ltl2dpa.decided_states`` over all its states, the on-the-fly product
     locally, as each state is numbered.  A row of the DPA is read through
     ``dpa.row(q)`` the first time the arena steps state ``q``, so a product
@@ -284,15 +301,16 @@ def build_game(
         for i, (coalition, structure) in enumerate(quants)
     ]
     auto = len(pairs)
-    steps = [i for i in range(auto) if any(c.acting[i] for c in copies)] + [auto]
+    # a block where no agent acts keeps the automaton step as its one phase
+    steps = [i for i in range(auto) if any(c.acting[i] for c in copies)] or [auto]
     nph = len(steps)
-    auto_phase = nph - 1
 
     dims = []
     size = 1
     for c in copies:
         dims.append((size, c.n_states * c.width, c.width))
         size *= c.n_states * c.width
+    span = nph * size  # key distance between consecutive automaton states
     layout = _Layout(pairs, steps, size, dims)
     sigma = _copy_swap(quants, dpa, atoms, atom_copy)
     swap = None
@@ -300,24 +318,32 @@ def build_game(
         # equal structures and coalitions give both copies equal tables
         layout.mirror = [s * nph + ph for s in sigma for ph in range(nph)]
         swap = layout.swap
-    # per phase: per-copy (successor table, stride, positions), owner, next
-    # phase, and whether the step into the next phase fires the joint step
+    # per phase: per-copy (successor table, stride, positions) and owner;
+    # the last phase fires the joint step into phase 0
     phases = []
     for i, step in enumerate(steps):
-        after = steps[(i + 1) % nph]
-        lookups = [(c.successors(step, after, st), st, sz) for c, (st, sz, _) in zip(copies, dims)]
+        after = steps[i + 1] if i + 1 < nph else auto
+        lookups = [
+            (c.successors(step, after, st, size), st, sz) for c, (st, sz, _) in zip(copies, dims)
+        ]
         owned_by_one = step < auto and not pairs[step][1]
-        phases.append((lookups, int(owned_by_one), (i + 1) % nph, after == auto))
-    letters = [(c.letter_mask, st, sz) for c, (st, sz, _) in zip(copies, dims)]
+        phases.append((lookups, int(owned_by_one)))
+    fire_phase = nph - 1
     # the product appends to these lists as the search reaches new states
     sink, colors, trans = dpa.sink, dpa.colors, dpa.trans
     product = itertools.product
 
     initial_key = sink[dpa.initial]
     if initial_key is None:
-        initial_key = (dpa.initial * nph + auto_phase) * size + sum(
-            g.initial * w * st for (_, g), (st, _, w) in zip(quants, dims)
-        )
+        letter = 0
+        for (_, g), c in zip(quants, copies):
+            letter |= c.letter_mask[g.initial * c.width]
+        q = dpa.row(dpa.initial)[letter]
+        initial_key = sink[q]
+        if initial_key is None:
+            initial_key = q * span + sum(
+                g.initial * w * st for (_, g), (st, _, w) in zip(quants, dims)
+            )
     if cap < 1:
         raise VertexCapError(f"vertex cap of {cap} exceeded")
     keys = [initial_key]
@@ -335,24 +361,27 @@ def build_game(
             continue
         hi, rest = divmod(key, size)
         q, phase = divmod(hi, nph)
-        lookups, who, following, fires = phases[phase]
+        lookups, who = phases[phase]
         owner.append(who)
         priority.append(colors[q])
-        if phase == auto_phase:
+        if phase == 0:
             n_automaton += 1
-            value = 0
-            for mask, st, sz in letters:
-                value |= mask[rest // st % sz]
+        options = [table[rest // st % sz] for table, st, sz in lookups]
+        if phase == fire_phase:
             step = trans[q]
             if step is None:
                 step = dpa.row(q)
-            q = step[value]
-        options = [table[rest // st % sz] for table, st, sz in lookups]
-        target = sink[q] if fires else None
-        base = (q * nph + following) * size
+            targets = []
+            for combo in product(*options):
+                letter, pos = divmod(sum(combo), size)
+                nq = step[letter]
+                decided = sink[nq]
+                targets.append(nq * span + pos if decided is None else decided)
+        else:
+            base = (hi + 1) * size  # the next phase, same automaton state
+            targets = [base + sum(combo) for combo in product(*options)]
         row = []
-        for combo in product(*options):
-            nk = base + sum(combo) if target is None else target
+        for nk in targets:
             t = index.get(nk)
             if t is None:
                 t = len(keys)

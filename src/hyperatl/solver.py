@@ -28,7 +28,7 @@ class ParityGame:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(row) for row in self.succ)
+        return sum(map(len, self.succ))
 
     def predecessors(self) -> list[list[int]]:
         return predecessors(self.succ)

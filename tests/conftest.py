@@ -187,6 +187,19 @@ def random_dpa(rng: random.Random, atoms, max_states: int = 5, max_color: int = 
     return DPA(tuple(atoms), 0, colors, trans)
 
 
+def random_block(rng: random.Random):
+    """A random quantifier block: 1-3 copies, atoms ``x`` and ``y`` of each, a random DPA."""
+    k = rng.randint(1, 3)
+    quants = []
+    for _ in range(k):
+        g = random_structure(rng, max_states=6 if k < 3 else 4)
+        coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
+        quants.append((coalition, g))
+    atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y"))
+    atom_copy = {(p, f"p{i + 1}"): i for i in range(k) for p in ("x", "y")}
+    return quants, random_dpa(rng, atoms, max_states=5), atoms, atom_copy
+
+
 def swap_paths(f):
     """The formula with paths ``p1`` and ``p2`` exchanged."""
     if isinstance(f, F.Atom):

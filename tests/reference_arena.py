@@ -3,10 +3,11 @@
 This is the construction that ``arena.build_game`` replaced, unchanged:
 vertices are tuple keys interned in BFS order and every move vector is
 stepped through ``MSCGS.delta``.  It never quotients by the copy swap.
-``tests/test_arena_kernel.py`` requires the packed-integer kernel to
-reproduce its ``collapse=True, prune_decided=True`` games vertex for vertex
-where the kernel keeps every vertex, and to be their orbit quotient where
-it keeps one vertex per orbit of the swap.  With both switches off it
+``tests/test_arena_kernel.py`` contracts its ``collapse=True,
+prune_decided=True`` games by moving each automaton step onto the edges
+into it, as the kernel does, and requires the kernel to reproduce the
+contracted game vertex for vertex where the kernel keeps every vertex, and
+to be its orbit quotient where it keeps one vertex per orbit of the swap.  With both switches off it
 builds the exact game (every stage and total-vector vertex kept, decided
 states not pruned), the only place that game still exists; the arena tests
 compare its winners with the kernel's.

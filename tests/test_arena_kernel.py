@@ -1,16 +1,19 @@
 """The packed-integer arena kernel against the tuple-keyed reference builder.
 
-Where the copy swap is no automorphism, the kernel's one mode must reproduce
+The kernel steps the automaton on the edge that fires the joint step, so
 the reference's game in the matching mode (empty stages skipped, decided
-states pruned) vertex for vertex: equal successor rows (in order), owners,
-priorities, initial vertex, automaton-vertex count and labels, hence
-byte-equal DOT output.  Where it is one, the kernel's game must be the
-orbit quotient of the reference's: every reference vertex is a kept key or
-the swap image of one, and each kept vertex has the owner, priority, label,
-successor orbits (in order) and winner of both reference vertices it
-stands for.
+states pruned) is first contracted by :func:`contract`, which removes its
+automaton-step vertices.  Where the copy swap is no automorphism, the
+kernel's one mode must reproduce that contracted game vertex for vertex:
+equal successor rows (in order), owners, priorities, initial vertex,
+round-start count and labels, hence byte-equal DOT output.  Where it is
+one, the kernel's game must be the orbit quotient of the contracted game:
+every contracted vertex is a kept key or the swap image of one, and each
+kept vertex has the owner, priority, label, successor orbits (in order)
+and winner of both contracted vertices it stands for.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -18,15 +21,86 @@ import random
 import pytest
 
 import reference_arena
-from conftest import random_dpa, random_ltl, random_structure, swap_paths
+from conftest import random_block, random_ltl, random_structure, swap_paths
 from hyperatl import arena, cli
 from hyperatl import formula as F
 from hyperatl.arena import VertexCapError, build_game
-from hyperatl.ltl2dpa import DPA, ltl_to_dpa
-from hyperatl.solver import zielonka
+from hyperatl.ltl2dpa import DPA, LOSE, WIN, ltl_to_dpa
+from hyperatl.solver import ParityGame, zielonka
 
 # the reference's (collapse, prune_decided) mode that the kernel reproduces
 MODES = [(True, True)]
+
+SINK_KEYS = {LOSE: ("LOSE",), WIN: ("WIN",)}
+
+
+def contract(reference, dpa):
+    """The reference's game with each automaton step moved onto the edges into it.
+
+    Each edge into an automaton-step vertex ``A q (js)`` is redirected to
+    that vertex's successor, or to the losing or winning sink once the
+    state ``q'`` that ``q`` steps to on the labels of ``js`` is decided.  In
+    a block where no agent acts that successor is again an automaton step,
+    so the vertex stays, as ``A q' (js)`` with the colour of ``q'``.  The
+    result is renumbered breadth-first from the initial vertex.
+    """
+    r, keys = reference.game, reference.keys
+
+    def image(v):
+        key = keys[v]
+        if key[0] != "A":
+            return key
+        _, q, js = key
+        letter = 0
+        for s, copy in zip(js, reference.copies):
+            letter |= copy.letter_mask[s]
+        stepped = dpa.trans[q][letter]
+        if dpa.sink[stepped] is not None:
+            return SINK_KEYS[dpa.sink[stepped]]
+        (t,) = r.succ[v]
+        return keys[t] if keys[t][0] == "M" else ("A", stepped, js)
+
+    # per contracted key: owner, priority, successor keys and label
+    kept = {key: (0, int(key == ("LOSE",)), [key], key[0]) for key in SINK_KEYS.values()}
+    starts = set()
+    for v, key in enumerate(keys):
+        if key[0] == "M":
+            row = [image(t) for t in r.succ[v]]
+            kept[key] = (r.owner[v], r.priority[v], row, reference.descriptions[v])
+        elif key[0] == "A":
+            start = image(v)
+            if start[0] == "A":
+                _, q, js = start
+                label = "A q%d (%s)" % (q, ",".join(map(str, js)))
+                kept[start] = (0, dpa.colors[q], [image(t) for t in r.succ[v]], label)
+            if start[0] in ("M", "A"):
+                starts.add(start)
+    order = [image(r.initial)]
+    index = {order[0]: 0}
+    succ, owner, priority, labels = [], [], [], []
+    for key in order:
+        o, p, row, label = kept[key]
+        owner.append(o)
+        priority.append(p)
+        labels.append(label)
+        for t in row:
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+        succ.append([index[t] for t in row])
+    return reference_arena.BuiltArena(
+        game=ParityGame(succ=succ, owner=owner, priority=priority, initial=0),
+        descriptions=labels,
+        n_automaton_vertices=sum(key in starts for key in order),
+        keys=order,
+        copies=reference.copies,
+    )
+
+
+def contracted_reference(quants, dpa, atoms, atom_copy, **kwargs):
+    """The reference's game in the kernel's mode, contracted."""
+    reference = reference_arena.build_game(quants, dpa, atoms, atom_copy, **kwargs)
+    return contract(reference, dpa)
 
 
 def assert_same_arena(kernel, reference):
@@ -81,22 +155,10 @@ def assert_orbit_quotient(kernel, reference):
         u = ref_vertex[key]
         assert kernel.descriptions[v] == reference.descriptions[u]
         assert g.succ[v] == [orbit[packed[t]] for t in r.succ[u]]
-    auto = [key for key, d in zip(kernel.keys, kernel.descriptions) if d.startswith("A ")]
-    assert kernel.n_automaton_vertices == len(auto)
-    assert reference.n_automaton_vertices == sum(2 - (k == layout.swap(k)) for k in auto)
+    starts = [k for k in kernel.keys if k >= 0 and k // layout.size % len(layout.steps) == 0]
+    assert kernel.n_automaton_vertices == len(starts)
+    assert reference.n_automaton_vertices == sum(2 - (k == layout.swap(k)) for k in starts)
     assert kernel.n_sink_vertices == sum(k < 0 for k in kernel.keys)
-
-
-def random_block(rng):
-    k = rng.randint(1, 3)
-    quants = []
-    for _ in range(k):
-        g = random_structure(rng, max_states=6 if k < 3 else 4)
-        coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
-        quants.append((coalition, g))
-    atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y"))
-    atom_copy = {(p, f"p{i + 1}"): i for i in range(k) for p in ("x", "y")}
-    return quants, random_dpa(rng, atoms, max_states=5), atoms, atom_copy
 
 
 @pytest.mark.parametrize("collapse,prune_decided", MODES)
@@ -105,7 +167,7 @@ def test_random_blocks_match_reference(collapse, prune_decided):
     for _ in range(200):
         args = random_block(rng)
         kw = dict(collapse=collapse, prune_decided=prune_decided)
-        assert_same_arena(build_game(*args), reference_arena.build_game(*args, **kw))
+        assert_same_arena(build_game(*args), contracted_reference(*args, **kw))
 
 
 def captured_blocks(monkeypatch, tmp_path, rows):
@@ -145,7 +207,7 @@ def test_bundled_rows_match_reference(monkeypatch, tmp_path):
     blocks = captured_blocks(monkeypatch, tmp_path, rows)
     assert len(blocks) == 16 + 6
     for name, (args, kwargs), dumped in blocks:
-        reference = reference_arena.build_game(*args, **kwargs, collapse=True, prune_decided=True)
+        reference = contracted_reference(*args, **kwargs, collapse=True, prune_decided=True)
         kernel = arena.build_game(*args, **kwargs)
         # simsec and sgni bind different systems; od, ni and ni-async are symmetric
         assert kernel.swap_quotient == (not name.endswith(("-simsec", "-sgni"))), name
@@ -163,12 +225,16 @@ def test_bundled_rows_match_reference(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("collapse,prune_decided", MODES)
 def test_vertex_cap_fires_at_the_same_count(collapse, prune_decided):
+    """The kernel's cap fires at the contracted game's size, the reference's at its own."""
     rng = random.Random(5)
     for _ in range(20):
         args = random_block(rng)
         kw = dict(collapse=collapse, prune_decided=prune_decided)
-        n = reference_arena.build_game(*args, **kw).game.n_vertices
-        for builder in (build_game, functools.partial(reference_arena.build_game, **kw)):
+        reference = functools.partial(reference_arena.build_game, **kw)
+        for builder, n in (
+            (build_game, contracted_reference(*args, **kw).game.n_vertices),
+            (reference, reference(*args).game.n_vertices),
+        ):
             assert builder(*args, cap=n).game.n_vertices == n
             with pytest.raises(VertexCapError, match=f"cap of {n - 1} "):
                 builder(*args, cap=n - 1)
@@ -186,9 +252,9 @@ def two_copy_block(g, coalitions, body, atoms=TWO_COPY_ATOMS):
 
 
 def check_against_reference(block):
-    """Compare the kernel's game with the reference's; returns both."""
+    """Compare the kernel's game with the contracted reference's; returns both."""
     kernel = build_game(*block)
-    reference = reference_arena.build_game(*block, collapse=True, prune_decided=True)
+    reference = contracted_reference(*block, collapse=True, prune_decided=True)
     if not kernel.swap_quotient:
         assert_same_arena(kernel, reference)
         return kernel, reference
@@ -203,6 +269,32 @@ def check_against_reference(block):
 
 def quotients(block):
     return check_against_reference(block)[0].swap_quotient
+
+
+def without_agents(g):
+    """``g`` with every state's first successor as its only one: no agent acts."""
+    return dataclasses.replace(
+        g, agents=(), stages={}, decisions=[()] * g.n_states, table=[row[:1] for row in g.table]
+    )
+
+
+def test_blocks_where_no_agent_acts_match_reference():
+    """With no agent in any copy a round is one vertex ``A q (js)``, whose
+    state ``q`` has read the labels of ``js``; winners are the exact game's."""
+    rng = random.Random(2108)
+    rounds = wins = 0
+    for _ in range(100):
+        quants, dpa, atoms, atom_copy = random_block(rng)
+        block = ([(frozenset(), without_agents(g)) for _, g in quants], dpa, atoms, atom_copy)
+        kernel, _ = check_against_reference(block)
+        assert all(d.startswith("A ") or d in ("LOSE", "WIN") for d in kernel.descriptions)
+        assert kernel.n_automaton_vertices == kernel.game.n_vertices - kernel.n_sink_vertices
+        exact = reference_arena.build_game(*block, collapse=False, prune_decided=False)
+        won, exact_won = zielonka(kernel.game)[0], zielonka(exact.game)[0]
+        assert won.winner(kernel.game.initial) == exact_won.winner(exact.game.initial)
+        rounds += kernel.n_automaton_vertices > 1
+        wins += won.winner(kernel.game.initial) == 0
+    assert rounds >= 30 and 20 <= wins <= 80, (rounds, wins)
 
 
 def test_symmetric_bodies_build_the_orbit_quotient():

@@ -35,7 +35,12 @@ def test_run_reports_sizes_and_timings(tmp_path):
     assert report.verdict == "satisfied"
     assert report.sizes["system.G.states"] > 0
     assert report.sizes["game.vertices"] > 0
-    assert 0 < report.sizes["game.automaton_vertices"] < report.sizes["game.vertices"]
+    # one move phase per round: every vertex but a sink begins a round
+    assert report.sizes["game.automaton_vertices"] > 0
+    assert (
+        report.sizes["game.automaton_vertices"] + report.sizes["game.sink_vertices"]
+        == report.sizes["game.vertices"]
+    )
     assert report.sizes["game.sink_vertices"] <= 2
     # the od body is one safety leaf: its automaton is one live state and
     # the dead state

@@ -11,15 +11,27 @@ colour of its automaton state as priority, so the rounds are
 priority-constant and skipping stages with no acting agents cannot change
 any cycle's minimal colour.
 
+A vertex at which every copy has exactly one move is forced, and the
+builder passes through it to its successor instead of keeping it: always
+when it does not fire, since its successor lies in its round; when it
+fires, only if the edge into it comes from a vertex of its round, which is
+then kept.  So a round begins at the first phase at which some copy has a
+choice, or at its firing phase if none has, every round keeps a vertex,
+and every cycle keeps a vertex of each round it passes, of the same
+colour (removing one-successor vertices is a standard preprocessing step
+of parity-game solvers: Friedmann & Lange, ATVA 2009).
+
 The builder works on packed integers.  A copy's position inside one round
 of move selection is the local position ``state * width + partial``, where
 ``partial`` indexes the moves fixed so far, and a vertex is the key
 ``(q * n_phases + phase) * size + sum(local_c * stride_c)`` over its copies;
 the two decided sinks get negative keys.  Per-copy tables, computed once,
-give each local position's successors in every phase, and on the firing
-edge also the copy's letter, so the search only sums table entries and
-interns the results.  Vertex labels are made from the kept keys when first
-asked for.
+give each local position's successors in every phase and the next phase
+at which the copy has a choice; on the firing edge an entry also holds the
+copy's letter and the phase its next round may begin at.  So the search
+only takes the least phase over the copies, sums table entries and interns
+the results.  Vertex labels are made from the kept keys when first asked
+for.
 
 When both quantifiers of a two-copy block range over the same structure
 with the same coalition, and the body automaton commutes with swapping the
@@ -36,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem, mul
 from typing import Mapping, Optional, Sequence
 
 # the values of ``DPA.sink`` are the keys of the two decided sinks, both
@@ -58,7 +71,8 @@ class BuiltArena:
     """The game plus what a report needs; vertex labels are made on demand."""
 
     game: ParityGame
-    # vertices that begin a round (entered by an automaton step)
+    # vertices that begin a round: the initial one and those an automaton
+    # step enters, sinks excluded
     n_automaton_vertices: int
     n_sink_vertices: int
     keys: list[int] = field(repr=False)
@@ -83,7 +97,9 @@ class _CopyInfo:
     adversaries, then agent index), and ``width`` bounds it over all states.
     The protocol steps of a round are the (stage, team) pairs, then the
     automaton step, which fixes no move; it has a phase of its own only in
-    a block where no agent acts.
+    a block where no agent acts.  :meth:`tables` gives, per phase, each
+    position's next positions, the next phase at which the copy has a
+    choice, and the firing entries reached when it has none.
     """
 
     def __init__(
@@ -140,35 +156,97 @@ class _CopyInfo:
             for p, moves in enumerate(vectors):
                 self.fire[s * w + p] = structure.delta(s, dict(zip(move_order, moves))) * w
 
-    def successors(
-        self, a: int, b: int, stride: int, size: int
-    ) -> list[Optional[tuple[int, ...]]]:
-        """Per local position live at step ``a``: its positions at step ``b``.
+    def tables(
+        self, steps: Sequence[int], stride: int, size: int, digit: int
+    ) -> tuple[list, list[int]]:
+        """Per phase, this copy's tables over its local positions; and its start phases.
 
-        Positions come times ``stride``, in move-vector product order.  When
-        ``b`` is the automaton step the round ends, the joint step fires, and
-        each entry is ``letter * size + position * stride``: the copies'
-        letters set disjoint bits, so the sum of one entry per copy divides
-        by ``size`` into the joint letter and the joint position.  Only step
-        ``a`` fixes moves: the steps skipped between ``a`` and ``b`` have no
-        acting agent in any copy.
+        ``steps`` maps each phase to its protocol step, and the last phase
+        fires the joint step.  The start phase of a state is the first phase
+        at which this copy has more than one move there, or the last phase
+        if there is none; a round begins at the lowest start phase of its
+        copies' states.  Per phase the tables are ``(jumps, moves,
+        through)``, each with one item per local position live at that
+        phase (None elsewhere):
+
+        - ``moves``: the positions after the phase's moves, times
+          ``stride``, in move-vector product order.  At the last phase the
+          joint step fires, and each entry is ``(start * digit + letter) *
+          size + position * stride``, where ``start`` is the start phase of
+          the state reached and ``letter`` holds this copy's bits of its
+          labels.  The copies' letters set disjoint bits and their digits
+          are distinct powers of the number of phases, times the number of
+          letters, so the sum of one entry per copy divides by ``size``
+          into the joint code and the joint position.
+        - ``jumps`` (before the last phase): the first later phase at which
+          this copy has more than one move, or the number of phases if none.
+        - ``through``: when there is none, the firing entries that passing
+          the rest of the round reaches (else None).
         """
         n, w = self.n_states, self.width
-        auto = len(self.step_arity) - 1
-        table: list[Optional[tuple[int, ...]]] = [None] * (n * w)
+        nph = len(steps)
+        last = nph - 1
+        arity = [self.step_arity[step] for step in steps]
+        # per state, per phase i: the first phase >= i with more than one move
+        choice = []
         for s in range(n):
-            live = 1 if a == auto else math.prod(self.step_arity[t][s] for t in range(a))
-            r = self.step_arity[a][s]
-            for p in range(live):
-                nxt = range(s * w + p * r, s * w + (p + 1) * r)
-                if b == auto:
-                    nxt = [self.fire[x] for x in nxt]
-                    table[s * w + p] = tuple(
-                        self.letter_mask[x] * size + x * stride for x in nxt
-                    )
-                else:
-                    table[s * w + p] = tuple(x * stride for x in nxt)
-        return table
+            first = [nph] * (nph + 1)
+            for i in range(last, -1, -1):
+                first[i] = i if arity[i][s] > 1 else first[i + 1]
+            choice.append(first)
+        start = [min(first[0], last) for first in choice]
+        # per total move vector: its firing entry
+        fired = [
+            (start[y // w] * digit + self.letter_mask[y]) * size + y * stride for y in self.fire
+        ]
+        # per state, per step: the number of partial move vectors before it
+        live = [
+            list(itertools.accumulate(col[:-1], mul, initial=1))
+            for col in zip(*self.step_arity)
+        ]
+        out = []
+        for i in range(nph):
+            jumps, moves, through = ([None] * (n * w) for _ in range(3))
+            for s in range(n):
+                r = arity[i][s]
+                jump = choice[s][i + 1]
+                for p in range(live[s][steps[i]]):
+                    x = s * w + p
+                    # the next positions; once no move is left to fix, they
+                    # index total move vectors
+                    a = s * w + p * r
+                    if i == last:
+                        moves[x] = tuple(fired[a : a + r])
+                        continue
+                    moves[x] = tuple(range(a * stride, (a + r) * stride, stride))
+                    jumps[x] = jump
+                    if jump == nph:
+                        through[x] = tuple(fired[a : a + r])
+            out.append((jumps, moves, through))
+        return out, start
+
+
+class _Offsets(dict):
+    """Per joint code ``sum(start_c * digit_c) + letter``: ``phase * size``.
+
+    The phase is the lowest of the copies' start phases, at which the round
+    begins; the digit of copy ``c`` is ``n_phases ** c * n_letters``.
+    Filled as codes occur.
+    """
+
+    def __init__(self, n_phases: int, n_copies: int, n_letters: int, size: int):
+        super().__init__()
+        self.n_phases, self.n_copies = n_phases, n_copies
+        self.n_letters, self.size = n_letters, size
+
+    def __missing__(self, code: int) -> int:
+        digits = code // self.n_letters
+        phase = self.n_phases
+        for _ in range(self.n_copies):
+            digits, start = divmod(digits, self.n_phases)
+            phase = min(phase, start)
+        self[code] = offset = phase * self.size
+        return offset
 
 
 @dataclass
@@ -268,7 +346,10 @@ def build_game(
     """Construct the reachable arena for the given quantifier block.
 
     Move-selection stages at which no agent of any copy acts get no
-    vertices.  The last move choice of a round performs the joint step and
+    vertices, and neither do forced ones, where every copy has one move:
+    an edge passes through them to their successor, and through a forced
+    vertex that fires only when the edge comes from a vertex of the same
+    round.  The last move choice of a round performs the joint step and
     steps the automaton on the labels of the joint state it reaches, so the
     next round begins in that state; the initial vertex has read the labels
     of the initial joint state.  Automaton states that ``dpa.sink`` marks as
@@ -282,8 +363,9 @@ def build_game(
     The game without these shortcuts is built by ``tests/reference_arena.py``.
     Vertices are numbered in BFS order from the initial one, and each row
     lists its successors in move-vector product order (copy by copy).
-    When the copy swap is an automorphism (see :func:`_copy_swap`), one
-    vertex stands for each orbit, so sizes and the cap count orbits.
+    The cap counts the kept vertices.  When the copy swap is an
+    automorphism (see :func:`_copy_swap`), one vertex stands for each
+    orbit, so sizes and the cap count orbits.
     """
     k = len(quants)
     if k == 0:
@@ -315,19 +397,21 @@ def build_game(
     sigma = _copy_swap(quants, dpa, atoms, atom_copy)
     swap = None
     if sigma is not None:
-        # equal structures and coalitions give both copies equal tables
+        # equal structures and coalitions give both copies the same positions
         layout.mirror = [s * nph + ph for s in sigma for ph in range(nph)]
         swap = layout.swap
-    # per phase: per-copy (successor table, stride, positions) and owner;
-    # the last phase fires the joint step into phase 0
+    # per phase: per-copy tables (see ``_CopyInfo.tables``) and the owner
+    tabled = [
+        c.tables(steps, st, size, nph**i * dpa.n_letters)
+        for i, (c, (st, _, _)) in enumerate(zip(copies, dims))
+    ]
     phases = []
     for i, step in enumerate(steps):
-        after = steps[i + 1] if i + 1 < nph else auto
-        lookups = [
-            (c.successors(step, after, st, size), st, sz) for c, (st, sz, _) in zip(copies, dims)
-        ]
-        owned_by_one = step < auto and not pairs[step][1]
-        phases.append((lookups, int(owned_by_one)))
+        jumps, moves, through = zip(*(tables[i] for tables, _ in tabled))
+        phases.append((jumps, moves, through, int(step < auto and not pairs[step][1])))
+    places = [(st, sz) for st, sz, _ in dims]
+    offset = _Offsets(nph, k, dpa.n_letters, size)
+    letter_bits = dpa.n_letters - 1
     fire_phase = nph - 1
     # the product appends to these lists as the search reaches new states
     sink, colors, trans = dpa.sink, dpa.colors, dpa.trans
@@ -341,7 +425,8 @@ def build_game(
         q = dpa.row(dpa.initial)[letter]
         initial_key = sink[q]
         if initial_key is None:
-            initial_key = q * span + sum(
+            phase = min(start[g.initial] for (_, g), (_, start) in zip(quants, tabled))
+            initial_key = (q * nph + phase) * size + sum(
                 g.initial * w * st for (_, g), (st, _, w) in zip(quants, dims)
             )
     if cap < 1:
@@ -351,7 +436,7 @@ def build_game(
     succ: list[list[int]] = []
     owner: list[int] = []
     priority: list[int] = []
-    n_automaton = n_sink = 0
+    n_entered = n_sink = 0  # vertices first reached by an automaton step; sinks
     for vid, key in enumerate(keys):
         if key < 0:
             n_sink += 1
@@ -361,25 +446,31 @@ def build_game(
             continue
         hi, rest = divmod(key, size)
         q, phase = divmod(hi, nph)
-        lookups, who = phases[phase]
+        jumps, moves, through, who = phases[phase]
         owner.append(who)
         priority.append(colors[q])
-        if phase == 0:
-            n_automaton += 1
-        options = [table[rest // st % sz] for table, st, sz in lookups]
-        if phase == fire_phase:
+        locs = [rest // st % sz for st, sz in places]
+        fires = True
+        if phase < fire_phase:
+            jump = min(map(getitem, jumps, locs))
+            if jump < nph:
+                # pass the phases at which every copy has one move
+                fires = False
+                base = (hi + jump - phase) * size
+                targets = [base + sum(combo) for combo in product(*map(getitem, moves, locs))]
+            else:
+                moves = through
+        if fires:
             step = trans[q]
             if step is None:
                 step = dpa.row(q)
             targets = []
-            for combo in product(*options):
-                letter, pos = divmod(sum(combo), size)
-                nq = step[letter]
+            for combo in product(*map(getitem, moves, locs)):
+                code, pos = divmod(sum(combo), size)
+                nq = step[code & letter_bits]
                 decided = sink[nq]
-                targets.append(nq * span + pos if decided is None else decided)
-        else:
-            base = (hi + 1) * size  # the next phase, same automaton state
-            targets = [base + sum(combo) for combo in product(*options)]
+                targets.append(nq * span + offset[code] + pos if decided is None else decided)
+            n_entered -= len(keys)
         row = []
         for nk in targets:
             t = index.get(nk)
@@ -393,11 +484,15 @@ def build_game(
                     index[swap(nk)] = t
             row.append(t)
         succ.append(row)
+        if fires:
+            n_entered += len(keys)
 
     game = ParityGame(succ=succ, owner=owner, priority=priority, initial=0)
     return BuiltArena(
         game=game,
-        n_automaton_vertices=n_automaton,
+        # the initial vertex begins a round, and so does each vertex an
+        # automaton step reaches first, unless it is a sink
+        n_automaton_vertices=1 + n_entered - n_sink,
         n_sink_vertices=n_sink,
         keys=keys,
         layout=layout,

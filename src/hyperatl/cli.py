@@ -459,6 +459,23 @@ def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[Su
     return rows, all(r.ok for r in rows)
 
 
+def suite_record(rows: list[SuiteRow]) -> str:
+    """The rows as a JSON array, one object per row (``suite --report``)."""
+    fields = [
+        {
+            "name": r.name,
+            "verdict": r.verdict,
+            "expected": r.expected,
+            "ok": r.ok,
+            "ms": round(r.millis, 1),
+            "sizes": r.sizes,
+            "message": r.message,
+        }
+        for r in rows
+    ]
+    return json.dumps(fields, indent=1) + "\n"
+
+
 def format_suite(rows: list[SuiteRow]) -> str:
     width = max([len(r.name) for r in rows] + [4])
     lines = [f"{'name'.ljust(width)}  verdict    expected   ok    ms"]
@@ -506,6 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a manifest of checks")
     suite.add_argument("--manifest", required=True)
     suite.add_argument("--expect", metavar="FILE")
+    suite.add_argument("--report", metavar="FILE")
     return parser
 
 
@@ -546,6 +564,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"  time.{key}_ms = {report.timings_ms[key]:.1f}")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED
         rows, ok = run_suite(args.manifest, args.expect)
+        if args.report:
+            _write_text(args.report, suite_record(rows), "--report")
         print(format_suite(rows))
         return EXIT_SATISFIED if ok else EXIT_VIOLATED
     except USAGE_ERRORS as e:

@@ -125,10 +125,13 @@ def stutter_transform(g: MSCGS) -> MSCGS:
     def row_of(key, number) -> tuple[int, ...]:
         s, _frozen = key
         row: list[int] = []
+        frozen = None  # numbered once, right after the first choice's target
         # per base joint choice, the scheduler picks progress (0) or freeze (1)
         for t in g.table[s]:
             row.append(number((t, 0)))
-            row.append(number((s, 1)))
+            if frozen is None:
+                frozen = number((s, 1))
+            row.append(frozen)
         return tuple(row)
 
     order, table = explore((g.initial, 0), row_of)
@@ -247,10 +250,13 @@ def _merge_moves(slots, row: list[int]) -> tuple[tuple[tuple[str, int], ...], tu
         strides.append(stride)
     kept = []
     for (_, arity), stride in zip(slots, strides):
+        # one pass over the row: its runs of ``stride`` entries take turns by move
+        pieces: list[list[int]] = [[] for _ in range(arity)]
+        for m, start in enumerate(range(0, len(row), stride)):
+            pieces[m % arity] += row[start : start + stride]
         first: dict[tuple, int] = {}
-        for m in range(arity):
-            piece = tuple(t for i, t in enumerate(row) if i // stride % arity == m)
-            first.setdefault(piece, m)
+        for m, piece in enumerate(pieces):
+            first.setdefault(tuple(piece), m)
         kept.append(list(first.values()))
     new_row = tuple(
         row[sum(m * st for m, st in zip(moves, strides))] for moves in itertools.product(*kept)

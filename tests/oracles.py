@@ -9,7 +9,9 @@ determinizes with the checker's own tree step, but runs it once per letter
 and state, so it judges the grouping of letters into classes, not the step.
 ``safety_automaton_via_nba`` builds a safety leaf's deterministic automaton
 the long way, through the checker's breakpoint automaton, so it judges the
-direct subset construction on antichains.
+direct subset construction on antichains.  ``merge_moves_by_scan`` is
+the structure quotient's move merge as first written, scanning the whole
+successor row once per move of each slot.
 
 The ``text_*`` builders assemble each builtin property as formula text over
 lists of output, low and high propositions and parse it; ``props`` builds
@@ -404,3 +406,24 @@ def text_ahltl(n: int, body: F.Ltl, sys_stut: str) -> F.HyperFormula:
     block = " ".join(f"<<sched>> p{i + 1} @ {sys_stut} ." for i in range(n))
     fair = " & ".join(_fair(f"p{i + 1}") for i in range(n))
     return parse_formula(f"[ {block} ] ({format_ltl(body)}) & {fair}")
+
+
+def merge_moves_by_scan(slots, row: list[int]) -> tuple[tuple, tuple[int, ...]]:
+    """Keep, per slot, the first move of each distinct slice of ``row``: the
+    slice of move ``m`` is read by one scan of the row per move."""
+    strides = []
+    stride = len(row)
+    for _, arity in slots:
+        stride //= arity
+        strides.append(stride)
+    kept = []
+    for (_, arity), stride in zip(slots, strides):
+        first: dict[tuple, int] = {}
+        for m in range(arity):
+            piece = tuple(t for i, t in enumerate(row) if i // stride % arity == m)
+            first.setdefault(piece, m)
+        kept.append(list(first.values()))
+    new_row = tuple(
+        row[sum(m * st for m, st in zip(moves, strides))] for moves in itertools.product(*kept)
+    )
+    return tuple((agent, len(k)) for (agent, _), k in zip(slots, kept)), new_row

@@ -44,28 +44,32 @@ def undecided_dpa(color):
 
 
 def two_agent_structure():
-    """One unlabelled state where agents ``a`` and ``b`` (both stage 0) have one move each."""
+    """Two unlabelled states that alternate; agents ``a`` and ``b`` (both
+    stage 0) have one move each in both."""
     return MSCGS(
         name="two",
         agents=("a", "b"),
         stages={"a": 0, "b": 0},
         props=frozenset({"a"}),
-        labels=[frozenset()],
-        decisions=[(("a", 1), ("b", 1))],
-        table=[(0,)],
+        labels=[frozenset()] * 2,
+        decisions=[(("a", 1), ("b", 1))] * 2,
+        table=[(1,), (0,)],
         initial=0,
-        state_names=["s0"],
+        state_names=["s0", "s1"],
     )
 
 
 def test_two_vertex_cycle_all_even():
-    # coalition {a}'s choice, then b's choice, which fires the joint step
-    # and steps the automaton
+    # no choice in either state: coalition {a}'s phase is passed, and each
+    # round keeps only b's phase, which fires the joint step and steps the
+    # automaton
     g = two_agent_structure()
     built = build_game([(frozenset({"a"}), g)], undecided_dpa(0), (ATOM,), {ATOM: 0})
     assert built.game.n_vertices == 2
+    assert built.game.succ == [[1], [0]]
     assert built.game.priority == [0, 0]
-    assert built.game.owner == [0, 1]
+    assert built.game.owner == [1, 1]
+    assert built.n_automaton_vertices == 2
     regions, _, _ = zielonka(built.game)
     assert built.game.initial in regions.w0
     assert brute_force_solve(built.game).w0 == regions.w0
@@ -152,11 +156,36 @@ def test_od_p1_collapsed_and_uncollapsed_agree():
     assert again.game.n_edges == collapsed.game.n_edges
 
 
-def round_boundaries(built):
-    """The vertices an automaton step enters: each round's first vertex, and
-    the decided sinks, which stand for all later steps."""
+def round_boundaries(block, built):
+    """Per vertex: does an automaton step enter it?  A round begins at the
+    first phase at which some copy has more than one move, read off the
+    structures' decision slots, or at its firing (last) phase if no copy
+    has; the decided sinks stand for all later steps."""
+    quants = block[0]
     layout = built.layout
-    return [key < 0 or key // layout.size % len(layout.steps) == 0 for key in built.keys]
+    nph = len(layout.steps)
+
+    def moves(step, js):
+        if step == len(layout.pairs):
+            return 1
+        stage, team = layout.pairs[step]
+        n = 1
+        for (coalition, g), s in zip(quants, js):
+            for agent, arity in g.decisions[s]:
+                if g.stages[agent] == stage and (agent in coalition) == team:
+                    n *= arity
+        return n
+
+    out = []
+    for key in built.keys:
+        if key < 0:
+            out.append(True)
+            continue
+        hi, rest = divmod(key, layout.size)
+        js = [rest // st % sz // w for st, sz, w in layout.dims]
+        first = next((i for i, step in enumerate(layout.steps) if moves(step, js) > 1), nph - 1)
+        out.append(hi % nph == first)
+    return out
 
 
 def sched_block():
@@ -169,20 +198,34 @@ def sched_block():
 
 
 def test_priorities_constant_between_automaton_steps():
-    built = build_game(*sched_block())
-    game = built.game
-    boundary = round_boundaries(built)
+    """An edge into a vertex that begins no round stays in its source's round:
+    same automaton state, same joint state, a later phase, same priority."""
+    block = sched_block()
+    built = build_game(*block)
+    game, layout = built.game, built.layout
+    boundary = round_boundaries(block, built)
     assert not all(boundary)
+    assert built.n_automaton_vertices == boundary.count(True) - built.n_sink_vertices
+
+    def round_and_phase(v):
+        hi, rest = divmod(built.keys[v], layout.size)
+        q, phase = divmod(hi, len(layout.steps))
+        return (q, [rest // st % sz // w for st, sz, w in layout.dims]), phase
+
     for v in range(game.n_vertices):
         for t in game.succ[v]:
             if not boundary[t]:
+                (round_v, phase_v), (round_t, phase_t) = map(round_and_phase, (v, t))
+                assert round_t == round_v and phase_t > phase_v
                 assert game.priority[t] == game.priority[v]
 
 
 def test_stage_monotone_and_every_cycle_hits_automaton_step():
-    built = build_game(*sched_block())
+    """Every cycle contains a firing edge: one into a vertex that begins a round."""
+    block = sched_block()
+    built = build_game(*block)
     game = built.game
-    boundary = round_boundaries(built)
+    boundary = round_boundaries(block, built)
     assert not all(boundary)
     # between automaton steps the protocol may never revisit a vertex
     for v in range(game.n_vertices):
@@ -195,7 +238,7 @@ def test_stage_monotone_and_every_cycle_hits_automaton_step():
             for t in game.succ[u]:
                 if boundary[t]:
                     continue
-                assert t != v, "cycle avoiding automaton steps"
+                assert t != v, "cycle without a firing edge"
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)

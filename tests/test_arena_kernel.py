@@ -1,12 +1,13 @@
 """The packed-integer arena kernel against the tuple-keyed reference builder.
 
-The kernel steps the automaton on the edge that fires the joint step, so
-the reference's game in the matching mode (empty stages skipped, decided
-states pruned) is first contracted by :func:`contract`, which removes its
-automaton-step vertices.  Where the copy swap is no automorphism, the
-kernel's one mode must reproduce that contracted game vertex for vertex:
-equal successor rows (in order), owners, priorities, initial vertex,
-round-start count and labels, hence byte-equal DOT output.  Where it is
+The kernel steps the automaton on the edge that fires the joint step and
+passes through forced vertices (one move per copy), so the reference's
+game in the matching mode (empty stages skipped, decided states pruned)
+is first contracted by :func:`contract`, which removes its automaton-step
+vertices and the forced vertices the kernel passes.  Where the copy swap is
+no automorphism, the kernel's one mode must reproduce that contracted game
+vertex for vertex: equal successor rows (in order), owners, priorities,
+initial vertex, round-start count and labels, hence byte-equal DOT output.  Where it is
 one, the kernel's game must be the orbit quotient of the contracted game:
 every contracted vertex is a kept key or the swap image of one, and each
 kept vertex has the owner, priority, label, successor orbits (in order)
@@ -34,15 +35,27 @@ MODES = [(True, True)]
 SINK_KEYS = {LOSE: ("LOSE",), WIN: ("WIN",)}
 
 
+@dataclasses.dataclass
+class Contracted(reference_arena.BuiltArena):
+    starts: list = dataclasses.field(default_factory=list, repr=False)  # per vertex
+
+
 def contract(reference, dpa):
-    """The reference's game with each automaton step moved onto the edges into it.
+    """The reference's game with automaton steps and forced vertices passed through.
 
     Each edge into an automaton-step vertex ``A q (js)`` is redirected to
     that vertex's successor, or to the losing or winning sink once the
     state ``q'`` that ``q`` steps to on the labels of ``js`` is decided.  In
     a block where no agent acts that successor is again an automaton step,
-    so the vertex stays, as ``A q' (js)`` with the colour of ``q'``.  The
-    result is renumbered breadth-first from the initial vertex.
+    so the vertex stays, as ``A q' (js)`` with the colour of ``q'``.  A
+    vertex that fires is one whose successors were automaton steps (or
+    sinks), or such an ``A`` vertex; its successors begin rounds.  Then
+    every edge passes through each vertex with one successor that does not
+    fire, and through one that fires too when the edge's source lies in its
+    round (the source does not fire).  The result is renumbered
+    breadth-first from the initial vertex; ``starts`` marks the vertices
+    that begin a round: the initial one, and those an edge enters after it
+    passed a firing vertex or left one.
     """
     r, keys = reference.game, reference.keys
 
@@ -62,20 +75,36 @@ def contract(reference, dpa):
 
     # per contracted key: owner, priority, successor keys and label
     kept = {key: (0, int(key == ("LOSE",)), [key], key[0]) for key in SINK_KEYS.values()}
-    starts = set()
+    fires = set()
     for v, key in enumerate(keys):
         if key[0] == "M":
             row = [image(t) for t in r.succ[v]]
             kept[key] = (r.owner[v], r.priority[v], row, reference.descriptions[v])
+            if all(keys[t][0] != "M" for t in r.succ[v]):
+                fires.add(key)
         elif key[0] == "A":
             start = image(v)
             if start[0] == "A":
                 _, q, js = start
                 label = "A q%d (%s)" % (q, ",".join(map(str, js)))
                 kept[start] = (0, dpa.colors[q], [image(t) for t in r.succ[v]], label)
-            if start[0] in ("M", "A"):
-                starts.add(start)
-    order = [image(r.initial)]
+                fires.add(start)
+
+    starts = set()
+
+    def resolve(key, in_round):
+        """Where an edge into ``key`` goes; its source lies in the round iff ``in_round``."""
+        while key[0] in ("M", "A") and len(kept[key][2]) == 1:
+            if key in fires:
+                if not in_round:
+                    break
+                in_round = False
+            key = kept[key][2][0]
+        if not in_round:
+            starts.add(key)
+        return key
+
+    order = [resolve(image(r.initial), False)]
     index = {order[0]: 0}
     succ, owner, priority, labels = [], [], [], []
     for key in order:
@@ -83,17 +112,20 @@ def contract(reference, dpa):
         owner.append(o)
         priority.append(p)
         labels.append(label)
+        row = [resolve(t, key not in fires) for t in row]
         for t in row:
             if t not in index:
                 index[t] = len(order)
                 order.append(t)
         succ.append([index[t] for t in row])
-    return reference_arena.BuiltArena(
+    is_start = [key in starts and key[0] in ("M", "A") for key in order]
+    return Contracted(
         game=ParityGame(succ=succ, owner=owner, priority=priority, initial=0),
         descriptions=labels,
-        n_automaton_vertices=sum(key in starts for key in order),
+        n_automaton_vertices=sum(is_start),
         keys=order,
         copies=reference.copies,
+        starts=is_start,
     )
 
 
@@ -155,7 +187,7 @@ def assert_orbit_quotient(kernel, reference):
         u = ref_vertex[key]
         assert kernel.descriptions[v] == reference.descriptions[u]
         assert g.succ[v] == [orbit[packed[t]] for t in r.succ[u]]
-    starts = [k for k in kernel.keys if k >= 0 and k // layout.size % len(layout.steps) == 0]
+    starts = [k for k in kernel.keys if reference.starts[ref_vertex[k]]]
     assert kernel.n_automaton_vertices == len(starts)
     assert reference.n_automaton_vertices == sum(2 - (k == layout.swap(k)) for k in starts)
     assert kernel.n_sink_vertices == sum(k < 0 for k in kernel.keys)
@@ -300,7 +332,7 @@ def test_blocks_where_no_agent_acts_match_reference():
 def test_symmetric_bodies_build_the_orbit_quotient():
     rng = random.Random(808)
     quotiented = smaller = 0
-    for _ in range(60):
+    for _ in range(100):
         g = random_structure(rng, max_states=5)
         coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
         f = random_ltl(rng, rng.randint(1, 5), TWO_COPY_ATOMS)
@@ -308,7 +340,7 @@ def test_symmetric_bodies_build_the_orbit_quotient():
         kernel, reference = check_against_reference(block)
         quotiented += kernel.swap_quotient
         smaller += kernel.game.n_vertices < reference.game.n_vertices
-    assert quotiented >= 50 and smaller >= 10
+    assert quotiented >= 83 and smaller >= 10
 
 
 def test_asymmetric_blocks_keep_every_vertex():

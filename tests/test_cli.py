@@ -301,6 +301,38 @@ def test_suite_records_a_failing_row_and_goes_on(tmp_path, capsys):
     assert "none.imp" in out and "good" in out
 
 
+def test_suite_report_writes_the_rows_as_json(tmp_path, capsys):
+    good = {"name": "good", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    wrong = dict(good, name="wrong", expect="violated")
+    missing = {"name": "missing", "program": str(tmp_path / "none.imp"), "prop": "od"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [good, wrong, missing]}))
+    report = tmp_path / "suite.json"
+    assert cli.main(["suite", "--manifest", str(m), "--report", str(report)]) == EXIT_VIOLATED
+    assert "good" in capsys.readouterr().out
+    rows = json.loads(report.read_text())
+    assert [(r["name"], r["verdict"], r["expected"], r["ok"]) for r in rows] == [
+        ("good", "satisfied", None, True),
+        ("wrong", "satisfied", "violated", False),
+        ("missing", "error", None, False),
+    ]
+    fields = {"name", "verdict", "expected", "ok", "ms", "sizes", "message"}
+    assert all(set(r) == fields for r in rows)
+    assert rows[0]["sizes"] == run(CheckConfig(systems=[spec("p1.imp")], prop="od")).sizes
+    assert rows[0]["ms"] > 0 and rows[0]["message"] == ""
+    assert rows[2]["sizes"] == {} and "none.imp" in rows[2]["message"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_suite_unwritable_report_is_a_usage_error(tmp_path, capsys, where):
+    m = tmp_path / "m.json"
+    one = {"name": "one", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    m.write_text(json.dumps({"entries": [one]}))
+    path = tmp_path / "missing" / "suite.json" if where == "missing directory" else tmp_path
+    err = usage_error(capsys, ["suite", "--manifest", str(m), "--report", str(path)])
+    assert f"cannot write --report {str(path)!r}" in err
+
+
 def test_solver_work_counters_repeat_exactly():
     config = CheckConfig(systems=[spec("p2.imp")], prop="sgni:3")
     first, second = run(config).sizes, run(config).sizes

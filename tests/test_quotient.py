@@ -6,13 +6,17 @@ every co-move.  The arena over the quotient must be a functional
 bisimulation image of the arena over the loaded structures: every raw
 vertex is bisimilar to a quotient vertex, with the same owner, priority and
 winner, and the initial vertices are bisimilar.  The raw games here are
-built by ``arena.build_game`` from the structures as loaded.
+built from the structures as loaded, by ``arena.build_game`` or, on random
+blocks, by ``tests/reference_arena.py``.
 """
 
 import json
 import random
 
+import reference_arena
 from conftest import random_dpa, random_ltl, random_structure
+from oracles import merge_moves_by_scan
+from test_arena_kernel import check_against_reference
 from hyperatl import arena, cli, structures
 from hyperatl.arena import build_game
 from hyperatl.formula import FragmentInfo, ResolvedQuantifier
@@ -129,12 +133,23 @@ def assert_homomorphic_image(raw, reduced):
 
 
 def test_random_blocks_map_onto_their_quotient_game():
+    """The check runs on the reference games, which keep every vertex: the
+    quotient can leave one move where the raw structure has several, so
+    the kernel passes through vertices in the quotient's game that it keeps
+    in the raw one.  The kernel builds both blocks' games as the contracted
+    reference does."""
     rng = random.Random(1207)
     for _ in range(300):
         quants, dpa, atoms, atom_copy = random_block(rng)
-        raw = build_game(quants, dpa, atoms, atom_copy)
-        reduced = build_game(quotient_block(quants, atoms, atom_copy), dpa, atoms, atom_copy)
+        reduced_quants = quotient_block(quants, atoms, atom_copy)
+        blocks = [(q, dpa, atoms, atom_copy) for q in (quants, reduced_quants)]
+        raw, reduced = (
+            reference_arena.build_game(*block, collapse=True, prune_decided=True)
+            for block in blocks
+        )
         assert_homomorphic_image(raw, reduced)
+        for block in blocks:
+            check_against_reference(block)
 
 
 def test_bundled_rows_map_onto_their_quotient_game(monkeypatch):
@@ -224,12 +239,29 @@ def test_moves_merge_only_when_equal_for_every_co_move():
     assert q.decisions[0] == (("a", 1), ("b", 1)) and q.table[0] == (1,)
 
 
+def test_move_merge_matches_the_scan_per_move():
+    """The one-pass grouping of each slot's slices keeps the moves and the
+    row that scanning the row once per move keeps."""
+    rng = random.Random(2411)
+    merged = 0
+    for _ in range(500):
+        slots = tuple((f"a{i}", rng.randint(1, 4)) for i in range(rng.randint(0, 3)))
+        n = 1
+        for _, arity in slots:
+            n *= arity
+        row = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+        got = structures._merge_moves(slots, row)
+        assert got == merge_moves_by_scan(slots, row), (slots, row)
+        merged += got[0] != slots
+    assert merged >= 100, merged
+
+
 def test_table5b_runs_in_full_on_the_quotient():
     rows, ok = cli.run_suite("table5b")
     assert ok and len(rows) == 12
     sizes = {r.name: r.sizes for r in rows}
-    assert sizes["q1w3-ni-async"]["game.vertices"] == 1450
-    assert sizes["q1w3-od-async"]["game.vertices"] == 409
+    assert sizes["q1w3-ni-async"]["game.vertices"] == 1056
+    assert sizes["q1w3-od-async"]["game.vertices"] == 295
     # h[1..] is never read and h is not in the formula, so the stuttered
     # q1 has 22 classes at every input width
     for width, states in ((1, 62), (2, 122), (3, 242)):

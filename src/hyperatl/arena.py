@@ -3,23 +3,25 @@
 Move-selection vertices extend partial move vectors stage by stage: at each
 stage the coalition agents fix their moves first (player 0's turn), then
 the adversarial agents (player 1), until all copies hold a total vector.
-The edge that completes the vector fires the joint transition and steps
-the body automaton on the labels of the joint state it reaches, so a
+A round has one phase per (stage, team) pair, up to the last pair at which
+some agent of some copy acts, or the one phase ``(0, True)`` when no agent
+acts.  The edge that leaves the last phase fires the joint transition and
+steps the body automaton on the labels of the joint state it reaches, so a
 vertex's automaton state has already read the labels of its joint state
 and there are no vertices for the automaton step.  Every vertex takes the
 colour of its automaton state as priority, so the rounds are
-priority-constant and skipping stages with no acting agents cannot change
-any cycle's minimal colour.
+priority-constant.
 
 A vertex at which every copy has exactly one move is forced, and the
 builder passes through it to its successor instead of keeping it: always
 when it does not fire, since its successor lies in its round; when it
 fires, only if the edge into it comes from a vertex of its round, which is
-then kept.  So a round begins at the first phase at which some copy has a
-choice, or at its firing phase if none has, every round keeps a vertex,
-and every cycle keeps a vertex of each round it passes, of the same
-colour (removing one-successor vertices is a standard preprocessing step
-of parity-game solvers: Friedmann & Lange, ATVA 2009).
+then kept.  So no vertex is kept at a pair where no agent acts, a round
+begins at the first phase at which some copy has a choice, or at its
+firing phase if none has, every round keeps a vertex, and every cycle
+keeps a vertex of each round it passes, of the same colour (removing
+one-successor vertices is a standard preprocessing step of parity-game
+solvers: Friedmann & Lange, ATVA 2009).
 
 The builder works on packed integers.  A copy's position inside one round
 of move selection is the local position ``state * width + partial``, where
@@ -95,9 +97,8 @@ class _CopyInfo:
     ``partial`` is the mixed-radix index of the moves fixed so far in the
     current round, in the canonical move order (by stage, coalition before
     adversaries, then agent index), and ``width`` bounds it over all states.
-    The protocol steps of a round are the (stage, team) pairs, then the
-    automaton step, which fixes no move; it has a phase of its own only in
-    a block where no agent acts.  :meth:`tables` gives, per phase, each
+    ``step_arity`` holds, per (stage, team) pair, each state's number of
+    moves of the agents acting there.  :meth:`tables` gives, per phase, each
     position's next positions, the next phase at which the copy has a
     choice, and the firing entries reached when it has none.
     """
@@ -130,13 +131,11 @@ class _CopyInfo:
         ]
         n = self.n_states = structure.n_states
         arities = [dict(slots) for slots in structure.decisions]
-        # moves per state of the agents acting at each step; the automaton
-        # step fixes no move
+        # moves per state of the agents acting at each pair
         self.step_arity = [
             [math.prod(arity.get(a, 1) for a in acting) for arity in arities]
             for acting in self.acting
         ]
-        self.step_arity.append([1] * n)
         w = self.width = max((math.prod(col) for col in zip(*self.step_arity)), default=1)
         # label bitmask per local position over the formula's atom order
         mask = [0] * n
@@ -156,18 +155,16 @@ class _CopyInfo:
             for p, moves in enumerate(vectors):
                 self.fire[s * w + p] = structure.delta(s, dict(zip(move_order, moves))) * w
 
-    def tables(
-        self, steps: Sequence[int], stride: int, size: int, digit: int
-    ) -> tuple[list, list[int]]:
+    def tables(self, nph: int, stride: int, size: int, digit: int) -> tuple[list, list[int]]:
         """Per phase, this copy's tables over its local positions; and its start phases.
 
-        ``steps`` maps each phase to its protocol step, and the last phase
-        fires the joint step.  The start phase of a state is the first phase
-        at which this copy has more than one move there, or the last phase
-        if there is none; a round begins at the lowest start phase of its
-        copies' states.  Per phase the tables are ``(jumps, moves,
-        through)``, each with one item per local position live at that
-        phase (None elsewhere):
+        The phases are the first ``nph`` pairs; no agent acts at a later
+        one, and the last phase fires the joint step.  The start phase of a
+        state is the first phase at which this copy has more than one move
+        there, or the last phase if there is none; a round begins at the
+        lowest start phase of its copies' states.  Per phase the tables are
+        ``(jumps, moves, through)``, each with one item per local position
+        live at that phase (None elsewhere):
 
         - ``moves``: the positions after the phase's moves, times
           ``stride``, in move-vector product order.  At the last phase the
@@ -184,9 +181,8 @@ class _CopyInfo:
           the rest of the round reaches (else None).
         """
         n, w = self.n_states, self.width
-        nph = len(steps)
         last = nph - 1
-        arity = [self.step_arity[step] for step in steps]
+        arity = self.step_arity
         # per state, per phase i: the first phase >= i with more than one move
         choice = []
         for s in range(n):
@@ -199,7 +195,7 @@ class _CopyInfo:
         fired = [
             (start[y // w] * digit + self.letter_mask[y]) * size + y * stride for y in self.fire
         ]
-        # per state, per step: the number of partial move vectors before it
+        # per state, per phase: the number of partial move vectors before it
         live = [
             list(itertools.accumulate(col[:-1], mul, initial=1))
             for col in zip(*self.step_arity)
@@ -210,7 +206,7 @@ class _CopyInfo:
             for s in range(n):
                 r = arity[i][s]
                 jump = choice[s][i + 1]
-                for p in range(live[s][steps[i]]):
+                for p in range(live[s][i]):
                     x = s * w + p
                     # the next positions; once no move is left to fix, they
                     # index total move vectors
@@ -251,10 +247,9 @@ class _Offsets(dict):
 
 @dataclass
 class _Layout:
-    """How vertex keys are packed; ``steps`` maps each phase to its protocol step."""
+    """How vertex keys are packed; ``pairs`` holds each phase's (stage, team) pair."""
 
     pairs: list[tuple[int, bool]]
-    steps: list[int]
     size: int
     dims: list[tuple[int, int, int]]  # per copy: stride, number of local positions, width
     # under the copy swap: the image of ``q * n_phases + phase``, or None
@@ -272,12 +267,9 @@ class _Layout:
         if key < 0:
             return "LOSE" if key == _LOSE else "WIN"
         hi, rest = divmod(key, self.size)
-        q, phase = divmod(hi, len(self.steps))
+        q, phase = divmod(hi, len(self.pairs))
         js = ",".join(str(rest // st % sz // w) for st, sz, w in self.dims)
-        step = self.steps[phase]
-        if step == len(self.pairs):
-            return "A q%d (%s)" % (q, js)
-        stage, team = self.pairs[step]
+        stage, team = self.pairs[phase]
         return "M q%d (%s) l=%d %s" % (q, js, stage, "T" if team else "F")
 
 
@@ -345,14 +337,16 @@ def build_game(
 ) -> BuiltArena:
     """Construct the reachable arena for the given quantifier block.
 
-    Move-selection stages at which no agent of any copy acts get no
-    vertices, and neither do forced ones, where every copy has one move:
+    The phases of a round are the (stage, team) pairs up to the last at
+    which some agent of some copy acts, or ``(0, True)`` alone when no agent
+    acts.  Forced vertices, where every copy has one move, get no vertices:
     an edge passes through them to their successor, and through a forced
     vertex that fires only when the edge comes from a vertex of the same
-    round.  The last move choice of a round performs the joint step and
-    steps the automaton on the labels of the joint state it reaches, so the
-    next round begins in that state; the initial vertex has read the labels
-    of the initial joint state.  Automaton states that ``dpa.sink`` marks as
+    round.  So a pair at which no agent acts keeps no vertex.  The edge
+    that leaves the last phase performs the joint step and steps the
+    automaton on the labels of the joint state it reaches, so the next round
+    begins in that state; the initial vertex has read the labels of the
+    initial joint state.  Automaton states that ``dpa.sink`` marks as
     accepting no word (resp. every word) are replaced by one losing (resp.
     winning) sink, entered by the step that reaches them; winners are
     unchanged.  The DPA decides its sinks itself: a tidied DPA by
@@ -382,10 +376,9 @@ def build_game(
         _CopyInfo(coalition, structure, atom_bits_per_copy[i], pairs)
         for i, (coalition, structure) in enumerate(quants)
     ]
-    auto = len(pairs)
-    # a block where no agent acts keeps the automaton step as its one phase
-    steps = [i for i in range(auto) if any(c.acting[i] for c in copies)] or [auto]
-    nph = len(steps)
+    # the phases: the pairs up to the last at which some agent acts
+    nph = 1 + max((i for i in range(len(pairs)) if any(c.acting[i] for c in copies)), default=0)
+    pairs = pairs[:nph]
 
     dims = []
     size = 1
@@ -393,7 +386,7 @@ def build_game(
         dims.append((size, c.n_states * c.width, c.width))
         size *= c.n_states * c.width
     span = nph * size  # key distance between consecutive automaton states
-    layout = _Layout(pairs, steps, size, dims)
+    layout = _Layout(pairs, size, dims)
     sigma = _copy_swap(quants, dpa, atoms, atom_copy)
     swap = None
     if sigma is not None:
@@ -402,13 +395,13 @@ def build_game(
         swap = layout.swap
     # per phase: per-copy tables (see ``_CopyInfo.tables``) and the owner
     tabled = [
-        c.tables(steps, st, size, nph**i * dpa.n_letters)
+        c.tables(nph, st, size, nph**i * dpa.n_letters)
         for i, (c, (st, _, _)) in enumerate(zip(copies, dims))
     ]
     phases = []
-    for i, step in enumerate(steps):
+    for i, (_, team) in enumerate(pairs):
         jumps, moves, through = zip(*(tables[i] for tables, _ in tabled))
-        phases.append((jumps, moves, through, int(step < auto and not pairs[step][1])))
+        phases.append((jumps, moves, through, int(not team)))
     places = [(st, sz) for st, sz, _ in dims]
     offset = _Offsets(nph, k, dpa.n_letters, size)
     letter_bits = dpa.n_letters - 1

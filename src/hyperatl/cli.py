@@ -497,8 +497,11 @@ def _parse_system(text: str) -> SystemSpec:
     if "=" not in text:
         raise ConfigError(f"--system expects id=path[,stutter][,shift=k], got {text!r}")
     system_id, rest = text.split("=", 1)
+    system_id = system_id.strip()
+    if not system_id:
+        raise ConfigError(f"--system expects a non-empty id before '=', got {text!r}")
     path, *transforms = rest.split(",")
-    return SystemSpec(system_id.strip(), path, tuple(_parse_transform(t) for t in transforms))
+    return SystemSpec(system_id, path, tuple(_parse_transform(t) for t in transforms))
 
 
 def _build_parser() -> argparse.ArgumentParser:

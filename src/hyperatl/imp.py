@@ -280,7 +280,7 @@ class _Parser(Cursor):
             self.widths[name] = width
         body = self.parse_stmts()
         if not self.at_eof():
-            raise self.error("expected statement")
+            raise self.error("expected a statement")
         return self.widths, body
 
     def parse_stmts(self):
@@ -316,6 +316,8 @@ class _Parser(Cursor):
             self.next()
             els = self.parse_block()
             return IfStar(then, els) if cond is None else IfExpr(cond, then, els)
+        if self.at_eof() or self.at_punct("}"):
+            raise self.error("expected a statement")
         name = self.expect_ident()
         if name not in self.widths:
             raise ProgramError(f"undeclared variable {name!r}", pos, self.text)

@@ -163,12 +163,9 @@ def round_boundaries(block, built):
     has; the decided sinks stand for all later steps."""
     quants = block[0]
     layout = built.layout
-    nph = len(layout.steps)
+    nph = len(layout.pairs)
 
-    def moves(step, js):
-        if step == len(layout.pairs):
-            return 1
-        stage, team = layout.pairs[step]
+    def moves(stage, team, js):
         n = 1
         for (coalition, g), s in zip(quants, js):
             for agent, arity in g.decisions[s]:
@@ -183,7 +180,7 @@ def round_boundaries(block, built):
             continue
         hi, rest = divmod(key, layout.size)
         js = [rest // st % sz // w for st, sz, w in layout.dims]
-        first = next((i for i, step in enumerate(layout.steps) if moves(step, js) > 1), nph - 1)
+        first = next((i for i, pair in enumerate(layout.pairs) if moves(*pair, js) > 1), nph - 1)
         out.append(hi % nph == first)
     return out
 
@@ -195,6 +192,19 @@ def sched_block():
     info = validate_fragment(f, {"G": g})
     dpa = ltl_to_dpa(to_nnf(f.body), info.atoms)
     return [(rq.coalition, g) for rq in info.quantifiers], dpa, info.atoms, info.atom_copy
+
+
+def test_phases_end_at_the_last_pair_where_an_agent_acts():
+    """The scheduler acts at ``(1, True)`` and no agent at ``(1, False)``, so
+    the phases end at the scheduler's pair; each vertex's owner is the team
+    of its phase's pair."""
+    built = build_game(*sched_block())
+    layout = built.layout
+    assert layout.pairs == [(0, True), (0, False), (1, True)]
+    for v, key in enumerate(built.keys):
+        if key >= 0:
+            _, team = layout.pairs[key // layout.size % len(layout.pairs)]
+            assert built.game.owner[v] == int(not team)
 
 
 def test_priorities_constant_between_automaton_steps():
@@ -209,7 +219,7 @@ def test_priorities_constant_between_automaton_steps():
 
     def round_and_phase(v):
         hi, rest = divmod(built.keys[v], layout.size)
-        q, phase = divmod(hi, len(layout.steps))
+        q, phase = divmod(hi, len(layout.pairs))
         return (q, [rest // st % sz // w for st, sz, w in layout.dims]), phase
 
     for v in range(game.n_vertices):

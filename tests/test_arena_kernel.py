@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import random
+import re
 
 import pytest
 
@@ -47,7 +48,9 @@ def contract(reference, dpa):
     that vertex's successor, or to the losing or winning sink once the
     state ``q'`` that ``q`` steps to on the labels of ``js`` is decided.  In
     a block where no agent acts that successor is again an automaton step,
-    so the vertex stays, as ``A q' (js)`` with the colour of ``q'``.  A
+    so the vertex stays, as ``A q' (js)`` with the colour of ``q'``, owned
+    by player 0 and labelled ``M q' (js) l=0 T`` like the kernel's one
+    phase ``(0, True)``.  A
     vertex that fires is one whose successors were automaton steps (or
     sinks), or such an ``A`` vertex; its successors begin rounds.  Then
     every edge passes through each vertex with one successor that does not
@@ -86,7 +89,7 @@ def contract(reference, dpa):
             start = image(v)
             if start[0] == "A":
                 _, q, js = start
-                label = "A q%d (%s)" % (q, ",".join(map(str, js)))
+                label = "M q%d (%s) l=0 T" % (q, ",".join(map(str, js)))
                 kept[start] = (0, dpa.colors[q], [image(t) for t in r.succ[v]], label)
                 fires.add(start)
 
@@ -153,12 +156,13 @@ def packed_key(layout, reference, ref_key):
     if ref_key[0] in ("LOSE", "WIN"):
         return arena._LOSE if ref_key[0] == "LOSE" else arena._WIN
     if ref_key[0] == "A":
+        # a block where no agent acts: its one phase is (0, True)
         _, q, js = ref_key
-        sigma, step = [()] * len(js), len(layout.pairs)
+        sigma, pair = [()] * len(js), (0, True)
     else:
         _, q, js, sigma, stage, team = ref_key
-        step = layout.pairs.index((stage, team))
-    key = (q * len(layout.steps) + layout.steps.index(step)) * layout.size
+        pair = (stage, team)
+    key = (q * len(layout.pairs) + layout.pairs.index(pair)) * layout.size
     for s, moves, (stride, _, width), copy in zip(js, sigma, layout.dims, reference.copies):
         partial = 0
         for i, move in zip(copy.move_order, moves):
@@ -310,16 +314,30 @@ def without_agents(g):
     )
 
 
+def test_a_block_where_no_agent_acts_has_one_phase():
+    """Its one phase is ``(0, True)``, not both pairs of stage 0; so player 0
+    owns every vertex."""
+    rng = random.Random(2109)
+    for _ in range(30):
+        quants, dpa, atoms, atom_copy = random_block(rng)
+        block = ([(frozenset(), without_agents(g)) for _, g in quants], dpa, atoms, atom_copy)
+        built = build_game(*block)
+        assert built.layout.pairs == [(0, True)]
+        assert not any(built.game.owner)
+
+
 def test_blocks_where_no_agent_acts_match_reference():
-    """With no agent in any copy a round is one vertex ``A q (js)``, whose
-    state ``q`` has read the labels of ``js``; winners are the exact game's."""
+    """With no agent in any copy a round is one vertex ``M q (js) l=0 T``,
+    whose state ``q`` has read the labels of ``js``; winners are the exact
+    game's."""
     rng = random.Random(2108)
     rounds = wins = 0
     for _ in range(100):
         quants, dpa, atoms, atom_copy = random_block(rng)
         block = ([(frozenset(), without_agents(g)) for _, g in quants], dpa, atoms, atom_copy)
         kernel, _ = check_against_reference(block)
-        assert all(d.startswith("A ") or d in ("LOSE", "WIN") for d in kernel.descriptions)
+        round_label = re.compile(r"M q\d+ \([\d,]+\) l=0 T")
+        assert all(round_label.fullmatch(d) or d in ("LOSE", "WIN") for d in kernel.descriptions)
         assert kernel.n_automaton_vertices == kernel.game.n_vertices - kernel.n_sink_vertices
         exact = reference_arena.build_game(*block, collapse=False, prune_decided=False)
         won, exact_won = zielonka(kernel.game)[0], zielonka(exact.game)[0]

@@ -386,6 +386,12 @@ def usage_error(capsys, argv):
     return err
 
 
+@pytest.mark.parametrize("system", ["=p1.imp", "  =p1.imp", "=p1.imp,stutter"])
+def test_empty_system_id_is_a_usage_error(capsys, system):
+    err = usage_error(capsys, ["check", "--system", system, "--prop", "od"])
+    assert "--system expects a non-empty id before '='" in err
+
+
 def test_non_integer_sgni_lookahead_is_a_usage_error(capsys):
     prog = str(bundled_asset("p1.imp"))
     argv = ["check", "--system", f"G={prog}", "--prop", "sgni:x"]

@@ -53,6 +53,13 @@ PROGRAM_ERRORS = [
     ("var x : 1;\nx := x[;", "2:8: expected bit index"),
     ("var x : ;\nx := x;", "1:9: expected bit width"),
     ("var if : 1;\nx := x;", "1:5: expected variable name"),
+    ("var x : 1;\nelse := x;", "2:1: expected variable name"),
+    # where a statement should start, the end of input or a '}' is reported as such
+    ("var o : 1;", "1:11: expected a statement"),
+    ("var o : 1;\nwhile (true) { }", "2:16: expected a statement"),
+    ("var o : 1;\nvar l : 1;\nif (*) { } else { o := l; }", "3:10: expected a statement"),
+    ("var o : 1;\nvar l : 1;\nif (*) { o := l; } else { }", "3:27: expected a statement"),
+    ("var o : 1;\no := o; }", "2:9: expected a statement"),
     ("var x : 1;\ny := x;", "2:1: undeclared variable 'y'"),
     ("var x : 1;\nvar x : 1;\nx := x;", "2:7: variable 'x' declared twice"),
     ("var x : 0;\nx := x;", "1:10: bit width must be at least 1"),

@@ -139,22 +139,23 @@ def _parse_transform(text: str, where: str = "") -> tuple:
     raise ConfigError(f"{where}unknown transform {text!r}")
 
 
-def _shift(g: structures.MSCGS, k: int, cap: int) -> structures.MSCGS:
-    """``g`` shifted by ``k``; the ``k`` added states count against ``cap`` before any is built."""
-    if g.n_states + k > cap:
+def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
+    """``g`` under the transform ``t``; its states count against ``cap`` before any is built.
+
+    The stuttered twin has ``2n`` states, a frozen copy of each, and ``shift=k``
+    adds ``k`` to the ``n`` states of ``g``.
+    """
+    if t[0] == "stutter":
+        size = 2 * g.n_states
+    elif t[0] == "shift":
+        size = g.n_states + t[1]
+    else:
+        raise ConfigError(f"unknown transform {t[0]!r}")
+    if size > cap:
         raise StateCapError(f"state cap of {cap} exceeded")
-    return structures.shift_transform(g, k)
-
-
-def _apply_transforms(g: structures.MSCGS, transforms: Sequence[tuple], cap: int) -> structures.MSCGS:
-    for t in transforms:
-        if t[0] == "stutter":
-            g = structures.stutter_transform(g)
-        elif t[0] == "shift":
-            g = _shift(g, t[1], cap)
-        else:
-            raise ConfigError(f"unknown transform {t[0]!r}")
-    return g
+    if t[0] == "stutter":
+        return structures.stutter_transform(g)
+    return structures.shift_transform(g, t[1])
 
 
 def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.MSCGS:
@@ -162,7 +163,9 @@ def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.
     with _nesting_limit(f"program {spec.program_path!r}"):
         declared, program = imp.parse_program(text, width_overrides=widths or None)
         g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
-    return _apply_transforms(g, spec.transforms, cap_states)
+    for t in spec.transforms:
+        g = _transform(g, t, cap_states)
+    return g
 
 
 def _parse_prop_name(prop: str) -> tuple[str, Optional[str]]:
@@ -195,12 +198,12 @@ def _expand_builtin(
         if structures.SCHED in base.agents:
             return base_id
         sid = f"{base_id}_stut"
-        systems[sid] = structures.stutter_transform(base)
+        systems[sid] = _transform(base, ("stutter",), cap_states)
         return sid
 
     def shifted(k: int) -> str:
         sid = f"{base_id}_shift{k}"
-        systems[sid] = _shift(base, k, cap_states)
+        systems[sid] = _transform(base, ("shift", k), cap_states)
         return sid
 
     if name == "od":

@@ -255,122 +255,85 @@ class DPA(_Automaton):
         return [LOSE if e else WIN if u else None for e, u in zip(empty, universal)]
 
 
-# A node tree is a recursive tuple (name, label frozenset, children tuple);
-# sibling order is seniority (older first).  Each transition reports which
-# node names were deleted and which completed a breakpoint, and the record
-# of live names turns those events into a parity colour.
+# A node tree is a tuple of ``(name, depth, label)`` in preorder, ``label`` a
+# bitmask over the NBA's states; siblings come in order of seniority (older
+# first).  Each transition reports which node names were deleted and which
+# completed a breakpoint, and the record of live names turns those events
+# into a parity colour.
 
 
-def _tree_decode(root):
-    label: dict[int, set[int]] = {}
-    children: dict[int, list[int]] = {}
-    preorder: list[int] = []
+def _safra_step(tree, move, accepting):
+    """One deterministic macro step; returns (tree', removed, marked, fresh).
 
-    def walk(node):
-        name, lab, kids = node
-        preorder.append(name)
-        label[name] = set(lab)
-        children[name] = [k[0] for k in kids]
-        for kid in kids:
-            walk(kid)
-
-    walk(root)
-    return preorder, label, children
-
-
-def _tree_encode(name, label, children):
-    return (
-        name,
-        frozenset(label[name]),
-        tuple(_tree_encode(c, label, children) for c in children[name]),
-    )
-
-
-def _safra_step(root, letter, nba):
-    """One deterministic macro step; returns (tree', removed, marked, fresh)."""
-    preorder, label, children = _tree_decode(root)
-    root_name = root[0]
-    used = set(preorder)
-    removed: set[int] = set()
-    marked: set[int] = set()
-    fresh: list[int] = []
-    next_name = 0
-
-    def alloc() -> int:
-        nonlocal next_name
-        while next_name in used:
-            next_name += 1
-        used.add(next_name)
-        return next_name
-
-    # branch out a youngest child for every node currently seeing acceptance
-    for v in preorder:
-        hit = label[v] & nba.accepting
+    ``move[q]`` is the bitmask of the successors of NBA state ``q`` under
+    the letter, and ``accepting`` the bitmask of accepting states.  Three
+    passes over the preorder: branch, move and dedupe, breakpoint.
+    """
+    # branch: a node seeing acceptance gets a fresh youngest child, placed
+    # after its subtree and named by the smallest unused name
+    used = 0
+    for name, _depth, _label in tree:
+        used |= 1 << name
+    branched = []
+    pending = []  # fresh children whose parent's subtree is still open, deepest last
+    fresh = []
+    for node in tree:
+        depth = node[1]
+        while pending and pending[-1][1] > depth:
+            branched.append(pending.pop())
+        branched.append(node)
+        hit = node[2] & accepting
         if hit:
-            c = alloc()
-            label[c] = set(hit)
-            children[c] = []
-            children[v].append(c)
-            fresh.append(c)
+            bit = ~used & (used + 1)
+            used |= bit
+            fresh.append(bit.bit_length() - 1)
+            pending.append((fresh[-1], depth + 1, hit))
+    branched += reversed(pending)
 
-    # move every node label forward
-    for v in list(label):
-        nxt: set[int] = set()
-        for q in label[v]:
-            nxt.update(nba.trans[q][letter])
-        label[v] = nxt
+    # move every label forward and keep a state only in the oldest sibling
+    # tracking it; an emptied node is dropped, and its subtree empties too
+    removed: set[int] = set()
+    kept = []
+    unions = []  # per kept node, the union of its kept children's labels
+    free = [-1] * (len(branched) + 1)  # per depth, parent's label minus older siblings'
+    at = [0] * len(branched)  # per depth, the index in ``kept`` of the current node
+    for name, depth, label in branched:
+        nxt = 0
+        while label:
+            low = label & -label
+            nxt |= move[low.bit_length() - 1]
+            label ^= low
+        nxt &= free[depth]
+        free[depth] &= ~nxt
+        free[depth + 1] = nxt
+        if not nxt:
+            removed.add(name)
+            continue
+        if depth:
+            unions[at[depth - 1]] |= nxt
+        at[depth] = len(kept)
+        kept.append((name, depth, nxt))
+        unions.append(0)
+    if not kept:
+        return None, removed, set(), []
 
-    # a state is kept only in the oldest sibling tracking it
-    def dedupe(v, allowed):
-        label[v] &= allowed
-        claimed: set[int] = set()
-        for c in children[v]:
-            dedupe(c, label[v] - claimed)
-            claimed |= label[c]
-
-    dedupe(root_name, label[root_name])
-
-    def bury(v):
-        removed.add(v)
-        for c in children[v]:
-            bury(c)
-
-    if not label[root_name]:
-        bury(root_name)
-        return None, removed, marked, []
-
-    # drop emptied nodes (their subtrees are empty too)
-    def sweep(v):
-        kept = []
-        for c in children[v]:
-            if label[c]:
-                sweep(c)
-                kept.append(c)
-            else:
-                bury(c)
-        children[v] = kept
-
-    sweep(root_name)
-
-    # breakpoint: all tracked runs revisited acceptance since the children spawned
-    def merge(v):
-        if not children[v]:
-            return
-        union: set[int] = set()
-        for c in children[v]:
-            union |= label[c]
-        if union == label[v]:
-            for c in children[v]:
-                bury(c)
-            children[v] = []
-            marked.add(v)
+    # breakpoint: a node whose children together track all its states is
+    # marked, and its subtree dropped
+    marked: set[int] = set()
+    out = []
+    cut = len(kept)  # nodes deeper than this lie below a marked node
+    for node, union in zip(kept, unions):
+        name, depth, label = node
+        if depth > cut:
+            removed.add(name)
+            continue
+        if union == label:
+            marked.add(name)
+            cut = depth
         else:
-            for c in children[v]:
-                merge(c)
-
-    merge(root_name)
-    alive_fresh = [c for c in fresh if c not in removed]
-    return _tree_encode(root_name, label, children), removed, marked, alive_fresh
+            cut = len(kept)
+        out.append(node)
+    return tuple(out), removed, marked, [c for c in fresh if c not in removed]
 
 
 _DEAD = (None, (), 1)
@@ -410,15 +373,17 @@ def nba_to_dpa(
     often yields a recurring even colour below every recurring odd one,
     matching acceptance of the input automaton.
 
-    A step reads the letter only through the columns of the states the tree
-    tracks, so it runs once per letter class (``classes`` as returned by
-    ``_letter_classes``) whose column on those states is new.  If ``stats``
-    is a dict it receives the number of steps as ``safra_steps``.
+    Each row entry becomes a successor bitmask once per class
+    representative (``classes`` as returned by ``_letter_classes``).  A step
+    reads the letter only through the column of those bitmasks on the
+    states the tree tracks, so it runs once per class whose column is new.
+    If ``stats`` is a dict it receives the number of steps as ``safra_steps``.
     """
     cls, reps = _letter_classes(nba.trans) if classes is None else classes
+    moves = [[_mask(row[letter]) for row in nba.trans] for letter in reps]
+    accepting = _mask(nba.accepting)
     neutral = 2 * (nba.n_states + 2) + 3
-    init_tree = (0, frozenset((nba.initial,)), ())
-    init_key = (init_tree, (0,), neutral)
+    init_key = (((0, 0, 1 << nba.initial),), (0,), neutral)
     steps = 0
 
     def row_of(key, number) -> list[int]:
@@ -426,17 +391,18 @@ def nba_to_dpa(
         tree, record, _color = key
         if tree is None:
             return [number(_DEAD)] * nba.n_letters
-        tracked = [nba.trans[q] for q in sorted(tree[1])]
+        root = tree[0][2]
+        column_of = operator.itemgetter(*(q for q in range(nba.n_states) if root >> q & 1))
         pos = {nm: i for i, nm in enumerate(record)}
         by_column: dict = {}
         ids = []
         # representatives come in letter order, so successors are numbered
         # in the order a per-letter loop would first meet them
-        for letter in reps:
-            column = tuple(row[letter] for row in tracked)
+        for move in moves:
+            column = column_of(move)
             if column not in by_column:
                 steps += 1
-                by_column[column] = number(_successor(tree, record, pos, letter, nba, neutral))
+                by_column[column] = number(_successor(tree, record, pos, move, accepting, neutral))
             ids.append(by_column[column])
         return [ids[c] for c in cls]
 
@@ -448,9 +414,13 @@ def nba_to_dpa(
     return DPA(nba.atoms, 0, colors, trans)
 
 
-def _successor(tree, record, pos, letter, nba, neutral):
+def _mask(states: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, (1 << q for q in states), 0)
+
+
+def _successor(tree, record, pos, move, accepting, neutral):
     """The key of the determinized state reached from ``(tree, record)``."""
-    tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
+    tree2, removed, marked, fresh = _safra_step(tree, move, accepting)
     if tree2 is None:
         return _DEAD
     removal_pos = [pos[nm] for nm in removed if nm in pos]

@@ -5,13 +5,15 @@ word, ``dpa_accepts_lasso`` runs a deterministic parity automaton on one,
 and ``brute_force_solve`` solves a small parity game by enumerating
 positional strategy pairs, and ``tokenize_by_character`` scans a text one
 character at a time.  Two are exceptions.  ``nba_to_dpa_per_letter``
-determinizes with the checker's own tree step, but runs it once per letter
-and state, so it judges the grouping of letters into classes, not the step.
-``safety_automaton_via_nba`` builds a safety leaf's deterministic automaton
-the long way, through the checker's breakpoint automaton, so it judges the
-direct subset construction on antichains.  ``merge_moves_by_scan`` is
-the structure quotient's move merge as first written, scanning the whole
-successor row once per move of each slot.
+repeats the checker's colour rule on its search, but determinizes with
+``safra_step_on_nested_trees``, the tree step as first written (recursive
+trees of ``frozenset`` labels), once per letter and state, so it judges
+the checker's flat bitmask step and its grouping of letters into classes
+together.  ``safety_automaton_via_nba`` builds a safety leaf's
+deterministic automaton the long way, through the checker's breakpoint
+automaton, so it judges the direct subset construction on antichains.
+``merge_moves_by_scan`` is the structure quotient's move merge as first
+written, scanning the whole successor row once per move of each slot.
 
 The ``text_*`` builders assemble each builtin property as formula text over
 lists of output, low and high propositions and parse it; ``props`` builds
@@ -35,7 +37,6 @@ from hyperatl.ltl2dpa import (
     AutomatonCapError,
     _neutralize_transient,
     _quotient,
-    _safra_step,
     apa_to_nba,
     compress_colors,
     deterministic_nba_to_dpa,
@@ -213,8 +214,126 @@ def tidy(raw: DPA, reps=None) -> DPA:
     return compress_colors(_quotient(_neutralize_transient(_quotient(raw, reps)), reps))
 
 
+# The determinization step as first written: a node tree is a recursive
+# tuple (name, label frozenset, children tuple), sibling order is seniority
+# (older first), and each step decodes the tree into dicts, walks it by
+# recursion and encodes it back.
+
+
+def _tree_decode(root):
+    label: dict[int, set[int]] = {}
+    children: dict[int, list[int]] = {}
+    preorder: list[int] = []
+
+    def walk(node):
+        name, lab, kids = node
+        preorder.append(name)
+        label[name] = set(lab)
+        children[name] = [k[0] for k in kids]
+        for kid in kids:
+            walk(kid)
+
+    walk(root)
+    return preorder, label, children
+
+
+def _tree_encode(name, label, children):
+    return (
+        name,
+        frozenset(label[name]),
+        tuple(_tree_encode(c, label, children) for c in children[name]),
+    )
+
+
+def safra_step_on_nested_trees(root, letter, nba):
+    """One deterministic macro step; returns (tree', removed, marked, fresh)."""
+    preorder, label, children = _tree_decode(root)
+    root_name = root[0]
+    used = set(preorder)
+    removed: set[int] = set()
+    marked: set[int] = set()
+    fresh: list[int] = []
+    next_name = 0
+
+    def alloc() -> int:
+        nonlocal next_name
+        while next_name in used:
+            next_name += 1
+        used.add(next_name)
+        return next_name
+
+    # branch out a youngest child for every node currently seeing acceptance
+    for v in preorder:
+        hit = label[v] & nba.accepting
+        if hit:
+            c = alloc()
+            label[c] = set(hit)
+            children[c] = []
+            children[v].append(c)
+            fresh.append(c)
+
+    # move every node label forward
+    for v in list(label):
+        nxt: set[int] = set()
+        for q in label[v]:
+            nxt.update(nba.trans[q][letter])
+        label[v] = nxt
+
+    # a state is kept only in the oldest sibling tracking it
+    def dedupe(v, allowed):
+        label[v] &= allowed
+        claimed: set[int] = set()
+        for c in children[v]:
+            dedupe(c, label[v] - claimed)
+            claimed |= label[c]
+
+    dedupe(root_name, label[root_name])
+
+    def bury(v):
+        removed.add(v)
+        for c in children[v]:
+            bury(c)
+
+    if not label[root_name]:
+        bury(root_name)
+        return None, removed, marked, []
+
+    # drop emptied nodes (their subtrees are empty too)
+    def sweep(v):
+        kept = []
+        for c in children[v]:
+            if label[c]:
+                sweep(c)
+                kept.append(c)
+            else:
+                bury(c)
+        children[v] = kept
+
+    sweep(root_name)
+
+    # breakpoint: all tracked runs revisited acceptance since the children spawned
+    def merge(v):
+        if not children[v]:
+            return
+        union: set[int] = set()
+        for c in children[v]:
+            union |= label[c]
+        if union == label[v]:
+            for c in children[v]:
+                bury(c)
+            children[v] = []
+            marked.add(v)
+        else:
+            for c in children[v]:
+                merge(c)
+
+    merge(root_name)
+    alive_fresh = [c for c in fresh if c not in removed]
+    return _tree_encode(root_name, label, children), removed, marked, alive_fresh
+
+
 def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:
-    """``nba_to_dpa`` with one tree step per state and letter, no grouping."""
+    """``nba_to_dpa`` with the nested tree step, once per state and letter, no grouping."""
     neutral = 2 * (nba.n_states + 2) + 3
     init_tree = (0, frozenset((nba.initial,)), ())
     init_key = (init_tree, (0,), neutral)
@@ -225,7 +344,7 @@ def nba_to_dpa_per_letter(nba: NBA, cap: int = 10**6) -> DPA:
             return [number(_DEAD)] * nba.n_letters
         row = []
         for letter in range(nba.n_letters):
-            tree2, removed, marked, fresh = _safra_step(tree, letter, nba)
+            tree2, removed, marked, fresh = safra_step_on_nested_trees(tree, letter, nba)
             if tree2 is None:
                 row.append(number(_DEAD))
                 continue

@@ -177,6 +177,15 @@ def test_shift_counts_its_states_against_the_state_cap(capsys, transform, prop, 
     assert capsys.readouterr().err == f"resource limit: state cap of {cap} exceeded\n"
 
 
+@pytest.mark.parametrize("transform, prop", [(",stutter", "od"), ("", "od-async")])
+def test_stutter_counts_its_states_against_the_state_cap(capsys, transform, prop):
+    """``p1`` has 17 states, within the cap, and its stuttered twin 34, refused before it is built."""
+    prog = str(bundled_asset("p1.imp"))
+    argv = ["check", "--system", f"G={prog}{transform}", "--prop", prop, "--cap-states", "20"]
+    assert cli.main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "resource limit: state cap of 20 exceeded\n"
+
+
 def test_suite_records_a_capped_row(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CheckConfig", functools.partial(CheckConfig, cap_vertices=1))
     entry = {"name": "capped", "program": str(bundled_asset("p1.imp")), "prop": "od"}

@@ -22,6 +22,7 @@ from oracles import (
     letter_to_assignment,
     nba_to_dpa_per_letter,
     safety_automaton_via_nba,
+    safra_step_on_nested_trees,
     tidy,
 )
 from hyperatl import formula as F
@@ -35,9 +36,11 @@ from hyperatl.ltl2dpa import (
     AutomatonCapError,
     _is_deterministic,
     _letter_classes,
+    _mask,
     _minimal,
     _obligation_parts,
     _quotient,
+    _safra_step,
     apa_to_nba,
     compress_colors,
     decided_states,
@@ -279,6 +282,61 @@ def test_dpa_totality():
         for q in range(dpa.n_states):
             assert len(dpa.trans[q]) == dpa.n_letters
             assert all(0 <= t < dpa.n_states for t in dpa.trans[q])
+
+
+def flat_tree(node, depth=0):
+    """A nested tree ``(name, label frozenset, children)`` as the step's preorder tuple."""
+    name, label, children = node
+    flat = ((name, depth, _mask(label)),)
+    for child in children:
+        flat += flat_tree(child, depth + 1)
+    return flat
+
+
+def test_flat_step_matches_the_nested_step_on_random_nbas():
+    """The bitmask step gives the tree, removed, marked and fresh names of the nested one.
+
+    Each hand-built NBA is searched from its initial tree by the nested
+    step, at most 300 trees per NBA, and both steps run on every tree and
+    letter met.
+    """
+    rng = random.Random(83)
+    seen_events = {"dead": 0, "removed": 0, "marked": 0, "fresh": 0}
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        atoms = (A, B)[: rng.randint(1, 2)]
+        n_letters = 1 << len(atoms)
+        trans = [
+            [tuple(sorted(rng.sample(range(n), rng.randint(0, 3)))) for _ in range(n_letters)]
+            for _ in range(n)
+        ]
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
+        nba = NBA(atoms, 0, accepting, trans)
+        moves = [[_mask(row[letter]) for row in trans] for letter in range(n_letters)]
+        init = (0, frozenset((0,)), ())
+        trees, index = [init], {init}
+        for tree in trees:
+            for letter in range(n_letters):
+                want = safra_step_on_nested_trees(tree, letter, nba)
+                got = _safra_step(flat_tree(tree), moves[letter], _mask(accepting))
+                tree2 = want[0]
+                assert got == (None if tree2 is None else flat_tree(tree2), *want[1:])
+                seen_events["dead"] += tree2 is None
+                seen_events["removed"] += bool(want[1]) and tree2 is not None
+                seen_events["marked"] += bool(want[2])
+                seen_events["fresh"] += bool(want[3])
+                if tree2 is not None and tree2 not in index and len(trees) < 300:
+                    index.add(tree2)
+                    trees.append(tree2)
+    assert min(seen_events.values()) > 100, seen_events
+
+
+def test_determinization_respects_the_state_cap():
+    """A body outside the obligation ∧ G F class whose determinization outgrows the cap."""
+    f = parse_ltl("F ((e{p} | !b{p}) R ((F (!f{p} | (true U !c{p}))) R !e{p}))")
+    assert _obligation_parts(to_nnf(f), F.collect_atoms(to_nnf(f))) is None
+    with pytest.raises(AutomatonCapError, match="cap of 1000 exceeded in determinization"):
+        ltl_to_dpa(f, cap=1000)
 
 
 # -- full chain ----------------------------------------------------------------

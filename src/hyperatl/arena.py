@@ -286,8 +286,9 @@ def _copy_swap(
     search of the DPA against itself from ``(initial, initial)``, on letters
     with the copies' atoms swapped, pairs each state with exactly one state
     of equal colour and sink.  Then ``trans[sigma[q]][swap(v)] == sigma[trans[q][v]]``.
-    Only that search needs every row, so the DPA is completed only once
-    the cheap conditions hold.
+    Only that search needs every row, so the DPA is completed, by
+    ``dpa.complete()``'s pass over whole rows, only once the cheap
+    conditions hold.
     """
     if len(quants) != 2:
         return None
@@ -351,9 +352,10 @@ def build_game(
     winning) sink, entered by the step that reaches them; winners are
     unchanged.  The DPA decides its sinks itself: a tidied DPA by
     ``ltl2dpa.decided_states`` over all its states, the on-the-fly product
-    locally, as each state is numbered.  A row of the DPA is read through
-    ``dpa.row(q)`` the first time the arena steps state ``q``, so a product
-    is built only as far as the game reaches it.
+    locally, as each state is numbered.  The arena asks ``dpa.row(q)``
+    once per automaton state and reads one entry per joint letter it
+    meets; a product's row fills an entry when it is first read, so the
+    product is built only as far as the game reads it.
     The game without these shortcuts is built by ``tests/reference_arena.py``.
     Vertices are numbered in BFS order from the initial one, and each row
     lists its successors in move-vector product order (copy by copy).
@@ -407,7 +409,8 @@ def build_game(
     letter_bits = dpa.n_letters - 1
     fire_phase = nph - 1
     # the product appends to these lists as the search reaches new states
-    sink, colors, trans = dpa.sink, dpa.colors, dpa.trans
+    sink, colors = dpa.sink, dpa.colors
+    rows: dict = {}  # automaton state -> ``dpa.row`` of it, asked for once
     product = itertools.product
 
     initial_key = sink[dpa.initial]
@@ -454,9 +457,9 @@ def build_game(
             else:
                 moves = through
         if fires:
-            step = trans[q]
+            step = rows.get(q)
             if step is None:
-                step = dpa.row(q)
+                step = rows[q] = dpa.row(q)
             targets = []
             for combo in product(*map(getitem, moves, locs)):
                 code, pos = divmod(sum(combo), size)

@@ -114,8 +114,16 @@ def _write_text(path, text: str, what: str) -> None:
 
 
 def _read_json(path, what: str):
+    def unique(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} {str(path)!r} repeats the key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(_read_text(path, what))
+        return json.loads(_read_text(path, what), object_pairs_hook=unique)
     except ValueError as e:  # malformed JSON, or a number too long for ``int``
         raise ConfigError(f"cannot parse {what} {str(path)!r}: {e}") from e
 
@@ -407,6 +415,7 @@ def _expected_verdict(value, what: str) -> Optional[str]:
 def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
     configs = []
+    names: dict = {}  # name -> index of its entry
     entries = _json_of(dict, data, "manifest").get("entries", [])
     for i, entry in enumerate(_json_of(list, entries, "manifest entries")):
         _json_of(dict, entry, f"manifest entry {i}")
@@ -414,6 +423,9 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
             if not isinstance(entry.get(key), str):
                 raise ConfigError(f"manifest entry {i} needs a string {key!r}")
         name = entry["name"]
+        if name in names:
+            raise ConfigError(f"manifest entry {i} repeats the name {name!r} of entry {names[name]}")
+        names[name] = i
         program = manifest_path.parent / entry["program"]
         transforms = _json_of(list, entry.get("transforms", []), f"{name}: transforms")
         transforms = tuple(_parse_transform(t, f"{name}: ") for t in transforms)

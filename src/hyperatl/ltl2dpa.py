@@ -14,8 +14,8 @@ body: each maximal safety or co-safety subformula gets a deterministic
 automaton by one subset construction on its alternating automaton, over
 antichains of state sets and one letter class at a time, and their
 product, with the ``G F`` conjuncts degeneralized by a set, is a DPA with
-colours {0, 1}.  The product and its leaves are built on demand, one row
-when the arena first steps a state, and kept canonical by local rules
+colours {0, 1}.  The product and its leaves are built on demand, one
+transition when the arena first reads it, and kept canonical by local rules
 (decided sinks, don't-care leaves, the round bit only where it sets the
 colour) instead of a quotient.  The chain's DPAs are built whole and
 tidied: quotients and colour compression.
@@ -230,7 +230,8 @@ class DPA(_Automaton):
 
     ``sink[q]`` is ``LOSE`` or ``WIN`` if state ``q`` accepts no word or
     every word, and None if the automaton leaves it undecided.  This class
-    holds every row; :class:`_ProductDPA` computes a row when first asked.
+    holds every row; a row of :class:`_ProductDPA` computes each entry
+    when it is first read, until ``complete()`` fills it.
     """
 
     def __init__(self, atoms, initial, colors, trans):
@@ -651,35 +652,23 @@ class _Leaf:
     Henzinger & Raskin, CAV 2006).  APA states that are true on every
     letter are left out of the sets.  The empty antichain ``()`` is dead and
     ``(0,)``, a run tree with nothing pending, accepts every word; both loop
-    on every letter.  The letters are partitioned once by the APA's columns,
-    and each set steps once per class.  ``row(s)`` steps state ``s`` when
-    first asked; ``counts["nba_states"]`` counts the states numbered so far.
+    on every letter.  The letters are partitioned once by the APA's columns
+    (``cls`` gives each letter's class).  ``successor(s, c)`` steps state
+    ``s`` on class ``c`` alone, when first asked; ``row(s)`` steps it on
+    every class at once.  ``counts["nba_states"]`` counts the states
+    numbered so far.
     """
 
     def __init__(self, apa: APA, cap: int, counts: dict):
-        self.cls, reps = _letter_classes(apa.trans)
-        self.models = [[row[v] for v in reps] for row in apa.trans]
+        self.cls, self.reps = _letter_classes(apa.trans)
+        self.trans = apa.trans
         self.members = range(apa.n_states)
-        # One field of ``width`` bits per class holds a state's single model, or
-        # a flag above the states' bits if it has none or several.  ORed over a
-        # set's members, the fields give the union of the single models and say
-        # whether the set is stuck or needs a product of the several models.
-        self.stuck, self.several = 1 << apa.n_states, 2 << apa.n_states
-        width = apa.n_states + 2
-        self.field = (1 << width) - 1
-        self.shifts = [c * width for c in range(len(reps))]
-        self.packed = [
-            sum(
-                (got[0] if len(got) == 1 else self.several if got else self.stuck) << shift
-                for shift, got in zip(self.shifts, row)
-            )
-            for row in self.models
-        ]
         self.trivial = sum(
             1 << q for q, row in enumerate(apa.trans) if all(t == _TRUE for t in row)
         )
         self.cap, self.counts = cap, counts
         self.keys: list[tuple[int, ...]] = []
+        self.succ: list[list[Optional[int]]] = []  # per state and class; None: not stepped
         self.rows: list[Optional[list[int]]] = []
         self.index: dict = {}
         self.initial = self.number((1 << apa.initial,))
@@ -699,53 +688,118 @@ class _Leaf:
                         f"state cap of {self.cap} exceeded in the safety automaton"
                     )
                 self.keys.append(canonical)
+                loops = canonical == () or canonical == _TRUE
+                self.succ.append([s if loops else None] * len(self.reps))
                 self.rows.append(None)
                 self.index[canonical] = s
                 self.counts["nba_states"] += 1
             self.index[key] = s
         return s
 
-    def _combine(self, members: list[int], c: int, joined: int) -> tuple[int, ...]:
-        """The antichain of ``joined`` ORed with each choice of the several models."""
-        choices = [self.models[q][c] for q in members if len(self.models[q][c]) > 1]
+    def _step(self, x: int, c: int) -> tuple[int, ...]:
+        """The antichain of successor sets of the set ``x`` on class ``c``."""
+        v = self.reps[c]
+        joined = 0
+        choices = []
+        for q in self.members:
+            if x >> q & 1:
+                got = self.trans[q][v]
+                if len(got) == 1:
+                    joined |= got[0]
+                elif got:
+                    choices.append(got)
+                else:
+                    return ()
+        if not choices:
+            return (joined,)
         return _minimal(
             functools.reduce(operator.or_, combo, joined) for combo in itertools.product(*choices)
         )
 
-    def _step(self, s: int) -> list[tuple[int, ...]]:
-        """Per class, the antichain of successor sets of the set ``s``."""
-        members = [q for q in self.members if s >> q & 1]
+    @functools.cached_property
+    def packed(self) -> tuple[list[int], list[int]]:
+        """Per APA state, its models on every class packed in one int; per class, its shift.
+
+        One field of ``n_states + 2`` bits per class holds the state's
+        single model, or a flag above the states' bits if it has none
+        (stuck) or several.  ORed over a set's members, the fields give the
+        union of the single models and say whether the set is stuck or
+        needs :meth:`_step`.
+        """
+        n = len(self.members)
+        stuck, several = 1 << n, 2 << n
+        shifts = [c * (n + 2) for c in range(len(self.reps))]
+        packed = [
+            sum(
+                (got[0] if len(got) == 1 else several if got else stuck) << shift
+                for shift, got in zip(shifts, map(row.__getitem__, self.reps))
+            )
+            for row in self.trans
+        ]
+        return packed, shifts
+
+    def _step_all(self, x: int) -> list[tuple[int, ...]]:
+        """Per class, the antichain of successor sets of the set ``x``."""
+        packed, shifts = self.packed
         joined = 0
-        for q in members:
-            joined |= self.packed[q]
-        stuck, field = self.stuck, self.field
-        fields = [joined >> shift & field for shift in self.shifts]
+        for q in [q for q in self.members if x >> q & 1]:
+            joined |= packed[q]
+        stuck = 1 << len(self.members)
+        field = (stuck << 2) - 1  # the states' bits and the two flags
+        fields = [joined >> shift & field for shift in shifts]
         return [
-            (j,) if j < stuck else () if j & stuck else self._combine(members, c, j ^ self.several)
+            (j,) if j < stuck else () if j & stuck else self._step(x, c)
             for c, j in enumerate(fields)
         ]
 
+    def successor(self, s: int, c: int) -> int:
+        """The successor of state ``s`` on the letters of class ``c``."""
+        succ = self.succ[s]
+        t = succ[c]
+        if t is None:
+            sets = [self._step(x, c) for x in self.keys[s]]
+            key = sets[0] if len(sets) == 1 else _minimal(itertools.chain(*sets))
+            t = succ[c] = self.number(key)
+        return t
+
     def row(self, s: int) -> list[int]:
-        """Per letter, the successor of state ``s``."""
+        """Per letter, the successor of state ``s``; steps every class not yet stepped."""
         row = self.rows[s]
         if row is None:
-            key = self.keys[s]
-            if key == () or key == _TRUE:
-                row = [s] * len(self.cls)
-            else:
-                steps = [self._step(x) for x in key]
-                if len(steps) == 1:
-                    succ = steps[0]
-                else:
-                    succ = [_minimal(itertools.chain(*sets)) for sets in zip(*steps)]
-                ids = list(map(self.number, succ))
-                row = list(map(ids.__getitem__, self.cls))
-            self.rows[s] = row
+            succ = self.succ[s]
+            if None in succ:
+                steps = [self._step_all(x) for x in self.keys[s]]
+                if len(steps) > 1:
+                    steps = [[_minimal(itertools.chain(*sets)) for sets in zip(*steps)]]
+                succ[:] = map(self.number, steps[0])
+            row = self.rows[s] = list(map(succ.__getitem__, self.cls))
         return row
 
 
+class _Entries(dict):
+    """Per letter, the successor of one product state, found when the letter is first read.
+
+    The column of a letter is the ``G F`` set with the letter's hits, then
+    each leaf's successor on the letter's class (-1 stays -1); its state
+    comes from the product's memo of columns, shared with the full rows.
+    """
+
+    def __init__(self, product: "_ProductDPA", states: tuple, seen: int):
+        super().__init__()
+        self.product, self.states, self.seen = product, states, seen
+
+    def __missing__(self, letter: int) -> int:
+        product = self.product
+        column = (self.seen | product.hits[letter],) + tuple(
+            leaf.successor(s, leaf.cls[letter]) if s >= 0 else -1
+            for leaf, s in zip(product.leaves, self.states)
+        )
+        self[letter] = q = product._successor(column)
+        return q
+
+
 class _ProductDPA(DPA):
-    """The DPA of an obligation ∧ G F body, built as far as its rows are asked for.
+    """The DPA of an obligation ∧ G F body, built as far as it is read.
 
     A state is (leaf states, the ``G F`` indices seen since the last round,
     whether the last letter completed a round).  It has colour 0 iff the
@@ -754,10 +808,15 @@ class _ProductDPA(DPA):
     keeps the flags constant, and it accepts iff they satisfy the
     combination and every ``ψ`` recurs on it.
 
-    A state is numbered, with its colour and sink, when first reached, and
-    its row is computed by ``row(q)`` when first asked for; ``complete()``
-    computes every row.  Three local rules keep the states canonical, in
-    place of a quotient:
+    A state is numbered, with its colour and sink, when first reached.
+    Until its row is filled, ``row(q)`` gives an :class:`_Entries` mapping,
+    which steps the state and its leaves on one letter when that letter is
+    first read, so the product and its leaves number only the states those
+    letters reach.  ``complete()`` fills every row in one pass per state,
+    which groups the letters by their column (``G F`` set, then each leaf's
+    successor) and numbers one state per distinct column; both ways share
+    one memo of columns, so they number the same state for a letter.
+    Three local rules keep the states canonical, in place of a quotient:
 
     * a dead or universal leaf has a fixed flag; if the fixed flags make
       the combination false, the state is the ``LOSE`` sink, and if they
@@ -766,10 +825,6 @@ class _ProductDPA(DPA):
       by the don't-care state -1, which loops on every letter;
     * the round bit is kept only where the current flags satisfy the
       combination, since it only sets the colour.
-
-    A row groups the letters by their column (``G F`` set, then each
-    leaf's successor) and numbers one state per distinct column; the state
-    of each column is memoized across rows.
     """
 
     def __init__(self, leaves, combination, fair, atoms, cap: int, stats: dict):
@@ -841,27 +896,39 @@ class _ProductDPA(DPA):
             q = self.memo[column] = self._state(column[1:], 0 if wrapped else column[0], wrapped)
         return q
 
-    def row(self, q: int) -> list[int]:
+    def row(self, q: int):
+        """The row of ``q`` once filled, else a new :class:`_Entries` of it.
+
+        The product keeps no :class:`_Entries`, which refer back to it, so
+        it holds no reference cycle and is freed as soon as it is dropped;
+        its memos make a second mapping of ``q`` find the same states.
+        """
         row = self.trans[q]
         if row is None:
             states, seen, _wrapped = self.keys[q]
-            got = self.seen_rows.get(seen)
-            if got is None:
-                got = self.seen_rows[seen] = [seen | h for h in self.hits]
-            leaf_rows = [
-                leaf.row(s) if s >= 0 else self.unread_row for leaf, s in zip(self.leaves, states)
-            ]
-            columns = list(zip(got, *leaf_rows))
-            ids = dict.fromkeys(columns)
-            for column in ids:
-                ids[column] = self._successor(column)
-            row = self.trans[q] = list(map(ids.__getitem__, columns))
+            row = _Entries(self, states, seen)
         return row
+
+    def _fill(self, q: int) -> None:
+        """Fill the row of ``q``, numbering one state per distinct column."""
+        states, seen, _wrapped = self.keys[q]
+        got = self.seen_rows.get(seen)
+        if got is None:
+            got = self.seen_rows[seen] = [seen | h for h in self.hits]
+        leaf_rows = [
+            leaf.row(s) if s >= 0 else self.unread_row for leaf, s in zip(self.leaves, states)
+        ]
+        columns = list(zip(got, *leaf_rows))
+        ids = dict.fromkeys(columns)
+        for column in ids:
+            ids[column] = self._successor(column)
+        self.trans[q] = list(map(ids.__getitem__, columns))
 
     def complete(self) -> DPA:
         q = 0
         while q < len(self.trans):
-            self.row(q)
+            if self.trans[q] is None:
+                self._fill(q)
             q += 1
         return self
 
@@ -878,13 +945,14 @@ def ltl_to_dpa(
     product :class:`_ProductDPA` of deterministic automata per safety and
     co-safety leaf, each built straight from the leaf's alternating
     automaton; this route builds no breakpoint automaton and has no tidy
-    step.  Its states and rows are made on demand, so when it is returned
-    only its initial state exists, and ``cap`` bounds the states that the
-    product and each leaf number later.  Any other body goes alternating →
-    breakpoint → determinization; the letters are partitioned once by the
-    breakpoint automaton's columns, and determinization and the quotients
-    work per letter class.  A breakpoint automaton that is already
-    deterministic skips determinization.  These two routes fill every row,
+    step.  Its states and transitions are made when first read, so when it
+    is returned only its initial state exists, and ``cap`` bounds the
+    states that the product and each leaf number later.  Any other body
+    goes alternating → breakpoint → determinization; the letters are
+    partitioned once by the breakpoint automaton's columns, and
+    determinization and the quotients work per letter class.  A
+    breakpoint automaton that is already deterministic skips
+    determinization.  These two routes fill every row,
     are tidied (quotient, neutral colours for states on no cycle, a second
     quotient if that changed a colour, colour compression), and have their
     sinks decided here by :func:`decided_states`.  If ``stats`` is a dict it

@@ -5,7 +5,7 @@ import pytest
 import reference_arena
 from conftest import random_block, random_obligation_body, random_structure, swap_paths
 from oracles import brute_force_solve, tidy
-from hyperatl import arena
+from hyperatl import arena, cli
 from hyperatl import formula as F
 from hyperatl.arena import ArenaError, VertexCapError, build_game
 from hyperatl.cli import bundled_asset
@@ -330,3 +330,50 @@ def test_export_dot_deterministic():
     assert built.game.n_vertices == 1
     assert arena.export_dot(built) == arena.export_dot(built)
     assert "diamond" not in arena.export_dot(built)  # all vertices player 0 here
+
+
+# per bundled row: verdict, game.vertices, game.edges, game.swap_quotient
+BUNDLED_GAMES = {
+    "table5a": {
+        "p1-od": ("satisfied", 9, 9, 1),
+        "p1-ni": ("satisfied", 9, 9, 1),
+        "p1-simsec": ("satisfied", 10, 10, 0),
+        "p1-sgni": ("satisfied", 64, 107, 0),
+        "p2-od": ("violated", 37, 49, 1),
+        "p2-ni": ("satisfied", 25, 34, 1),
+        "p2-simsec": ("satisfied", 29, 38, 0),
+        "p2-sgni": ("satisfied", 693, 1404, 0),
+        "p3-od": ("violated", 14, 20, 1),
+        "p3-ni": ("violated", 32, 47, 1),
+        "p3-simsec": ("satisfied", 42, 60, 0),
+        "p3-sgni": ("satisfied", 421, 1096, 0),
+        "p4-od": ("violated", 23, 47, 1),
+        "p4-ni": ("violated", 58, 121, 1),
+        "p4-simsec": ("violated", 106, 172, 0),
+        "p4-sgni": ("satisfied", 707, 1923, 0),
+    },
+    "table5b": {
+        "q1w1-od": ("violated", 16, 22, 1),
+        "q1w1-od-async": ("satisfied", 295, 1081, 1),
+        "q1w1-ni-async": ("satisfied", 1056, 3864, 1),
+        "q1w2-od": ("violated", 16, 22, 1),
+        "q1w2-od-async": ("satisfied", 295, 1081, 1),
+        "q1w2-ni-async": ("satisfied", 1056, 3864, 1),
+        "q1w3-od": ("violated", 16, 22, 1),
+        "q1w3-od-async": ("satisfied", 295, 1081, 1),
+        "q1w3-ni-async": ("satisfied", 1056, 3864, 1),
+        "q2-od": ("violated", 28, 34, 1),
+        "q2-od-async": ("violated", 1145, 4289, 1),
+        "q2-ni-async": ("satisfied", 901, 3553, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("manifest", sorted(BUNDLED_GAMES))
+def test_bundled_rows_keep_their_verdicts_and_games(manifest):
+    rows, ok = cli.run_suite(manifest)
+    got = {
+        r.name: (r.verdict, *(r.sizes[f"game.{k}"] for k in ("vertices", "edges", "swap_quotient")))
+        for r in rows
+    }
+    assert ok and got == BUNDLED_GAMES[manifest]

@@ -198,24 +198,24 @@ def test_suite_records_a_capped_row(tmp_path, monkeypatch):
     ]
 
 
-def sgni_on_p2(cap_states):
-    prog = bundled_asset("p2.imp")
+def sgni_on_p1(cap_states):
+    prog = bundled_asset("p1.imp")
     return ["check", "--system", f"G={prog}", "--prop", "sgni:3", "--cap-states", str(cap_states)]
 
 
 def test_state_cap_counts_the_automaton_states_the_arena_reaches(capsys):
-    """``p2-sgni`` steps 218 of the 586 states of its body's automaton."""
-    assert cli.main(sgni_on_p2(300)) == EXIT_SATISFIED
-    assert "  dpa.states = 218\n" in capsys.readouterr().out
-    assert cli.main(sgni_on_p2(50)) == EXIT_RESOURCE
+    """``p1-sgni`` reads entries that reach 24 of the 586 states of its body's automaton."""
+    assert cli.main(sgni_on_p1(24)) == EXIT_SATISFIED
+    assert "  dpa.states = 24\n" in capsys.readouterr().out
+    assert cli.main(sgni_on_p1(23)) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+    assert captured.err == "resource limit: state cap of 23 exceeded in the safety automaton\n"
 
 
 def test_automaton_cap_fires_while_the_arena_is_built():
-    config = CheckConfig(systems=[spec("p2.imp")], prop="sgni:3", cap_states=100)
-    with pytest.raises(ltl2dpa.AutomatonCapError, match="cap of 100 exceeded") as info:
+    config = CheckConfig(systems=[spec("p1.imp")], prop="sgni:3", cap_states=23)
+    with pytest.raises(ltl2dpa.AutomatonCapError, match="cap of 23 exceeded") as info:
         run(config)
     assert "build_game" in [entry.name for entry in info.traceback]
 
@@ -224,7 +224,7 @@ def test_dpa_dump_completes_the_automaton(tmp_path):
     dump = tmp_path / "dpa.dot"
     report = run(CheckConfig(systems=[spec("p2.imp")], prop="sgni:3", dump_dpa=str(dump)))
     # the report counts the states the arena reached, before the dump
-    assert report.sizes["dpa.states"] == 218
+    assert report.sizes["dpa.states"] == 44
     assert len(re.findall(r"^  q\d+ \[", dump.read_text(), re.M)) == 586
 
 
@@ -530,6 +530,7 @@ MALFORMED_SUITES = {
     "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, None, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
     "expect file list value": ({"entries": [ENTRY]}, {"a": ["satisfied"]}, "expectations: a must be"),
     "expect unknown name": ({"entries": [ENTRY]}, {"case": "satisfied", "b": "violated", "a": None}, "expectations name no manifest row: a, b"),
+    "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, None, "manifest entry 1 repeats the name 'case' of entry 0"),
 }
 
 
@@ -692,3 +693,20 @@ def test_manifest_number_too_long_for_int_is_a_usage_error(tmp_path, capsys):
     program = json.dumps(str(bundled_asset("q1.imp")))
     m.write_text(f'{{"entries": [{{"name": "case", "program": {program}, "prop": "od", "widths": {{"h": {LONG}}}}}]}}')
     assert f"cannot parse manifest {str(m)!r}" in usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+def test_manifest_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    program = json.dumps(str(bundled_asset("q2.imp")))
+    m.write_text(f'{{"entries": [{{"name": "a", "program": {program}, "prop": "od", "prop": "ni"}}]}}')
+    message = usage_error(capsys, ["suite", "--manifest", str(m)])
+    assert f'manifest {str(m)!r} repeats the key "prop"' in message
+
+
+def test_expectations_with_a_repeated_key_are_a_usage_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [{"name": "a", "program": str(bundled_asset("q2.imp")), "prop": "od"}]}))
+    e = tmp_path / "expect.json"
+    e.write_text('{"a": "violated", "a": "satisfied"}')
+    message = usage_error(capsys, ["suite", "--manifest", str(m), "--expect", str(e)])
+    assert f'expectations {str(e)!r} repeats the key "a"' in message

@@ -529,6 +529,35 @@ def test_product_keeps_the_copy_swap(name):
     assert _copy_swap(quants, ltl_to_dpa(nnf, atoms), atoms, atom_copy) is not None
 
 
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_product_read_letter_by_letter_walks_like_the_completed_one(seed):
+    """``row(q)[v]`` steps one letter; runs agree with the full rows state for state.
+
+    Each state of the product read letter by letter stands for one state of
+    the completed product, numbered in another order: the same colour and
+    sink, paired with it on every walk.  The walks number fewer states than
+    completion on many bodies.
+    """
+    rng = random.Random(seed)
+    fair = fewer = 0
+    for _ in range(120):
+        atoms = rng.choice((ATOM_POOL, FOUR_ATOMS))
+        f = random_obligation_body(rng, atoms)
+        lazy, full = ltl_to_dpa(f, atoms), ltl_to_dpa(f, atoms).complete()
+        fair += lazy.full > 0
+        pairs = {}
+        for _ in range(6):
+            p, q = lazy.initial, full.initial
+            for _ in range(10):
+                assert pairs.setdefault(p, q) == q, f
+                assert (lazy.colors[p], lazy.sink[p]) == (full.colors[q], full.sink[q]), f
+                v = rng.randrange(full.n_letters)
+                p, q = lazy.row(p)[v], full.trans[q][v]
+        assert lazy.n_states <= full.n_states
+        fewer += lazy.n_states < full.n_states
+    assert fair >= 40 and fewer >= 30
+
+
 def test_product_respects_the_state_cap():
     f = BUILTIN_BODIES["ni-async"]
     assert ltl_to_dpa(f, cap=100).complete().n_states == 12

@@ -47,11 +47,12 @@ winners (symmetry reduction, Emerson & Sistla 1996; Ip & Dill 1996).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem, mul
 from typing import Mapping, Optional, Sequence
+
+from .graph import dot_string
 
 # the values of ``DPA.sink`` are the keys of the two decided sinks, both
 # negative; every other vertex key is >= 0
@@ -97,10 +98,12 @@ class _CopyInfo:
     ``partial`` is the mixed-radix index of the moves fixed so far in the
     current round, in the canonical move order (by stage, coalition before
     adversaries, then agent index), and ``width`` bounds it over all states.
-    ``step_arity`` holds, per (stage, team) pair, each state's number of
-    moves of the agents acting there.  :meth:`tables` gives, per phase, each
-    position's next positions, the next phase at which the copy has a
-    choice, and the firing entries reached when it has none.
+    States with the same decision slots share a shape: per (stage, team)
+    pair the number of moves of the agents acting there, and the table
+    index of each total move vector in move-order product order, by which
+    ``fire`` reads each state's successors off its table row.  :meth:`tables`
+    gives, per phase, each position's next positions, the next phase at
+    which the copy has a choice, and the firing entries reached when it has none.
     """
 
     def __init__(
@@ -129,31 +132,36 @@ class _CopyInfo:
             [a for a in move_order if stages[a] == l and (a in coalition) == team]
             for l, team in pairs
         ]
-        n = self.n_states = structure.n_states
-        arities = [dict(slots) for slots in structure.decisions]
-        # moves per state of the agents acting at each pair
-        self.step_arity = [
-            [math.prod(arity.get(a, 1) for a in acting) for arity in arities]
-            for acting in self.acting
-        ]
-        w = self.width = max((math.prod(col) for col in zip(*self.step_arity)), default=1)
-        # label bitmask per local position over the formula's atom order
-        mask = [0] * n
+        # per agent: the pair it acts at and its rank among that pair's agents
+        place = {a: (i, r) for i, acting in enumerate(self.acting) for r, a in enumerate(acting)}
+        self.n_states = structure.n_states
+        self.shapes, self.shape_of, self.fire = [], [], []  # shapes: (arities, index)
+        known: dict = {}  # distinct decision slots -> shape id
+        for slots, row in zip(structure.decisions, structure.table):
+            k = known.get(slots)
+            if k is None:
+                arities, index, strided, stride = [1] * len(pairs), [0], [], len(row)
+                for agent, arity in slots:
+                    stride //= arity
+                    strided.append((place[agent], arity, stride))
+                for (i, _), arity, stride in sorted(strided):  # in the move order
+                    arities[i] *= arity
+                    index = [x + m * stride for x in index for m in range(arity)]
+                k = known[slots] = len(self.shapes)
+                self.shapes.append((arities, index))
+            self.shape_of.append(k)
+            self.fire.append([row[x] for x in self.shapes[k][1]])
+        self.width = max(len(index) for _, index in self.shapes)
+        # label bitmask per state over the formula's atom order
+        self.letter_mask = mask = [0] * self.n_states
         for prop, bit in atom_bits:
             if prop not in structure.props:
                 raise ArenaError(
                     f"proposition {prop!r} not present in structure {structure.name!r}"
                 )
-            for s in range(n):
-                if prop in structure.labels[s]:
+            for s, labels in enumerate(structure.labels):
+                if prop in labels:
                     mask[s] |= 1 << bit
-        self.letter_mask = [m for m in mask for _ in range(w)]
-        # local position after the joint step from a total move vector
-        self.fire = [0] * (n * w)
-        for s, arity in enumerate(arities):
-            vectors = itertools.product(*(range(arity.get(a, 1)) for a in move_order))
-            for p, moves in enumerate(vectors):
-                self.fire[s * w + p] = structure.delta(s, dict(zip(move_order, moves))) * w
 
     def tables(self, nph: int, stride: int, size: int, digit: int) -> tuple[list, list[int]]:
         """Per phase, this copy's tables over its local positions; and its start phases.
@@ -182,43 +190,39 @@ class _CopyInfo:
         """
         n, w = self.n_states, self.width
         last = nph - 1
-        arity = self.step_arity
-        # per state, per phase i: the first phase >= i with more than one move
-        choice = []
-        for s in range(n):
+        out = [tuple([None] * (n * w) for _ in range(3)) for _ in range(nph)]
+        # per shape: its start phase, and per phase its tables, its number
+        # of moves, the first later phase with more than one move and the
+        # number of partial move vectors before it
+        per_shape = []
+        for arities, _ in self.shapes:
             first = [nph] * (nph + 1)
             for i in range(last, -1, -1):
-                first[i] = i if arity[i][s] > 1 else first[i + 1]
-            choice.append(first)
-        start = [min(first[0], last) for first in choice]
-        # per total move vector: its firing entry
-        fired = [
-            (start[y // w] * digit + self.letter_mask[y]) * size + y * stride for y in self.fire
+                first[i] = i if arities[i] > 1 else first[i + 1]
+            live = itertools.accumulate(arities[:last], mul, initial=1)
+            per_shape.append((min(first[0], last), list(zip(out, arities, first[1:], live))))
+        start = [per_shape[k][0] for k in self.shape_of]
+        # per state: the firing entry that reaches it
+        entry = [
+            (phase * digit + letter) * size + t * w * stride
+            for t, (phase, letter) in enumerate(zip(start, self.letter_mask))
         ]
-        # per state, per phase: the number of partial move vectors before it
-        live = [
-            list(itertools.accumulate(col[:-1], mul, initial=1))
-            for col in zip(*self.step_arity)
-        ]
-        out = []
-        for i in range(nph):
-            jumps, moves, through = ([None] * (n * w) for _ in range(3))
-            for s in range(n):
-                r = arity[i][s]
-                jump = choice[s][i + 1]
-                for p in range(live[s][i]):
-                    x = s * w + p
-                    # the next positions; once no move is left to fix, they
-                    # index total move vectors
-                    a = s * w + p * r
-                    if i == last:
-                        moves[x] = tuple(fired[a : a + r])
-                        continue
-                    moves[x] = tuple(range(a * stride, (a + r) * stride, stride))
-                    jumps[x] = jump
+        for s, (k, fire) in enumerate(zip(self.shape_of, self.fire)):
+            # the phases before the last; the last one's moves table, moves and count
+            *before, ((_, fires, _), r, _, count) = per_shape[k][1]
+            fired = [entry[t] for t in fire]
+            x = s * w
+            for (jumps, moves, through), r_i, jump, count_i in before:
+                for p in range(count_i):
+                    # the next positions, in move-vector product order
+                    a = x + p * r_i
+                    moves[x + p] = tuple(range(a * stride, (a + r_i) * stride, stride))
+                    jumps[x + p] = jump
                     if jump == nph:
-                        through[x] = tuple(fired[a : a + r])
-            out.append((jumps, moves, through))
+                        through[x + p] = tuple(fired[p * r_i : p * r_i + r_i])
+            # once no move is left to fix, the positions index total move vectors
+            for p in range(count):
+                fires[x + p] = tuple(fired[p * r : p * r + r])
         return out, start
 
 
@@ -417,7 +421,7 @@ def build_game(
     if initial_key is None:
         letter = 0
         for (_, g), c in zip(quants, copies):
-            letter |= c.letter_mask[g.initial * c.width]
+            letter |= c.letter_mask[g.initial]
         q = dpa.row(dpa.initial)[letter]
         initial_key = sink[q]
         if initial_key is None:
@@ -505,12 +509,12 @@ def export_dot(
     """
     g = arena.game
     strategy = strategy or {}
-    lines = [f'digraph "{name}" {{']
+    lines = [f"digraph {dot_string(name)} {{"]
     for v in range(g.n_vertices):
         shape = "box" if g.owner[v] == 0 else "diamond"
         peripheries = 2 if v == g.initial else 1
         lines.append(
-            f'  v{v} [label="{arena.descriptions[v]} p{g.priority[v]}", '
+            f"  v{v} [label={dot_string(f'{arena.descriptions[v]} p{g.priority[v]}')}, "
             f"shape={shape}, peripheries={peripheries}];"
         )
     for v in range(g.n_vertices):

@@ -7,7 +7,8 @@ components, :func:`predecessors` inverts the edges, :func:`refine`
 computes the coarsest bisimulation that refines a partition, and
 :func:`cycle_parities` says which parities of minimal priority the cycles
 through each vertex have (nested SCC decomposition as for parity word
-automata, King, Kupferman & Vardi, FoSSaCS 2001).
+automata, King, Kupferman & Vardi, FoSSaCS 2001).  :func:`dot_string`
+quotes a name or label for the DOT exporters.
 """
 
 from __future__ import annotations
@@ -204,3 +205,8 @@ def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> li
                 if rest:
                     pending.append(rest)
     return bits
+
+
+def dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

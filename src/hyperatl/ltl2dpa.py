@@ -29,7 +29,7 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from . import formula as F
-from .graph import cycle_parities, explore, predecessors, refine
+from .graph import cycle_parities, dot_string, explore, predecessors, refine
 
 
 class AutomatonCapError(Exception):
@@ -86,34 +86,35 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
         """Add the states of ``g``'s subformulas, then its own; return its number."""
         match g:
             case F.Atom(prop, var) | F.Not(F.Atom(prop, var)):
-                bit, holds = atom_index[(prop, var)], isinstance(g, F.Atom)
-                row = [_TRUE if bool(v >> bit & 1) == holds else _FALSE for v in range(n_letters)]
+                run = 1 << atom_index[(prop, var)]
+                off, on = (_FALSE, _TRUE) if isinstance(g, F.Atom) else (_TRUE, _FALSE)
+                row = ([off] * run + [on] * run) * (n_letters // (2 * run))
             case F.TrueF():
                 row = [_TRUE] * n_letters
             case F.FalseF():
                 row = [_FALSE] * n_letters
             case F.And(l, r):
-                row = list(map(_and, trans[build(l)], trans[build(r)]))
+                row = _rowwise(_and, trans[build(l)], trans[build(r)])
             case F.Or(l, r):
-                row = list(map(_or, trans[build(l)], trans[build(r)]))
+                row = _rowwise(_or, trans[build(l)], trans[build(r)])
             case F.Next(h):
                 row = [_goto(build(h))] * n_letters
             case F.Until(l, r):
                 rl, rr = trans[build(l)], trans[build(r)]
                 stay = _goto(len(trans))
-                row = [_or(b, _and(a, stay)) for a, b in zip(rl, rr)]
+                row = _rowwise(lambda a, b: _or(b, _and(a, stay)), rl, rr)
             case F.Release(l, r):
                 rl, rr = trans[build(l)], trans[build(r)]
                 stay = _goto(len(trans))
-                row = [_and(b, _or(a, stay)) for a, b in zip(rl, rr)]
+                row = _rowwise(lambda a, b: _and(b, _or(a, stay)), rl, rr)
             case F.Eventually(h):
                 rh = trans[build(h)]
                 stay = _goto(len(trans))
-                row = [_or(a, stay) for a in rh]
+                row = _rowwise(lambda a: _or(a, stay), rh)
             case F.Globally(h):
                 rh = trans[build(h)]
                 stay = _goto(len(trans))
-                row = [_and(a, stay) for a in rh]
+                row = _rowwise(lambda a: _and(a, stay), rh)
             case _:
                 raise TypeError(f"not an NNF node: {g!r}")
         colors.append(1 if isinstance(g, (F.Until, F.Eventually)) else 0)
@@ -122,6 +123,12 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
 
     initial = build(f)
     return APA(atoms, initial, colors, trans)
+
+
+def _rowwise(op, *rows: list) -> list:
+    """``op`` on each letter's entries of ``rows``, computed once per distinct tuple of them."""
+    done: dict = {}
+    return [e if (e := done.get(k)) is not None else done.setdefault(k, op(*k)) for k in zip(*rows)]
 
 
 def _minimal(sets: Iterable[int]) -> tuple[int, ...]:
@@ -1058,9 +1065,9 @@ def export_dot(dpa: DPA, name: str = "dpa") -> str:
     """
     dpa.complete()
     n_bits = len(dpa.atoms)
-    lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {dot_string(name)} {{", "  rankdir=LR;"]
     atom_names = " ".join(f"{p}{{{v}}}" for p, v in dpa.atoms)
-    lines.append(f'  info [label="atoms: {atom_names}", shape=note];')
+    lines.append(f"  info [label={dot_string(f'atoms: {atom_names}')}, shape=note];")
     for q in range(dpa.n_states):
         shape = "doublecircle" if q == dpa.initial else "circle"
         lines.append(f'  q{q} [label="q{q} c{dpa.colors[q]}", shape={shape}];')
@@ -1080,6 +1087,6 @@ def export_dot(dpa: DPA, name: str = "dpa") -> str:
                 letters = [v for c in classes for v in letters_of[c]]
                 label = " | ".join(_cubes(letters, n_bits)) if n_bits else "*"
                 labels[classes] = label
-            lines.append(f'  q{q} -> q{t} [label="{label}"];')
+            lines.append(f"  q{q} -> q{t} [label={dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
 """Multi-stage concurrent game structures and the stutter / shift transforms.
 
 A structure stores, per state, an ordered list of decision slots
-``(agent, arity)`` and a dense successor table indexed mixed-radix by the
-slot choices (first slot most significant).  The joint transition function
-is total: an agent without a slot in a state is ignored, and a move ``m``
-of a slot agent acts as ``m mod arity``.  Program-compiled structures are
-turn-based (one slot); the stutter transform adds a second slot for the
-scheduling agent, whose later stage lets it react to the others' choices.
+``(agent, arity)``, at most one per agent, and a dense successor table
+indexed mixed-radix by the slot choices (first slot most significant).
+The joint transition function is total: an agent without a slot in a
+state is ignored, and a move ``m`` of a slot agent acts as ``m mod
+arity``.  Program-compiled structures are turn-based (one slot); the
+stutter transform adds a second slot for the scheduling agent, whose
+later stage lets it react to the others' choices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graph import explore, refine
+from .graph import dot_string, explore, refine
 
 SCHED = "sched"
 STUT_PROP = "stut"
@@ -91,9 +92,11 @@ def validate(g: MSCGS) -> Diagnostics:
             out.append(("error", "non-total transition: state has no successor", s))
             continue
         expected = 1
-        for agent, arity in g.decisions[s]:
+        for j, (agent, arity) in enumerate(g.decisions[s]):
             if agent not in g.agents:
                 out.append(("error", f"decision slot for unknown agent {agent!r}", s))
+            if any(a == agent for a, _ in g.decisions[s][:j]):
+                out.append(("error", f"two decision slots for agent {agent!r}", s))
             if arity < 1:
                 out.append(("error", "decision slot with arity < 1", s))
             expected *= max(arity, 1)
@@ -243,21 +246,21 @@ def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
 
 def _merge_moves(slots, row: list[int]) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
     """Keep, per slot, the first move of each distinct slice of ``row``."""
-    strides = []
+    strides, kept = [], []
     stride = len(row)
     for _, arity in slots:
         stride //= arity
         strides.append(stride)
-    kept = []
-    for (_, arity), stride in zip(slots, strides):
-        # one pass over the row: its runs of ``stride`` entries take turns by move
-        pieces: list[list[int]] = [[] for _ in range(arity)]
-        for m, start in enumerate(range(0, len(row), stride)):
-            pieces[m % arity] += row[start : start + stride]
+        # ``row[o::span]``: the entries at offset ``o`` of each run of the
+        # slot's moves; move m's slice is offsets ``m * stride`` on, ``stride`` of them
+        span = stride * arity
+        cols = [tuple(row[o::span]) for o in range(span)]
         first: dict[tuple, int] = {}
-        for m, piece in enumerate(pieces):
-            first.setdefault(tuple(piece), m)
+        for m in range(arity):
+            first.setdefault(tuple(cols[m * stride : m * stride + stride]), m)
         kept.append(list(first.values()))
+    if all(len(k) == arity for k, (_, arity) in zip(kept, slots)):
+        return slots, tuple(row)
     new_row = tuple(
         row[sum(m * st for m, st in zip(moves, strides))] for moves in itertools.product(*kept)
     )
@@ -266,16 +269,16 @@ def _merge_moves(slots, row: list[int]) -> tuple[tuple[tuple[str, int], ...], tu
 
 def export_dot(g: MSCGS) -> str:
     """Deterministic DOT rendering: node = state id + labels, edge = moves."""
-    lines = [f'digraph "{g.name}" {{']
+    lines = [f"digraph {dot_string(g.name)} {{"]
     lines.append("  rankdir=LR;")
     for s in range(g.n_states):
         labs = "{" + ",".join(sorted(g.labels[s])) + "}"
         shape = "doublecircle" if s == g.initial else "circle"
-        lines.append(f'  n{s} [label="{g.state_names[s]} {labs}", shape={shape}];')
+        lines.append(f"  n{s} [label={dot_string(f'{g.state_names[s]} {labs}')}, shape={shape}];")
     for s in range(g.n_states):
         for idx, t in enumerate(g.table[s]):
             moves = g.decode_choice(s, idx)
             label = " ".join(f"{a}={m}" for a, m in moves) or "-"
-            lines.append(f'  n{s} -> n{t} [label="{label}"];')
+            lines.append(f"  n{s} -> n{t} [label={dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

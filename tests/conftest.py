@@ -93,10 +93,24 @@ def random_game(rng: random.Random, max_vertices: int = 8, max_degree: int = 3,
     return ParityGame(succ=succ, owner=owner, priority=priority)
 
 
-def random_structure(rng: random.Random, max_states: int = 6, props=("x", "y")) -> MSCGS:
-    """Small structure with one or two agents over at most two stages."""
+def random_structure(
+    rng: random.Random,
+    max_states: int = 6,
+    props=("x", "y"),
+    max_agents: int = 2,
+    max_arity: int = 2,
+    shuffle_slots: bool = False,
+) -> MSCGS:
+    """Small structure with one to ``max_agents`` agents over at most two stages.
+
+    Each agent gets a slot of one to ``max_arity`` moves in about 70% of
+    the states.  Slots are listed by stage and then by agent name, or in a
+    random order with ``shuffle_slots``.  The defaults take no extra draws
+    from ``rng``, so a seed gives the same structure whether or not they
+    are passed.
+    """
     n = rng.randint(1, max_states)
-    agents = tuple(f"a{i}" for i in range(rng.randint(1, 2)))
+    agents = tuple(f"a{i}" for i in range(rng.randint(1, max_agents)))
     stages = {a: rng.randint(0, 1) for a in agents}
     labels, decisions, table = [], [], []
     for _ in range(n):
@@ -104,7 +118,9 @@ def random_structure(rng: random.Random, max_states: int = 6, props=("x", "y")) 
         slots = []
         for a in sorted(agents, key=lambda a: (stages[a], a)):
             if rng.random() < 0.7:
-                slots.append((a, rng.randint(1, 2)))
+                slots.append((a, rng.randint(1, max_arity)))
+        if shuffle_slots:
+            rng.shuffle(slots)
         if not slots:
             slots = [(agents[0], 1)]
         arity = 1
@@ -187,12 +203,15 @@ def random_dpa(rng: random.Random, atoms, max_states: int = 5, max_color: int = 
     return DPA(tuple(atoms), 0, colors, trans)
 
 
-def random_block(rng: random.Random):
-    """A random quantifier block: 1-3 copies, atoms ``x`` and ``y`` of each, a random DPA."""
+def random_block(rng: random.Random, **draws):
+    """A random quantifier block: 1-3 copies, atoms ``x`` and ``y`` of each, a random DPA.
+
+    ``draws`` go to :func:`random_structure`.
+    """
     k = rng.randint(1, 3)
     quants = []
     for _ in range(k):
-        g = random_structure(rng, max_states=6 if k < 3 else 4)
+        g = random_structure(rng, max_states=6 if k < 3 else 4, **draws)
         coalition = frozenset(a for a in g.agents if rng.random() < 0.5)
         quants.append((coalition, g))
     atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y"))

@@ -90,7 +90,7 @@ def letter(js, atoms, atom_copy, structures):
     for copy, g in enumerate(structures):
         bits = [(atom[0], bit) for bit, atom in enumerate(atoms) if atom_copy[atom] == copy]
         info = arena._CopyInfo(frozenset(), g, bits, [(0, True), (0, False)])
-        value |= info.letter_mask[js[copy] * info.width]
+        value |= info.letter_mask[js[copy]]
     return value
 
 

@@ -197,13 +197,18 @@ def assert_orbit_quotient(kernel, reference):
     assert kernel.n_sink_vertices == sum(k < 0 for k in kernel.keys)
 
 
+# three agents, slots of up to three moves, listed in any order
+WIDE_DRAWS = dict(max_agents=3, max_arity=3, shuffle_slots=True)
+
+
 @pytest.mark.parametrize("collapse,prune_decided", MODES)
 def test_random_blocks_match_reference(collapse, prune_decided):
-    rng = random.Random(2107)
-    for _ in range(200):
-        args = random_block(rng)
-        kw = dict(collapse=collapse, prune_decided=prune_decided)
-        assert_same_arena(build_game(*args), contracted_reference(*args, **kw))
+    kw = dict(collapse=collapse, prune_decided=prune_decided)
+    for draws in ({}, WIDE_DRAWS):
+        rng = random.Random(2107)
+        for _ in range(200):
+            args = random_block(rng, **draws)
+            assert_same_arena(build_game(*args), contracted_reference(*args, **kw))
 
 
 def captured_blocks(monkeypatch, tmp_path, rows):

@@ -501,6 +501,25 @@ def test_unbound_dump_sys_is_rejected_before_any_dump(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dumps_escape_quotes_and_backslashes_in_names(tmp_path):
+    sid = 'a"b\\c'
+    dumps = {kind: tmp_path / f"{kind}.dot" for kind in ("sys", "game", "dpa")}
+    argv = ["check", "--system", f"{sid}={bundled_asset('p1.imp')}", "--prop", "od"]
+    argv += ["--dump-sys", f"{sid}={dumps['sys']}"]
+    argv += ["--dump-game", str(dumps["game"]), "--dump-dpa", str(dumps["dpa"])]
+    assert cli.main(argv) == EXIT_SATISFIED
+    for kind, path in dumps.items():
+        lines = path.read_text().splitlines()
+        # outside its quoted strings, no line holds a quote
+        for line in lines:
+            assert '"' not in DOT_STRING.sub("", line), (kind, line)
+        assert len(lines) > 2, kind
+    assert dumps["sys"].read_text().startswith('digraph "a\\"b\\\\c" {\n')
+
+
 def test_python_m_hyperatl_runs_the_cli():
     src = str(Path(hyperatl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

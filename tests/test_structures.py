@@ -54,6 +54,13 @@ def test_validate_flags_partial_stage_map():
     assert len(diag) == 1 and "stage map" in diag[0][1]
 
 
+def test_validate_flags_agent_with_two_slots():
+    g = self_loop()
+    g.decisions[0] = (("a", 2), ("a", 1))
+    g.table[0] = (0, 0)
+    assert validate(g) == [("error", "two decision slots for agent 'a'", 0)]
+
+
 def test_stutter_one_state_loop():
     g = self_loop(labels=frozenset({"x"}), props=frozenset({"x"}))
     gs = stutter_transform(g)

@@ -18,7 +18,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import arena, imp, ltl2dpa, props, solver, structures
-from .formula import FormulaError, HyperFormula, format_hyper, parse_formula, parse_ltl, to_nnf, validate_fragment
+from .formula import (
+    FormulaError,
+    HyperFormula,
+    Ltl,
+    collect_atoms,
+    format_hyper,
+    parse_formula,
+    parse_ltl,
+    to_nnf,
+    validate_fragment,
+)
 from .imp import ProgramError, StateCapError
 
 EXIT_SATISFIED = 0
@@ -166,11 +176,12 @@ def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
     return structures.shift_transform(g, t[1])
 
 
-def _load_system(spec: SystemSpec, widths: dict, cap_states: int) -> structures.MSCGS:
+def _load_system(spec: SystemSpec, widths: dict, cap_states: int, observe) -> structures.MSCGS:
+    """The program of ``spec`` built for the propositions ``observe``, under its transforms."""
     text = _read_text(spec.program_path, "program")
     with _nesting_limit(f"program {spec.program_path!r}"):
         declared, program = imp.parse_program(text, width_overrides=widths or None)
-        g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id)
+        g = imp.build_cgs(program, declared, cap=cap_states, name=spec.system_id, observe=observe)
     for t in spec.transforms:
         g = _transform(g, t, cap_states)
     return g
@@ -183,22 +194,57 @@ def _parse_prop_name(prop: str) -> tuple[str, Optional[str]]:
     return prop, None
 
 
-def _expand_builtin(
-    prop: str,
-    base_spec: SystemSpec,
-    base: structures.MSCGS,
-    body_file: Optional[str],
-    cap_states: int,
-) -> tuple[HyperFormula, dict]:
-    """Builtin property against one base system; derives transformed twins.
+def _builtin_reads(prop: str, body_file: Optional[str]) -> tuple[set, Optional[Ltl]]:
+    """The propositions that builtin ``prop`` reads, and the body of ``ahltl:n``.
 
-    Returns (formula, systems map).
+    Checks the parameters that need no program, before any is built.
     """
     name, param = _parse_prop_name(prop)
+    if name not in props.READS:
+        raise ConfigError(f"unknown builtin property {prop!r}")
     if param is not None and name in ("od", "ni", "simsec", "od-async"):
         raise ConfigError(f"builtin property {name!r} takes no parameter, got {prop!r}")
     if body_file is not None and name != "ahltl":
         raise ConfigError(f"--formula goes with --prop ahltl:n only, not with {prop!r}")
+    reads = set(props.READS[name])
+    body = None
+    if name == "ni-async":
+        if param == "":
+            raise ConfigError("ni-async:r expects an atomic proposition, got ''")
+        reads.add("r[0]" if param is None else param)
+    elif name == "ahltl":
+        if body_file is None:
+            raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
+        n = 2 if param is None else _int(param, "ahltl:n")
+        if n < 1:
+            raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
+        body = parse_ltl(_read_text(body_file, "formula").strip())
+        reads.update(p for p, _ in collect_atoms(body))
+    return reads, body
+
+
+def _formula_reads(formula: HyperFormula, specs: list[SystemSpec]) -> dict[str, set]:
+    """Per system id, the propositions of the atoms whose quantifier binds it."""
+    default = specs[0].system_id if len(specs) == 1 else None
+    system_of = {q.var: q.system or default for q in formula.block}
+    reads: dict[str, set] = {}
+    for prop, var in collect_atoms(formula.body):
+        reads.setdefault(system_of.get(var), set()).add(prop)
+    return reads
+
+
+def _expand_builtin(
+    prop: str,
+    base_spec: SystemSpec,
+    base: structures.MSCGS,
+    body: Optional[Ltl],
+    cap_states: int,
+) -> tuple[HyperFormula, dict]:
+    """Builtin property against one base system; derives transformed twins.
+
+    Takes a ``prop`` that :func:`_builtin_reads` checked.  Returns (formula, systems map).
+    """
+    name, param = _parse_prop_name(prop)
     base_id = base_spec.system_id
     systems = {base_id: base}
 
@@ -230,18 +276,9 @@ def _expand_builtin(
     if name == "od-async":
         return props.expand_od_async(stuttered()), systems
     if name == "ni-async":
-        if param == "":
-            raise ConfigError("ni-async:r expects an atomic proposition, got ''")
         return props.expand_ni_async("r[0]" if param is None else param, stuttered()), systems
-    if name == "ahltl":
-        if body_file is None:
-            raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
-        n = 2 if param is None else _int(param, "ahltl:n")
-        if n < 1:
-            raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
-        body = parse_ltl(_read_text(body_file, "formula").strip())
-        return props.expand_ahltl(n, body, stuttered()), systems
-    raise ConfigError(f"unknown builtin property {prop!r}")
+    n = 2 if param is None else int(param)  # ahltl:n
+    return props.expand_ahltl(n, body, stuttered()), systems
 
 
 def _peak_rss_mb() -> float:
@@ -280,25 +317,32 @@ def _run(config: CheckConfig) -> Report:
             raise ConfigError(f"{what} must be at least 1, got {cap}")
 
     t0 = time.perf_counter()
+    # each program is built for the propositions its quantifiers read
+    if config.prop is not None:
+        if len(config.systems) != 1:
+            raise ConfigError("builtin properties take exactly one --system binding")
+        reads, body = _builtin_reads(config.prop, config.formula_file)
+        observe = {config.systems[0].system_id: reads}
+    elif config.formula_file is not None:
+        formula = parse_formula(_read_text(config.formula_file, "formula").strip())
+        observe = _formula_reads(formula, config.systems)
+    else:
+        raise ConfigError("either --formula or --prop is required")
+
     loaded: dict[str, structures.MSCGS] = {}
     for spec in config.systems:
         if spec.system_id in loaded:
             raise ConfigError(f"system {spec.system_id!r} bound twice")
-        loaded[spec.system_id] = _load_system(spec, config.widths, config.cap_states)
+        loaded[spec.system_id] = _load_system(
+            spec, config.widths, config.cap_states, observe.get(spec.system_id, ())
+        )
 
     if config.prop is not None:
         base_spec = config.systems[0]
-        if len(config.systems) != 1:
-            raise ConfigError("builtin properties take exactly one --system binding")
         base = loaded[base_spec.system_id]
-        formula, systems = _expand_builtin(
-            config.prop, base_spec, base, config.formula_file, config.cap_states
-        )
-    elif config.formula_file is not None:
-        formula = parse_formula(_read_text(config.formula_file, "formula").strip())
-        systems = loaded
+        formula, systems = _expand_builtin(config.prop, base_spec, base, body, config.cap_states)
     else:
-        raise ConfigError("either --formula or --prop is required")
+        systems = loaded
 
     for sid in sorted(config.dump_sys):
         if sid not in systems:

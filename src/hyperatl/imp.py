@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .graph import explore
 from .lexer import Cursor, ParseError
@@ -201,9 +201,16 @@ def _sequence(stmts: tuple):
     return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
 
-def _read_values(width: int) -> list[BitVector]:
-    # lexicographic with False < True; bit 0 is most significant
-    return [tuple(bits) for bits in itertools.product((False, True), repeat=width)]
+def _read_values(live: tuple[bool, ...]) -> list[BitVector]:
+    """Each value that sets only the ``live`` bits of a variable.
+
+    Lexicographic with False < True over the live bits; bit 0 is most significant.
+    """
+    values = []
+    for bits in itertools.product((False, True), repeat=sum(live)):
+        it = iter(bits)
+        values.append(tuple(next(it) if b else False for b in live))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +252,73 @@ def _number_points(program) -> tuple[int, list[tuple]]:
         return got
 
     return enter(program, 0), points
+
+
+def _sources(e, var_bits: Mapping[str, tuple[int, ...]]) -> list[int]:
+    """Per bit of ``e``, the mask of the program bits that it is computed from."""
+    match e:
+        case Var(name):
+            return list(var_bits[name])
+        case TrueE() | FalseE():
+            return [0]
+        case NotE(op):
+            return _sources(op, var_bits)
+        case AndE(l, r) | OrE(l, r):
+            return [a | b for a, b in zip(_sources(l, var_bits), _sources(r, var_bits))]
+        case Concat(l, r):
+            return _sources(l, var_bits) + _sources(r, var_bits)
+        case Index(op, i):
+            return [_sources(op, var_bits)[i]]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _live_bits(points: list[tuple], var_bits: Mapping[str, tuple[int, ...]], observed: int) -> list[int]:
+    """Per program point, the mask of the bits that some path from it reads before writing them.
+
+    A guard reads its bits, and an assignment reads the sources of each
+    target bit that is live after it (cone of influence: Clarke, Grumberg &
+    Peled, *Model Checking*, 1999).  Every ``observed`` bit is live at every
+    point.
+    """
+    flow = []  # per point: (bits written, (written bit, its sources) pairs, bits read)
+    for stmt, _ in points:
+        match stmt:
+            case Assign(var, expr):
+                bits = var_bits[var]
+                flow.append((sum(bits), tuple(zip(bits, _sources(expr, var_bits))), 0))
+            case ReadH(var) | ReadL(var):
+                flow.append((sum(var_bits[var]), (), 0))
+            case IfExpr(cond) | While(cond):
+                flow.append((0, (), _sources(cond, var_bits)[0]))
+            case _:
+                flow.append((0, (), 0))
+    live = [observed] * len(points)
+    changed = True
+    while changed:
+        changed = False
+        for p, (_, targets) in enumerate(points):
+            after = 0
+            for t in targets:
+                after |= live[t]
+            written, sources, read = flow[p]
+            new = after & ~written | read | observed
+            for bit, source in sources:
+                if after & bit:
+                    new |= source
+            if new != live[p]:
+                live[p] = new
+                changed = True
+    return live
+
+
+def _cleared(values: tuple, clear: tuple) -> tuple:
+    """``values`` with each variable ``j`` of ``clear``'s ``(j, keep)`` pairs ANDed with ``keep``."""
+    if not clear:
+        return values
+    out = list(values)
+    for j, keep in clear:
+        out[j] = tuple(b and k for b, k in zip(out[j], keep))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -388,35 +462,85 @@ def parse_program(text: str, width_overrides: Optional[Mapping[str, int]] = None
 # Compilation to an explicit game structure
 
 
-def build_cgs(program, widths: Mapping[str, int], cap: int = 10**6, name: str = "G") -> MSCGS:
+def build_cgs(
+    program,
+    widths: Mapping[str, int],
+    cap: int = 10**6,
+    name: str = "G",
+    observe: Optional[Iterable[str]] = None,
+) -> MSCGS:
     """Enumerate the reachable configurations of a program as a game structure.
 
     States are ⟨program point, variable values⟩ pairs; ``xi_H`` and ``xi_L``
     own the states at their reads, ``xi_N`` all others, and the owner picks
     among the successor list.  All variables start as all-zero vectors.
+
+    With ``observe``, the propositions ``x[i]`` that the formula reads, a
+    bit that is dead at a point (:func:`_live_bits`) holds 0 there: a read
+    branches over the bits live after it, and an edge zeroes the bits that
+    die on it.  States that agree on the live bits reach states that agree
+    on every observed bit and every owner, which ``structures.quotient``
+    merges anyway.  Without ``observe`` every bit is live.
     """
     entry, points = _number_points(program)
     var_order = tuple(widths)
+    var_bits, n = {}, 0
+    for x in var_order:
+        var_bits[x] = tuple(1 << (n + i) for i in range(widths[x]))
+        n += widths[x]
+    observed = (1 << n) - 1
+    if observe is not None:
+        names = {f"{x}[{i}]": b for x in var_order for i, b in enumerate(var_bits[x])}
+        observed = 0
+        for prop in observe:
+            observed |= names.get(prop, 0)
+    live = _live_bits(points, var_bits, observed)
+    masks = [sum(var_bits[x]) for x in var_order]
+    # per point and target: (variable index, its live bits) of each variable
+    # with a bit that the point may hold or write and that is dead at the target
+    clears = []
+    for at, (stmt, targets) in enumerate(points):
+        held = live[at] | (sum(var_bits[stmt.var]) if isinstance(stmt, Assign) else 0)
+        clears.append(
+            tuple(
+                tuple(
+                    (j, tuple(bool(b & live[t]) for b in var_bits[x]))
+                    for j, x in enumerate(var_order)
+                    if held & ~live[t] & masks[j]
+                )
+                for t in targets
+            )
+        )
+    reads: dict[int, list] = {}
     init = (entry, tuple((False,) * widths[x] for x in var_order))
     cap_error = StateCapError(f"state cap of {cap} exceeded")
+
+    def read_values(at: int, var: str) -> list[BitVector]:
+        keep = tuple(bool(b & live[points[at][1][0]]) for b in var_bits[var])
+        # a read's 2^k successors are distinct states; 2^k > cap iff k >= cap.bit_length()
+        if sum(keep) >= cap.bit_length():
+            raise cap_error
+        reads[at] = _read_values(keep)
+        return reads[at]
 
     def row_of(key, number) -> tuple[int, ...]:
         at, values = key
         stmt, targets = points[at]
+        clear = clears[at]
         state = dict(zip(var_order, values))
         match stmt:
             case Assign(var, expr):
                 writes = [eval_expr(expr, state)]
             case ReadH(var) | ReadL(var):
-                # a read's 2^w successors are distinct states; 2^w > cap iff w >= cap.bit_length()
-                if widths[var] >= cap.bit_length():
-                    raise cap_error
-                writes = _read_values(widths[var])
+                writes = reads.get(at) or read_values(at, var)
             case IfExpr(cond) | While(cond):
-                return (number((targets[not eval_expr(cond, state)[0]], values)),)
+                branch = not eval_expr(cond, state)[0]
+                return (number((targets[branch], _cleared(values, clear[branch]))),)
             case _:  # if (*) and the end
-                return tuple(number((t, values)) for t in targets)
-        return tuple(number((targets[0], tuple({**state, var: v}.values()))) for v in writes)
+                return tuple(number((t, _cleared(values, c))) for t, c in zip(targets, clear))
+        return tuple(
+            number((targets[0], _cleared(tuple({**state, var: v}.values()), clear[0]))) for v in writes
+        )
 
     order, succ_ids = explore(init, row_of, cap, cap_error)
     props = frozenset(f"{x}[{i}]" for x in var_order for i in range(widths[x]))

@@ -76,10 +76,10 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     player-1 seed's edge into player 1's region counts there as an escape;
     player 1's attractor to its seeds follows, and Zielonka's algorithm
     solves what is left.  Predecessors are listed per component, and only
-    for its own edges.  With at most three priorities (every arena of the
-    bundled suites) Zielonka's algorithm needs only a few attractor passes
-    over the whole game, fewer than the decomposition costs, so the game is
-    solved as one subgame.
+    for its own edges.  A game with at most three priorities (every arena
+    of the bundled suites) is not cut into components: Zielonka's algorithm
+    runs on the whole game, though it may still solve many subgames there
+    (21 for ``q2-od-async``).
 
     If ``stats`` is given, it receives ``calls``, the number of subgames
     solved, and ``attractor_edges``, the predecessor edges the attractors

@@ -141,8 +141,10 @@ def random_structure(
     )
 
 
-def random_program(rng: random.Random, max_block: int = 3, depth: int = 2, names=None) -> str:
-    """Random program text over the variables ``names``, each of width 1–2.
+def random_program(
+    rng: random.Random, max_block: int = 3, depth: int = 2, names=None, max_width: int = 2
+) -> str:
+    """Random program text over the variables ``names``, each of width 1 to ``max_width``.
 
     Without ``names`` the variables are one to three of ``x``, ``y``, ``z``.
     Blocks hold one to ``max_block`` statements: assignments, ``read_H`` /
@@ -152,7 +154,7 @@ def random_program(rng: random.Random, max_block: int = 3, depth: int = 2, names
     """
     if names is None:
         names = "xyz"[: rng.randint(1, 3)]
-    widths = {x: rng.randint(1, 2) for x in names}
+    widths = {x: rng.randint(1, max_width) for x in names}
 
     def bit(size: int) -> str:
         if size <= 1:
@@ -168,11 +170,12 @@ def random_program(rng: random.Random, max_block: int = 3, depth: int = 2, names
     def expr(width: int) -> str:
         if width == 1:
             return bit(rng.randint(1, 3))
-        same = [x for x, w in widths.items() if w == 2]
+        same = [x for x, w in widths.items() if w == width]
         if same and rng.random() < 0.5:
             x = rng.choice(same)
             return rng.choice((x, f"!{x}", f"({x} & {rng.choice(same)})"))
-        return f"{bit(rng.randint(1, 2))} @ {bit(rng.randint(1, 2))}"
+        rest = bit(rng.randint(1, 2)) if width == 2 else expr(width - 1)
+        return f"{bit(rng.randint(1, 2))} @ {rest}"
 
     def block(depth: int) -> str:
         return " ".join(stmt(depth) for _ in range(rng.randint(1, max_block)))

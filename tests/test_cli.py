@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from hyperatl.cli import (
     run,
     run_suite,
 )
+from hyperatl.formula import FormulaError
 from hyperatl.solver import zielonka
 
 
@@ -123,8 +125,9 @@ def test_dumps_written_and_deterministic(tmp_path):
     record = paths["report"].read_text()
     assert record.startswith("verdict satisfied\n")
     assert "game.vertices" in record and "time.solve_ms" in record
-    # the loaded structure and its quotient; peak memory is no size
-    assert "system.G.states 17\n" in record and "system.G.classes 9\n" in record
+    # the loaded structure, built for o[0] (17 states with every bit), and
+    # its quotient; peak memory is no size
+    assert "system.G.states 13\n" in record and "system.G.classes 9\n" in record
     peak = [line.split() for line in record.splitlines() if line.startswith("mem.")]
     assert len(peak) == 1 and peak[0][0] == "mem.peak_rss_mb" and float(peak[0][1]) > 0
     assert not any(key.startswith("mem.") for key in run(config).sizes)
@@ -154,7 +157,9 @@ def test_vertex_cap_exits_with_one_line(capsys):
 
 def test_wide_read_hits_the_state_cap_before_its_values_are_enumerated(tmp_path, capsys):
     prog = tmp_path / "wide.imp"
-    prog.write_text("var o:1;\nvar h:40;\nh := read_H;\no := h[0];\n")
+    # o[0] reads every bit of h, so the read branches over all 40 of them
+    every_bit = " & ".join(f"h[{i}]" for i in range(40))
+    prog.write_text(f"var o:1;\nvar h:40;\nh := read_H;\no := {every_bit};\n")
     argv = ["check", "--system", f"G={prog}", "--prop", "od", "--cap-states", "1000"]
     assert cli.main(argv) == EXIT_RESOURCE
     assert capsys.readouterr().err == "resource limit: state cap of 1000 exceeded\n"
@@ -259,11 +264,34 @@ def test_usage_errors():
 
 
 def test_width_override_flows_through():
-    report = run(CheckConfig(systems=[spec("q1.imp")], prop="od", widths={"h": 2}))
+    """``h[1]`` exists only at ``h=2``, and observing it makes the reads branch over it."""
+    wide = CheckConfig(systems=[spec("q1.imp")], prop="ni-async:h[1]", widths={"h": 2})
+    report = run(wide)
     assert report.verdict == "violated"
-    wider = report.sizes["system.G.states"]
-    base = run(CheckConfig(systems=[spec("q1.imp")], prop="od")).sizes["system.G.states"]
-    assert wider > base
+    base = run(CheckConfig(systems=[spec("q1.imp")], prop="ni-async")).sizes["system.G.states"]
+    assert report.sizes["system.G.states"] > base
+    with pytest.raises(FormulaError, match="proposition 'h\\[1\\]' is not labelled"):
+        run(CheckConfig(systems=[spec("q1.imp")], prop="ni-async:h[1]", widths={"h": 1}))
+
+
+def test_input_width_leaves_the_build_of_q1_alone():
+    """q1 reads ``h[0]`` only, so at ``h=16`` it builds the states of ``h=1``.
+
+    Branching over all 2^16 values of ``h`` would exceed the state cap at once.
+    """
+    start = time.perf_counter()
+    sizes = [
+        run(CheckConfig(systems=[spec("q1.imp")], prop="ni-async", widths={"h": h}, cap_states=10**4)).sizes
+        for h in (1, 16)
+    ]
+    assert time.perf_counter() - start < 2.0
+    assert sizes[0]["system.G.states"] == sizes[1]["system.G.states"] == 15
+    assert sizes[0]["system.G_stut.classes"] == sizes[1]["system.G_stut.classes"] == 22
+
+
+def test_q1_at_width_64_is_checked():
+    argv = ["check", "--system", f"G={bundled_asset('q1.imp')}", "--prop", "od", "--width", "h=64"]
+    assert cli.main(argv) == EXIT_VIOLATED
 
 
 def test_suite_empty_manifest(tmp_path):

@@ -10,11 +10,14 @@ automaton determinized by Safra's construction and tidied; the exact game
 of ``reference_arena``; and Zielonka's algorithm.  The two verdicts must
 agree.
 
-Each program declares exactly the variables its property reads, so that
-its assignments and reads often reach them.  The exact game of two or
-three raw copies grows with the product of their sizes, so a program is
-drawn again until its structure has at most 20 states, or 7 for the
-asynchronous properties, whose copies are stuttered to twice that.
+Each program declares the variables its property reads and one more,
+``z``, that it does not, each 1 to 3 bits wide, so that its assignments
+and reads often reach them and ``cli.run`` builds it with dead bits: every
+bit of ``z`` and every bit past ``[0]`` that no guard or live assignment
+reads.  The exact game of two or three raw copies grows with the product
+of their sizes, so a program is drawn again until its full structure has
+at most 20 states, or 7 for the asynchronous properties, whose copies are
+stuttered to twice that.
 """
 
 import random
@@ -65,7 +68,7 @@ def reference_automaton(body, atoms):
 def random_case(rng, prop: str):
     """A random program for ``prop`` and its raw structure, within the size bound."""
     while True:
-        text = random_program(rng, depth=rng.randint(1, 2), names=BUILTINS[prop])
+        text = random_program(rng, depth=rng.randint(1, 2), names=BUILTINS[prop] + "z", max_width=3)
         declared, program = parse_program(text)
         g = build_cgs(program, declared)
         if g.n_states <= (7 if prop.endswith("async") else 20):
@@ -87,13 +90,16 @@ def reference_verdict(prop: str, g) -> str:
 def test_random_programs_get_the_reference_verdict(tmp_path):
     rng = random.Random(SEED)
     verdicts = {prop: Counter() for prop in BUILTINS}
+    reduced = 0  # programs that cli.run builds with fewer states than the reference
     for i in range(420):
         prop = list(BUILTINS)[i % len(BUILTINS)]
         text, g = random_case(rng, prop)
         path = tmp_path / f"p{i}.imp"
         path.write_text(text)
-        got = run(CheckConfig(systems=[SystemSpec("G", str(path))], prop=prop)).verdict
-        assert got == reference_verdict(prop, g), (prop, text)
-        verdicts[prop][got] += 1
+        report = run(CheckConfig(systems=[SystemSpec("G", str(path))], prop=prop))
+        assert report.verdict == reference_verdict(prop, g), (prop, text)
+        verdicts[prop][report.verdict] += 1
+        reduced += report.sizes["system.G.states"] < g.n_states
     one_verdict = {prop: dict(c) for prop, c in verdicts.items() if len(c) < 2}
     assert not one_verdict, one_verdict
+    assert reduced >= 100, reduced

@@ -20,7 +20,7 @@ from hyperatl.imp import (
     eval_expr,
     parse_program,
 )
-from hyperatl.structures import validate
+from hyperatl.structures import quotient, validate
 
 
 def test_parse_minimal_assign():
@@ -322,3 +322,73 @@ def test_read_fits_a_cap_that_holds_all_its_values():
     assert build_cgs(prog, widths, cap=9).n_states == 9
     with pytest.raises(StateCapError):
         build_cgs(prog, widths, cap=8)
+
+
+# ---------------------------------------------------------------------------
+# Bit liveness
+
+
+def test_read_branches_over_the_bits_a_guard_reads():
+    widths, prog = parse_program("var x:3; var o:1; x := read_H; while (x[1]) { o := !o; }")
+    g = build_cgs(prog, widths, observe={"o[0]"})
+    assert g.table[0] == (1, 2)  # x[1] only: x[0] and x[2] are never read
+    assert all(not {"x[0]", "x[2]"} & g.labels[s] for s in range(g.n_states))
+
+
+def test_a_bit_dies_on_the_edge_after_its_last_read():
+    widths, prog = parse_program("var h:2; var o:1; h := read_H; o := h[0]; o := h[1];")
+    g = build_cgs(prog, widths, observe={"o[0]"})
+    # the read branches over both bits; h[0] is zeroed once o has copied it
+    assert g.table[0] == (1, 2, 3, 4)
+    copied = [g.table[s][0] for s in range(1, 5)]
+    assert [g.labels[s] & {"h[0]", "h[1]"} for s in copied] == [set(), {"h[1]"}] * 2
+    assert build_cgs(prog, widths, observe={"h[0]", "o[0]"}).n_states == build_cgs(prog, widths).n_states
+
+
+def canonical(g):
+    """``g`` renumbered breadth-first from its initial state, without its state names."""
+    number = {g.initial: 0}
+    order = [g.initial]
+    for s in order:  # grows while the search runs
+        for t in g.table[s]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    rows = [(g.labels[s], g.decisions[s], tuple(number[t] for t in g.table[s])) for s in order]
+    return g.agents, g.props, rows
+
+
+def settled_quotient(g, props):
+    """``quotient`` again until it merges nothing more.
+
+    One pass keys its first partition on each state's number of moves, so
+    two reads whose moves fall into equally many classes may stay apart
+    when their variables have different widths (or live bits); the next
+    pass sees the merged moves.
+    """
+    while True:
+        q = quotient(g, props)
+        if q.n_states == g.n_states and q.decisions == g.decisions:
+            return q
+        g = q
+
+
+def test_reduced_build_has_the_quotient_of_the_full_build():
+    """Zeroing dead bits merges only states that the quotient merges anyway."""
+    rng = random.Random(3030)
+    reduced_cases = 0
+    for seed in range(300):
+        text = random_program(rng, names="xyz"[: rng.randint(1, 3)], max_width=3)
+        widths, prog = parse_program(text)
+        bits = [f"{x}[{i}]" for x, w in widths.items() for i in range(w)]
+        observe = set(rng.sample(bits, rng.randint(0, len(bits))))
+        try:
+            full = build_cgs(prog, widths, cap=3000)
+        except StateCapError:
+            continue
+        reduced = build_cgs(prog, widths, observe=observe)
+        assert reduced.n_states <= full.n_states, text
+        got, want = settled_quotient(reduced, observe), settled_quotient(full, observe)
+        assert canonical(got) == canonical(want), (text, observe)
+        reduced_cases += reduced.n_states < full.n_states
+    assert reduced_cases >= 100, reduced_cases

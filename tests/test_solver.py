@@ -340,3 +340,25 @@ def test_off_cycle_vertices_cost_no_attractor_work():
         assert verify_strategy(game, regions, s0, s1)
         counts.append(stats["attractor_edges"])
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+def test_check_rejects_edge_out_of_range(target):
+    g = ParityGame(succ=[[1], [0, target]], owner=[0, 1], priority=[0, 1])
+    with pytest.raises(ValueError, match=f"^edge 1->{target} out of range$"):
+        zielonka(g)
+
+
+@pytest.mark.parametrize("initial", [-1, 2])
+def test_check_rejects_initial_out_of_range(initial):
+    g = ParityGame(succ=[[1], [0]], owner=[0, 1], priority=[0, 1], initial=initial)
+    with pytest.raises(ValueError, match="^initial vertex out of range$"):
+        zielonka(g)
+
+
+@pytest.mark.parametrize("short", ["succ", "owner", "priority"])
+def test_check_rejects_vertex_arrays_of_unequal_lengths(short):
+    arrays = {"succ": [[1], [0]], "owner": [0, 1], "priority": [0, 1]}
+    arrays[short] = arrays[short][:1]
+    with pytest.raises(ValueError, match="^inconsistent vertex arrays$"):
+        zielonka(ParityGame(**arrays))

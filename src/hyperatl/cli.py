@@ -21,7 +21,6 @@ from . import arena, imp, ltl2dpa, props, solver, structures
 from .formula import (
     FormulaError,
     HyperFormula,
-    Ltl,
     collect_atoms,
     format_hyper,
     parse_formula,
@@ -187,98 +186,66 @@ def _load_system(spec: SystemSpec, widths: dict, cap_states: int, observe) -> st
     return g
 
 
-def _parse_prop_name(prop: str) -> tuple[str, Optional[str]]:
-    if ":" in prop:
-        name, param = prop.split(":", 1)
-        return name, param
-    return prop, None
+def _builtin(prop: str, spec: SystemSpec, body_file: Optional[str], cap: int) -> tuple[HyperFormula, dict]:
+    """The formula of builtin ``prop`` over ``spec``'s system, and ``{twin id: transform}``.
 
-
-def _builtin_reads(prop: str, body_file: Optional[str]) -> tuple[set, Optional[Ltl]]:
-    """The propositions that builtin ``prop`` reads, and the body of ``ahltl:n``.
-
-    Checks the parameters that need no program, before any is built.
+    Every parameter is checked here, before any program is read.  Each twin
+    is the built system of ``spec`` under its transform; the asynchronous
+    builtins bind ``spec``'s own id when its system is stuttered already.
     """
-    name, param = _parse_prop_name(prop)
-    if name not in props.READS:
+    name, colon, param = prop.partition(":")
+    base = spec.system_id
+    if name not in ("od", "ni", "simsec", "sgni", "od-async", "ni-async", "ahltl"):
         raise ConfigError(f"unknown builtin property {prop!r}")
-    if param is not None and name in ("od", "ni", "simsec", "od-async"):
+    if colon and name in ("od", "ni", "simsec", "od-async"):
         raise ConfigError(f"builtin property {name!r} takes no parameter, got {prop!r}")
     if body_file is not None and name != "ahltl":
         raise ConfigError(f"--formula goes with --prop ahltl:n only, not with {prop!r}")
-    reads = set(props.READS[name])
-    body = None
+    if name == "od":
+        return props.expand_od(), {}
+    if name == "ni":
+        return props.expand_ni(), {}
+    if name in ("simsec", "sgni"):
+        k = _int(param, "sgni:k") if colon else 1 if name == "simsec" else 3
+        if k < 1:
+            raise ConfigError(f"sgni:k needs a shift distance of at least 1, got {k}")
+        if k >= cap:  # the shifted twin has more than k states
+            raise StateCapError(f"state cap of {cap} exceeded")
+        limit = sys.getrecursionlimit()
+        if k > limit:  # too deep to check, so refused before its towers of X are built
+            raise ConfigError(f"sgni:k lookahead {k} is above Python's recursion limit of {limit}")
+        twin = f"{base}_shift{k}"
+        formula = props.expand_simsec(base, twin) if name == "simsec" else props.expand_sgni(k, base, twin)
+        return formula, {twin: ("shift", k)}
+    # a program has no ``sched`` agent, so only its ``stutter`` transform adds one
+    twin = base if ("stutter",) in spec.transforms else f"{base}_stut"
+    twins = {} if twin == base else {twin: ("stutter",)}
+    if name == "od-async":
+        return props.expand_od_async(twin), twins
     if name == "ni-async":
-        if param == "":
+        if colon and not param:
             raise ConfigError("ni-async:r expects an atomic proposition, got ''")
-        reads.add("r[0]" if param is None else param)
-    elif name == "ahltl":
-        if body_file is None:
-            raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
-        n = 2 if param is None else _int(param, "ahltl:n")
-        if n < 1:
-            raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
-        body = parse_ltl(_read_text(body_file, "formula").strip())
-        reads.update(p for p, _ in collect_atoms(body))
-    return reads, body
+        return props.expand_ni_async(param if colon else "r[0]", twin), twins
+    if body_file is None:
+        raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
+    n = _int(param, "ahltl:n") if colon else 2
+    if n < 1:
+        raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
+    body = parse_ltl(_read_text(body_file, "formula").strip())
+    return props.expand_ahltl(n, body, twin), twins
 
 
-def _formula_reads(formula: HyperFormula, specs: list[SystemSpec]) -> dict[str, set]:
-    """Per system id, the propositions of the atoms whose quantifier binds it."""
+def _formula_reads(formula: HyperFormula, specs: list[SystemSpec], twins: dict) -> dict[str, set]:
+    """Per system id, the propositions of the atoms whose quantifier binds it.
+
+    A twin's atoms count for its base, the one system of ``specs``.
+    """
     default = specs[0].system_id if len(specs) == 1 else None
-    system_of = {q.var: q.system or default for q in formula.block}
+    system_of = {q.var: default if q.system in twins else q.system or default for q in formula.block}
     reads: dict[str, set] = {}
     for prop, var in collect_atoms(formula.body):
         reads.setdefault(system_of.get(var), set()).add(prop)
     return reads
-
-
-def _expand_builtin(
-    prop: str,
-    base_spec: SystemSpec,
-    base: structures.MSCGS,
-    body: Optional[Ltl],
-    cap_states: int,
-) -> tuple[HyperFormula, dict]:
-    """Builtin property against one base system; derives transformed twins.
-
-    Takes a ``prop`` that :func:`_builtin_reads` checked.  Returns (formula, systems map).
-    """
-    name, param = _parse_prop_name(prop)
-    base_id = base_spec.system_id
-    systems = {base_id: base}
-
-    def stuttered() -> str:
-        if structures.SCHED in base.agents:
-            return base_id
-        sid = f"{base_id}_stut"
-        systems[sid] = _transform(base, ("stutter",), cap_states)
-        return sid
-
-    def shifted(k: int) -> str:
-        sid = f"{base_id}_shift{k}"
-        systems[sid] = _transform(base, ("shift", k), cap_states)
-        return sid
-
-    if name == "od":
-        return props.expand_od(), systems
-    if name == "ni":
-        return props.expand_ni(), systems
-    if name == "simsec":
-        return props.expand_simsec(base_id, shifted(1)), systems
-    if name == "sgni":
-        k = 3 if param is None else _int(param, "sgni:k")
-        sid = shifted(k)  # refuses k < 1, and a k that the state cap cannot hold, first
-        limit = sys.getrecursionlimit()
-        if k > limit:  # too deep to check, so refused before its towers of X are built
-            raise ConfigError(f"sgni:k lookahead {k} is above Python's recursion limit of {limit}")
-        return props.expand_sgni(k, base_id, sid), systems
-    if name == "od-async":
-        return props.expand_od_async(stuttered()), systems
-    if name == "ni-async":
-        return props.expand_ni_async("r[0]" if param is None else param, stuttered()), systems
-    n = 2 if param is None else int(param)  # ahltl:n
-    return props.expand_ahltl(n, body, stuttered()), systems
 
 
 def _peak_rss_mb() -> float:
@@ -317,32 +284,27 @@ def _run(config: CheckConfig) -> Report:
             raise ConfigError(f"{what} must be at least 1, got {cap}")
 
     t0 = time.perf_counter()
-    # each program is built for the propositions its quantifiers read
+    twins: dict = {}
     if config.prop is not None:
         if len(config.systems) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
-        reads, body = _builtin_reads(config.prop, config.formula_file)
-        observe = {config.systems[0].system_id: reads}
+        formula, twins = _builtin(config.prop, config.systems[0], config.formula_file, config.cap_states)
     elif config.formula_file is not None:
         formula = parse_formula(_read_text(config.formula_file, "formula").strip())
-        observe = _formula_reads(formula, config.systems)
     else:
         raise ConfigError("either --formula or --prop is required")
 
-    loaded: dict[str, structures.MSCGS] = {}
+    # each program is built once, for the propositions its quantifiers and its twins' read
+    observe = _formula_reads(formula, config.systems, twins)
+    systems: dict[str, structures.MSCGS] = {}
     for spec in config.systems:
-        if spec.system_id in loaded:
+        if spec.system_id in systems:
             raise ConfigError(f"system {spec.system_id!r} bound twice")
-        loaded[spec.system_id] = _load_system(
+        systems[spec.system_id] = _load_system(
             spec, config.widths, config.cap_states, observe.get(spec.system_id, ())
         )
-
-    if config.prop is not None:
-        base_spec = config.systems[0]
-        base = loaded[base_spec.system_id]
-        formula, systems = _expand_builtin(config.prop, base_spec, base, body, config.cap_states)
-    else:
-        systems = loaded
+    for sid, t in twins.items():
+        systems[sid] = _transform(systems[config.systems[0].system_id], t, config.cap_states)
 
     for sid in sorted(config.dump_sys):
         if sid not in systems:

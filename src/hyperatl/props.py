@@ -4,8 +4,11 @@ Each builder returns its formula tree, built from the ``formula`` AST
 constructors; no formula text is assembled or parsed.  The propositions are
 fixed: the output ``o[0]``, the low input ``l[0]``, the high input ``h[0]``
 and the stutter marker ``stut`` (see ``structures.stutter_transform``).
-Path variables are ``p1``, ``p2``, ... in quantifier order.  The builders
-trust their parameters; ``cli`` checks them.
+Path variables are ``p1``, ``p2``, ... in quantifier order, and a builder
+takes the ids of the systems its quantifiers bind.  The tree is all that
+``cli`` needs: it checks a builtin's parameters, derives the twin systems
+the ids name, and builds each program for the propositions of the atoms,
+as it does for a ``--formula``.
 
 Two recipes are intentionally not named builders because the bundled
 benchmarks do not exercise them; both are expressible directly:
@@ -44,19 +47,6 @@ from .structures import SCHED, STUT_PROP
 
 OUT, LOW, HIGH = "o[0]", "l[0]", "h[0]"
 _SCHED = Coalition((SCHED,))
-
-
-# The propositions each builtin's formula reads; ``ni-async:r`` also reads
-# ``r`` and ``ahltl:n`` the propositions of its body.
-READS = {
-    "od": (OUT,),
-    "ni": (LOW, OUT),
-    "simsec": (LOW, OUT),
-    "sgni": (HIGH, OUT, LOW),
-    "od-async": (STUT_PROP, OUT),
-    "ni-async": (LOW, OUT, STUT_PROP),
-    "ahltl": (STUT_PROP,),
-}
 
 
 def _same(prop: str, left: str, right: str, delay: int = 0) -> Ltl:

@@ -206,8 +206,10 @@ def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
     slots, table and state name of its first state.  Then two moves of a
     slot merge when their slices of the table lead to the same classes for
     every choice of the other slots, so the merged slot keeps one move per
-    distinct slice.  Labels and the proposition set are restricted to
-    ``props``.
+    distinct slice.  Merged moves can make the slots of two classes equal,
+    so the classes are refined again from the merged slots until a pass
+    merges no move or no class: one call gives the coarsest quotient.
+    Labels and the proposition set are restricted to ``props``.
 
     Mapping each state to its class and each move to the move that stands
     for it keeps the owner of every decision and the successor of every
@@ -217,30 +219,40 @@ def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
     Kupferman & Vardi, CONCUR 1998).
     """
     keep = frozenset(props) & g.props
-    kinds: dict = {}
-    initial = [
-        kinds.setdefault((g.labels[s] & keep, g.decisions[s]), len(kinds))
-        for s in range(g.n_states)
-    ]
-    block = refine(initial, g.table)
-    first: dict[int, int] = {}
-    for s, b in enumerate(block):
-        first.setdefault(b, s)
-    decisions, table = [], []
-    for s in first.values():
-        slots, row = _merge_moves(g.decisions[s], [block[t] for t in g.table[s]])
-        decisions.append(slots)
-        table.append(row)
+    labels = [lab & keep for lab in g.labels]
+    decisions, table, names, initial = g.decisions, g.table, g.state_names, g.initial
+    settled = None  # the class count after a pass that merged moves
+    while True:
+        kinds: dict = {}
+        block = refine([kinds.setdefault(key, len(kinds)) for key in zip(labels, decisions)], table)
+        first: dict[int, int] = {}
+        for s, b in enumerate(block):
+            first.setdefault(b, s)
+        if len(first) == settled:
+            break
+        reps = list(first.values())
+        merged = False
+        new_decisions, new_table = [], []
+        for s in reps:
+            slots, row = _merge_moves(decisions[s], [block[t] for t in table[s]])
+            merged |= slots is not decisions[s]
+            new_decisions.append(slots)
+            new_table.append(row)
+        labels, names = [labels[s] for s in reps], [names[s] for s in reps]
+        decisions, table, initial = new_decisions, new_table, block[initial]
+        if not merged:
+            break
+        settled = len(reps)
     return MSCGS(
         name=g.name,
         agents=g.agents,
         stages=dict(g.stages),
         props=keep,
-        labels=[g.labels[s] & keep for s in first.values()],
+        labels=labels,
         decisions=decisions,
         table=table,
-        initial=block[g.initial],
-        state_names=[g.state_names[s] for s in first.values()],
+        initial=initial,
+        state_names=names,
     )
 
 

@@ -705,6 +705,11 @@ def test_builtin_parameters_are_checked_before_a_formula_is_built(tmp_path, caps
         assert f"ahltl:n needs at least one copy, got {n}" in usage_error(capsys, argv)
 
 
+def test_builtin_parameters_are_checked_before_a_program_is_read(tmp_path, capsys):
+    argv = ["check", "--system", f"G={tmp_path / 'missing.imp'}", "--prop", "sgni:x"]
+    assert "sgni:k expects an integer, got 'x'" in usage_error(capsys, argv)
+
+
 @pytest.mark.parametrize("flag", ["--dump-dpa", "--dump-game", "--dump-sys", "--report"])
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, flag, where):

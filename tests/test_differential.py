@@ -14,10 +14,14 @@ Each program declares the variables its property reads and one more,
 ``z``, that it does not, each 1 to 3 bits wide, so that its assignments
 and reads often reach them and ``cli.run`` builds it with dead bits: every
 bit of ``z`` and every bit past ``[0]`` that no guard or live assignment
-reads.  The exact game of two or three raw copies grows with the product
-of their sizes, so a program is drawn again until its full structure has
-at most 20 states, or 7 for the asynchronous properties, whose copies are
-stuttered to twice that.
+reads.  ``cli.run`` builds each program for the propositions of its
+formula's atoms only and the reference builds every bit, so a builtin
+whose observed propositions missed one of its reads shows here as a
+wrong verdict.  The exact game of two or three raw copies grows with the
+product of their sizes, so a program is drawn again until its full
+structure has at most 20 states, or 7 for the properties over stuttered
+copies (``od-async``, ``ni-async`` and ``ahltl:2`` with ``AHLTL_BODY``),
+whose states are doubled.
 """
 
 import random
@@ -28,7 +32,7 @@ import oracles
 import reference_arena
 from conftest import random_program
 from hyperatl.cli import CheckConfig, SystemSpec, run
-from hyperatl.formula import to_nnf, validate_fragment
+from hyperatl.formula import parse_ltl, to_nnf, validate_fragment
 from hyperatl.imp import build_cgs, parse_program
 from hyperatl.ltl2dpa import apa_to_nba, ltl_to_apa, nba_to_dpa
 from hyperatl.solver import zielonka
@@ -37,8 +41,10 @@ from hyperatl.structures import shift_transform, stutter_transform
 # each builtin with the variables it reads
 BUILTINS = {
     "od": "o", "ni": "ol", "simsec": "ol", "sgni:1": "olh", "sgni:2": "olh",
-    "od-async": "o", "ni-async": "olr",
+    "od-async": "o", "ni-async": "olr", "ahltl:2": "o",
 }
+STUTTERED = ("od-async", "ni-async", "ahltl")
+AHLTL_BODY = "G (o[0]{p1} <-> o[0]{p2})"
 O, L, H = ["o[0]"], ["l[0]"], ["h[0]"]
 SEED = 2026
 
@@ -46,10 +52,12 @@ SEED = 2026
 def reference_formula(prop: str, g):
     """The formula of ``prop`` from its text builder, and the raw systems it binds."""
     name, _, param = prop.partition(":")
-    if name in ("od-async", "ni-async"):
+    if name in STUTTERED:
         systems = {"G": g, "G_stut": stutter_transform(g)}
         if name == "od-async":
             return oracles.text_od_async(O, "G_stut"), systems
+        if name == "ahltl":
+            return oracles.text_ahltl(int(param), parse_ltl(AHLTL_BODY), "G_stut"), systems
         return oracles.text_ni_async(O, L, "r[0]", "G_stut"), systems
     if name in ("simsec", "sgni"):
         k = int(param or 1)
@@ -71,7 +79,7 @@ def random_case(rng, prop: str):
         text = random_program(rng, depth=rng.randint(1, 2), names=BUILTINS[prop] + "z", max_width=3)
         declared, program = parse_program(text)
         g = build_cgs(program, declared)
-        if g.n_states <= (7 if prop.endswith("async") else 20):
+        if g.n_states <= (7 if prop.partition(":")[0] in STUTTERED else 20):
             return text, g
 
 
@@ -91,12 +99,16 @@ def test_random_programs_get_the_reference_verdict(tmp_path):
     rng = random.Random(SEED)
     verdicts = {prop: Counter() for prop in BUILTINS}
     reduced = 0  # programs that cli.run builds with fewer states than the reference
-    for i in range(420):
-        prop = list(BUILTINS)[i % len(BUILTINS)]
+    body = tmp_path / "body.hatl"
+    body.write_text(AHLTL_BODY)
+    # 60 programs per builtin; ahltl:2 last, so that the others' draws do not depend on it
+    order = [prop for prop in BUILTINS if prop != "ahltl:2"] * 60 + ["ahltl:2"] * 60
+    for i, prop in enumerate(order):
         text, g = random_case(rng, prop)
         path = tmp_path / f"p{i}.imp"
         path.write_text(text)
-        report = run(CheckConfig(systems=[SystemSpec("G", str(path))], prop=prop))
+        formula_file = str(body) if prop.startswith("ahltl") else None
+        report = run(CheckConfig(systems=[SystemSpec("G", str(path))], prop=prop, formula_file=formula_file))
         assert report.verdict == reference_verdict(prop, g), (prop, text)
         verdicts[prop][report.verdict] += 1
         reduced += report.sizes["system.G.states"] < g.n_states

@@ -1,6 +1,6 @@
 import oracles
 
-from hyperatl import cli, props
+from hyperatl import props
 from hyperatl.cli import CheckConfig, SystemSpec, bundled_asset, run
 from hyperatl.formula import (
     Coalition,
@@ -57,21 +57,6 @@ def test_every_tree_equals_its_parsed_text():
     for name, tree, parsed in pairs:
         assert tree == parsed, name
         assert format_hyper(tree) == format_hyper(parsed), name
-
-
-def test_each_builtin_reads_the_propositions_of_its_formula(tmp_path):
-    """``cli`` builds the program for a builtin's list before the formula exists."""
-    names = set()
-    for name, tree, _ in builtin_pairs():
-        prop, _, body = name.partition(" body ")
-        body_file = None
-        if body:
-            body_file = tmp_path / "body.hatl"
-            body_file.write_text(AHLTL_BODIES[int(body)])
-        reads, _ = cli._builtin_reads(prop, body_file and str(body_file))
-        assert reads == {p for p, _ in collect_atoms(tree.body)}, name
-        names.add(prop.partition(":")[0])
-    assert names == set(props.READS)
 
 
 def test_od_template_exact_shape():

@@ -47,7 +47,6 @@ winners (symmetry reduction, Emerson & Sistla 1996; Ip & Dill 1996).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem, mul
 from typing import Mapping, Optional, Sequence
@@ -57,6 +56,7 @@ from .graph import dot_string
 # the values of ``DPA.sink`` are the keys of the two decided sinks, both
 # negative; every other vertex key is >= 0
 from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN
+from .record import field, record
 from .solver import ParityGame
 from .structures import MSCGS
 
@@ -69,9 +69,10 @@ class VertexCapError(Exception):
     """Raised when the reachable arena exceeds the configured vertex cap."""
 
 
-@dataclass
+@record
 class BuiltArena:
     """The game plus what a report needs; vertex labels are made on demand."""
+    __slots__ = ("__dict__",)  # holds the cached ``descriptions``
 
     game: ParityGame
     # vertices that begin a round: the initial one and those an automaton
@@ -249,7 +250,7 @@ class _Offsets(dict):
         return offset
 
 
-@dataclass
+@record
 class _Layout:
     """How vertex keys are packed; ``pairs`` holds each phase's (stage, team) pair."""
 

@@ -12,7 +12,6 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +28,7 @@ from .formula import (
     validate_fragment,
 )
 from .imp import ProgramError, StateCapError
+from .record import field, record
 
 EXIT_SATISFIED = 0
 EXIT_VIOLATED = 1
@@ -57,28 +57,28 @@ def _message(e: Exception) -> str:
     return str(e) or "out of memory"
 
 
-@dataclass
+@record
 class SystemSpec:
     system_id: str
     program_path: str
     transforms: tuple = ()  # entries ("stutter",) or ("shift", k)
 
 
-@dataclass
+@record
 class CheckConfig:
     systems: list[SystemSpec]
     formula_file: Optional[str] = None
     prop: Optional[str] = None
-    widths: dict = field(default_factory=dict)
+    widths: dict = field(factory=dict)
     cap_states: int = 10**6
     cap_vertices: int = 10**7
     dump_dpa: Optional[str] = None
     dump_game: Optional[str] = None
-    dump_sys: dict = field(default_factory=dict)
+    dump_sys: dict = field(factory=dict)
     report_path: Optional[str] = None
 
 
-@dataclass
+@record
 class Report:
     verdict: str
     formula: str
@@ -392,7 +392,7 @@ def _resolve_manifest(path_or_name: str) -> Path:
     raise ConfigError(f"manifest {path_or_name!r} not found")
 
 
-@dataclass
+@record
 class SuiteRow:
     name: str
     verdict: str  # "satisfied", "violated", or "error"/"cap" when the check ended early

@@ -11,10 +11,10 @@ proposition off one bound path.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .lexer import Cursor, ParseError
+from .record import record
 
 
 class FormulaError(ParseError):
@@ -25,74 +25,74 @@ class FormulaError(ParseError):
 # Abstract syntax
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom:
     prop: str
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     operand: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Implies:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Iff:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Next:
     operand: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Until:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Release:
     left: "Ltl"
     right: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Globally:
     operand: "Ltl"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eventually:
     operand: "Ltl"
 
@@ -102,17 +102,17 @@ Ltl = Union[
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forall:
     """Empty coalition: every agent is adversarial."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exists:
     """Full coalition: every agent of the bound structure is controlled."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Coalition:
     agents: tuple[str, ...]
 
@@ -124,14 +124,14 @@ class Coalition:
 AgentSpec = Union[Forall, Exists, Coalition]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Quantifier:
     spec: AgentSpec
     var: str
     system: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HyperFormula:
     block: tuple[Quantifier, ...]
     body: Ltl
@@ -450,14 +450,14 @@ def collect_atoms(f: Ltl) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResolvedQuantifier:
     var: str
     system: str
     coalition: frozenset[str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FragmentInfo:
     """Checked block: per-quantifier coalition plus the body's atom layout."""
 

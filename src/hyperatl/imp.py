@@ -10,11 +10,11 @@ resolve the reads, ``xi_N`` everything else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .graph import explore
 from .lexer import Cursor, ParseError
+from .record import field, record
 from .structures import MSCGS
 
 AGENT_N = "xi_N"
@@ -40,56 +40,55 @@ class StateCapError(Exception):
 # the variable, the operator or the bit index.  It takes no part in equality.
 
 
-def _pos():
-    return field(default=None, compare=False, repr=False)
+_POS = field(None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
-    pos: Optional[int] = _pos()
+    pos: Optional[int] = _POS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueE:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FalseE:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotE:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AndE:
     left: "Expr"
     right: "Expr"
-    pos: Optional[int] = _pos()
+    pos: Optional[int] = _POS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrE:
     left: "Expr"
     right: "Expr"
-    pos: Optional[int] = _pos()
+    pos: Optional[int] = _POS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Concat:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Index:
     operand: "Expr"
     index: int
-    pos: Optional[int] = _pos()
+    pos: Optional[int] = _POS
 
 
 Expr = Union[Var, TrueE, FalseE, NotE, AndE, OrE, Concat, Index]
@@ -151,42 +150,42 @@ def eval_expr(e, state: Mapping[str, BitVector]) -> BitVector:
 # Programs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     var: str
     expr: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReadH:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReadL:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IfExpr:
     cond: object
     then: "Program"
     els: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IfStar:
     then: "Program"
     els: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While:
     cond: object
     body: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq:
     """Two or more statements run in order; none of them is itself a ``Seq``."""
 

@@ -7,13 +7,13 @@ an explicit stack and touching only the current subgame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .graph import cycle_parities, predecessors, scc
+from .record import record
 
 
-@dataclass
+@record
 class ParityGame:
     """Explicit two-player game; every vertex must have a successor and owner 0 or 1."""
 
@@ -50,7 +50,7 @@ class ParityGame:
                     raise ValueError(f"edge {v}->{t} out of range")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WinningRegions:
     w0: frozenset[int]
     w1: frozenset[int]

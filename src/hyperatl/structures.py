@@ -13,10 +13,10 @@ later stage lets it react to the others' choices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .graph import dot_string, explore, refine
+from .record import record
 
 SCHED = "sched"
 STUT_PROP = "stut"
@@ -26,7 +26,7 @@ class TransformError(Exception):
     """Raised when a structure transform is applied to an unsuitable input."""
 
 
-@dataclass
+@record
 class MSCGS:
     """Explicit game structure; treat instances as immutable after creation."""
 

@@ -226,4 +226,4 @@ def swap_paths(f):
     """The formula with paths ``p1`` and ``p2`` exchanged."""
     if isinstance(f, F.Atom):
         return F.Atom(f.prop, {"p1": "p2", "p2": "p1"}[f.var])
-    return type(f)(*(swap_paths(getattr(f, name)) for name in f.__dataclass_fields__))
+    return type(f)(*(swap_paths(getattr(f, name)) for name in f.__match_args__))

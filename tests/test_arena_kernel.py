@@ -29,6 +29,7 @@ from hyperatl import formula as F
 from hyperatl.arena import VertexCapError, build_game
 from hyperatl.ltl2dpa import DPA, LOSE, WIN, ltl_to_dpa
 from hyperatl.solver import ParityGame, zielonka
+from hyperatl.structures import MSCGS
 
 # the reference's (collapse, prune_decided) mode that the kernel reproduces
 MODES = [(True, True)]
@@ -314,8 +315,16 @@ def quotients(block):
 
 def without_agents(g):
     """``g`` with every state's first successor as its only one: no agent acts."""
-    return dataclasses.replace(
-        g, agents=(), stages={}, decisions=[()] * g.n_states, table=[row[:1] for row in g.table]
+    return MSCGS(
+        g.name,
+        agents=(),
+        stages={},
+        props=g.props,
+        labels=g.labels,
+        decisions=[()] * g.n_states,
+        table=[row[:1] for row in g.table],
+        initial=g.initial,
+        state_names=g.state_names,
     )
 
 

@@ -548,20 +548,38 @@ def test_dumps_escape_quotes_and_backslashes_in_names(tmp_path):
     assert dumps["sys"].read_text().startswith('digraph "a\\"b\\\\c" {\n')
 
 
-def test_python_m_hyperatl_runs_the_cli():
+def python_m_hyperatl(*args):
+    """``python -m hyperatl args`` in a fresh interpreter, with the package under test."""
     src = str(Path(hyperatl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    prog = str(bundled_asset("p1.imp"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperatl", "check", "--system", f"G={prog}", "--prop", "od"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "hyperatl", *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_python_m_hyperatl_runs_the_cli():
+    proc = python_m_hyperatl("check", "--system", f"G={bundled_asset('p1.imp')}", "--prop", "od")
     assert proc.returncode == EXIT_SATISFIED, proc.stderr
     assert proc.stdout.startswith("verdict: satisfied")
+
+
+@pytest.mark.parametrize(
+    "k, cap, code, message",
+    [
+        (900, 910, EXIT_RESOURCE, "resource limit: state cap of 910 exceeded"),
+        (999, 1005, EXIT_USAGE, "error: formula is nested too deeply (Python's recursion limit is 1000)"),
+        (1001, 1005, EXIT_USAGE, "error: sgni:k lookahead 1001 is above Python's recursion limit of 1000"),
+    ],
+)
+def test_a_lookahead_the_recursion_limit_cannot_reach_is_a_usage_error(k, cap, code, message):
+    """``p1`` has 17 states, so each twin of ``17 + k`` states exceeds the cap;
+    but only a lookahead whose ``k`` nested ``X`` the recursion limit (1000 in
+    a fresh interpreter) can walk gets as far as building the program."""
+    prog = str(bundled_asset("p1.imp"))
+    proc = python_m_hyperatl("check", "--system", f"G={prog}", "--prop", f"sgni:{k}", "--cap-states", str(cap))
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == message
 
 
 ENTRY = {"name": "case", "program": "p1.imp", "prop": "od"}

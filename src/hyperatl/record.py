@@ -94,32 +94,11 @@ def _methods(cls_name: str, fields: dict, frozen: bool, post_init) -> dict:
                     values[i] = f.factory()
         return values
 
-    # positional calls with one argument per field skip ``bind``; most
-    # records have one or two fields, which are set without a loop
-    if n == 1:
-        (name,) = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            put(self, name, args[0])
-
-    elif n == 2:
-        name0, name1 = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = bind(args, kwargs)
-            put(self, name0, args[0])
-            put(self, name1, args[1])
-
-    else:
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = bind(args, kwargs)
-            for name, value in zip(names, args):
-                put(self, name, value)
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:  # positional calls with one argument per field skip ``bind``
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            put(self, name, value)
 
     if post_init is not None:
         set_fields = __init__

@@ -9,7 +9,6 @@ resolve the reads, ``xi_N`` everything else.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Optional, Union
 
 from .graph import explore
@@ -21,8 +20,6 @@ AGENT_N = "xi_N"
 AGENT_H = "xi_H"
 AGENT_L = "xi_L"
 AGENTS = (AGENT_N, AGENT_H, AGENT_L)
-
-BitVector = tuple[bool, ...]
 
 
 class ProgramError(ParseError):
@@ -124,25 +121,34 @@ def expr_width(e, widths: Mapping[str, int], text: str) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def eval_expr(e, state: Mapping[str, BitVector]) -> BitVector:
-    """Evaluate a well-formed expression over a variable state."""
+def eval_expr(e, values: int, layout: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+    """The value and width of a well-formed expression over packed variable values.
+
+    ``layout`` maps each variable to its offset and width in ``values``.  Bit
+    ``i`` of a value is its bit ``e[i]``, so ``l @ r`` puts ``r`` above ``l``.
+    """
     match e:
         case Var(name):
-            return state[name]
+            offset, width = layout[name]
+            return values >> offset & (1 << width) - 1, width
         case TrueE():
-            return (True,)
+            return 1, 1
         case FalseE():
-            return (False,)
+            return 0, 1
         case NotE(op):
-            return tuple(not b for b in eval_expr(op, state))
+            v, w = eval_expr(op, values, layout)
+            return ~v & (1 << w) - 1, w
         case AndE(l, r):
-            return tuple(a and b for a, b in zip(eval_expr(l, state), eval_expr(r, state)))
+            (a, w), (b, _) = eval_expr(l, values, layout), eval_expr(r, values, layout)
+            return a & b, w
         case OrE(l, r):
-            return tuple(a or b for a, b in zip(eval_expr(l, state), eval_expr(r, state)))
+            (a, w), (b, _) = eval_expr(l, values, layout), eval_expr(r, values, layout)
+            return a | b, w
         case Concat(l, r):
-            return eval_expr(l, state) + eval_expr(r, state)
+            (a, wl), (b, wr) = eval_expr(l, values, layout), eval_expr(r, values, layout)
+            return a | b << wl, wl + wr
         case Index(op, i):
-            return (eval_expr(op, state)[i],)
+            return eval_expr(op, values, layout)[0] >> i & 1, 1
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -200,15 +206,15 @@ def _sequence(stmts: tuple):
     return stmts[0] if len(stmts) == 1 else Seq(stmts)
 
 
-def _read_values(live: tuple[bool, ...]) -> list[BitVector]:
-    """Each value that sets only the ``live`` bits of a variable.
+def _read_values(live: int) -> list[int]:
+    """Each value that sets only ``live`` bits.
 
-    Lexicographic with False < True over the live bits; bit 0 is most significant.
+    Lexicographic with 0 < 1 over the live bits; the lowest bit is most significant.
     """
-    values = []
-    for bits in itertools.product((False, True), repeat=sum(live)):
-        it = iter(bits)
-        values.append(tuple(next(it) if b else False for b in live))
+    values = [0]
+    for i in reversed(range(live.bit_length())):
+        if live >> i & 1:
+            values += [v | 1 << i for v in values]
     return values
 
 
@@ -253,25 +259,26 @@ def _number_points(program) -> tuple[int, list[tuple]]:
     return enter(program, 0), points
 
 
-def _sources(e, var_bits: Mapping[str, tuple[int, ...]]) -> list[int]:
+def _sources(e, layout: Mapping[str, tuple[int, int]]) -> list[int]:
     """Per bit of ``e``, the mask of the program bits that it is computed from."""
     match e:
         case Var(name):
-            return list(var_bits[name])
+            offset, width = layout[name]
+            return [1 << offset + i for i in range(width)]
         case TrueE() | FalseE():
             return [0]
         case NotE(op):
-            return _sources(op, var_bits)
+            return _sources(op, layout)
         case AndE(l, r) | OrE(l, r):
-            return [a | b for a, b in zip(_sources(l, var_bits), _sources(r, var_bits))]
+            return [a | b for a, b in zip(_sources(l, layout), _sources(r, layout))]
         case Concat(l, r):
-            return _sources(l, var_bits) + _sources(r, var_bits)
+            return _sources(l, layout) + _sources(r, layout)
         case Index(op, i):
-            return [_sources(op, var_bits)[i]]
+            return [_sources(op, layout)[i]]
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _live_bits(points: list[tuple], var_bits: Mapping[str, tuple[int, ...]], observed: int) -> list[int]:
+def _live_bits(points: list[tuple], layout: Mapping[str, tuple[int, int]], observed: int) -> list[int]:
     """Per program point, the mask of the bits that some path from it reads before writing them.
 
     A guard reads its bits, and an assignment reads the sources of each
@@ -283,12 +290,12 @@ def _live_bits(points: list[tuple], var_bits: Mapping[str, tuple[int, ...]], obs
     for stmt, _ in points:
         match stmt:
             case Assign(var, expr):
-                bits = var_bits[var]
-                flow.append((sum(bits), tuple(zip(bits, _sources(expr, var_bits))), 0))
+                bits = _sources(Var(var), layout)  # each bit of ``var`` alone
+                flow.append((sum(bits), tuple(zip(bits, _sources(expr, layout))), 0))
             case ReadH(var) | ReadL(var):
-                flow.append((sum(var_bits[var]), (), 0))
+                flow.append((sum(_sources(Var(var), layout)), (), 0))
             case IfExpr(cond) | While(cond):
-                flow.append((0, (), _sources(cond, var_bits)[0]))
+                flow.append((0, (), _sources(cond, layout)[0]))
             case _:
                 flow.append((0, (), 0))
     live = [observed] * len(points)
@@ -308,16 +315,6 @@ def _live_bits(points: list[tuple], var_bits: Mapping[str, tuple[int, ...]], obs
                 live[p] = new
                 changed = True
     return live
-
-
-def _cleared(values: tuple, clear: tuple) -> tuple:
-    """``values`` with each variable ``j`` of ``clear``'s ``(j, keep)`` pairs ANDed with ``keep``."""
-    if not clear:
-        return values
-    out = list(values)
-    for j, keep in clear:
-        out[j] = tuple(b and k for b, k in zip(out[j], keep))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,52 +469,37 @@ def build_cgs(
 
     States are ⟨program point, variable values⟩ pairs; ``xi_H`` and ``xi_L``
     own the states at their reads, ``xi_N`` all others, and the owner picks
-    among the successor list.  All variables start as all-zero vectors.
+    among the successor list.  The values are one int: bit ``i`` of the
+    variable declared at offset ``n`` (the widths declared before it,
+    summed) is bit ``n + i``.  All variables start as all-zero vectors.
 
     With ``observe``, the propositions ``x[i]`` that the formula reads, a
     bit that is dead at a point (:func:`_live_bits`) holds 0 there: a read
-    branches over the bits live after it, and an edge zeroes the bits that
-    die on it.  States that agree on the live bits reach states that agree
-    on every observed bit and every owner, which ``structures.quotient``
-    merges anyway.  Without ``observe`` every bit is live.
+    branches over the bits live after it, and an edge into point ``t``
+    keeps ``values & live[t]``.  States that agree on the live bits reach
+    states that agree on every observed bit and every owner, which
+    ``structures.quotient`` merges anyway.  Without ``observe`` every bit is
+    live.
     """
     entry, points = _number_points(program)
-    var_order = tuple(widths)
-    var_bits, n = {}, 0
-    for x in var_order:
-        var_bits[x] = tuple(1 << (n + i) for i in range(widths[x]))
-        n += widths[x]
+    layout, n = {}, 0
+    for x, w in widths.items():
+        layout[x] = (n, w)
+        n += w
+    masks = {x: (1 << w) - 1 << offset for x, (offset, w) in layout.items()}
+    names = [f"{x}[{i}]" for x, w in widths.items() for i in range(w)]  # per bit
     observed = (1 << n) - 1
     if observe is not None:
-        names = {f"{x}[{i}]": b for x in var_order for i, b in enumerate(var_bits[x])}
-        observed = 0
-        for prop in observe:
-            observed |= names.get(prop, 0)
-    live = _live_bits(points, var_bits, observed)
-    masks = [sum(var_bits[x]) for x in var_order]
-    # per point and target: (variable index, its live bits) of each variable
-    # with a bit that the point may hold or write and that is dead at the target
-    clears = []
-    for at, (stmt, targets) in enumerate(points):
-        held = live[at] | (sum(var_bits[stmt.var]) if isinstance(stmt, Assign) else 0)
-        clears.append(
-            tuple(
-                tuple(
-                    (j, tuple(bool(b & live[t]) for b in var_bits[x]))
-                    for j, x in enumerate(var_order)
-                    if held & ~live[t] & masks[j]
-                )
-                for t in targets
-            )
-        )
+        observe = set(observe)
+        observed = sum(1 << b for b, prop in enumerate(names) if prop in observe)
+    live = _live_bits(points, layout, observed)
     reads: dict[int, list] = {}
-    init = (entry, tuple((False,) * widths[x] for x in var_order))
     cap_error = StateCapError(f"state cap of {cap} exceeded")
 
-    def read_values(at: int, var: str) -> list[BitVector]:
-        keep = tuple(bool(b & live[points[at][1][0]]) for b in var_bits[var])
+    def read_values(at: int, var: str) -> list[int]:
+        keep = masks[var] & live[points[at][1][0]]
         # a read's 2^k successors are distinct states; 2^k > cap iff k >= cap.bit_length()
-        if sum(keep) >= cap.bit_length():
+        if keep.bit_count() >= cap.bit_length():
             raise cap_error
         reads[at] = _read_values(keep)
         return reads[at]
@@ -525,28 +507,22 @@ def build_cgs(
     def row_of(key, number) -> tuple[int, ...]:
         at, values = key
         stmt, targets = points[at]
-        clear = clears[at]
-        state = dict(zip(var_order, values))
         match stmt:
             case Assign(var, expr):
-                writes = [eval_expr(expr, state)]
+                writes = [eval_expr(expr, values, layout)[0] << layout[var][0]]
             case ReadH(var) | ReadL(var):
                 writes = reads.get(at) or read_values(at, var)
             case IfExpr(cond) | While(cond):
-                branch = not eval_expr(cond, state)[0]
-                return (number((targets[branch], _cleared(values, clear[branch]))),)
+                t = targets[not eval_expr(cond, values, layout)[0]]
+                return (number((t, values & live[t])),)
             case _:  # if (*) and the end
-                return tuple(number((t, _cleared(values, c))) for t, c in zip(targets, clear))
-        return tuple(
-            number((targets[0], _cleared(tuple({**state, var: v}.values()), clear[0]))) for v in writes
-        )
+                return tuple(number((t, values & live[t])) for t in targets)
+        t = targets[0]
+        rest = values & ~masks[var]
+        return tuple(number((t, (rest | v) & live[t])) for v in writes)
 
-    order, succ_ids = explore(init, row_of, cap, cap_error)
-    props = frozenset(f"{x}[{i}]" for x in var_order for i in range(widths[x]))
-    labels = [
-        frozenset(f"{x}[{i}]" for x, bits in zip(var_order, values) for i, b in enumerate(bits) if b)
-        for _, values in order
-    ]
+    order, succ_ids = explore((entry, 0), row_of, cap, cap_error)
+    labels = [frozenset(names[b] for b in range(n) if values >> b & 1) for _, values in order]
     owners = {ReadH: AGENT_H, ReadL: AGENT_L}
     decisions = [
         ((owners.get(type(points[at][0]), AGENT_N), len(row)),) for (at, _), row in zip(order, succ_ids)
@@ -556,7 +532,7 @@ def build_cgs(
         name=name,
         agents=AGENTS,
         stages={a: 0 for a in AGENTS},
-        props=props,
+        props=frozenset(names),
         labels=labels,
         decisions=decisions,
         table=succ_ids,

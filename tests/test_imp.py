@@ -79,23 +79,71 @@ def imp_asset(name):
     return bundled_asset(name)
 
 
-def test_eval_concat_of_constants():
-    from hyperatl.imp import Concat, FalseE
+# packed values: bit ``i`` of the variable at offset ``n`` is bit ``n + i``
+LAYOUT = {"y": (0, 1), "x": (1, 2), "z": (3, 3)}
 
-    assert eval_expr(Concat(FalseE(), TrueE()), {}) == (False, True)
+
+def test_eval_concat_of_constants():
+    assert eval_expr(imp.Concat(imp.FalseE(), TrueE()), 0, {}) == (0b10, 2)
 
 
 def test_eval_bitwise_and():
-    from hyperatl.imp import AndE, Var
-
-    state = {"x": (True, False), "y": (True, True)}
-    assert eval_expr(AndE(Var("x"), Var("y")), state) == (True, False)
+    layout = {"x": (0, 2), "y": (2, 2)}
+    # x = (True, False), y = (True, True)
+    assert eval_expr(imp.AndE(X, Y), 0b11_01, layout) == (0b01, 2)
 
 
 def test_eval_negate_then_project():
-    from hyperatl.imp import Index, NotE, Var
+    assert eval_expr(imp.Index(imp.NotE(X), 1), 0b01, {"x": (0, 2)}) == (1, 1)
 
-    assert eval_expr(Index(NotE(Var("x")), 1), {"x": (True, False)}) == (True,)
+
+def test_eval_negation_keeps_its_operand_width():
+    # y and z set, x = (True, False): !x is (False, True) and nothing above it
+    assert eval_expr(imp.NotE(X), 0b111_01_1, LAYOUT) == (0b10, 2)
+
+
+def test_eval_concat_puts_the_left_operand_first():
+    # x = (True, False), z = (False, True, True): x @ z is (True, False, False, True, True)
+    assert eval_expr(imp.Concat(X, Z), 0b110_01_0, LAYOUT) == (0b11001, 5)
+    assert eval_expr(imp.Concat(Z, X), 0b110_01_0, LAYOUT) == (0b01110, 5)
+
+
+def expressions(p):
+    """Every guard and assigned expression of a program, in text order."""
+    match p:
+        case Seq(stmts):
+            for s in stmts:
+                yield from expressions(s)
+        case Assign(_, e):
+            yield e
+        case imp.IfExpr(c, a, b):
+            yield c
+            yield from expressions(a)
+            yield from expressions(b)
+        case imp.IfStar(a, b):
+            yield from expressions(a)
+            yield from expressions(b)
+        case While(c, body):
+            yield c
+            yield from expressions(body)
+
+
+def test_eval_matches_the_reference_on_random_expressions():
+    rng = random.Random(33)
+    checked = 0
+    for _ in range(300):
+        widths, prog = parse_program(random_program(rng, names="xyz", max_width=3))
+        layout, n = {}, 0
+        for x, w in widths.items():
+            layout[x], n = (n, w), n + w
+        for e in expressions(prog):
+            for _ in range(4):
+                values = rng.getrandbits(n)
+                sigma = {x: tuple(bool(values >> o + i & 1) for i in range(w)) for x, (o, w) in layout.items()}
+                want = reference_eval(e, sigma)
+                assert eval_expr(e, values, layout) == (sum(b << i for i, b in enumerate(want)), len(want)), e
+                checked += 1
+    assert checked >= 2000, checked
 
 
 def build(text):
@@ -162,7 +210,29 @@ def test_identical_branches_are_one_point():
 # -- reference enumeration, independent of build_cgs -------------------------
 #
 # A configuration is the flat tuple of statements still to run, () once all
-# of them have run, and the variable values.
+# of them have run, and the variable values, each a tuple of bools.
+
+
+def reference_eval(e, sigma):
+    """The bits of a well-formed expression, ``e[0]`` first."""
+    match e:
+        case imp.Var(x):
+            return sigma[x]
+        case imp.TrueE():
+            return (True,)
+        case imp.FalseE():
+            return (False,)
+        case imp.NotE(a):
+            return tuple(not b for b in reference_eval(a, sigma))
+        case imp.AndE(a, b):
+            return tuple(p and q for p, q in zip(reference_eval(a, sigma), reference_eval(b, sigma)))
+        case imp.OrE(a, b):
+            return tuple(p or q for p, q in zip(reference_eval(a, sigma), reference_eval(b, sigma)))
+        case imp.Concat(a, b):
+            return reference_eval(a, sigma) + reference_eval(b, sigma)
+        case imp.Index(a, i):
+            return (reference_eval(a, sigma)[i],)
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def flat(p):
@@ -176,16 +246,16 @@ def step(rest, sigma, widths):
     p, after = rest[0], rest[1:]
     match p:
         case imp.Assign(x, e):
-            return [(after, {**sigma, x: eval_expr(e, sigma)})]
+            return [(after, {**sigma, x: reference_eval(e, sigma)})]
         case imp.ReadH(x) | imp.ReadL(x):
             vals = itertools.product((False, True), repeat=widths[x])
             return [(after, {**sigma, x: tuple(v)}) for v in vals]
         case imp.IfExpr(c, a, b):
-            return [(flat(a if eval_expr(c, sigma)[0] else b) + after, sigma)]
+            return [(flat(a if reference_eval(c, sigma)[0] else b) + after, sigma)]
         case imp.IfStar(a, b):
             return [(flat(a) + after, sigma), (flat(b) + after, sigma)]
         case imp.While(c, body):
-            if eval_expr(c, sigma)[0]:
+            if reference_eval(c, sigma)[0]:
                 return [(flat(body) + rest, sigma)]
             return [(after, sigma)]
     raise TypeError(f"not a statement: {p!r}")

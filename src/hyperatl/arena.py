@@ -165,25 +165,27 @@ class _CopyInfo:
                     mask[s] |= 1 << bit
 
     def tables(self, nph: int, stride: int, size: int, digit: int) -> tuple[list, list[int]]:
-        """Per phase, this copy's tables over its local positions; and its start phases.
+        """Per phase, this copy's tables over its local positions; and per state its firing entry.
 
         The phases are the first ``nph`` pairs; no agent acts at a later
         one, and the last phase fires the joint step.  The start phase of a
         state is the first phase at which this copy has more than one move
         there, or the last phase if there is none; a round begins at the
-        lowest start phase of its copies' states.  Per phase the tables are
-        ``(jumps, moves, through)``, each with one item per local position
-        live at that phase (None elsewhere):
+        lowest start phase of its copies' states.  The firing entry of a
+        state ``t`` is ``(start * digit + letter) * size + position *
+        stride``, where ``start`` is the start phase of ``t``, ``letter``
+        holds this copy's bits of its labels and ``position`` is ``t``'s
+        first local position.  The copies' letters set disjoint bits and
+        their digits are distinct powers of the number of phases, times the
+        number of letters, so the sum of one entry per copy divides by
+        ``size`` into the joint code and the joint position.  Per phase the
+        tables are ``(jumps, moves, through)``, each with one item per local
+        position live at that phase (None elsewhere):
 
         - ``moves``: the positions after the phase's moves, times
           ``stride``, in move-vector product order.  At the last phase the
-          joint step fires, and each entry is ``(start * digit + letter) *
-          size + position * stride``, where ``start`` is the start phase of
-          the state reached and ``letter`` holds this copy's bits of its
-          labels.  The copies' letters set disjoint bits and their digits
-          are distinct powers of the number of phases, times the number of
-          letters, so the sum of one entry per copy divides by ``size``
-          into the joint code and the joint position.
+          joint step fires, and each entry is the firing entry of the
+          state reached.
         - ``jumps`` (before the last phase): the first later phase at which
           this copy has more than one move, or the number of phases if none.
         - ``through``: when there is none, the firing entries that passing
@@ -224,7 +226,7 @@ class _CopyInfo:
             # once no move is left to fix, the positions index total move vectors
             for p in range(count):
                 fires[x + p] = tuple(fired[p * r : p * r + r])
-        return out, start
+        return out, entry
 
 
 class _Offsets(dict):
@@ -351,11 +353,11 @@ def build_game(
     round.  So a pair at which no agent acts keeps no vertex.  The edge
     that leaves the last phase performs the joint step and steps the
     automaton on the labels of the joint state it reaches, so the next round
-    begins in that state; the initial vertex has read the labels of the
-    initial joint state.  Automaton states that ``dpa.sink`` marks as
-    accepting no word (resp. every word) are replaced by one losing (resp.
-    winning) sink, entered by the step that reaches them; winners are
-    unchanged.  The DPA decides its sinks itself: a tidied DPA by
+    begins in that state.  The initial vertex is the target of such an
+    edge from ``dpa.initial`` into the initial joint state.  Automaton
+    states that ``dpa.sink`` marks as accepting no word (resp. every word)
+    are replaced by one losing (resp. winning) sink, entered by the step
+    that reaches them; winners are unchanged.  The DPA decides its sinks itself: a tidied DPA by
     ``ltl2dpa.decided_states`` over all its states, the on-the-fly product
     locally, as each state is numbered.  The arena asks ``dpa.row(q)``
     once per automaton state and reads one entry per joint letter it
@@ -393,13 +395,11 @@ def build_game(
         dims.append((size, c.n_states * c.width, c.width))
         size *= c.n_states * c.width
     span = nph * size  # key distance between consecutive automaton states
-    layout = _Layout(pairs, size, dims)
     sigma = _copy_swap(quants, dpa, atoms, atom_copy)
-    swap = None
-    if sigma is not None:
-        # equal structures and coalitions give both copies the same positions
-        layout.mirror = [s * nph + ph for s in sigma for ph in range(nph)]
-        swap = layout.swap
+    # equal structures and coalitions give both copies the same positions
+    mirror = None if sigma is None else [s * nph + ph for s in sigma for ph in range(nph)]
+    layout = _Layout(pairs, size, dims, mirror)
+    swap = None if mirror is None else layout.swap
     # per phase: per-copy tables (see ``_CopyInfo.tables``) and the owner
     tabled = [
         c.tables(nph, st, size, nph**i * dpa.n_letters)
@@ -415,21 +415,17 @@ def build_game(
     fire_phase = nph - 1
     # the product appends to these lists as the search reaches new states
     sink, colors = dpa.sink, dpa.colors
-    rows: dict = {}  # automaton state -> ``dpa.row`` of it, asked for once
+    # automaton state -> ``dpa.row`` of it, asked for once
+    rows: dict = {dpa.initial: dpa.row(dpa.initial)}
     product = itertools.product
 
-    initial_key = sink[dpa.initial]
+    # the initial vertex is entered by a firing edge from ``dpa.initial``
+    # into the initial joint state; a decided state steps to sinks of its kind
+    code, pos = divmod(sum(entry[g.initial] for (_, g), (_, entry) in zip(quants, tabled)), size)
+    q = rows[dpa.initial][code & letter_bits]
+    initial_key = sink[q]
     if initial_key is None:
-        letter = 0
-        for (_, g), c in zip(quants, copies):
-            letter |= c.letter_mask[g.initial]
-        q = dpa.row(dpa.initial)[letter]
-        initial_key = sink[q]
-        if initial_key is None:
-            phase = min(start[g.initial] for (_, g), (_, start) in zip(quants, tabled))
-            initial_key = (q * nph + phase) * size + sum(
-                g.initial * w * st for (_, g), (st, _, w) in zip(quants, dims)
-            )
+        initial_key = q * span + offset[code] + pos
     if cap < 1:
         raise VertexCapError(f"vertex cap of {cap} exceeded")
     keys = [initial_key]

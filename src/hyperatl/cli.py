@@ -257,16 +257,13 @@ def _peak_rss_mb() -> float:
 def _quotients(systems: dict, info) -> dict[str, structures.MSCGS]:
     """Per bound system id: its structure quotiented by what the formula reads.
 
-    Each structure object is quotiented once, by the propositions of every
-    atom whose copy it binds, so ids bound to one object share one quotient.
+    Each id's structure is quotiented once, by the propositions of every
+    atom whose copy binds that id.
     """
-    bound = {rq.system: systems[rq.system] for rq in info.quantifiers}
-    read: dict[int, set] = {id(g): set() for g in bound.values()}
+    read: dict[str, set] = {rq.system: set() for rq in info.quantifiers}
     for (prop, _), copy in info.atom_copy.items():
-        read[id(bound[info.quantifiers[copy].system])].add(prop)
-    objects = {id(g): g for g in bound.values()}
-    quotients = {key: structures.quotient(g, read[key]) for key, g in objects.items()}
-    return {sid: quotients[id(g)] for sid, g in bound.items()}
+        read[info.quantifiers[copy].system].add(prop)
+    return {sid: structures.quotient(systems[sid], props) for sid, props in read.items()}
 
 
 def run(config: CheckConfig) -> Report:

@@ -25,74 +25,74 @@ class FormulaError(ParseError):
 # Abstract syntax
 
 
-@record(frozen=True)
+@record
 class Atom:
     prop: str
     var: str
 
 
-@record(frozen=True)
+@record
 class TrueF:
     pass
 
 
-@record(frozen=True)
+@record
 class FalseF:
     pass
 
 
-@record(frozen=True)
+@record
 class Not:
     operand: "Ltl"
 
 
-@record(frozen=True)
+@record
 class And:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Or:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Implies:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Iff:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Next:
     operand: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Until:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Release:
     left: "Ltl"
     right: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Globally:
     operand: "Ltl"
 
 
-@record(frozen=True)
+@record
 class Eventually:
     operand: "Ltl"
 
@@ -102,17 +102,17 @@ Ltl = Union[
 ]
 
 
-@record(frozen=True)
+@record
 class Forall:
     """Empty coalition: every agent is adversarial."""
 
 
-@record(frozen=True)
+@record
 class Exists:
     """Full coalition: every agent of the bound structure is controlled."""
 
 
-@record(frozen=True)
+@record
 class Coalition:
     agents: tuple[str, ...]
 
@@ -124,14 +124,14 @@ class Coalition:
 AgentSpec = Union[Forall, Exists, Coalition]
 
 
-@record(frozen=True)
+@record
 class Quantifier:
     spec: AgentSpec
     var: str
     system: Optional[str] = None
 
 
-@record(frozen=True)
+@record
 class HyperFormula:
     block: tuple[Quantifier, ...]
     body: Ltl
@@ -344,63 +344,43 @@ def format_hyper(f: HyperFormula) -> str:
 # Negation normal form
 
 
-def to_nnf(f: Ltl) -> Ltl:
-    """Rewrite so negation only guards atoms; ``->`` and ``<->`` are expanded."""
-    match f:
-        case Atom() | TrueF() | FalseF():
-            return f
-        case Not(g):
-            return _neg(g)
-        case And(l, r):
-            return And(to_nnf(l), to_nnf(r))
-        case Or(l, r):
-            return Or(to_nnf(l), to_nnf(r))
-        case Implies(l, r):
-            return Or(_neg(l), to_nnf(r))
-        case Iff(l, r):
-            return Or(And(to_nnf(l), to_nnf(r)), And(_neg(l), _neg(r)))
-        case Next(g):
-            return Next(to_nnf(g))
-        case Until(l, r):
-            return Until(to_nnf(l), to_nnf(r))
-        case Release(l, r):
-            return Release(to_nnf(l), to_nnf(r))
-        case Globally(g):
-            return Globally(to_nnf(g))
-        case Eventually(g):
-            return Eventually(to_nnf(g))
-    raise TypeError(f"not an LTL node: {f!r}")
+def to_nnf(f: Ltl, negated: bool = False) -> Ltl:
+    """The negation normal form of ``f``, or of ``Not(f)`` when ``negated``.
 
-
-def _neg(f: Ltl) -> Ltl:
-    """NNF of the negation of ``f``."""
+    Negation only guards atoms, and ``->`` and ``<->`` are expanded.  One
+    walk carries the polarity: under it ``∧``/``∨``, ``U``/``R`` and
+    ``G``/``F`` swap, ``X`` is self-dual, an atom is wrapped in ``Not`` and
+    ``true``/``false`` swap.
+    """
     match f:
         case Atom():
-            return Not(f)
+            return Not(f) if negated else f
         case TrueF():
-            return FalseF()
+            return FalseF() if negated else f
         case FalseF():
-            return TrueF()
+            return TrueF() if negated else f
         case Not(g):
-            return to_nnf(g)
+            return to_nnf(g, not negated)
         case And(l, r):
-            return Or(_neg(l), _neg(r))
+            return (Or if negated else And)(to_nnf(l, negated), to_nnf(r, negated))
         case Or(l, r):
-            return And(_neg(l), _neg(r))
+            return (And if negated else Or)(to_nnf(l, negated), to_nnf(r, negated))
         case Implies(l, r):
-            return And(to_nnf(l), _neg(r))
+            return (And if negated else Or)(to_nnf(l, not negated), to_nnf(r, negated))
         case Iff(l, r):
-            return Or(And(to_nnf(l), _neg(r)), And(_neg(l), to_nnf(r)))
+            return Or(
+                And(to_nnf(l), to_nnf(r, negated)), And(to_nnf(l, True), to_nnf(r, not negated))
+            )
         case Next(g):
-            return Next(_neg(g))
+            return Next(to_nnf(g, negated))
         case Until(l, r):
-            return Release(_neg(l), _neg(r))
+            return (Release if negated else Until)(to_nnf(l, negated), to_nnf(r, negated))
         case Release(l, r):
-            return Until(_neg(l), _neg(r))
+            return (Until if negated else Release)(to_nnf(l, negated), to_nnf(r, negated))
         case Globally(g):
-            return Eventually(_neg(g))
+            return (Eventually if negated else Globally)(to_nnf(g, negated))
         case Eventually(g):
-            return Globally(_neg(g))
+            return (Globally if negated else Eventually)(to_nnf(g, negated))
     raise TypeError(f"not an LTL node: {f!r}")
 
 
@@ -450,14 +430,14 @@ def collect_atoms(f: Ltl) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-@record(frozen=True)
+@record
 class ResolvedQuantifier:
     var: str
     system: str
     coalition: frozenset[str]
 
 
-@record(frozen=True)
+@record
 class FragmentInfo:
     """Checked block: per-quantifier coalition plus the body's atom layout."""
 
@@ -466,23 +446,18 @@ class FragmentInfo:
     atom_copy: Mapping[tuple[str, str], int]
 
 
-def validate_fragment(
-    f: HyperFormula,
-    systems: Mapping[str, object],
-    default_system: Optional[str] = None,
-) -> FragmentInfo:
+def validate_fragment(f: HyperFormula, systems: Mapping[str, object]) -> FragmentInfo:
     """Resolve quantifier bindings against concrete structures.
 
     Every structure must expose ``agents`` (ordered names) and ``props``.
-    A quantifier without an ``@`` annotation binds to ``default_system``,
-    or to the single structure when only one is supplied.
+    A quantifier without an ``@`` annotation binds to the single structure
+    when only one is supplied.
     """
-    if default_system is None and len(systems) == 1:
-        default_system = next(iter(systems))
+    only = next(iter(systems)) if len(systems) == 1 else None
     var_to_copy: dict[str, int] = {}
     resolved = []
     for idx, q in enumerate(f.block):
-        sys_id = q.system or default_system
+        sys_id = q.system or only
         if sys_id is None:
             raise FormulaError(f"quantifier for {q.var!r} names no system and no default is set")
         if sys_id not in systems:

@@ -40,48 +40,48 @@ class StateCapError(Exception):
 _POS = field(None, compare=False, repr=False)
 
 
-@record(frozen=True)
+@record
 class Var:
     name: str
     pos: Optional[int] = _POS
 
 
-@record(frozen=True)
+@record
 class TrueE:
     pass
 
 
-@record(frozen=True)
+@record
 class FalseE:
     pass
 
 
-@record(frozen=True)
+@record
 class NotE:
     operand: "Expr"
 
 
-@record(frozen=True)
+@record
 class AndE:
     left: "Expr"
     right: "Expr"
     pos: Optional[int] = _POS
 
 
-@record(frozen=True)
+@record
 class OrE:
     left: "Expr"
     right: "Expr"
     pos: Optional[int] = _POS
 
 
-@record(frozen=True)
+@record
 class Concat:
     left: "Expr"
     right: "Expr"
 
 
-@record(frozen=True)
+@record
 class Index:
     operand: "Expr"
     index: int
@@ -156,42 +156,42 @@ def eval_expr(e, values: int, layout: Mapping[str, tuple[int, int]]) -> tuple[in
 # Programs
 
 
-@record(frozen=True)
+@record
 class Assign:
     var: str
     expr: object
 
 
-@record(frozen=True)
+@record
 class ReadH:
     var: str
 
 
-@record(frozen=True)
+@record
 class ReadL:
     var: str
 
 
-@record(frozen=True)
+@record
 class IfExpr:
     cond: object
     then: "Program"
     els: "Program"
 
 
-@record(frozen=True)
+@record
 class IfStar:
     then: "Program"
     els: "Program"
 
 
-@record(frozen=True)
+@record
 class While:
     cond: object
     body: "Program"
 
 
-@record(frozen=True)
+@record
 class Seq:
     """Two or more statements run in order; none of them is itself a ``Seq``."""
 

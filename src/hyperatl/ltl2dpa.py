@@ -571,7 +571,7 @@ def _combination(f: F.Ltl, leaves: list) -> Optional[object]:
         if kind & _SAFETY:
             leaves.append((f, False))
         else:
-            leaves.append((F.to_nnf(F.Not(f)), True))
+            leaves.append((F.to_nnf(f, negated=True), True))
         return len(leaves) - 1
     if isinstance(f, (F.And, F.Or)):
         l, r = _combination(f.left, leaves), _combination(f.right, leaves)

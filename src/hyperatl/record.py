@@ -1,8 +1,8 @@
 """Record classes: fields declared as annotations, methods built from them.
 
-``@record(frozen=True)`` on a class with the annotated fields ``left`` and
-``right`` gives it ``__slots__`` for its fields and the ``__init__``,
-``__eq__``, ``__hash__``, ``__repr__`` and ``__match_args__`` that a frozen
+``@record`` on a class with the annotated fields ``left`` and ``right``
+gives it ``__slots__`` for its fields and the ``__init__``, ``__eq__``,
+``__hash__``, ``__repr__`` and ``__match_args__`` that a frozen
 standard-library data class has:
 
 - construction by position or keyword, with the defaults given in the class
@@ -10,8 +10,8 @@ standard-library data class has:
   per instance, and a ``__post_init__`` method runs after the fields are set;
 - equality field by field and only between instances of the same class,
   so ``Not(x) != Next(x)``;
-- a frozen record hashes as the tuple of its fields and refuses assignment;
-  any other record is mutable and unhashable;
+- hashing as the tuple of its compared fields (which fails if one holds a
+  list or dict), and no assignment to or deletion of a field;
 - the repr ``And(left=..., right=...)``.
 
 ``__match_args__`` lists every field in order.  A field declared with
@@ -43,10 +43,8 @@ class field:
         self.repr = repr
 
 
-def record(cls=None, /, *, frozen=False):
-    """The record class of ``cls``: ``@record`` or ``@record(frozen=True)``."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+def record(cls):
+    """The record class of ``cls``."""
     ns = dict(cls.__dict__)
     names = tuple(ns.get("__annotations__", ()))
     values = [ns.pop(name, _MISSING) for name in names]
@@ -56,17 +54,17 @@ def record(cls=None, /, *, frozen=False):
     ns["__qualname__"] = cls.__qualname__
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
-    ns.update(_methods(cls.__name__, fields, frozen, ns.get("__post_init__")))
+    ns.update(_methods(cls.__name__, fields, ns.get("__post_init__")))
     return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
-def _methods(cls_name: str, fields: dict, frozen: bool, post_init) -> dict:
+def _methods(cls_name: str, fields: dict, post_init) -> dict:
     """The record methods of a class named ``cls_name`` with ``fields``."""
     names = tuple(fields)
     n = len(names)
-    # a frozen record's own __setattr__ refuses every assignment, so its
-    # fields are set with object's
-    put = object.__setattr__ if frozen else setattr
+    # the record's own __setattr__ refuses every assignment, so its fields
+    # are set with object's
+    put = object.__setattr__
     # per field: its default, or the field itself when it has a factory or no default
     defaults = [
         f if f.factory is not None or f.default is _MISSING else f.default for f in fields.values()
@@ -141,20 +139,19 @@ def _methods(cls_name: str, fields: dict, frozen: bool, post_init) -> dict:
     def __reduce__(self):  # copy and pickle build a record again, as slots have no dict
         return self.__class__, tuple(getattr(self, name) for name in names)
 
-    methods = {
-        "__init__": __init__,
-        "__eq__": __eq__,
-        "__repr__": __repr__,
-        "__reduce__": __reduce__,
-        "__match_args__": names,
-    }
-    if not frozen:
-        return {**methods, "__hash__": None}
-
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+        raise AttributeError(f"cannot delete field {name!r} of a record")
 
-    return {**methods, "__hash__": __hash__, "__setattr__": __setattr__, "__delattr__": __delattr__}
+    return {
+        "__init__": __init__,
+        "__eq__": __eq__,
+        "__hash__": __hash__,
+        "__repr__": __repr__,
+        "__reduce__": __reduce__,
+        "__setattr__": __setattr__,
+        "__delattr__": __delattr__,
+        "__match_args__": names,
+    }

@@ -50,7 +50,7 @@ class ParityGame:
                     raise ValueError(f"edge {v}->{t} out of range")
 
 
-@record(frozen=True)
+@record
 class WinningRegions:
     w0: frozenset[int]
     w1: frozenset[int]

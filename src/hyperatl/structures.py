@@ -28,7 +28,7 @@ class TransformError(Exception):
 
 @record
 class MSCGS:
-    """Explicit game structure; treat instances as immutable after creation."""
+    """Explicit game structure; treat its lists and dict as read-only after creation."""
 
     name: str
     agents: tuple[str, ...]

@@ -24,7 +24,7 @@ from hyperatl.cli import (
     run,
     run_suite,
 )
-from hyperatl.formula import FormulaError
+from hyperatl.formula import FormulaError, parse_ltl
 from hyperatl.solver import zielonka
 
 
@@ -83,6 +83,27 @@ def test_negated_formula_flips_verdict(tmp_path):
     r2 = run(CheckConfig(systems=[spec("p1.imp")], formula_file=str(f2)))
     assert r1.verdict == "satisfied"
     assert r2.verdict == "violated"
+
+
+@pytest.mark.parametrize(
+    "body, product, verdict",
+    [
+        ("true", True, "satisfied"),
+        ("false", True, "violated"),
+        ("F G true", False, "satisfied"),
+        ("F G false", False, "violated"),
+    ],
+)
+def test_a_decided_initial_step_builds_one_sink(tmp_path, body, product, verdict):
+    """The step into the initial joint state reaches a decided automaton
+    state, on the product route and on the chain route: the game is one sink."""
+    f = tmp_path / "decided.hatl"
+    f.write_text(f"[ forall p1 . exists p2 . ] {body}")
+    dpa = ltl2dpa.ltl_to_dpa(parse_ltl(body), ())
+    assert isinstance(dpa, ltl2dpa._ProductDPA) == product
+    report = run(CheckConfig(systems=[spec("p1.imp")], formula_file=str(f)))
+    assert report.verdict == verdict
+    assert report.sizes["game.vertices"] == report.sizes["game.sink_vertices"] == 1
 
 
 def test_formula_file_with_explicit_bindings(tmp_path):

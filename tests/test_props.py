@@ -127,13 +127,15 @@ def test_every_template_validates_against_its_bindings():
         props.expand_ahltl(2, parse_ltl("G (o[0]{p1} <-> o[0]{p2})"), "G_stut"),
     ]
     for f in cases:
-        info = validate_fragment(f, systems, default_system="G")
+        # od and ni annotate no quantifier, so they bind the single system
+        bound = systems if f.block[0].system else {"G": base}
+        info = validate_fragment(f, bound)
         assert info.quantifiers
         to_nnf(f.body)
     # the alignment proposition only exists where the program declares it
     q2 = {"Q_stut": stutter_transform(load("q2.imp"))}
     f = props.expand_ni_async("r[0]", "Q_stut")
-    info = validate_fragment(f, q2, default_system="Q_stut")
+    info = validate_fragment(f, q2)
     assert ("r[0]", "p1") in info.atom_copy
 
 

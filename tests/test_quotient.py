@@ -26,7 +26,8 @@ from hyperatl.structures import MSCGS, quotient
 
 
 def quotient_block(quants, atoms, atom_copy):
-    """The block as ``cli.run`` passes it to the arena: one quotient per structure object."""
+    """The block as ``cli.run`` passes it to the arena: one system id, so one
+    quotient, per structure object."""
     systems = {f"S{id(g)}": g for _, g in quants}
     info = FragmentInfo(
         quantifiers=tuple(

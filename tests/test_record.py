@@ -1,4 +1,4 @@
-"""Record classes: the eq, hash, repr, defaults and mutability of each one,
+"""Record classes: the eq, hash, repr, defaults and immutability of each one,
 and an import of the CLI that stays free of ``dataclasses``."""
 
 import copy
@@ -21,132 +21,131 @@ RQ = formula.ResolvedQuantifier("p1", "G", frozenset({"xi_H"}))
 GAME = solver.ParityGame([[0]], [0], [0])
 LAYOUT = arena._Layout([(0, True)], 4, [(1, 4, 2)])
 
-# Every record class of the package: the arguments of one instance, whether
-# the class is frozen, and the instance's repr, in the standard data-class format.
+# Every record class of the package: the arguments of one instance and the
+# instance's repr, in the standard data-class format.
 CASES = [
-    (formula.Atom, ("o[0]", "p1"), True, "Atom(prop='o[0]', var='p1')"),
-    (formula.TrueF, (), True, "TrueF()"),
-    (formula.FalseF, (), True, "FalseF()"),
-    (formula.Not, (A,), True, "Not(operand=Atom(prop='o[0]', var='p1'))"),
-    (formula.And, (A, T), True, "And(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Or, (A, T), True, "Or(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Implies, (A, T), True, "Implies(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Iff, (A, T), True, "Iff(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Next, (A,), True, "Next(operand=Atom(prop='o[0]', var='p1'))"),
-    (formula.Until, (A, T), True, "Until(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Release, (A, T), True, "Release(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
-    (formula.Globally, (A,), True, "Globally(operand=Atom(prop='o[0]', var='p1'))"),
-    (formula.Eventually, (A,), True, "Eventually(operand=Atom(prop='o[0]', var='p1'))"),
-    (formula.Forall, (), True, "Forall()"),
-    (formula.Exists, (), True, "Exists()"),
-    (formula.Coalition, (("xi_H", "xi_L"),), True, "Coalition(agents=('xi_H', 'xi_L'))"),
+    (formula.Atom, ("o[0]", "p1"), "Atom(prop='o[0]', var='p1')"),
+    (formula.TrueF, (), "TrueF()"),
+    (formula.FalseF, (), "FalseF()"),
+    (formula.Not, (A,), "Not(operand=Atom(prop='o[0]', var='p1'))"),
+    (formula.And, (A, T), "And(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Or, (A, T), "Or(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Implies, (A, T), "Implies(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Iff, (A, T), "Iff(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Next, (A,), "Next(operand=Atom(prop='o[0]', var='p1'))"),
+    (formula.Until, (A, T), "Until(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Release, (A, T), "Release(left=Atom(prop='o[0]', var='p1'), right=TrueF())"),
+    (formula.Globally, (A,), "Globally(operand=Atom(prop='o[0]', var='p1'))"),
+    (formula.Eventually, (A,), "Eventually(operand=Atom(prop='o[0]', var='p1'))"),
+    (formula.Forall, (), "Forall()"),
+    (formula.Exists, (), "Exists()"),
+    (formula.Coalition, (("xi_H", "xi_L"),), "Coalition(agents=('xi_H', 'xi_L'))"),
     (
         formula.Quantifier,
         (formula.Forall(), "p1"),
-        True,
         "Quantifier(spec=Forall(), var='p1', system=None)",
     ),
     (
         formula.HyperFormula,
         ((formula.Quantifier(formula.Forall(), "p1"),), A),
-        True,
         "HyperFormula(block=(Quantifier(spec=Forall(), var='p1', system=None),),"
         " body=Atom(prop='o[0]', var='p1'), negated=False)",
     ),
     (
         formula.ResolvedQuantifier,
         ("p1", "G", frozenset({"xi_H"})),
-        True,
         "ResolvedQuantifier(var='p1', system='G', coalition=frozenset({'xi_H'}))",
     ),
     (
         formula.FragmentInfo,
         ((RQ,), (("o[0]", "p1"),), {("o[0]", "p1"): 0}),
-        True,
         "FragmentInfo(quantifiers=(ResolvedQuantifier(var='p1', system='G',"
         " coalition=frozenset({'xi_H'})),), atoms=(('o[0]', 'p1'),), atom_copy={('o[0]', 'p1'): 0})",
     ),
-    (imp.Var, ("h", 3), True, "Var(name='h')"),
-    (imp.TrueE, (), True, "TrueE()"),
-    (imp.FalseE, (), True, "FalseE()"),
-    (imp.NotE, (H,), True, "NotE(operand=Var(name='h'))"),
-    (imp.AndE, (H, L, 5), True, "AndE(left=Var(name='h'), right=Var(name='l'))"),
-    (imp.OrE, (H, L, 5), True, "OrE(left=Var(name='h'), right=Var(name='l'))"),
-    (imp.Concat, (H, L), True, "Concat(left=Var(name='h'), right=Var(name='l'))"),
-    (imp.Index, (H, 0, 2), True, "Index(operand=Var(name='h'), index=0)"),
-    (imp.Assign, ("o", H), True, "Assign(var='o', expr=Var(name='h'))"),
-    (imp.ReadH, ("h",), True, "ReadH(var='h')"),
-    (imp.ReadL, ("l",), True, "ReadL(var='l')"),
+    (imp.Var, ("h", 3), "Var(name='h')"),
+    (imp.TrueE, (), "TrueE()"),
+    (imp.FalseE, (), "FalseE()"),
+    (imp.NotE, (H,), "NotE(operand=Var(name='h'))"),
+    (imp.AndE, (H, L, 5), "AndE(left=Var(name='h'), right=Var(name='l'))"),
+    (imp.OrE, (H, L, 5), "OrE(left=Var(name='h'), right=Var(name='l'))"),
+    (imp.Concat, (H, L), "Concat(left=Var(name='h'), right=Var(name='l'))"),
+    (imp.Index, (H, 0, 2), "Index(operand=Var(name='h'), index=0)"),
+    (imp.Assign, ("o", H), "Assign(var='o', expr=Var(name='h'))"),
+    (imp.ReadH, ("h",), "ReadH(var='h')"),
+    (imp.ReadL, ("l",), "ReadL(var='l')"),
     (
         imp.IfExpr,
         (H, imp.ReadH("h"), imp.ReadL("l")),
-        True,
         "IfExpr(cond=Var(name='h'), then=ReadH(var='h'), els=ReadL(var='l'))",
     ),
-    (imp.IfStar, (imp.ReadH("h"), imp.ReadL("l")), True, "IfStar(then=ReadH(var='h'), els=ReadL(var='l'))"),
-    (imp.While, (H, imp.ReadH("h")), True, "While(cond=Var(name='h'), body=ReadH(var='h'))"),
-    (imp.Seq, ((imp.ReadH("h"), imp.ReadL("l")),), True, "Seq(stmts=(ReadH(var='h'), ReadL(var='l')))"),
+    (imp.IfStar, (imp.ReadH("h"), imp.ReadL("l")), "IfStar(then=ReadH(var='h'), els=ReadL(var='l'))"),
+    (imp.While, (H, imp.ReadH("h")), "While(cond=Var(name='h'), body=ReadH(var='h'))"),
+    (imp.Seq, ((imp.ReadH("h"), imp.ReadL("l")),), "Seq(stmts=(ReadH(var='h'), ReadL(var='l')))"),
     (
         cli.SystemSpec,
         ("G", "p1.imp"),
-        False,
         "SystemSpec(system_id='G', program_path='p1.imp', transforms=())",
     ),
     (
         cli.CheckConfig,
         ([],),
-        False,
         "CheckConfig(systems=[], formula_file=None, prop=None, widths={}, cap_states=1000000,"
         " cap_vertices=10000000, dump_dpa=None, dump_game=None, dump_sys={}, report_path=None)",
     ),
     (
         cli.Report,
         ("satisfied", "od", {"game.vertices": 3}, {"build": 1.5}),
-        False,
         "Report(verdict='satisfied', formula='od', sizes={'game.vertices': 3},"
         " timings_ms={'build': 1.5}, strategy_vertices=0, peak_rss_mb=0.0)",
     ),
     (
         cli.SuiteRow,
         ("p1-od", "satisfied", "satisfied", True, 2.5, {}),
-        False,
         "SuiteRow(name='p1-od', verdict='satisfied', expected='satisfied', ok=True,"
         " millis=2.5, sizes={}, message='')",
     ),
     (
         solver.ParityGame,
         ([[0]], [0], [0]),
-        False,
         "ParityGame(succ=[[0]], owner=[0], priority=[0], initial=0)",
     ),
     (
         solver.WinningRegions,
         (frozenset({0}), frozenset()),
-        True,
         "WinningRegions(w0=frozenset({0}), w1=frozenset())",
     ),
     (
         arena.BuiltArena,
         (GAME, 1, 0, [0], LAYOUT),
-        False,
         "BuiltArena(game=ParityGame(succ=[[0]], owner=[0], priority=[0], initial=0),"
         " n_automaton_vertices=1, n_sink_vertices=0)",
     ),
     (
         arena._Layout,
         ([(0, True)], 4, [(1, 4, 2)]),
-        False,
         "_Layout(pairs=[(0, True)], size=4, dims=[(1, 4, 2)], mirror=None)",
     ),
     (
         structures.MSCGS,
         ("G", ("xi_N",), {"xi_N": 0}, frozenset({"o"}), [frozenset({"o"})], [(("xi_N", 1),)], [(0,)], 0, ["s0"]),
-        False,
         "MSCGS(name='G', agents=('xi_N',), stages={'xi_N': 0}, props=frozenset({'o'}),"
         " labels=[frozenset({'o'})], decisions=[(('xi_N', 1),)], table=[(0,)], initial=0,"
         " state_names=['s0'])",
     ),
 ]
+
+# a record hashes as the tuple of its fields, so one with a list or dict
+# field does not hash
+UNHASHABLE = {
+    formula.FragmentInfo,
+    cli.CheckConfig,
+    cli.Report,
+    cli.SuiteRow,
+    solver.ParityGame,
+    arena.BuiltArena,
+    arena._Layout,
+    structures.MSCGS,
+}
 
 
 def test_the_cases_cover_every_record_class():
@@ -161,8 +160,8 @@ def test_the_cases_cover_every_record_class():
     assert len(CASES) == 44
 
 
-@pytest.mark.parametrize("cls, args, frozen, text", CASES, ids=[c.__name__ for c, *_ in CASES])
-def test_a_record_keeps_its_repr_eq_hash_and_mutability(cls, args, frozen, text):
+@pytest.mark.parametrize("cls, args, text", CASES, ids=[c.__name__ for c, *_ in CASES])
+def test_a_record_keeps_its_repr_eq_hash_and_mutability(cls, args, text):
     x, y = cls(*args), cls(*args)
     assert repr(x) == text
     assert x == y and not x != y
@@ -173,24 +172,23 @@ def test_a_record_keeps_its_repr_eq_hash_and_mutability(cls, args, frozen, text)
         assert again == x and repr(again) == text
     assert not hasattr(x, "__dict__") or cls is arena.BuiltArena
     name = cls.__match_args__[0] if cls.__match_args__ else "extra"
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(x, name, None)
-        if cls is not formula.FragmentInfo:  # its ``atom_copy`` is a dict
-            assert hash(x) == hash(y)
-            assert {x: 1, y: 2} == {x: 2}
-    else:
+    with pytest.raises(AttributeError):
+        setattr(x, name, None)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(x)
-        setattr(x, name, None)
-        assert getattr(x, name) is None and x != y
+    else:
+        assert hash(x) == hash(y)
+        assert {x: 1, y: 2} == {x: 2}
 
 
 def test_nodes_with_equal_fields_differ_across_classes():
     """``Not(x) != Next(x)``, ``Forall() != Exists()``, ``TrueE() != TrueF()``, ..."""
     pairs = 0
-    for (a, args, frozen, _), (b, *_) in itertools.permutations(CASES, 2):
-        if frozen and a.__match_args__ == b.__match_args__:
+    for (a, args, _), (b, *_) in itertools.permutations(CASES, 2):
+        if a.__match_args__ == b.__match_args__:
             x, y = a(*args), b(*args)
             assert x != y and not x == y, (a, b)
             pairs += 1

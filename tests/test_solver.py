@@ -41,10 +41,9 @@ def test_games_owned_entirely_by_one_player():
     rng = random.Random(12)
     for _ in range(40):
         g = random_game(rng)
-        g.owner = [1] * g.n_vertices
-        assert zielonka(g)[0] == brute_force_solve(g)
-        g.owner = [0] * g.n_vertices
-        assert zielonka(g)[0] == brute_force_solve(g)
+        for player in (1, 0):
+            h = ParityGame(g.succ, [player] * g.n_vertices, g.priority, g.initial)
+            assert zielonka(h)[0] == brute_force_solve(h)
 
 
 def test_zielonka_matches_brute_force_on_random_games():
@@ -131,11 +130,10 @@ def test_plain_priority_plus_one_need_not_swap():
 
 def test_brute_force_bound():
     g = ParityGame(
-        succ=[[0, 1, 2]] * 30 + [[0]] * 0,
+        succ=[[(v + 1) % 30, v, (v + 2) % 30] for v in range(30)],
         owner=[0] * 30,
         priority=[0] * 30,
     )
-    g.succ = [[(v + 1) % 30, v, (v + 2) % 30] for v in range(30)]
     with pytest.raises(ValueError, match="bound"):
         brute_force_solve(g, bound=1 << 10)
 

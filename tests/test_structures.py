@@ -49,7 +49,7 @@ def test_validate_flags_missing_successor():
 
 def test_validate_flags_partial_stage_map():
     g = self_loop()
-    g.stages = {}
+    g = MSCGS(g.name, g.agents, {}, g.props, g.labels, g.decisions, g.table, g.initial, g.state_names)
     diag = validate(g)
     assert len(diag) == 1 and "stage map" in diag[0][1]
 

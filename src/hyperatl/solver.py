@@ -2,7 +2,8 @@
 
 Player 0 wins a play iff the minimal priority occurring infinitely often is
 even.  Zielonka's solver peels the minimal priority and its attractor, on
-an explicit stack and touching only the current subgame.
+an explicit stack; each subgame's minimal priority comes from one grouping
+of the vertices by priority, and its attractors touch only the subgame.
 """
 
 from __future__ import annotations
@@ -79,11 +80,15 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     for its own edges.  A game with at most three priorities (every arena
     of the bundled suites) is not cut into components: Zielonka's algorithm
     runs on the whole game, though it may still solve many subgames there
-    (21 for ``q2-od-async``).
+    (21 for ``q2-od-async``).  Each run of Zielonka's algorithm, on the
+    whole game or on what is left of a component, groups its vertices by
+    priority once, and each subgame finds its least priority from there
+    (see :meth:`_Solver.solve`), not by scanning its vertices.
 
     If ``stats`` is given, it receives ``calls``, the number of subgames
     solved, and ``attractor_edges``, the predecessor edges the attractors
-    visited.
+    visited; a subgame whose vertices all have its least priority runs no
+    attractor.
     """
     game.check()
     n = game.n_vertices
@@ -163,7 +168,7 @@ class _Solver:
     """The state of one :func:`zielonka` run.
 
     ``solve`` runs Zielonka's recursive algorithm on one subgame, on an
-    explicit stack: a subgame is a set of vertices, and each call touches
+    explicit stack: a subgame is a set of vertices, and its attractors touch
     only its vertices and their edges.  ``attract`` is the one attractor,
     used by the recursion and to spread the regions decided below a
     component into it.  ``preds`` lists the predecessors of each vertex: all
@@ -221,41 +226,58 @@ class _Solver:
         """Winning regions ``[w0, w1]`` and strategies ``[s0, s1]`` of a subgame.
 
         The set ``vertices`` is consumed: it becomes part of the result.
+        The vertices are grouped once into runs of equal priority, least
+        priority first, and no subgame is scanned for its least priority:
+        each frame holds the index of a run below which none of its
+        vertices lie, and steps past the runs that hold none of them; the
+        first run that does gives the least priority and its vertices.  The
+        first child starts after that run, since it has none of those
+        vertices, and the second at the same run, since it is part of the
+        subgame.
         """
         priority = self.priority
-        # A frame is [phase, player, attr, strategy, extra]:
-        # - phase 0: attr is the subgame, not split yet;
+        by_priority: dict = {}
+        for v in vertices:
+            by_priority.setdefault(priority[v], []).append(v)
+        runs = [by_priority[m] for m in sorted(by_priority)]
+        # A frame is [phase, player, attr, strategy, extra, run]:
+        # - phase 0: attr is the subgame, not split yet, and none of its
+        #   vertices lies in a run before index run;
         # - phase 1: waits for the subgame minus attr, the player's attractor
-        #   to the minimal priority (extra: the vertices of that priority);
+        #   to the minimal priority (extra: the vertices of that priority,
+        #   whose run is now at index run);
         # - phase 2: waits for the subgame minus attr, the opponent's
         #   attractor to what they won in phase 1 (extra: the opponent's
         #   strategy there).
-        stack = [[0, 0, vertices, None, None]]
+        stack = [[0, 0, vertices, None, None, 0]]
         result = None
         while stack:
             frame = stack[-1]
             phase, p = frame[0], frame[1]
             if phase == 0:
                 self.calls += 1
-                sub = frame[2]
+                sub, r = frame[2], frame[5]
                 if not sub:
                     result = ([set(), set()], [{}, {}])
                     stack.pop()
                     continue
-                m = min(map(priority.__getitem__, sub))
-                p = m & 1
-                top = [v for v in sub if priority[v] == m]
+                top = list(filter(sub.__contains__, runs[r]))
+                while not top:
+                    r += 1
+                    top = list(filter(sub.__contains__, runs[r]))
+                p = priority[top[0]] & 1
                 attr = set(top)
                 sub.difference_update(top)
                 strategy: dict = {}
-                self.attract(p, attr, sub, strategy)
+                if sub:
+                    self.attract(p, attr, sub, strategy)
                 if not sub:
                     # the player's attractor to the minimal priority is everything
                     result = self._won_by(p, attr, top, strategy, [{}, {}])
                     stack.pop()
                     continue
-                frame[:] = [1, p, attr, strategy, top]
-                stack.append([0, 0, sub, None, None])
+                frame[:] = [1, p, attr, strategy, top, r]
+                stack.append([0, 0, sub, None, None, r + 1])
             elif phase == 1:
                 (w, s), attr, strategy, top = result, frame[2], frame[3], frame[4]
                 if not w[1 - p]:
@@ -277,8 +299,8 @@ class _Solver:
                     result[0][1 - p] = opponent_attr
                     stack.pop()
                     continue
-                frame[:] = [2, p, opponent_attr, escape, s[1 - p]]
-                stack.append([0, 0, rest, None, None])
+                frame[:5] = [2, p, opponent_attr, escape, s[1 - p]]
+                stack.append([0, 0, rest, None, None, frame[5]])
             else:
                 (w, s), b, escape, earlier = result, frame[2], frame[3], frame[4]
                 o = 1 - p

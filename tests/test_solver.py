@@ -183,24 +183,33 @@ def test_many_disjoint_self_loops_need_no_recursion():
     assert verify_strategy(game, regions, s0, s1)
 
 
-def test_deep_recursion_inside_one_component():
-    # Vertex v has priority v, a self-loop and an edge to v - 1 (0 to n - 1),
-    # and belongs to the player its priority does not favour.  The attractor
-    # to the minimal priority v takes only v and v + 1, so the subgames nest
-    # n / 2 deep in one strongly connected component; player 0 wins all.
-    n = 2400
+def solve_deep_chain(n: int, seconds: float) -> None:
+    """Solve one strongly connected component whose subgames nest ``n / 2`` deep.
+
+    Vertex v has priority v, a self-loop and an edge to v - 1 (0 to n - 1),
+    and belongs to the player its priority does not favour.  The attractor
+    to the minimal priority v takes only v and v + 1; player 0 wins all.
+    """
     game = ParityGame(
         succ=[[v, (v - 1) % n] for v in range(n)],
         owner=[1 - v % 2 for v in range(n)],
         priority=list(range(n)),
     )
     stats: dict = {}
-    start = time.perf_counter()
-    regions, s0, s1 = zielonka(game, stats)
-    assert time.perf_counter() - start <= 5.0
+    regions, s0, s1 = solve_within(game, seconds, stats)
     assert stats["calls"] >= n // 2
     assert regions.w0 == frozenset(range(n))
     assert verify_strategy(game, regions, s0, s1)
+
+
+def test_deep_recursion_inside_one_component():
+    solve_deep_chain(2400, 5.0)
+
+
+def test_deep_recursion_does_not_rescan_each_subgame():
+    # The subgames nest 10,000 deep: finding each one's least priority by
+    # scanning it would take several seconds.
+    solve_deep_chain(20_000, 2.0)
 
 
 def mid_size_game(rng: random.Random, n_priorities: int) -> ParityGame:
@@ -294,6 +303,24 @@ def test_component_decomposition_matches_brute_force_on_random_games():
         regions, s0, s1 = zielonka(g)
         assert regions == brute_force_solve(g)
         assert verify_strategy(g, regions, s0, s1)
+
+
+def test_sparse_repeated_priorities_match_brute_force():
+    # Each game draws its priorities, with repeats, from a few values of
+    # range(50), so the priorities leave gaps and a run of equal priority
+    # can hold several vertices; a game with at most three of them is
+    # solved whole, one with more one component at a time.
+    rng = random.Random(35)
+    paths = [0, 0]
+    for _ in range(600):
+        values = rng.sample(range(50), rng.randint(1, 6))
+        g = random_game(rng, max_vertices=10, max_degree=3)
+        g = ParityGame(g.succ, g.owner, [rng.choice(values) for _ in g.priority])
+        paths[len(set(g.priority)) > 3] += 1
+        regions, s0, s1 = zielonka(g)
+        assert regions == brute_force_solve(g)
+        assert verify_strategy(g, regions, s0, s1)
+    assert min(paths) >= 100
 
 
 def test_player_one_keeps_its_edge_down_from_inside_a_component():

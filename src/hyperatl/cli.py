@@ -443,26 +443,16 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     return configs
 
 
-def run_suite(manifest: str, expect_file: Optional[str] = None) -> tuple[list[SuiteRow], bool]:
-    """Run every manifest entry; flags mismatches against expected verdicts.
+def run_suite(manifest: str) -> tuple[list[SuiteRow], bool]:
+    """Run every manifest entry; flags mismatches against the entries' expected verdicts.
 
     A row that ends in bad input or a resource cap is recorded as an
     ``error`` or ``cap`` row, which is never ok, and the suite goes on.
     """
     manifest_path = _resolve_manifest(manifest)
-    data = _read_json(manifest_path, "manifest")
-    expectations = _read_json(expect_file, "expectations") if expect_file else {}
-    for name, value in _json_of(dict, expectations, "expectations").items():
-        _expected_verdict(value, f"expectations: {name}")
-
-    configs = _suite_configs(manifest_path, data)
-    unknown = sorted(set(expectations) - {name for name, _, _ in configs})
-    if unknown:
-        raise ConfigError(f"expectations name no manifest row: {', '.join(unknown)}")
-
+    configs = _suite_configs(manifest_path, _read_json(manifest_path, "manifest"))
     rows: list[SuiteRow] = []
     for name, config, expected in configs:
-        expected = expectations.get(name) or expected
         start = time.perf_counter()
         try:
             report = run(config)
@@ -511,10 +501,16 @@ def format_suite(rows: list[SuiteRow]) -> str:
 # Command line
 
 
+def _key_value(text: str, flag: str, shape: str) -> tuple[str, str]:
+    """``text`` split at its first ``=``; without one, a ConfigError: ``flag`` expects ``shape``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{flag} expects {shape}, got {text!r}")
+    return key, value
+
+
 def _parse_system(text: str) -> SystemSpec:
-    if "=" not in text:
-        raise ConfigError(f"--system expects id=path[,stutter][,shift=k], got {text!r}")
-    system_id, rest = text.split("=", 1)
+    system_id, rest = _key_value(text, "--system", "id=path[,stutter][,shift=k]")
     system_id = system_id.strip()
     if not system_id:
         raise ConfigError(f"--system expects a non-empty id before '=', got {text!r}")
@@ -543,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run a manifest of checks")
     suite.add_argument("--manifest", required=True)
-    suite.add_argument("--expect", metavar="FILE")
     suite.add_argument("--report", metavar="FILE")
     return parser
 
@@ -555,16 +550,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             widths = {}
             for w in args.width:
-                if "=" not in w:
-                    raise ConfigError(f"--width expects VAR=N, got {w!r}")
-                var, n = w.split("=", 1)
+                var, n = _key_value(w, "--width", "VAR=N")
                 widths[var] = _int(n, f"--width {var}")
-            dump_sys = {}
-            for d in args.dump_sys:
-                if "=" not in d:
-                    raise ConfigError(f"--dump-sys expects ID=FILE, got {d!r}")
-                sid, path = d.split("=", 1)
-                dump_sys[sid] = path
+            dump_sys = dict(_key_value(d, "--dump-sys", "ID=FILE") for d in args.dump_sys)
             config = CheckConfig(
                 systems=[_parse_system(s) for s in args.system],
                 formula_file=args.formula,
@@ -578,13 +566,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report_path=args.report,
             )
             report = run(config)
-            print(f"verdict: {report.verdict}")
-            for key in sorted(report.sizes):
-                print(f"  {key} = {report.sizes[key]}")
-            for key in ("build", "translate", "arena", "solve"):
-                print(f"  time.{key}_ms = {report.timings_ms[key]:.1f}")
+            print(report.record(), end="")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED
-        rows, ok = run_suite(args.manifest, args.expect)
+        rows, ok = run_suite(args.manifest)
         if args.report:
             _write_text(args.report, suite_record(rows), "--report")
         print(format_suite(rows))

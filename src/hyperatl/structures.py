@@ -13,7 +13,7 @@ later stage lets it react to the others' choices.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .graph import dot_string, explore, refine
 from .record import record
@@ -43,23 +43,6 @@ class MSCGS:
     @property
     def n_states(self) -> int:
         return len(self.labels)
-
-    def arity(self, state: int) -> int:
-        n = 1
-        for _, a in self.decisions[state]:
-            n *= a
-        return n
-
-    def owner(self, state: int) -> str:
-        slots = self.decisions[state]
-        return slots[0][0] if slots else self.agents[0]
-
-    def delta(self, state: int, moves: Mapping[str, int]) -> int:
-        """Total transition: missing agents default to move 0, moves wrap."""
-        idx = 0
-        for agent, arity in self.decisions[state]:
-            idx = idx * arity + (moves.get(agent, 0) % arity)
-        return self.table[state][idx]
 
     def decode_choice(self, state: int, idx: int) -> list[tuple[str, int]]:
         """Per-slot moves selecting entry ``idx`` of the successor table."""

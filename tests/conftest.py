@@ -141,6 +141,20 @@ def random_structure(
     )
 
 
+def arity(g: MSCGS, state: int) -> int:
+    """The size of ``state``'s successor table: the product of its slots' arities."""
+    n = 1
+    for _, a in g.decisions[state]:
+        n *= a
+    return n
+
+
+def owner(g: MSCGS, state: int) -> str:
+    """The agent of the first decision slot of ``state``, or ``g``'s first agent if it has none."""
+    slots = g.decisions[state]
+    return slots[0][0] if slots else g.agents[0]
+
+
 def random_program(
     rng: random.Random, max_block: int = 3, depth: int = 2, names=None, max_width: int = 2
 ) -> str:

@@ -2,7 +2,7 @@
 
 This is the construction that ``arena.build_game`` replaced, unchanged:
 vertices are tuple keys interned in BFS order and every move vector is
-stepped through ``MSCGS.delta``.  It never quotients by the copy swap.
+stepped through :func:`delta`.  It never quotients by the copy swap.
 ``tests/test_arena_kernel.py`` contracts its ``collapse=True,
 prune_decided=True`` games by moving each automaton step onto the edges
 into it, as the kernel does, and requires the kernel to reproduce the
@@ -32,6 +32,14 @@ class BuiltArena:
     n_automaton_vertices: int
     keys: list = field(repr=False)  # the tuple key of each vertex
     copies: list = field(repr=False)
+
+
+def delta(g: MSCGS, state: int, moves: Mapping[str, int]) -> int:
+    """Total transition of ``g``: missing agents default to move 0, moves wrap."""
+    idx = 0
+    for agent, arity in g.decisions[state]:
+        idx = idx * arity + (moves.get(agent, 0) % arity)
+    return g.table[state][idx]
 
 
 class _CopyInfo:
@@ -144,7 +152,7 @@ def build_game(
         for i, copy in enumerate(copies):
             agents_in_order = [copy.structure.agents[j] for j in copy.move_order]
             moves = dict(zip(agents_in_order, sigma[i]))
-            nxt.append(copy.structure.delta(js[i], moves))
+            nxt.append(delta(copy.structure, js[i], moves))
         return tuple(nxt)
 
     def advance(q, js, sigma, stage, team):

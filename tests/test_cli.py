@@ -232,7 +232,7 @@ def sgni_on_p1(cap_states):
 def test_state_cap_counts_the_automaton_states_the_arena_reaches(capsys):
     """``p1-sgni`` reads entries that reach 24 of the 586 states of its body's automaton."""
     assert cli.main(sgni_on_p1(24)) == EXIT_SATISFIED
-    assert "  dpa.states = 24\n" in capsys.readouterr().out
+    assert "\ndpa.states 24\n" in capsys.readouterr().out
     assert cli.main(sgni_on_p1(23)) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -320,26 +320,6 @@ def test_suite_empty_manifest(tmp_path):
     m.write_text(json.dumps({"entries": []}))
     rows, ok = run_suite(str(m))
     assert rows == [] and ok
-
-
-def test_suite_expect_file_overrides(tmp_path):
-    m = tmp_path / "one.json"
-    m.write_text(
-        json.dumps(
-            {
-                "entries": [
-                    {"name": "case", "program": str(bundled_asset("p1.imp")), "prop": "od"}
-                ]
-            }
-        )
-    )
-    rows, ok = run_suite(str(m))
-    assert ok and rows[0].expected is None
-    expect = tmp_path / "expect.json"
-    expect.write_text(json.dumps({"case": "violated"}))
-    rows, ok = run_suite(str(m), expect_file=str(expect))
-    assert not ok
-    assert rows[0].expected == "violated" and rows[0].verdict == "satisfied"
 
 
 def test_suite_records_a_failing_row_and_goes_on(tmp_path, capsys):
@@ -582,7 +562,16 @@ def python_m_hyperatl(*args):
 def test_python_m_hyperatl_runs_the_cli():
     proc = python_m_hyperatl("check", "--system", f"G={bundled_asset('p1.imp')}", "--prop", "od")
     assert proc.returncode == EXIT_SATISFIED, proc.stderr
-    assert proc.stdout.startswith("verdict: satisfied")
+    assert proc.stdout.startswith("verdict satisfied\n")
+
+
+def test_check_prints_its_report_record(tmp_path):
+    """``check`` prints the very text it writes to ``--report``."""
+    report = tmp_path / "report.txt"
+    prog = bundled_asset("p1.imp")
+    proc = python_m_hyperatl("check", "--system", f"G={prog}", "--prop", "od", "--report", str(report))
+    assert proc.returncode == EXIT_SATISFIED, proc.stderr
+    assert proc.stdout.encode() == report.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -605,32 +594,24 @@ def test_a_lookahead_the_recursion_limit_cannot_reach_is_a_usage_error(k, cap, c
 
 ENTRY = {"name": "case", "program": "p1.imp", "prop": "od"}
 MALFORMED_SUITES = {
-    "manifest list": ([1], None, "manifest must be a JSON object"),
-    "entry number": ({"entries": [3]}, None, "manifest entry 0 must be a JSON object"),
-    "widths list": ({"entries": [dict(ENTRY, widths=["h", 2])]}, None, "case: widths must be a JSON object"),
-    "expect list": ({"entries": [ENTRY]}, ["case"], "expectations must be a JSON object"),
-    "entries object": ({"entries": {"case": ENTRY}}, None, "manifest entries must be a JSON array"),
-    "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, None, "case: transforms must be"),
-    "prop number": ({"entries": [dict(ENTRY, prop=5)]}, None, "manifest entry 0 needs a string 'prop'"),
-    "expect number": ({"entries": [dict(ENTRY, expect=5)]}, None, "case: expect must be 'satisfied' or 'violated', got 5"),
-    "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, None, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
-    "expect file list value": ({"entries": [ENTRY]}, {"a": ["satisfied"]}, "expectations: a must be"),
-    "expect unknown name": ({"entries": [ENTRY]}, {"case": "satisfied", "b": "violated", "a": None}, "expectations name no manifest row: a, b"),
-    "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, None, "manifest entry 1 repeats the name 'case' of entry 0"),
+    "manifest list": ([1], "manifest must be a JSON object"),
+    "entry number": ({"entries": [3]}, "manifest entry 0 must be a JSON object"),
+    "widths list": ({"entries": [dict(ENTRY, widths=["h", 2])]}, "case: widths must be a JSON object"),
+    "entries object": ({"entries": {"case": ENTRY}}, "manifest entries must be a JSON array"),
+    "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, "case: transforms must be"),
+    "prop number": ({"entries": [dict(ENTRY, prop=5)]}, "manifest entry 0 needs a string 'prop'"),
+    "expect number": ({"entries": [dict(ENTRY, expect=5)]}, "case: expect must be 'satisfied' or 'violated', got 5"),
+    "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
+    "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, "manifest entry 1 repeats the name 'case' of entry 0"),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(MALFORMED_SUITES))
 def test_malformed_suite_input_is_a_usage_error(tmp_path, capsys, shape):
-    manifest, expect, message = MALFORMED_SUITES[shape]
+    manifest, message = MALFORMED_SUITES[shape]
     m = tmp_path / "m.json"
     m.write_text(json.dumps(manifest))
-    argv = ["suite", "--manifest", str(m)]
-    if expect is not None:
-        e = tmp_path / "expect.json"
-        e.write_text(json.dumps(expect))
-        argv += ["--expect", str(e)]
-    assert message in usage_error(capsys, argv)
+    assert message in usage_error(capsys, ["suite", "--manifest", str(m)])
 
 
 DEEP_FORMULAS = {
@@ -792,12 +773,3 @@ def test_manifest_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
     m.write_text(f'{{"entries": [{{"name": "a", "program": {program}, "prop": "od", "prop": "ni"}}]}}')
     message = usage_error(capsys, ["suite", "--manifest", str(m)])
     assert f'manifest {str(m)!r} repeats the key "prop"' in message
-
-
-def test_expectations_with_a_repeated_key_are_a_usage_error(tmp_path, capsys):
-    m = tmp_path / "m.json"
-    m.write_text(json.dumps({"entries": [{"name": "a", "program": str(bundled_asset("q2.imp")), "prop": "od"}]}))
-    e = tmp_path / "expect.json"
-    e.write_text('{"a": "violated", "a": "satisfied"}')
-    message = usage_error(capsys, ["suite", "--manifest", str(m), "--expect", str(e)])
-    assert f'expectations {str(e)!r} repeats the key "a"' in message

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import random_program
+from conftest import arity, owner, random_program
 from hyperatl import imp
 from hyperatl.imp import (
     AGENT_H,
@@ -153,7 +153,7 @@ def build(text):
 
 def test_read_fanout_and_order():
     g = build("var x:2; x := read_H;")
-    assert g.owner(0) == AGENT_H
+    assert owner(g, 0) == AGENT_H
     assert g.table[0] == (1, 2, 3, 4)
     # lexicographic, leftmost bit most significant
     assert g.labels[1:] == [frozenset(), {"x[1]"}, {"x[0]"}, {"x[0]", "x[1]"}]
@@ -178,7 +178,7 @@ def test_steps_splice_into_one_flat_sequence():
     # body, loop and the statement after the loop run as one sequence: both
     # read values go back to the loop, which exits to ``x := x`` and the end
     assert g.table == [(1,), (2,), (3,), (4, 1), (5,), (6,), (6,)]
-    assert [g.owner(s) for s in range(g.n_states)] == [AGENT_N] * 3 + [AGENT_H] + [AGENT_N] * 3
+    assert [owner(g, s) for s in range(g.n_states)] == [AGENT_N] * 3 + [AGENT_H] + [AGENT_N] * 3
     assert g.labels[4:] == [frozenset()] * 3
 
 
@@ -199,7 +199,7 @@ def test_controlling_player():
         "while (x) { x := x; }": AGENT_N,
     }
     for stmt, agent in owners.items():
-        assert build(f"var x:1; {stmt}").owner(0) == agent, stmt
+        assert owner(build(f"var x:1; {stmt}"), 0) == agent, stmt
 
 
 def test_identical_branches_are_one_point():
@@ -261,7 +261,7 @@ def step(rest, sigma, widths):
     raise TypeError(f"not a statement: {p!r}")
 
 
-def owner(rest):
+def reference_owner(rest):
     return {imp.ReadH: AGENT_H, imp.ReadL: AGENT_L}.get(type(rest[0]) if rest else None, AGENT_N)
 
 
@@ -295,7 +295,7 @@ def assert_matches_reference(prog, widths):
     assert g.state_names == [f"s{v}" for v in range(len(configs))]
     for v, (rest, sigma) in enumerate(configs):
         assert g.labels[v] == {f"{x}[{i}]" for x, bits in sigma.items() for i, b in enumerate(bits) if b}
-        assert g.decisions[v] == ((owner(rest), len(rows[v])),)
+        assert g.decisions[v] == ((reference_owner(rest), len(rows[v])),)
     return g, configs
 
 
@@ -304,8 +304,8 @@ def test_build_cgs_read_then_stop_against_reference():
     g, _ = assert_matches_reference(prog, widths)
     # initial read config plus one terminated config per read value
     assert g.n_states == 3
-    assert g.owner(0) == AGENT_H
-    assert {g.owner(s) for s in range(1, 3)} == {AGENT_N}
+    assert owner(g, 0) == AGENT_H
+    assert {owner(g, s) for s in range(1, 3)} == {AGENT_N}
 
 
 def test_build_cgs_p1_against_reference():
@@ -318,7 +318,7 @@ def test_build_cgs_terminated_only():
     # the assignment keeps the all-zero values, yet the end is a point of its own
     assert g.n_states == 2
     assert g.table == [(1,), (1,)]
-    assert g.owner(1) == AGENT_N
+    assert owner(g, 1) == AGENT_N
     assert g.labels[1] == frozenset()
 
 
@@ -356,11 +356,11 @@ def test_deterministic_configs_have_single_successor():
     for v, (rest, _) in enumerate(configs):
         head = rest[0] if rest else None
         if isinstance(head, imp.IfStar):
-            assert g.arity(v) == 2
+            assert arity(g, v) == 2
         elif isinstance(head, (imp.ReadH, imp.ReadL)):
-            assert g.arity(v) == 2 ** widths[head.var]
+            assert arity(g, v) == 2 ** widths[head.var]
         else:
-            assert g.arity(v) == 1
+            assert arity(g, v) == 1
 
 
 def test_straight_line_build_is_linear():
@@ -376,7 +376,7 @@ def test_width_override_changes_fanout():
     widths, prog = parse_program(text, width_overrides={"h": 2})
     assert widths["h"] == 2
     g = build_cgs(prog, widths)
-    reads = [s for s in range(g.n_states) if g.owner(s) == AGENT_H and g.arity(s) == 4]
+    reads = [s for s in range(g.n_states) if owner(g, s) == AGENT_H and arity(g, s) == 4]
     assert reads, "read states must branch over all four two-bit values"
 
 

@@ -3,7 +3,8 @@
 A graph is a list ``succ`` of successor lists over the vertices
 ``0..n-1``.  :func:`explore` numbers the keys a search reaches from an
 initial key, :func:`scc` decomposes a graph into strongly connected
-components, :func:`predecessors` inverts the edges, :func:`refine`
+components (a vertex on no cycle comes as a bare ``int``, every other
+component as a list), :func:`predecessors` inverts the edges, :func:`refine`
 computes the coarsest bisimulation that refines a partition, and
 :func:`cycle_parities` says which parities of minimal priority the cycles
 through each vertex have (nested SCC decomposition as for parity word
@@ -125,11 +126,15 @@ def refine(block: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
     return [ids.setdefault(b, len(ids)) for b in block]
 
 
-def scc(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+def scc(succ: Sequence[Sequence[int]]) -> list[int | list[int]]:
     """Strongly connected components of the graph ``succ``.
 
-    The components come bottom first: every component reachable from
-    another one precedes it.  Iterative Tarjan, so the depth of the graph is
+    A vertex on no cycle, alone in its component and without a self-loop,
+    comes as the ``int`` itself; every other component comes as a list of
+    its vertices (``[v]`` for a vertex with a self-loop).  So
+    ``type(comp) is int`` tells the components without a cycle.  The
+    components come bottom first: every component reachable from another
+    one precedes it.  Iterative Tarjan, so the depth of the graph is
     bounded by memory, not by the recursion limit.
     """
     n = len(succ)
@@ -138,7 +143,7 @@ def scc(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
+    comps: list[int | list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -164,11 +169,17 @@ def scc(succ: Sequence[Sequence[int]]) -> list[list[int]]:
             else:
                 work.pop()
                 if lv == index[v]:
-                    comp = stack[pos:]
-                    del stack[pos:]
-                    for u in comp:
-                        index[u] = n
-                    comps.append(comp)
+                    if stack[-1] == v:
+                        # alone in its component
+                        stack.pop()
+                        index[v] = n
+                        comps.append([v] if v in succ[v] else v)
+                    else:
+                        comp = stack[pos:]
+                        del stack[pos:]
+                        for u in comp:
+                            index[u] = n
+                        comps.append(comp)
                 else:
                     low[v] = lv
                     u = work[-1][0]
@@ -180,12 +191,13 @@ def scc(succ: Sequence[Sequence[int]]) -> list[list[int]]:
 def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> list[int]:
     """Per vertex: bit ``p`` is set iff it lies on a cycle whose minimal priority has parity ``p``.
 
-    In a component with a cycle, every vertex lies on a cycle through a
-    vertex of the component's minimal priority, so all of them get that
-    priority's bit.  A cycle of the other parity avoids those vertices, so
-    it is sought inside the rest of the component, and only while the other
-    bit is still missing.  The vertices of one component share their bits,
-    since the same enclosing components set them.
+    A vertex on no cycle, an ``int`` among the components of :func:`scc`,
+    gets no bit.  In a component with a cycle, a list, every vertex lies on
+    a cycle through a vertex of the component's minimal priority, so all of
+    them get that priority's bit.  A cycle of the other parity avoids those
+    vertices, so it is sought inside the rest of the component, and only
+    while the other bit is still missing.  The vertices of one component
+    share their bits, since the same enclosing components set them.
     """
     bits = [0] * len(succ)
     pending = [range(len(succ))]
@@ -194,7 +206,7 @@ def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> li
         local = {v: i for i, v in enumerate(verts)}
         sub = [[local[t] for t in succ[v] if t in local] for v in verts]
         for comp in scc(sub):
-            if len(comp) == 1 and comp[0] not in sub[comp[0]]:
+            if type(comp) is int:
                 continue
             members = [verts[i] for i in comp]
             low = min(priority[v] for v in members)

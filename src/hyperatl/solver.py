@@ -115,8 +115,8 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
     regions: list[set] = [set(), set()]
     strategy: list[dict] = [{}, {}]
     for comp in scc(succ):
-        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-            v = comp[0]
+        if type(comp) is int:
+            v = comp
             p = owner[v]
             for t in succ[v]:
                 if won[t] == p:

@@ -61,8 +61,16 @@ def test_scc_matches_reachability_closure():
         succ = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
         reach = reachable(succ)
         comps = scc(succ)
-        assert sorted(v for comp in comps for v in comp) == list(range(n))
-        position = {v: i for i, comp in enumerate(comps) for v in comp}
+        members = [[comp] if type(comp) is int else comp for comp in comps]
+        # an entry is an int exactly when its vertex does not reach itself
+        # by a nonempty path, and a list otherwise (a self-loop included)
+        for comp, verts in zip(comps, members):
+            assert type(comp) in (int, list)
+            for v in verts:
+                on_cycle = any(v in reach[t] for t in succ[v])
+                assert (type(comp) is int) == (not on_cycle), (succ, comp)
+        assert sorted(v for comp in members for v in comp) == list(range(n))
+        position = {v: i for i, comp in enumerate(members) for v in comp}
         for u in range(n):
             for v in range(n):
                 mutual = v in reach[u] and u in reach[v]
@@ -75,7 +83,7 @@ def test_scc_matches_reachability_closure():
 def test_scc_of_a_long_path_needs_no_recursion():
     n = 200_000
     succ = [[v + 1] for v in range(n - 1)] + [[]]
-    assert scc(succ) == [[v] for v in reversed(range(n))]
+    assert scc(succ) == list(reversed(range(n)))
 
 
 def simple_cycles(succ) -> set[frozenset]:

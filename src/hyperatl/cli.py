@@ -408,20 +408,22 @@ def _json_of(kind: type, value, what: str):
     return value
 
 
-def _expected_verdict(value, what: str) -> Optional[str]:
-    """An expected verdict: ``satisfied``, ``violated`` or None; a ConfigError otherwise."""
-    if value not in (None, "satisfied", "violated"):
-        raise ConfigError(f"{what} must be 'satisfied' or 'violated', got {json.dumps(value)[:40]}")
-    return value
+def _known_keys(obj: dict, known: tuple, what: str) -> dict:
+    """``obj`` if every key of it is in ``known``; a ConfigError naming the first other key."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{what} has an unknown key {json.dumps(key)}")
+    return obj
 
 
 def _suite_configs(manifest_path: Path, data) -> list[tuple]:
-    """(name, config, expected verdict) per entry; a malformed entry is a ConfigError."""
+    """(name, config, expected verdict) per entry; a malformed manifest or unknown key is a ConfigError."""
     configs = []
     names: dict = {}  # name -> index of its entry
-    entries = _json_of(dict, data, "manifest").get("entries", [])
-    for i, entry in enumerate(_json_of(list, entries, "manifest entries")):
-        _json_of(dict, entry, f"manifest entry {i}")
+    manifest = _known_keys(_json_of(dict, data, "manifest"), ("entries",), "manifest")
+    for i, entry in enumerate(_json_of(list, manifest.get("entries"), "manifest entries")):
+        keys = ("name", "program", "prop", "widths", "transforms", "expect")
+        _known_keys(_json_of(dict, entry, f"manifest entry {i}"), keys, f"manifest entry {i}")
         for key in ("name", "program", "prop"):
             if not isinstance(entry.get(key), str):
                 raise ConfigError(f"manifest entry {i} needs a string {key!r}")
@@ -439,7 +441,11 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
             prop=entry["prop"],
             widths=widths,
         )
-        configs.append((name, config, _expected_verdict(entry.get("expect"), f"{name}: expect")))
+        expect = entry.get("expect")
+        if expect not in (None, "satisfied", "violated"):
+            got = json.dumps(expect)[:40]
+            raise ConfigError(f"{name}: expect must be 'satisfied' or 'violated', got {got}")
+        configs.append((name, config, expect))
     return configs
 
 

@@ -661,9 +661,9 @@ class _Leaf:
     ``(0,)``, a run tree with nothing pending, accepts every word; both loop
     on every letter.  The letters are partitioned once by the APA's columns
     (``cls`` gives each letter's class).  ``successor(s, c)`` steps state
-    ``s`` on class ``c`` alone, when first asked; ``row(s)`` steps it on
-    every class at once.  ``counts["nba_states"]`` counts the states
-    numbered so far.
+    ``s`` on class ``c`` alone, when first asked; ``row(s)`` asks it for
+    every class, in class order.  ``counts["nba_states"]`` counts the
+    states numbered so far.
     """
 
     def __init__(self, apa: APA, cap: int, counts: dict):
@@ -723,42 +723,6 @@ class _Leaf:
             functools.reduce(operator.or_, combo, joined) for combo in itertools.product(*choices)
         )
 
-    @functools.cached_property
-    def packed(self) -> tuple[list[int], list[int]]:
-        """Per APA state, its models on every class packed in one int; per class, its shift.
-
-        One field of ``n_states + 2`` bits per class holds the state's
-        single model, or a flag above the states' bits if it has none
-        (stuck) or several.  ORed over a set's members, the fields give the
-        union of the single models and say whether the set is stuck or
-        needs :meth:`_step`.
-        """
-        n = len(self.members)
-        stuck, several = 1 << n, 2 << n
-        shifts = [c * (n + 2) for c in range(len(self.reps))]
-        packed = [
-            sum(
-                (got[0] if len(got) == 1 else several if got else stuck) << shift
-                for shift, got in zip(shifts, map(row.__getitem__, self.reps))
-            )
-            for row in self.trans
-        ]
-        return packed, shifts
-
-    def _step_all(self, x: int) -> list[tuple[int, ...]]:
-        """Per class, the antichain of successor sets of the set ``x``."""
-        packed, shifts = self.packed
-        joined = 0
-        for q in [q for q in self.members if x >> q & 1]:
-            joined |= packed[q]
-        stuck = 1 << len(self.members)
-        field = (stuck << 2) - 1  # the states' bits and the two flags
-        fields = [joined >> shift & field for shift in shifts]
-        return [
-            (j,) if j < stuck else () if j & stuck else self._step(x, c)
-            for c, j in enumerate(fields)
-        ]
-
     def successor(self, s: int, c: int) -> int:
         """The successor of state ``s`` on the letters of class ``c``."""
         succ = self.succ[s]
@@ -773,12 +737,7 @@ class _Leaf:
         """Per letter, the successor of state ``s``; steps every class not yet stepped."""
         row = self.rows[s]
         if row is None:
-            succ = self.succ[s]
-            if None in succ:
-                steps = [self._step_all(x) for x in self.keys[s]]
-                if len(steps) > 1:
-                    steps = [[_minimal(itertools.chain(*sets)) for sets in zip(*steps)]]
-                succ[:] = map(self.number, steps[0])
+            succ = [self.successor(s, c) for c in range(len(self.reps))]
             row = self.rows[s] = list(map(succ.__getitem__, self.cls))
         return row
 

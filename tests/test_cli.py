@@ -603,6 +603,9 @@ MALFORMED_SUITES = {
     "expect number": ({"entries": [dict(ENTRY, expect=5)]}, "case: expect must be 'satisfied' or 'violated', got 5"),
     "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
     "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, "manifest entry 1 repeats the name 'case' of entry 0"),
+    "entries misspelt": ({"entrys": [ENTRY]}, 'manifest has an unknown key "entrys"'),
+    "entries missing": ({}, "manifest entries must be a JSON array, got null"),
+    "transforms misspelt": ({"entries": [dict(ENTRY, transform=["stutter"])]}, 'manifest entry 0 has an unknown key "transform"'),
 }
 
 

@@ -529,6 +529,49 @@ def test_product_keeps_the_copy_swap(name):
     assert _copy_swap(quants, ltl_to_dpa(nnf, atoms), atoms, atom_copy) is not None
 
 
+def numbered(f, atoms, complete):
+    """A product of ``f``, completed or read in state order letter by letter, with its numbering.
+
+    Read letter by letter, every letter of state 0, then of state 1, and so
+    on, it must number the states of the product and of each leaf as
+    ``complete()`` does.  The leaves' keys are compared too: a leaf
+    numbered in another order gives the product the same table.
+    """
+    stats: dict = {}
+    dpa = ltl_to_dpa(f, atoms, stats=stats)
+    if complete:
+        trans = dpa.complete().trans
+    else:
+        trans = []
+        while len(trans) < dpa.n_states:
+            row = dpa.row(len(trans))
+            trans.append([row[v] for v in range(dpa.n_letters)])
+    leaf_keys = [leaf.keys for leaf in dpa.leaves]
+    return trans, dpa.colors, dpa.sink, stats["nba_states"], dpa.keys, leaf_keys
+
+
+PRODUCT_BODIES = {
+    **{name: BUILTIN_BODIES[name] for name in ("od", "ni", "simsec", "sgni:3", "od-async", "ni-async")},
+    "sgni:1": props.expand_sgni(1, "G", "G_shift1").body,
+    "sgni:2": props.expand_sgni(2, "G", "G_shift2").body,
+    # the two-copy chain: low inputs equal => outputs equal, reads aligned
+    "ahltl:2": props.expand_ahltl(
+        2,
+        parse_ltl(
+            "(G (l[0]{p1} <-> l[0]{p2}) -> G (o[0]{p1} <-> o[0]{p2})) & G (r[0]{p1} <-> r[0]{p2})"
+        ),
+        "G_stut",
+    ).body,
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_BODIES)
+def test_product_read_in_state_order_is_numbered_like_the_completed_one(name):
+    f = PRODUCT_BODIES[name]
+    atoms = F.collect_atoms(to_nnf(f))
+    assert numbered(f, atoms, complete=False) == numbered(f, atoms, complete=True)
+
+
 @pytest.mark.parametrize("seed", [71, 72, 73])
 def test_product_read_letter_by_letter_walks_like_the_completed_one(seed):
     """``row(q)[v]`` steps one letter; runs agree with the full rows state for state.
@@ -536,13 +579,15 @@ def test_product_read_letter_by_letter_walks_like_the_completed_one(seed):
     Each state of the product read letter by letter stands for one state of
     the completed product, numbered in another order: the same colour and
     sink, paired with it on every walk.  The walks number fewer states than
-    completion on many bodies.
+    completion on many bodies.  Read in state order, every letter of every
+    state, it numbers exactly as completion does.
     """
     rng = random.Random(seed)
     fair = fewer = 0
     for _ in range(120):
         atoms = rng.choice((ATOM_POOL, FOUR_ATOMS))
         f = random_obligation_body(rng, atoms)
+        assert numbered(f, atoms, complete=False) == numbered(f, atoms, complete=True), f
         lazy, full = ltl_to_dpa(f, atoms), ltl_to_dpa(f, atoms).complete()
         fair += lazy.full > 0
         pairs = {}

@@ -405,29 +405,32 @@ def is_nnf(f: Ltl) -> bool:
 # Atoms and fragment validation
 
 
+_UNARY = frozenset((Not, Next, Globally, Eventually))
+_BINARY = frozenset((And, Or, Implies, Iff, Until, Release))
+
+
 def collect_atoms(f: Ltl) -> tuple[tuple[str, str], ...]:
-    """All (proposition, path variable) pairs in first-occurrence order."""
-    out: list[tuple[str, str]] = []
-    seen = set()
+    """All (proposition, path variable) pairs in first-occurrence order.
+
+    The walk dispatches on each node's exact type, with no pattern
+    matching: the product route of ``ltl2dpa`` runs it once per leaf.
+    """
+    found: dict[tuple[str, str], None] = {}  # insertion-ordered set
 
     def walk(g: Ltl) -> None:
-        match g:
-            case Atom(prop, var):
-                if (prop, var) not in seen:
-                    seen.add((prop, var))
-                    out.append((prop, var))
-            case TrueF() | FalseF():
-                pass
-            case Not(h) | Next(h) | Globally(h) | Eventually(h):
-                walk(h)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r) | Until(l, r) | Release(l, r):
-                walk(l)
-                walk(r)
-            case _:
-                raise TypeError(f"not an LTL node: {g!r}")
+        kind = type(g)
+        if kind is Atom:
+            found[(g.prop, g.var)] = None
+        elif kind in _UNARY:
+            walk(g.operand)
+        elif kind in _BINARY:
+            walk(g.left)
+            walk(g.right)
+        elif kind is not TrueF and kind is not FalseF:
+            raise TypeError(f"not an LTL node: {g!r}")
 
     walk(f)
-    return tuple(out)
+    return tuple(found)
 
 
 @record

@@ -11,14 +11,14 @@ accepting iff the minimal colour seen infinitely often is even.
 A body that is an obligation (an ∧/∨ combination of safety and co-safety
 formulas) conjoined with ``G F`` literals skips the chain for the whole
 body: each maximal safety or co-safety subformula gets a deterministic
-automaton by one subset construction on its alternating automaton, over
-antichains of state sets and one letter class at a time, and their
-product, with the ``G F`` conjuncts degeneralized by a set, is a DPA with
-colours {0, 1}.  The product and its leaves are built on demand, one
-transition when the arena first reads it, and kept canonical by local rules
-(decided sinks, don't-care leaves, the round bit only where it sets the
-colour) instead of a quotient.  The chain's DPAs are built whole and
-tidied: quotients and colour compression.
+automaton by one subset construction on its alternating automaton over the
+atoms it reads, over antichains of state sets and one letter class at a
+time, and their product, with the ``G F`` conjuncts degeneralized by a
+set, is a DPA with colours {0, 1}.  The product and its leaves are built
+on demand, one transition when the arena first reads it, and kept
+canonical by local rules (decided sinks, don't-care leaves, the round bit
+only where it sets the colour) instead of a quotient.  The chain's DPAs
+are built whole and tidied: quotients and colour compression.
 """
 
 from __future__ import annotations
@@ -609,6 +609,28 @@ def _settle(node, values: Sequence[Optional[bool]], unread: list) -> Optional[bo
     return None if a is None or b is None else a
 
 
+def _support(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """The atoms that ``f`` reads, in their order in ``atoms``."""
+    read = set(F.collect_atoms(f))
+    return tuple(a for a in atoms if a in read)
+
+
+def _gather(atoms: Sequence[tuple[str, str]], support: Sequence[tuple[str, str]]) -> list[int]:
+    """Per letter over ``atoms``, its restriction to ``support``, a subsequence of ``atoms``.
+
+    Built by doubling, one list operation per atom: an atom outside the
+    support repeats the table, and support atom ``j`` appends a copy with
+    bit ``j`` set.  The least letter that restricts to a local letter sets
+    only support bits, and those least letters ascend with the local ones.
+    """
+    bit = {a: 1 << j for j, a in enumerate(support)}
+    table = [0]
+    for a in atoms:
+        b = bit.get(a)
+        table += table if b is None else list(map(b.__or__, table))
+    return table
+
+
 def _first_letter_truth(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> Optional[list[bool]]:
     """Per letter, the truth of ``f`` if the first letter alone decides it, else None."""
     apa = ltl_to_apa(f, atoms)
@@ -628,18 +650,19 @@ def _obligation_parts(f: F.Ltl, atoms: Sequence[tuple[str, str]]):
     """``(leaves, combination, fair)`` if the NNF body ``f`` is an obligation ∧ G F, else None.
 
     ``fair`` lists, per ``G F ψ`` conjunct whose ``ψ`` the first letter
-    decides, the truth of ``ψ`` per letter; the other conjuncts together
-    are the obligation.
+    decides, the atoms ``ψ`` reads and the truth of ``ψ`` per letter over
+    them; the other conjuncts together are the obligation.
     """
     fair, rest = [], []
     for c in _conjuncts(f):
         truth = None
         if isinstance(c, F.Globally) and isinstance(c.operand, F.Eventually):
-            truth = _first_letter_truth(c.operand.operand, atoms)
+            support = _support(c.operand.operand, atoms)
+            truth = _first_letter_truth(c.operand.operand, support)
         if truth is None:
             rest.append(c)
         else:
-            fair.append(truth)
+            fair.append((support, truth))
     leaves: list = []
     obligation = functools.reduce(F.And, rest) if rest else F.TrueF()
     combination = _combination(obligation, leaves)
@@ -659,15 +682,18 @@ class _Leaf:
     Henzinger & Raskin, CAV 2006).  APA states that are true on every
     letter are left out of the sets.  The empty antichain ``()`` is dead and
     ``(0,)``, a run tree with nothing pending, accepts every word; both loop
-    on every letter.  The letters are partitioned once by the APA's columns
-    (``cls`` gives each letter's class).  ``successor(s, c)`` steps state
-    ``s`` on class ``c`` alone, when first asked; ``row(s)`` asks it for
-    every class, in class order.  ``counts["nba_states"]`` counts the
+    on every letter.  The APA reads only the leaf's own atoms, and its local
+    letters are partitioned once by its columns; the ``gather`` table maps
+    each letter of the product to its local letter (:func:`_gather`), and
+    ``cls`` gives each product letter's class.  ``successor(s, c)`` steps
+    state ``s`` on class ``c`` alone, when first asked; ``row(s)`` asks it
+    for every class, in class order.  ``counts["nba_states"]`` counts the
     states numbered so far.
     """
 
-    def __init__(self, apa: APA, cap: int, counts: dict):
-        self.cls, self.reps = _letter_classes(apa.trans)
+    def __init__(self, apa: APA, gather: Sequence[int], cap: int, counts: dict):
+        local_cls, self.reps = _letter_classes(apa.trans)
+        self.cls = list(map(local_cls.__getitem__, gather))
         self.trans = apa.trans
         self.members = range(apa.n_states)
         self.trivial = sum(
@@ -799,21 +825,27 @@ class _ProductDPA(DPA):
         self.leaves = []
         stats["apa_states"] = stats["nba_states"] = 0
         for leaf, _negated in leaves:
-            apa = ltl_to_apa(leaf, atoms)
+            support = _support(leaf, atoms)
+            apa = ltl_to_apa(leaf, support)
             stats["apa_states"] += apa.n_states
-            self.leaves.append(_Leaf(apa, cap, stats))
+            self.leaves.append(_Leaf(apa, _gather(atoms, support), cap, stats))
         self.negated = [neg for _leaf, neg in leaves]
         self.combination = combination
-        self.hits = [
-            sum(truth[v] << i for i, truth in enumerate(fair)) for v in range(self.n_letters)
-        ]
+        # the hits over the atoms the G F conjuncts read, one pass per conjunct,
+        # then spread to every letter in one pass
+        fair_atoms = tuple(a for a in atoms if any(a in support for support, _ in fair))
+        hits = [0] * (1 << len(fair_atoms))
+        for i, (support, truth) in enumerate(fair):
+            bits = [t << i for t in truth]
+            spread = map(bits.__getitem__, _gather(fair_atoms, support))
+            hits = list(map(operator.or_, hits, spread))
+        self.hits = list(map(hits.__getitem__, _gather(atoms, fair_atoms)))
         self.full = (1 << len(fair)) - 1
         self.cap = cap
         self.keys: list = []
         self.index: dict = {}
         self.memo: dict = {}  # column -> state
         self.seen_rows: dict = {}  # G F set -> per letter, that set with the letter's hits
-        self.unread_row = [-1] * self.n_letters
         init = tuple(leaf.initial for leaf in self.leaves)
         self.initial = self._state(init, 0, self.full == 0)
 
@@ -882,7 +914,7 @@ class _ProductDPA(DPA):
         if got is None:
             got = self.seen_rows[seen] = [seen | h for h in self.hits]
         leaf_rows = [
-            leaf.row(s) if s >= 0 else self.unread_row for leaf, s in zip(self.leaves, states)
+            leaf.row(s) if s >= 0 else itertools.repeat(-1) for leaf, s in zip(self.leaves, states)
         ]
         columns = list(zip(got, *leaf_rows))
         ids = dict.fromkeys(columns)
@@ -910,15 +942,15 @@ def ltl_to_dpa(
     A body that is an obligation conjoined with ``G F`` literals becomes the
     product :class:`_ProductDPA` of deterministic automata per safety and
     co-safety leaf, each built straight from the leaf's alternating
-    automaton; this route builds no breakpoint automaton and has no tidy
-    step.  Its states and transitions are made when first read, so when it
-    is returned only its initial state exists, and ``cap`` bounds the
-    states that the product and each leaf number later.  Any other body
-    goes alternating → breakpoint → determinization; the letters are
-    partitioned once by the breakpoint automaton's columns, and
-    determinization and the quotients work per letter class.  A
-    breakpoint automaton that is already deterministic skips
-    determinization.  These two routes fill every row,
+    automaton over the atoms the leaf reads; this route builds no
+    breakpoint automaton and has no tidy step.  Its states and transitions
+    are made when first read, so when it is returned only its initial state
+    exists, and ``cap`` bounds the states that the product and each leaf
+    number later.  Any other body goes alternating → breakpoint →
+    determinization; the letters are partitioned once by the breakpoint
+    automaton's columns, and determinization and the quotients work per
+    letter class.  A breakpoint automaton that is already deterministic
+    skips determinization.  These two routes fill every row,
     are tidied (quotient, neutral colours for states on no cycle, a second
     quotient if that changed a colour, colour compression), and have their
     sinks decided here by :func:`decided_states`.  If ``stats`` is a dict it

@@ -603,6 +603,59 @@ def test_product_read_letter_by_letter_walks_like_the_completed_one(seed):
     assert fair >= 40 and fewer >= 30
 
 
+def product_tables(f, atoms):
+    """A completed product's table, colours and sinks, and the sizes it counts."""
+    stats: dict = {}
+    dpa = ltl_to_dpa(f, atoms, stats=stats).complete()
+    return dpa.trans, dpa.colors, dpa.sink, stats["apa_states"], stats["nba_states"]
+
+
+def test_leaves_over_their_own_atoms_build_the_all_atoms_product(monkeypatch):
+    """Each leaf and ``G F`` truth over the atoms it reads gives the product built over all atoms.
+
+    The reference builds every leaf's APA and every truth over all atoms,
+    so its gather, computed letter by letter, is the identity.  Over six
+    atoms, many leaves read atoms that are not adjacent, met in another
+    order than the atoms' own.
+    """
+
+    def gather_by_letter(atoms, support):
+        return [
+            sum(1 << j for j, a in enumerate(support) if v >> atoms.index(a) & 1)
+            for v in range(1 << len(atoms))
+        ]
+
+    rng = random.Random(79)
+    bodies = []
+    gaps = reordered = 0
+    for _ in range(150):
+        f = random_obligation_body(rng, WIDE_POOL)
+        bodies.append((f, product_tables(f, WIDE_POOL)))
+        for leaf, _negated in _obligation_parts(to_nnf(f), WIDE_POOL)[0]:
+            support = ltl2dpa._support(leaf, WIDE_POOL)
+            positions = [WIDE_POOL.index(a) for a in support]
+            gaps += len(support) > 1 and positions[-1] - positions[0] >= len(support)
+            reordered += F.collect_atoms(leaf) != support
+    assert gaps >= 50 and reordered >= 50, (gaps, reordered)
+    monkeypatch.setattr(ltl2dpa, "_support", lambda f, atoms: tuple(atoms))
+    monkeypatch.setattr(ltl2dpa, "_gather", gather_by_letter)
+    for f, got in bodies:
+        assert got == product_tables(f, WIDE_POOL), f
+
+
+@pytest.mark.parametrize("name", ["ni-async", "ahltl:3"])
+def test_leaf_rows_span_only_the_atoms_the_leaf_reads(name):
+    f = AHLTL_12 if name == "ahltl:3" else BUILTIN_BODIES[name]
+    nnf = to_nnf(f)
+    atoms = F.collect_atoms(nnf)
+    dpa = ltl_to_dpa(nnf, atoms)
+    for (leaf, _negated), built in zip(_obligation_parts(nnf, atoms)[0], dpa.leaves):
+        n = len(F.collect_atoms(leaf))
+        assert n < len(atoms)
+        assert {len(row) for row in built.trans} == {2**n}
+        assert len(built.cls) == dpa.n_letters
+
+
 def test_product_respects_the_state_cap():
     f = BUILTIN_BODIES["ni-async"]
     assert ltl_to_dpa(f, cap=100).complete().n_states == 12

@@ -55,7 +55,7 @@ from .graph import dot_string
 
 # the values of ``DPA.sink`` are the keys of the two decided sinks, both
 # negative; every other vertex key is >= 0
-from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN
+from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN, _letter_map
 from .record import field, record
 from .solver import ParityGame
 from .structures import MSCGS
@@ -311,11 +311,7 @@ def _copy_swap(
         if other is None:
             return None
         partner.append(1 << other)
-    # the swapped letter, built from the letter without its lowest bit
-    perm = [0] * dpa.n_letters
-    for v in range(1, dpa.n_letters):
-        low = v & -v
-        perm[v] = perm[v ^ low] | partner[low.bit_length() - 1]
+    perm = _letter_map(partner)  # the letter with the copies' atoms swapped
     dpa.complete()
     colors, trans, sink = dpa.colors, dpa.trans, dpa.sink
     sigma = [-1] * dpa.n_states

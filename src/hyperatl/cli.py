@@ -24,7 +24,7 @@ from .formula import (
     format_hyper,
     parse_formula,
     parse_ltl,
-    to_nnf,
+    to_nnf,  # not called: ltl_to_dpa normalizes; perfbench/spans.py wraps cli.to_nnf
     validate_fragment,
 )
 from .imp import ProgramError, StateCapError
@@ -238,7 +238,9 @@ def _builtin(prop: str, spec: SystemSpec, body_file: Optional[str], cap: int) ->
 def _formula_reads(formula: HyperFormula, specs: list[SystemSpec], twins: dict) -> dict[str, set]:
     """Per system id, the propositions of the atoms whose quantifier binds it.
 
-    A twin's atoms count for its base, the one system of ``specs``.
+    A twin's atoms count for its base, the one system of ``specs``.  Each
+    program is built for its entry, and each bound system, or twin of it,
+    is quotiented by that entry.
     """
     default = specs[0].system_id if len(specs) == 1 else None
     system_of = {q.var: default if q.system in twins else q.system or default for q in formula.block}
@@ -252,18 +254,6 @@ def _peak_rss_mb() -> float:
     """The process's peak resident set size (``ru_maxrss`` is in KiB, on macOS in bytes)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-
-
-def _quotients(systems: dict, info) -> dict[str, structures.MSCGS]:
-    """Per bound system id: its structure quotiented by what the formula reads.
-
-    Each id's structure is quotiented once, by the propositions of every
-    atom whose copy binds that id.
-    """
-    read: dict[str, set] = {rq.system: set() for rq in info.quantifiers}
-    for (prop, _), copy in info.atom_copy.items():
-        read[info.quantifiers[copy].system].add(prop)
-    return {sid: structures.quotient(systems[sid], props) for sid, props in read.items()}
 
 
 def run(config: CheckConfig) -> Report:
@@ -300,19 +290,22 @@ def _run(config: CheckConfig) -> Report:
         systems[spec.system_id] = _load_system(
             spec, config.widths, config.cap_states, observe.get(spec.system_id, ())
         )
+    base = config.systems[0].system_id  # of every twin
     for sid, t in twins.items():
-        systems[sid] = _transform(systems[config.systems[0].system_id], t, config.cap_states)
+        systems[sid] = _transform(systems[base], t, config.cap_states)
 
     for sid in sorted(config.dump_sys):
         if sid not in systems:
             raise ConfigError(f"--dump-sys names unbound system {sid!r}")
     info = validate_fragment(formula, systems)
-    bound = _quotients(systems, info)
+    bound = {
+        sid: structures.quotient(systems[sid], observe.get(base if sid in twins else sid, ()))
+        for sid in {rq.system for rq in info.quantifiers}
+    }
     t_build = time.perf_counter()
 
-    body = to_nnf(formula.body)
     translate_stats: dict = {}
-    dpa = ltl2dpa.ltl_to_dpa(body, info.atoms, cap=config.cap_states, stats=translate_stats)
+    dpa = ltl2dpa.ltl_to_dpa(formula.body, info.atoms, cap=config.cap_states, stats=translate_stats)
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, bound[rq.system]) for rq in info.quantifiers]

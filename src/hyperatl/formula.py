@@ -262,15 +262,18 @@ class _Parser(Cursor):
         return Atom(prop=prop, var=var)
 
 
-def _check_bindings(f: HyperFormula) -> None:
+def _check_bindings(f: HyperFormula) -> tuple[tuple[str, str], ...]:
+    """The body's atoms; a FormulaError if a path variable is bound twice or an atom's not at all."""
     seen = set()
     for q in f.block:
         if q.var in seen:
             raise FormulaError(f"path variable {q.var!r} bound twice")
         seen.add(q.var)
-    for prop, var in collect_atoms(f.body):
+    atoms = collect_atoms(f.body)
+    for prop, var in atoms:
         if var not in seen:
             raise FormulaError(f"unbound path variable {var!r} in atom {prop}{{{var}}}")
+    return atoms
 
 
 def parse_formula(text: str) -> HyperFormula:
@@ -454,8 +457,9 @@ def validate_fragment(f: HyperFormula, systems: Mapping[str, object]) -> Fragmen
 
     Every structure must expose ``agents`` (ordered names) and ``props``.
     A quantifier without an ``@`` annotation binds to the single structure
-    when only one is supplied.
+    when only one is supplied.  Bindings are checked as the parser does.
     """
+    atoms = _check_bindings(f)
     only = next(iter(systems)) if len(systems) == 1 else None
     var_to_copy: dict[str, int] = {}
     resolved = []
@@ -482,11 +486,8 @@ def validate_fragment(f: HyperFormula, systems: Mapping[str, object]) -> Fragmen
                 coalition = frozenset(names)
         var_to_copy[q.var] = idx
         resolved.append(ResolvedQuantifier(var=q.var, system=sys_id, coalition=coalition))
-    atoms = collect_atoms(f.body)
     atom_copy = {}
     for prop, var in atoms:
-        if var not in var_to_copy:
-            raise FormulaError(f"unbound path variable {var!r}")
         copy = var_to_copy[var]
         g = systems[resolved[copy].system]
         if prop not in g.props:

@@ -71,12 +71,11 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
     """One automaton state per subformula; fixpoint states loop on themselves.
 
     Availability-style operators get colour 1 (their loop must be left),
-    invariance-style operators colour 0; all other states colour 0.
+    invariance-style operators colour 0; all other states colour 0.  A node
+    outside negation normal form is refused when the walk meets it.
     """
     if atoms is None:
         atoms = F.collect_atoms(f)
-    if not F.is_nnf(f):
-        raise ValueError("input must be in negation normal form")
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_letters = 1 << len(atoms)
     colors: list[int] = []
@@ -116,7 +115,7 @@ def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> A
                 stay = _goto(len(trans))
                 row = _rowwise(lambda a: _and(a, stay), rh)
             case _:
-                raise TypeError(f"not an NNF node: {g!r}")
+                raise ValueError(f"input must be in negation normal form, got {g!r}")
         colors.append(1 if isinstance(g, (F.Until, F.Eventually)) else 0)
         trans.append(row)
         return len(trans) - 1
@@ -618,16 +617,23 @@ def _support(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> tuple[tuple[str, str
 def _gather(atoms: Sequence[tuple[str, str]], support: Sequence[tuple[str, str]]) -> list[int]:
     """Per letter over ``atoms``, its restriction to ``support``, a subsequence of ``atoms``.
 
-    Built by doubling, one list operation per atom: an atom outside the
-    support repeats the table, and support atom ``j`` appends a copy with
-    bit ``j`` set.  The least letter that restricts to a local letter sets
-    only support bits, and those least letters ascend with the local ones.
+    Support atom ``j`` maps to bit ``j`` and any other atom to nothing
+    (:func:`_letter_map`).  The least letter that restricts to a local
+    letter sets only support bits, and those least letters ascend with the
+    local ones.
     """
     bit = {a: 1 << j for j, a in enumerate(support)}
+    return _letter_map([bit.get(a, 0) for a in atoms])
+
+
+def _letter_map(images: Sequence[int]) -> list[int]:
+    """Per letter, the union of ``images[i]`` over its set bits ``i``, by doubling.
+
+    Bit ``i`` appends a copy of the table with ``images[i]`` set in each entry.
+    """
     table = [0]
-    for a in atoms:
-        b = bit.get(a)
-        table += table if b is None else list(map(b.__or__, table))
+    for b in images:
+        table += list(map(b.__or__, table)) if b else table
     return table
 
 

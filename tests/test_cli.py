@@ -122,6 +122,23 @@ def test_formula_file_with_explicit_bindings(tmp_path):
     assert run(config).verdict == "satisfied"
 
 
+def test_two_programs_are_each_quotiented_by_their_own_reads(tmp_path):
+    # the body is normalized by the translation alone (``->`` and ``<->``)
+    f = tmp_path / "two.hatl"
+    f.write_text(
+        "[ forall p1 @ G . exists p2 @ H . ] "
+        "(G (l[0]{p1} <-> l[0]{p2}) -> G (o[0]{p1} <-> o[0]{p2}))"
+    )
+    config = CheckConfig(
+        systems=[spec("p1.imp"), SystemSpec("H", str(bundled_asset("p2.imp")))],
+        formula_file=str(f),
+    )
+    report = run(config)
+    assert report.verdict == "satisfied"
+    assert (report.sizes["game.vertices"], report.sizes["game.edges"]) == (33, 38)
+    assert (report.sizes["system.G.classes"], report.sizes["system.H.classes"]) == (9, 24)
+
+
 def test_dumps_written_and_deterministic(tmp_path):
     paths = {
         "dpa": tmp_path / "dpa.dot",

@@ -13,8 +13,11 @@ from hyperatl.formula import (
     Forall,
     FormulaError,
     Globally,
+    HyperFormula,
+    Iff,
     Next,
     Not,
+    Quantifier,
     Release,
     TrueF,
     Until,
@@ -213,3 +216,21 @@ def test_validate_needs_default_for_unannotated():
     two = {"A": THREE_AGENTS, "B": THREE_AGENTS}
     with pytest.raises(FormulaError, match="no default"):
         validate_fragment(f, two)
+
+
+
+@pytest.mark.parametrize(
+    "variables, message",
+    [
+        # every p1 atom would read the last copy bound to p1
+        (("p1", "p1"), "path variable 'p1' bound twice"),
+        (("p2",), "unbound path variable 'p1'"),
+    ],
+    ids=["bound-twice", "unbound"],
+)
+def test_validate_checks_the_bindings_of_a_block_built_without_the_parser(variables, message):
+    o = Atom("o[0]", "p1")
+    block = tuple(Quantifier(spec, var) for spec, var in zip((Forall(), Exists()), variables))
+    f = HyperFormula(block, Globally(Iff(o, o)))
+    with pytest.raises(FormulaError, match=message):
+        validate_fragment(f, {"G": THREE_AGENTS})

@@ -19,26 +19,19 @@ from oracles import merge_moves_by_scan
 from test_arena_kernel import check_against_reference
 from hyperatl import arena, cli, structures
 from hyperatl.arena import build_game
-from hyperatl.formula import FragmentInfo, ResolvedQuantifier
 from hyperatl.ltl2dpa import ltl_to_dpa
 from hyperatl.solver import zielonka
 from hyperatl.structures import MSCGS, quotient
 
 
 def quotient_block(quants, atoms, atom_copy):
-    """The block as ``cli.run`` passes it to the arena: one system id, so one
-    quotient, per structure object."""
-    systems = {f"S{id(g)}": g for _, g in quants}
-    info = FragmentInfo(
-        quantifiers=tuple(
-            ResolvedQuantifier(f"p{i + 1}", f"S{id(g)}", coalition)
-            for i, (coalition, g) in enumerate(quants)
-        ),
-        atoms=atoms,
-        atom_copy=atom_copy,
-    )
-    bound = cli._quotients(systems, info)
-    return [(coalition, bound[f"S{id(g)}"]) for coalition, g in quants]
+    """The block as ``cli.run`` passes it to the arena: one quotient per
+    structure object, by the propositions of every atom its copies read."""
+    reads = {id(g): set() for _, g in quants}
+    for (prop, _), copy in atom_copy.items():
+        reads[id(quants[copy][1])].add(prop)
+    bound = {id(g): quotient(g, reads[id(g)]) for _, g in quants}
+    return [(coalition, bound[id(g)]) for coalition, g in quants]
 
 
 def widened(rng, g: MSCGS) -> MSCGS:

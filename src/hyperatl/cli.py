@@ -159,20 +159,22 @@ def _parse_transform(text: str, where: str = "") -> tuple:
 def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
     """``g`` under the transform ``t``; its states count against ``cap`` before any is built.
 
+    ``t`` is ``("stutter",)`` or ``("shift", k)``, ``k`` read by :func:`_int`.
     The stuttered twin has ``2n`` states, a frozen copy of each, and ``shift=k``
     adds ``k`` to the ``n`` states of ``g``.
     """
-    if t[0] == "stutter":
+    if t == ("stutter",):
         size = 2 * g.n_states
-    elif t[0] == "shift":
-        size = g.n_states + t[1]
+    elif type(t) is tuple and len(t) == 2 and t[0] == "shift":
+        k = _int(t[1], "shift")
+        size = g.n_states + k
     else:
-        raise ConfigError(f"unknown transform {t[0]!r}")
+        raise ConfigError(f"unknown transform {t!r}")
     if size > cap:
         raise StateCapError(f"state cap of {cap} exceeded")
-    if t[0] == "stutter":
+    if t == ("stutter",):
         return structures.stutter_transform(g)
-    return structures.shift_transform(g, t[1])
+    return structures.shift_transform(g, k)
 
 
 def _load_system(spec: SystemSpec, widths: dict, cap_states: int, observe) -> structures.MSCGS:
@@ -265,17 +267,19 @@ def run(config: CheckConfig) -> Report:
 def _run(config: CheckConfig) -> Report:
     if not config.systems:
         raise ConfigError("at least one --system binding is required")
-    caps = {"--cap-states": config.cap_states, "--cap-vertices": config.cap_vertices}
-    for what, cap in caps.items():
+    cap_states = _int(config.cap_states, "--cap-states")
+    cap_vertices = _int(config.cap_vertices, "--cap-vertices")
+    for what, cap in (("--cap-states", cap_states), ("--cap-vertices", cap_vertices)):
         if cap < 1:
             raise ConfigError(f"{what} must be at least 1, got {cap}")
+    widths = {k: _int(v, f"--width {k}") for k, v in config.widths.items()}
 
     t0 = time.perf_counter()
     twins: dict = {}
     if config.prop is not None:
         if len(config.systems) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
-        formula, twins = _builtin(config.prop, config.systems[0], config.formula_file, config.cap_states)
+        formula, twins = _builtin(config.prop, config.systems[0], config.formula_file, cap_states)
     elif config.formula_file is not None:
         formula = parse_formula(_read_text(config.formula_file, "formula").strip())
     else:
@@ -288,11 +292,11 @@ def _run(config: CheckConfig) -> Report:
         if spec.system_id in systems:
             raise ConfigError(f"system {spec.system_id!r} bound twice")
         systems[spec.system_id] = _load_system(
-            spec, config.widths, config.cap_states, observe.get(spec.system_id, ())
+            spec, widths, cap_states, observe.get(spec.system_id, ())
         )
     base = config.systems[0].system_id  # of every twin
     for sid, t in twins.items():
-        systems[sid] = _transform(systems[base], t, config.cap_states)
+        systems[sid] = _transform(systems[base], t, cap_states)
 
     for sid in sorted(config.dump_sys):
         if sid not in systems:
@@ -304,12 +308,11 @@ def _run(config: CheckConfig) -> Report:
     }
     t_build = time.perf_counter()
 
-    translate_stats: dict = {}
-    dpa = ltl2dpa.ltl_to_dpa(formula.body, info.atoms, cap=config.cap_states, stats=translate_stats)
+    dpa = ltl2dpa.ltl_to_dpa(formula.body, info.atoms, cap=cap_states)
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, bound[rq.system]) for rq in info.quantifiers]
-    built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
+    built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=cap_vertices)
     t_arena = time.perf_counter()
 
     solver_stats: dict = {}
@@ -321,10 +324,10 @@ def _run(config: CheckConfig) -> Report:
     winner_strategy = s0 if won else s1
 
     sizes = {
-        "apa.states": translate_stats["apa_states"],
-        "nba.states": translate_stats["nba_states"],
-        "dpa.determinized": int(translate_stats["determinized"]),
-        "dpa.safra_steps": translate_stats["safra_steps"],
+        "apa.states": dpa.apa_states,
+        "nba.states": dpa.nba_states,
+        "dpa.determinized": int(dpa.safra_steps > 0),
+        "dpa.safra_steps": dpa.safra_steps,
         "dpa.states": dpa.n_states,
         "dpa.colors": dpa.n_colors,
         "game.vertices": built.game.n_vertices,

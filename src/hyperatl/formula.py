@@ -387,23 +387,6 @@ def to_nnf(f: Ltl, negated: bool = False) -> Ltl:
     raise TypeError(f"not an LTL node: {f!r}")
 
 
-def is_nnf(f: Ltl) -> bool:
-    match f:
-        case Atom() | TrueF() | FalseF():
-            return True
-        case Not(Atom()):
-            return True
-        case Not(_):
-            return False
-        case Implies(_, _) | Iff(_, _):
-            return False
-        case And(l, r) | Or(l, r) | Until(l, r) | Release(l, r):
-            return is_nnf(l) and is_nnf(r)
-        case Next(g) | Globally(g) | Eventually(g):
-            return is_nnf(g)
-    raise TypeError(f"not an LTL node: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Atoms and fragment validation
 

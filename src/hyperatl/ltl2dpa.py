@@ -238,7 +238,12 @@ class DPA(_Automaton):
     every word, and None if the automaton leaves it undecided.  This class
     holds every row; a row of :class:`_ProductDPA` computes each entry
     when it is first read, until ``complete()`` fills it.
+
+    ``apa_states``, ``nba_states`` and ``safra_steps`` are the sizes of the
+    translation that built it (see :func:`ltl_to_dpa`), 0 where unset.
     """
+
+    apa_states = nba_states = safra_steps = 0
 
     def __init__(self, atoms, initial, colors, trans):
         super().__init__(atoms, initial, trans)
@@ -369,7 +374,6 @@ def nba_to_dpa(
     nba: NBA,
     cap: int = 10**6,
     classes: Optional[tuple[list[int], list[int]]] = None,
-    stats: Optional[dict] = None,
 ) -> DPA:
     """Determinize; the colour of a state reports the last transition's event.
 
@@ -384,7 +388,7 @@ def nba_to_dpa(
     representative (``classes`` as returned by ``_letter_classes``).  A step
     reads the letter only through the column of those bitmasks on the
     states the tree tracks, so it runs once per class whose column is new.
-    If ``stats`` is a dict it receives the number of steps as ``safra_steps``.
+    The DPA's ``safra_steps`` counts these steps.
     """
     cls, reps = _letter_classes(nba.trans) if classes is None else classes
     moves = [[_mask(row[letter]) for row in nba.trans] for letter in reps]
@@ -415,10 +419,9 @@ def nba_to_dpa(
 
     error = AutomatonCapError(f"state cap of {cap} exceeded in determinization")
     order, trans = explore(init_key, row_of, cap, error)
-    if stats is not None:
-        stats["safra_steps"] = steps
-    colors = [key[2] for key in order]
-    return DPA(nba.atoms, 0, colors, trans)
+    dpa = DPA(nba.atoms, 0, [key[2] for key in order], trans)
+    dpa.safra_steps = steps
+    return dpa
 
 
 def _mask(states: Iterable[int]) -> int:
@@ -693,11 +696,10 @@ class _Leaf:
     each letter of the product to its local letter (:func:`_gather`), and
     ``cls`` gives each product letter's class.  ``successor(s, c)`` steps
     state ``s`` on class ``c`` alone, when first asked; ``row(s)`` asks it
-    for every class, in class order.  ``counts["nba_states"]`` counts the
-    states numbered so far.
+    for every class, in class order.
     """
 
-    def __init__(self, apa: APA, gather: Sequence[int], cap: int, counts: dict):
+    def __init__(self, apa: APA, gather: Sequence[int], cap: int):
         local_cls, self.reps = _letter_classes(apa.trans)
         self.cls = list(map(local_cls.__getitem__, gather))
         self.trans = apa.trans
@@ -705,7 +707,7 @@ class _Leaf:
         self.trivial = sum(
             1 << q for q, row in enumerate(apa.trans) if all(t == _TRUE for t in row)
         )
-        self.cap, self.counts = cap, counts
+        self.cap = cap
         self.keys: list[tuple[int, ...]] = []
         self.succ: list[list[Optional[int]]] = []  # per state and class; None: not stepped
         self.rows: list[Optional[list[int]]] = []
@@ -731,7 +733,6 @@ class _Leaf:
                 self.succ.append([s if loops else None] * len(self.reps))
                 self.rows.append(None)
                 self.index[canonical] = s
-                self.counts["nba_states"] += 1
             self.index[key] = s
         return s
 
@@ -825,16 +826,15 @@ class _ProductDPA(DPA):
       combination, since it only sets the colour.
     """
 
-    def __init__(self, leaves, combination, fair, atoms, cap: int, stats: dict):
+    def __init__(self, leaves, combination, fair, atoms, cap: int):
         super().__init__(tuple(atoms), 0, [], [])
         self.sink: list[Optional[int]] = []
         self.leaves = []
-        stats["apa_states"] = stats["nba_states"] = 0
         for leaf, _negated in leaves:
             support = _support(leaf, atoms)
             apa = ltl_to_apa(leaf, support)
-            stats["apa_states"] += apa.n_states
-            self.leaves.append(_Leaf(apa, _gather(atoms, support), cap, stats))
+            self.apa_states += apa.n_states
+            self.leaves.append(_Leaf(apa, _gather(atoms, support), cap))
         self.negated = [neg for _leaf, neg in leaves]
         self.combination = combination
         # the hits over the atoms the G F conjuncts read, one pass per conjunct,
@@ -854,6 +854,10 @@ class _ProductDPA(DPA):
         self.seen_rows: dict = {}  # G F set -> per letter, that set with the letter's hits
         init = tuple(leaf.initial for leaf in self.leaves)
         self.initial = self._state(init, 0, self.full == 0)
+
+    @property
+    def nba_states(self) -> int:
+        return sum(len(leaf.keys) for leaf in self.leaves)
 
     def _state(self, states: tuple, seen: int, wrapped: bool) -> int:
         """The number of the canonical form of a state, numbered on first sight."""
@@ -941,7 +945,6 @@ def ltl_to_dpa(
     f: F.Ltl,
     atoms: Optional[Sequence[tuple[str, str]]] = None,
     cap: int = 10**6,
-    stats: Optional[dict] = None,
 ) -> DPA:
     """Normal form, then a deterministic automaton by one of three routes.
 
@@ -959,33 +962,27 @@ def ltl_to_dpa(
     skips determinization.  These two routes fill every row,
     are tidied (quotient, neutral colours for states on no cycle, a second
     quotient if that changed a colour, colour compression), and have their
-    sinks decided here by :func:`decided_states`.  If ``stats`` is a dict it
-    receives the state counts ``apa_states`` and ``nba_states``, whether the
-    chain ``determinized`` and its ``safra_steps`` (0 without
-    determinization).  On a product the counts are the states of the
-    leaves' APAs and of their safety automata, each summed over the leaves;
-    the second counts the states numbered so far, dead states included, and
-    grows while the product is stepped.
+    sinks decided here by :func:`decided_states`.  The returned DPA holds
+    the translation's sizes: ``apa_states`` and ``nba_states``, and
+    ``safra_steps``, 0 unless the chain determinized.  On a product the
+    counts are the states of the leaves' APAs and of their safety automata,
+    each summed over the leaves; the second counts the states numbered so
+    far, dead states included, and grows while the product is stepped.
     """
     nnf = F.to_nnf(f)
     if atoms is None:
         atoms = F.collect_atoms(nnf)
-    if stats is None:
-        stats = {}
-    stats["safra_steps"] = 0
-    stats["determinized"] = False
     parts = _obligation_parts(nnf, atoms)
     if parts is not None:
-        return _ProductDPA(*parts, atoms, cap, stats)
+        return _ProductDPA(*parts, atoms, cap)
     apa = ltl_to_apa(nnf, atoms)
     nba = apa_to_nba(apa, cap=cap)
-    stats["apa_states"], stats["nba_states"] = apa.n_states, nba.n_states
     classes = _letter_classes(nba.trans)
     if _is_deterministic(nba):
         dpa = deterministic_nba_to_dpa(nba)
     else:
-        stats["determinized"] = True
-        dpa = nba_to_dpa(nba, cap, classes, stats)
+        dpa = nba_to_dpa(nba, cap, classes)
+    steps = dpa.safra_steps
     reps = classes[1]
     # the DPA's columns are constant on the classes; both quotients stay:
     # quotienting only after neutralizing merges less, and the second one
@@ -995,6 +992,7 @@ def ltl_to_dpa(
     if neutral is not dpa:
         dpa = _quotient(neutral, reps)
     dpa = compress_colors(dpa)
+    dpa.apa_states, dpa.nba_states, dpa.safra_steps = apa.n_states, nba.n_states, steps
     _ = dpa.sink  # decided now, as part of the translation
     return dpa
 

@@ -1,9 +1,10 @@
 """Parity game solving with min-even winning convention.
 
 Player 0 wins a play iff the minimal priority occurring infinitely often is
-even.  Zielonka's solver peels the minimal priority and its attractor, on
-an explicit stack; each subgame's minimal priority comes from one grouping
-of the vertices by priority, and its attractors touch only the subgame.
+even.  Zielonka's solver peels the minimal priority and its attractor; each
+subgame is one generator, driven from an explicit stack, its minimal
+priority comes from one grouping of the vertices by priority, and its
+attractors touch only the subgame.
 """
 
 from __future__ import annotations
@@ -167,9 +168,10 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
 class _Solver:
     """The state of one :func:`zielonka` run.
 
-    ``solve`` runs Zielonka's recursive algorithm on one subgame, on an
-    explicit stack: a subgame is a set of vertices, and its attractors touch
-    only its vertices and their edges.  ``attract`` is the one attractor,
+    ``solve`` runs Zielonka's recursive algorithm on one subgame, one
+    :meth:`_subgame` generator per subgame, driven from an explicit stack: a
+    subgame is a set of vertices, and its attractors touch only its vertices
+    and their edges.  ``attract`` is the one attractor,
     used by the recursion and to spread the regions decided below a
     component into it.  ``preds`` lists the predecessors of each vertex: all
     of them, or, when the game is solved one component at a time, those in
@@ -227,87 +229,76 @@ class _Solver:
 
         The set ``vertices`` is consumed: it becomes part of the result.
         The vertices are grouped once into runs of equal priority, least
-        priority first, and no subgame is scanned for its least priority:
-        each frame holds the index of a run below which none of its
-        vertices lie, and steps past the runs that hold none of them; the
-        first run that does gives the least priority and its vertices.  The
-        first child starts after that run, since it has none of those
-        vertices, and the second at the same run, since it is part of the
-        subgame.
+        priority first.  Each subgame is a :meth:`_subgame` generator; the
+        stack holds one per subgame still open, so nesting is bounded by
+        memory, not by the recursion limit.  A generator yields the child
+        it needs solved, and the child's result is sent back to it.
         """
         priority = self.priority
         by_priority: dict = {}
         for v in vertices:
             by_priority.setdefault(priority[v], []).append(v)
         runs = [by_priority[m] for m in sorted(by_priority)]
-        # A frame is [phase, player, attr, strategy, extra, run]:
-        # - phase 0: attr is the subgame, not split yet, and none of its
-        #   vertices lies in a run before index run;
-        # - phase 1: waits for the subgame minus attr, the player's attractor
-        #   to the minimal priority (extra: the vertices of that priority,
-        #   whose run is now at index run);
-        # - phase 2: waits for the subgame minus attr, the opponent's
-        #   attractor to what they won in phase 1 (extra: the opponent's
-        #   strategy there).
-        stack = [[0, 0, vertices, None, None, 0]]
+        stack = [self._subgame(vertices, 0, runs)]
         result = None
         while stack:
-            frame = stack[-1]
-            phase, p = frame[0], frame[1]
-            if phase == 0:
-                self.calls += 1
-                sub, r = frame[2], frame[5]
-                if not sub:
-                    result = ([set(), set()], [{}, {}])
-                    stack.pop()
-                    continue
-                top = list(filter(sub.__contains__, runs[r]))
-                while not top:
-                    r += 1
-                    top = list(filter(sub.__contains__, runs[r]))
-                p = priority[top[0]] & 1
-                attr = set(top)
-                sub.difference_update(top)
-                strategy: dict = {}
-                if sub:
-                    self.attract(p, attr, sub, strategy)
-                if not sub:
-                    # the player's attractor to the minimal priority is everything
-                    result = self._won_by(p, attr, top, strategy, [{}, {}])
-                    stack.pop()
-                    continue
-                frame[:] = [1, p, attr, strategy, top, r]
-                stack.append([0, 0, sub, None, None, r + 1])
-            elif phase == 1:
-                (w, s), attr, strategy, top = result, frame[2], frame[3], frame[4]
-                if not w[1 - p]:
-                    region = _merge(w[p], attr)
-                    result = self._won_by(p, region, top, _merge(s[p], strategy), s)
-                    stack.pop()
-                    continue
-                # the opponent wins part: remove their attractor and repeat
-                rest = _merge(w[p], attr)
-                opponent_attr = w[1 - p]
-                escape: dict = {}
-                before = len(rest)
-                self.attract(1 - p, opponent_attr, rest, escape)
-                if len(rest) == before:
-                    # The attractor added nothing, so the repeat would solve
-                    # attr | w[p]: its attractor to the minimal priority is
-                    # attr again, and w[p] is left, which p wins entirely.
-                    result = self._won_by(p, rest, top, _merge(s[p], strategy), s)
-                    result[0][1 - p] = opponent_attr
-                    stack.pop()
-                    continue
-                frame[:5] = [2, p, opponent_attr, escape, s[1 - p]]
-                stack.append([0, 0, rest, None, None, frame[5]])
-            else:
-                (w, s), b, escape, earlier = result, frame[2], frame[3], frame[4]
-                o = 1 - p
-                w[o] = _merge(w[o], b)
-                s[o] = _merge(_merge(s[o], escape), earlier)
+            try:
+                child = stack[-1].send(result)
+            except StopIteration as done:
                 stack.pop()
+                result = done.value
+            else:
+                stack.append(self._subgame(*child, runs))
+                result = None
         return result
+
+    def _subgame(self, sub: set, r: int, runs: list):
+        """Zielonka's algorithm on ``sub``, none of whose vertices lies in a run before ``runs[r]``.
+
+        No subgame is scanned for its least priority: it steps past the runs
+        that hold none of its vertices, and the first run that does gives
+        the least priority and its vertices.  The first child starts after
+        that run, since it has none of those vertices, and the repeat at the
+        same run, since it is part of the subgame.  Yields each child as
+        ``(vertices, run)``; returns what :meth:`solve` does.
+        """
+        self.calls += 1
+        if not sub:
+            return [set(), set()], [{}, {}]
+        top = list(filter(sub.__contains__, runs[r]))
+        while not top:
+            r += 1
+            top = list(filter(sub.__contains__, runs[r]))
+        p = self.priority[top[0]] & 1
+        o = 1 - p
+        attr = set(top)
+        sub.difference_update(top)
+        strategy: dict = {}
+        if sub:
+            self.attract(p, attr, sub, strategy)
+        if not sub:
+            # the player's attractor to the minimal priority is everything
+            return self._won_by(p, attr, top, strategy, [{}, {}])
+        w, s = yield sub, r + 1
+        if not w[o]:
+            return self._won_by(p, _merge(w[p], attr), top, _merge(s[p], strategy), s)
+        # the opponent wins part: remove their attractor and repeat
+        rest = _merge(w[p], attr)
+        won, earlier = w[o], s[o]
+        escape: dict = {}
+        before = len(rest)
+        self.attract(o, won, rest, escape)
+        if len(rest) == before:
+            # The attractor added nothing, so the repeat would solve
+            # attr | w[p]: its attractor to the minimal priority is
+            # attr again, and w[p] is left, which p wins entirely.
+            w, s = self._won_by(p, rest, top, _merge(s[p], strategy), s)
+            w[o] = won
+            return w, s
+        w, s = yield rest, r
+        w[o] = _merge(w[o], won)
+        s[o] = _merge(_merge(s[o], escape), earlier)
+        return w, s
 
     def _won_by(self, p: int, region: set, top: list, strategy: dict, s: list):
         """The result for a subgame ``region`` that ``p`` wins entirely.

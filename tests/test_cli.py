@@ -539,6 +539,44 @@ def test_caps_below_one_are_usage_errors(capsys):
             assert f"{flag} must be at least 1, got {value}" in usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "given, meant",
+    [
+        ({"transforms": (("shift", "2"),)}, {"transforms": (("shift", 2),)}),
+        ({"widths": {"h": "2"}}, {"widths": {"h": 2}}),
+        ({"cap_states": "1000"}, {"cap_states": 1000}),
+        ({"transforms": (("shift",),)}, "unknown transform ('shift',)"),
+        ({"transforms": (("stutter", 1),)}, "unknown transform ('stutter', 1)"),
+        ({"transforms": (("shift", True),)}, "shift expects an integer, got True"),
+        ({"widths": {"h": 2.0}}, "--width h expects an integer, got 2.0"),
+        ({"cap_states": True}, "--cap-states expects an integer, got True"),
+        ({"cap_vertices": "many"}, "--cap-vertices expects an integer, got 'many'"),
+    ],
+    ids=[
+        "shift-string",
+        "width-string",
+        "cap-string",
+        "shift-without-distance",
+        "stutter-with-argument",
+        "shift-bool",
+        "width-float",
+        "cap-bool",
+        "cap-word",
+    ],
+)
+def test_api_config_is_read_like_the_command_line(given, meant):
+    """Caps, widths and shift distances are integers or decimal strings, as on the command line."""
+
+    def config(transforms=(), **fields):
+        return CheckConfig(systems=[spec("q1.imp", transforms)], prop="od", **fields)
+
+    if isinstance(meant, str):
+        with pytest.raises(ConfigError, match=re.escape(meant)):
+            run(config(**given))
+    else:
+        assert run(config(**given)).sizes == run(config(**meant)).sizes
+
+
 def test_unbound_dump_sys_is_rejected_before_any_dump(tmp_path, capsys):
     prog = str(bundled_asset("p1.imp"))
     argv = ["check", "--system", f"G={prog}", "--prop", "od", "--dump-sys", f"X={tmp_path / 'x.dot'}"]

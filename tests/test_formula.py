@@ -24,12 +24,25 @@ from hyperatl.formula import (
     collect_atoms,
     format_hyper,
     format_ltl,
-    is_nnf,
     parse_formula,
     parse_ltl,
     to_nnf,
     validate_fragment,
 )
+
+
+def is_nnf(f) -> bool:
+    """Negation on atoms only, and no implication or equivalence."""
+    match f:
+        case Not(g):
+            return isinstance(g, Atom)
+        case F.Implies() | Iff():
+            return False
+        case And(l, r) | F.Or(l, r) | Until(l, r) | Release(l, r):
+            return is_nnf(l) and is_nnf(r)
+        case Next(g) | Globally(g) | F.Eventually(g):
+            return is_nnf(g)
+    return True
 
 
 class FakeSystem:

@@ -388,9 +388,8 @@ def test_oracle_equivalence_sample():
     branches = set()
     for _ in range(150):
         f = random_ltl(rng, rng.randint(1, 6))
-        stats: dict = {}
-        dpa = ltl_to_dpa(f, ATOM_POOL, stats=stats)
-        branches.add(stats["determinized"])
+        dpa = ltl_to_dpa(f, ATOM_POOL)
+        branches.add(dpa.safra_steps > 0)
         for _ in range(5):
             pre, loop = random_lasso(rng, ATOM_POOL)
             assert dpa_accepts_lasso(dpa, pre, loop) == eval_lasso(f, pre, loop)
@@ -502,9 +501,8 @@ def test_obligation_product_agrees_with_oracle_and_determinization():
         f = random_obligation_body(rng, atoms)
         nnf = to_nnf(f)
         assert _obligation_parts(nnf, atoms) is not None, f
-        stats: dict = {}
-        dpa = ltl_to_dpa(f, atoms, stats=stats).complete()
-        assert stats["safra_steps"] == 0 and not stats["determinized"]
+        dpa = ltl_to_dpa(f, atoms).complete()
+        assert dpa.safra_steps == 0
         determinized = nba_to_dpa(apa_to_nba(ltl_to_apa(nnf, atoms)))
         for guide in (dpa, determinized):
             dead, _ = decided_states(guide)
@@ -537,8 +535,7 @@ def numbered(f, atoms, complete):
     ``complete()`` does.  The leaves' keys are compared too: a leaf
     numbered in another order gives the product the same table.
     """
-    stats: dict = {}
-    dpa = ltl_to_dpa(f, atoms, stats=stats)
+    dpa = ltl_to_dpa(f, atoms)
     if complete:
         trans = dpa.complete().trans
     else:
@@ -547,7 +544,7 @@ def numbered(f, atoms, complete):
             row = dpa.row(len(trans))
             trans.append([row[v] for v in range(dpa.n_letters)])
     leaf_keys = [leaf.keys for leaf in dpa.leaves]
-    return trans, dpa.colors, dpa.sink, stats["nba_states"], dpa.keys, leaf_keys
+    return trans, dpa.colors, dpa.sink, dpa.nba_states, dpa.keys, leaf_keys
 
 
 PRODUCT_BODIES = {
@@ -605,9 +602,8 @@ def test_product_read_letter_by_letter_walks_like_the_completed_one(seed):
 
 def product_tables(f, atoms):
     """A completed product's table, colours and sinks, and the sizes it counts."""
-    stats: dict = {}
-    dpa = ltl_to_dpa(f, atoms, stats=stats).complete()
-    return dpa.trans, dpa.colors, dpa.sink, stats["apa_states"], stats["nba_states"]
+    dpa = ltl_to_dpa(f, atoms).complete()
+    return dpa.trans, dpa.colors, dpa.sink, dpa.apa_states, dpa.nba_states
 
 
 def test_leaves_over_their_own_atoms_build_the_all_atoms_product(monkeypatch):
@@ -716,15 +712,14 @@ def test_safety_automaton_matches_the_breakpoint_route(seed, count, pool):
 
 def test_translation_sizes_of_builtin_bodies():
     for name, f in BUILTIN_BODIES.items():
-        stats: dict = {}
-        dpa = ltl_to_dpa(f, stats=stats).complete()
+        dpa = ltl_to_dpa(f).complete()
         got = (
-            stats["apa_states"],
-            stats["nba_states"],
+            dpa.apa_states,
+            dpa.nba_states,
             dpa.n_states,
             dpa.n_colors,
-            stats["determinized"],
-            stats["safra_steps"],
+            dpa.safra_steps > 0,
+            dpa.safra_steps,
         )
         assert got == BUILTIN_SIZES[name], name
 
@@ -794,14 +789,14 @@ def test_grouped_determinization_matches_per_letter_on_named_bodies(name):
 def test_wide_body_determinizes_per_letter_class():
     atoms = F.collect_atoms(to_nnf(AHLTL_12))
     assert len(atoms) == 12
-    stats: dict = {}
     start = time.perf_counter()
     nba = apa_to_nba(ltl_to_apa(to_nnf(AHLTL_12), atoms))
     classes = _letter_classes(nba.trans)
-    dpa = tidy(nba_to_dpa(nba, classes=classes, stats=stats), classes[1])
+    raw = nba_to_dpa(nba, classes=classes)
+    dpa = tidy(raw, classes[1])
     elapsed = time.perf_counter() - start
     # one step per letter and state would be 1,331,200
-    assert stats["safra_steps"] == 6133
+    assert raw.safra_steps == 6133
     assert elapsed < 5.0, f"translation took {elapsed:.1f} s"
     # the body is in the obligation ∧ G F class, so ltl_to_dpa takes the product
     product = ltl_to_dpa(AHLTL_12, atoms).complete()

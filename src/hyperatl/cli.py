@@ -267,6 +267,13 @@ def run(config: CheckConfig) -> Report:
 def _run(config: CheckConfig) -> Report:
     if not config.systems:
         raise ConfigError("at least one --system binding is required")
+    for what, value in (("--width", config.widths), ("--dump-sys", config.dump_sys)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{what} expects a mapping, got {value!r}")
+    for spec in config.systems:
+        if not isinstance(spec.transforms, (tuple, list)):
+            what = f"transforms of system {spec.system_id!r}"
+            raise ConfigError(f"{what} expect a tuple, got {spec.transforms!r}")
     cap_states = _int(config.cap_states, "--cap-states")
     cap_vertices = _int(config.cap_vertices, "--cap-vertices")
     for what, cap in (("--cap-states", cap_states), ("--cap-vertices", cap_vertices)):

@@ -5,7 +5,7 @@ A graph is a list ``succ`` of successor lists over the vertices
 initial key, :func:`scc` decomposes a graph into strongly connected
 components (a vertex on no cycle comes as a bare ``int``, every other
 component as a list), :func:`predecessors` inverts the edges, :func:`refine`
-computes the coarsest bisimulation that refines a partition, and
+computes the coarsest stable refinement of a partition (a bisimulation), and
 :func:`cycle_parities` says which parities of minimal priority the cycles
 through each vertex have (nested SCC decomposition as for parity word
 automata, King, Kupferman & Vardi, FoSSaCS 2001).  :func:`dot_string`
@@ -58,14 +58,17 @@ def predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return preds
 
 
-def refine(block: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
-    """The coarsest refinement of ``block`` in which equal blocks have equal rows of blocks.
+def refine(block: Sequence, rows: Sequence[Sequence[int]], sign: Optional[Callable] = None) -> list[int]:
+    """The coarsest refinement of ``block`` in which equal blocks have equal signatures.
 
-    ``block[v]`` is the initial block of vertex ``v`` and ``rows[v]`` lists
-    its successors in order.  Two vertices stay together iff they agree on
-    their block and, entry by entry, on the blocks of their rows: the
-    coarsest stable partition, a bisimulation.  The result numbers the
-    blocks 0, 1, ... in the order of their first vertex.
+    ``block[v]`` is the initial block of vertex ``v`` (any hashable value)
+    and ``rows[v]`` lists its successors in order.  The signature of ``v``
+    is the row of its successors' blocks, or ``sign(v, row)`` of that row.
+    Two vertices stay together iff they agree on their block and on their
+    signatures: one refinement reaches the coarsest stable partition, a
+    bisimulation for the plain rows, provided that vertices with equal
+    signatures keep them equal when blocks are joined.  The result numbers
+    the blocks 0, 1, ... in the order of their first vertex.
 
     A vertex whose block number changes marks its predecessors, and only
     marked vertices are signed again.  When a block splits, its largest part
@@ -80,8 +83,9 @@ def refine(block: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
         members[b].add(v)
     preds = predecessors(rows)
 
-    def signature(v: int) -> tuple:
-        return tuple([block[t] for t in rows[v]])
+    def signature(v: int):
+        row = [block[t] for t in rows[v]]
+        return tuple(row) if sign is None else sign(v, row)
 
     def move(part) -> None:
         new = len(members)

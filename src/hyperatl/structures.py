@@ -183,16 +183,16 @@ def shift_transform(g: MSCGS, k: int) -> MSCGS:
 def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
     """``g`` up to the bisimulation that respects every move vector, seen through ``props``.
 
-    Two states fall into one class iff they have equal labels restricted to
-    ``props``, equal decision slots, and successors in one class entry by
-    entry of their tables (:func:`graph.refine`).  Each class keeps the
-    slots, table and state name of its first state.  Then two moves of a
-    slot merge when their slices of the table lead to the same classes for
-    every choice of the other slots, so the merged slot keeps one move per
-    distinct slice.  Merged moves can make the slots of two classes equal,
-    so the classes are refined again from the merged slots until a pass
-    merges no move or no class: one call gives the coarsest quotient.
-    Labels and the proposition set are restricted to ``props``.
+    Two moves of a slot are alike when their slices of a state's table lead
+    to the same classes for every choice of the other slots, and merging
+    the alike moves leaves one move per distinct slice (:func:`_merge_moves`).
+    Two states fall into one class iff their labels restricted to ``props``
+    are equal and their merged slots and rows of classes are equal: one
+    :func:`graph.refine` from the partition by labels, signing each state
+    with its merged slots and row, reaches the coarsest such partition.
+    Each class keeps the state name of its first state and that state's
+    merged slots and row.  Labels and the proposition set are restricted
+    to ``props``.
 
     Mapping each state to its class and each move to the move that stands
     for it keeps the owner of every decision and the successor of every
@@ -203,44 +203,30 @@ def quotient(g: MSCGS, props: Iterable[str]) -> MSCGS:
     """
     keep = frozenset(props) & g.props
     labels = [lab & keep for lab in g.labels]
-    decisions, table, names, initial = g.decisions, g.table, g.state_names, g.initial
-    settled = None  # the class count after a pass that merged moves
-    while True:
-        kinds: dict = {}
-        block = refine([kinds.setdefault(key, len(kinds)) for key in zip(labels, decisions)], table)
-        first: dict[int, int] = {}
-        for s, b in enumerate(block):
-            first.setdefault(b, s)
-        if len(first) == settled:
-            break
-        reps = list(first.values())
-        merged = False
-        new_decisions, new_table = [], []
-        for s in reps:
-            slots, row = _merge_moves(decisions[s], [block[t] for t in table[s]])
-            merged |= slots is not decisions[s]
-            new_decisions.append(slots)
-            new_table.append(row)
-        labels, names = [labels[s] for s in reps], [names[s] for s in reps]
-        decisions, table, initial = new_decisions, new_table, block[initial]
-        if not merged:
-            break
-        settled = len(reps)
+    block = refine(labels, g.table, lambda s, row: _merge_moves(g.decisions[s], row))
+    first: dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    reps = list(first.values())
+    merged = [_merge_moves(g.decisions[s], [block[t] for t in g.table[s]]) for s in reps]
     return MSCGS(
         name=g.name,
         agents=g.agents,
         stages=dict(g.stages),
         props=keep,
-        labels=labels,
-        decisions=decisions,
-        table=table,
-        initial=initial,
-        state_names=names,
+        labels=[labels[s] for s in reps],
+        decisions=[slots for slots, _ in merged],
+        table=[row for _, row in merged],
+        initial=block[g.initial],
+        state_names=[g.state_names[s] for s in reps],
     )
 
 
 def _merge_moves(slots, row: list[int]) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
     """Keep, per slot, the first move of each distinct slice of ``row``."""
+    if len(set(row)) == len(row):
+        # no two entries agree, so no two moves can merge
+        return slots, tuple(row)
     strides, kept = [], []
     stride = len(row)
     for _, arity in slots:

@@ -13,7 +13,9 @@ together.  ``safety_automaton_via_nba`` builds a safety leaf's
 deterministic automaton the long way, through the checker's breakpoint
 automaton, so it judges the direct subset construction on antichains.
 ``merge_moves_by_scan`` is the structure quotient's move merge as first
-written, scanning the whole successor row once per move of each slot.
+written, scanning the whole successor row once per move of each slot, and
+``quotient_by_rounds`` is the structure quotient as a greatest fixpoint:
+rounds of merged signatures over every state until the partition is stable.
 
 The ``text_*`` builders assemble each builtin property as formula text over
 lists of output, low and high propositions and parse it; ``props`` builds
@@ -42,6 +44,7 @@ from hyperatl.ltl2dpa import (
     deterministic_nba_to_dpa,
 )
 from hyperatl.solver import ParityGame, WinningRegions
+from hyperatl.structures import MSCGS
 
 Assignment = Mapping[tuple[str, str], bool]
 
@@ -546,3 +549,42 @@ def merge_moves_by_scan(slots, row: list[int]) -> tuple[tuple, tuple[int, ...]]:
         row[sum(m * st for m, st in zip(moves, strides))] for moves in itertools.product(*kept)
     )
     return tuple((agent, len(k)) for (agent, _), k in zip(slots, kept)), new_row
+
+
+def quotient_by_rounds(g: MSCGS, props) -> tuple[MSCGS, list[int]]:
+    """The quotient of ``g`` seen through ``props``, by signature rounds, and each state's class.
+
+    The first partition is by labels restricted to ``props``.  Each round
+    numbers every state by its block and by its slots and row of blocks with
+    alike moves merged (:func:`merge_moves_by_scan`), until a round splits no
+    block.  Each class keeps its first state's name and merged slots and row.
+    """
+    keep = frozenset(props) & g.props
+    labels = [lab & keep for lab in g.labels]
+    kinds: dict = {}
+    block = [kinds.setdefault(lab, len(kinds)) for lab in labels]
+    while True:
+        merged = [
+            merge_moves_by_scan(g.decisions[s], [block[t] for t in g.table[s]])
+            for s in range(g.n_states)
+        ]
+        signatures: dict = {}
+        new = [signatures.setdefault((block[s], merged[s]), len(signatures)) for s in range(g.n_states)]
+        if new == block:
+            break
+        block = new
+    first: dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    reps = list(first.values())
+    return MSCGS(
+        name=g.name,
+        agents=g.agents,
+        stages=dict(g.stages),
+        props=keep,
+        labels=[labels[s] for s in reps],
+        decisions=[merged[s][0] for s in reps],
+        table=[merged[s][1] for s in reps],
+        initial=block[g.initial],
+        state_names=[g.state_names[s] for s in reps],
+    ), block

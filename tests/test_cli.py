@@ -551,6 +551,10 @@ def test_caps_below_one_are_usage_errors(capsys):
         ({"widths": {"h": 2.0}}, "--width h expects an integer, got 2.0"),
         ({"cap_states": True}, "--cap-states expects an integer, got True"),
         ({"cap_vertices": "many"}, "--cap-vertices expects an integer, got 'many'"),
+        ({"widths": [("h", 2)]}, "--width expects a mapping, got [('h', 2)]"),
+        ({"transforms": None}, "transforms of system 'G' expect a tuple, got None"),
+        ({"transforms": "stutter"}, "transforms of system 'G' expect a tuple, got 'stutter'"),
+        ({"dump_sys": [("G", "x")]}, "--dump-sys expects a mapping, got [('G', 'x')]"),
     ],
     ids=[
         "shift-string",
@@ -562,10 +566,15 @@ def test_caps_below_one_are_usage_errors(capsys):
         "width-float",
         "cap-bool",
         "cap-word",
+        "widths-list",
+        "transforms-none",
+        "transforms-string",
+        "dump-sys-list",
     ],
 )
 def test_api_config_is_read_like_the_command_line(given, meant):
-    """Caps, widths and shift distances are integers or decimal strings, as on the command line."""
+    """Caps, widths and shift distances are integers or decimal strings, as on the command line,
+    and a config whose widths, transforms or dumps have the wrong shape is a usage error."""
 
     def config(transforms=(), **fields):
         return CheckConfig(systems=[spec("q1.imp", transforms)], prop="od", **fields)

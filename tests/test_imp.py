@@ -428,8 +428,9 @@ def canonical(g):
     return g.agents, g.props, rows
 
 
-# A full build whose first refinement keeps 9 classes: merging the moves of
-# its reads makes the slots of some classes equal, and refining again gives 7.
+# A full build whose quotient has 7 classes, one of which joins states with
+# different slots once their moves merge; refining by the slots as loaded
+# keeps 9 classes.
 SETTLES_LATE = (
     "var x:2; var y:3; var z:2; if (*) { y := false @ !x; } else { y := false @ !x; } "
     "y := x[1] @ (x[0] & y[1]) @ z[0]; if (*) { while (true) { y := read_L; z := x; z := read_L; } "

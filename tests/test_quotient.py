@@ -14,24 +14,39 @@ import json
 import random
 
 import reference_arena
-from conftest import random_dpa, random_ltl, random_structure
-from oracles import merge_moves_by_scan
+from conftest import random_dpa, random_ltl, random_program, random_structure
+from oracles import merge_moves_by_scan, quotient_by_rounds
 from test_arena_kernel import check_against_reference
 from hyperatl import arena, cli, structures
 from hyperatl.arena import build_game
+from hyperatl.imp import StateCapError, build_cgs, parse_program
 from hyperatl.ltl2dpa import ltl_to_dpa
 from hyperatl.solver import zielonka
-from hyperatl.structures import MSCGS, quotient
+from hyperatl.structures import MSCGS, quotient, shift_transform, stutter_transform
+
+
+def block_reads(quants, atom_copy) -> dict[int, set]:
+    """Per structure object of the block, by ``id``: the propositions of every atom its copies read."""
+    reads = {id(g): set() for _, g in quants}
+    for (prop, _), copy in atom_copy.items():
+        reads[id(quants[copy][1])].add(prop)
+    return reads
 
 
 def quotient_block(quants, atoms, atom_copy):
     """The block as ``cli.run`` passes it to the arena: one quotient per
     structure object, by the propositions of every atom its copies read."""
-    reads = {id(g): set() for _, g in quants}
-    for (prop, _), copy in atom_copy.items():
-        reads[id(quants[copy][1])].add(prop)
+    reads = block_reads(quants, atom_copy)
     bound = {id(g): quotient(g, reads[id(g)]) for _, g in quants}
     return [(coalition, bound[id(g)]) for coalition, g in quants]
+
+
+def joined_slot_classes(g: MSCGS, block) -> int:
+    """The classes of ``block`` that hold states of ``g`` with different slots."""
+    slots: dict[int, set] = {}
+    for s, b in enumerate(block):
+        slots.setdefault(b, set()).add(g.decisions[s])
+    return sum(len(kinds) > 1 for kinds in slots.values())
 
 
 def widened(rng, g: MSCGS) -> MSCGS:
@@ -79,8 +94,10 @@ def initial_winner(built):
 
 
 def test_random_blocks_keep_their_winner():
+    """Among the blocks are those whose quotient joins states with different
+    slots, which only merging their moves can make alike."""
     rng = random.Random(1206)
-    shared = smaller = 0
+    shared = smaller = joined = 0
     for _ in range(3000):
         quants, dpa, atoms, atom_copy = random_block(rng)
         raw = build_game(quants, dpa, atoms, atom_copy)
@@ -88,7 +105,11 @@ def test_random_blocks_keep_their_winner():
         assert initial_winner(raw) == initial_winner(reduced)
         shared += len({id(g) for _, g in quants}) < len(quants)
         smaller += reduced.game.n_vertices < raw.game.n_vertices
-    assert shared >= 1000 and smaller >= 400
+        reads = block_reads(quants, atom_copy)
+        joined += any(
+            joined_slot_classes(g, quotient_by_rounds(g, reads[id(g)])[1]) for _, g in quants
+        )
+    assert shared >= 1000 and smaller >= 400 and joined >= 400, (shared, smaller, joined)
 
 
 def bisimulation(a, b) -> list[int]:
@@ -231,6 +252,62 @@ def test_moves_merge_only_when_equal_for_every_co_move():
     q = quotient(g, set())
     assert q.n_states == 2
     assert q.decisions[0] == (("a", 1), ("b", 1)) and q.table[0] == (1,)
+
+
+def test_states_with_different_slots_join_when_their_moves_merge():
+    """With nothing read, one class holding both states is stable: s0's two
+    moves then lead to one class and merge, which leaves s0 the slots and
+    row of s1.  Splitting the states by their slots first stops at 2 classes."""
+    g = MSCGS(
+        name="S",
+        agents=("a0",),
+        stages={"a0": 0},
+        props=frozenset({"x"}),
+        labels=[frozenset({"x"}), frozenset()],
+        decisions=[(("a0", 2),), (("a0", 1),)],
+        table=[(1, 0), (0,)],
+        initial=0,
+        state_names=["s0", "s1"],
+    )
+    q = quotient(g, set())
+    assert q.n_states == 1 and q.state_names == ["s0"] and q.initial == 0
+    assert q.decisions == [(("a0", 1),)] and q.table == [(0,)]
+    # reading x tells the states apart, and then s0's moves stay apart too
+    assert quotient(g, {"x"}) == g
+
+
+def test_quotient_matches_merged_signature_rounds_on_random_structures():
+    """Three agents of up to three moves each, their slots in stage order or
+    shuffled; the quotient equals the greatest fixpoint of the rounds exactly."""
+    rng = random.Random(4242)
+    joined = 0
+    for i in range(1500):
+        g = random_structure(rng, max_agents=3, max_arity=3, shuffle_slots=i % 2 == 1)
+        props = {p for p in ("x", "y") if rng.random() < 0.5}
+        want, block = quotient_by_rounds(g, props)
+        assert quotient(g, props) == want, (g, props)
+        joined += joined_slot_classes(g, block)
+    assert joined >= 150, joined
+
+
+def test_quotient_matches_merged_signature_rounds_on_random_programs():
+    """Each program as built, stuttered and shifted, seen through a random set of its bits."""
+    rng = random.Random(4243)
+    built = joined = 0
+    while built < 200:
+        widths, prog = parse_program(random_program(rng, names="xyz"[: rng.randint(1, 3)]))
+        try:
+            g = build_cgs(prog, widths, cap=2000)
+        except StateCapError:
+            continue
+        built += 1
+        bits = [f"{x}[{i}]" for x, w in widths.items() for i in range(w)]
+        props = set(rng.sample(bits, rng.randint(0, len(bits))))
+        for h in (g, stutter_transform(g), shift_transform(g, rng.randint(1, 3))):
+            want, block = quotient_by_rounds(h, props)
+            assert quotient(h, props) == want, (h.name, props)
+            joined += joined_slot_classes(h, block)
+    assert joined >= 40, joined
 
 
 def test_move_merge_matches_the_scan_per_move():

@@ -51,11 +51,11 @@ from functools import cached_property
 from operator import getitem, mul
 from typing import Mapping, Optional, Sequence
 
-from .graph import dot_string
+from .graph import dot_string, letter_map
 
 # the values of ``DPA.sink`` are the keys of the two decided sinks, both
 # negative; every other vertex key is >= 0
-from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN, _letter_map
+from .ltl2dpa import DPA, LOSE as _LOSE, WIN as _WIN
 from .record import field, record
 from .solver import ParityGame
 from .structures import MSCGS
@@ -311,7 +311,7 @@ def _copy_swap(
         if other is None:
             return None
         partner.append(1 << other)
-    perm = _letter_map(partner)  # the letter with the copies' atoms swapped
+    perm = letter_map(partner)  # the letter with the copies' atoms swapped
     dpa.complete()
     colors, trans, sink = dpa.colors, dpa.trans, dpa.sink
     sigma = [-1] * dpa.n_states

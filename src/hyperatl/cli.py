@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -238,7 +239,7 @@ def _builtin(prop: str, spec: SystemSpec, body_file: Optional[str], cap: int) ->
 
 
 def _formula_reads(formula: HyperFormula, specs: list[SystemSpec], twins: dict) -> dict[str, set]:
-    """Per system id, the propositions of the atoms whose quantifier binds it.
+    """Per system id, each of ``specs`` included, the propositions of the atoms bound to it.
 
     A twin's atoms count for its base, the one system of ``specs``.  Each
     program is built for its entry, and each bound system, or twin of it,
@@ -246,7 +247,7 @@ def _formula_reads(formula: HyperFormula, specs: list[SystemSpec], twins: dict) 
     """
     default = specs[0].system_id if len(specs) == 1 else None
     system_of = {q.var: default if q.system in twins else q.system or default for q in formula.block}
-    reads: dict[str, set] = {}
+    reads: dict[str, set] = {spec.system_id: set() for spec in specs}
     for prop, var in collect_atoms(formula.body):
         reads.setdefault(system_of.get(var), set()).add(prop)
     return reads
@@ -265,15 +266,30 @@ def run(config: CheckConfig) -> Report:
 
 
 def _run(config: CheckConfig) -> Report:
-    if not config.systems:
+    specs = config.systems
+    if not specs:
         raise ConfigError("at least one --system binding is required")
+    if not isinstance(specs, (list, tuple)) or not all(isinstance(s, SystemSpec) for s in specs):
+        raise ConfigError(f"--system expects a list of SystemSpec, got {specs!r}")
+    if not isinstance(config.prop, (str, type(None))):
+        raise ConfigError(f"--prop expects a string, got {config.prop!r}")
     for what, value in (("--width", config.widths), ("--dump-sys", config.dump_sys)):
         if not isinstance(value, dict):
             raise ConfigError(f"{what} expects a mapping, got {value!r}")
-    for spec in config.systems:
+    paths = [(f"--dump-sys {sid}", path) for sid, path in config.dump_sys.items()]
+    for i, spec in enumerate(specs):
         if not isinstance(spec.transforms, (tuple, list)):
             what = f"transforms of system {spec.system_id!r}"
             raise ConfigError(f"{what} expect a tuple, got {spec.transforms!r}")
+        if any(s.system_id == spec.system_id for s in specs[:i]):
+            raise ConfigError(f"system {spec.system_id!r} bound twice")
+        paths.append((f"program of system {spec.system_id!r}", spec.program_path))
+    files = {"--formula": config.formula_file, "--dump-dpa": config.dump_dpa}
+    files.update({"--dump-game": config.dump_game, "--report": config.report_path})
+    paths += [(flag, path) for flag, path in files.items() if path is not None]
+    for what, path in paths:
+        if not isinstance(path, (str, os.PathLike)):
+            raise ConfigError(f"{what} expects a path (str or os.PathLike), got {path!r}")
     cap_states = _int(config.cap_states, "--cap-states")
     cap_vertices = _int(config.cap_vertices, "--cap-vertices")
     for what, cap in (("--cap-states", cap_states), ("--cap-vertices", cap_vertices)):
@@ -284,24 +300,18 @@ def _run(config: CheckConfig) -> Report:
     t0 = time.perf_counter()
     twins: dict = {}
     if config.prop is not None:
-        if len(config.systems) != 1:
+        if len(specs) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
-        formula, twins = _builtin(config.prop, config.systems[0], config.formula_file, cap_states)
+        formula, twins = _builtin(config.prop, specs[0], config.formula_file, cap_states)
     elif config.formula_file is not None:
         formula = parse_formula(_read_text(config.formula_file, "formula").strip())
     else:
         raise ConfigError("either --formula or --prop is required")
 
     # each program is built once, for the propositions its quantifiers and its twins' read
-    observe = _formula_reads(formula, config.systems, twins)
-    systems: dict[str, structures.MSCGS] = {}
-    for spec in config.systems:
-        if spec.system_id in systems:
-            raise ConfigError(f"system {spec.system_id!r} bound twice")
-        systems[spec.system_id] = _load_system(
-            spec, widths, cap_states, observe.get(spec.system_id, ())
-        )
-    base = config.systems[0].system_id  # of every twin
+    observe = _formula_reads(formula, specs, twins)
+    systems = {s.system_id: _load_system(s, widths, cap_states, observe[s.system_id]) for s in specs}
+    base = specs[0].system_id  # of every twin
     for sid, t in twins.items():
         systems[sid] = _transform(systems[base], t, cap_states)
 
@@ -557,10 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
-            widths = {}
-            for w in args.width:
-                var, n = _key_value(w, "--width", "VAR=N")
-                widths[var] = _int(n, f"--width {var}")
+            widths = dict(_key_value(w, "--width", "VAR=N") for w in args.width)
             dump_sys = dict(_key_value(d, "--dump-sys", "ID=FILE") for d in args.dump_sys)
             config = CheckConfig(
                 systems=[_parse_system(s) for s in args.system],

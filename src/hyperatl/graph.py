@@ -8,8 +8,9 @@ component as a list), :func:`predecessors` inverts the edges, :func:`refine`
 computes the coarsest stable refinement of a partition (a bisimulation), and
 :func:`cycle_parities` says which parities of minimal priority the cycles
 through each vertex have (nested SCC decomposition as for parity word
-automata, King, Kupferman & Vardi, FoSSaCS 2001).  :func:`dot_string`
-quotes a name or label for the DOT exporters.
+automata, King, Kupferman & Vardi, FoSSaCS 2001).  :func:`letter_map`
+tabulates a map of bitmask letters, and :func:`dot_string` quotes a name
+or label for the DOT exporters.
 """
 
 from __future__ import annotations
@@ -221,6 +222,14 @@ def cycle_parities(succ: Sequence[Sequence[int]], priority: Sequence[int]) -> li
                 if rest:
                     pending.append(rest)
     return bits
+
+
+def letter_map(images: Sequence[int]) -> list[int]:
+    """Per letter over ``len(images)`` bits, the union of ``images[i]`` over its set bits ``i``."""
+    table = [0]
+    for b in images:  # bit i appends a copy of the table with images[i] set in each entry
+        table += list(map(b.__or__, table)) if b else table
+    return table
 
 
 def dot_string(text: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Union
 
-from .graph import explore
+from .graph import explore, letter_map
 from .lexer import Cursor, ParseError
 from .record import field, record
 from .structures import MSCGS
@@ -204,18 +204,6 @@ Program = Union[Assign, ReadH, ReadL, IfExpr, IfStar, While, Seq]
 def _sequence(stmts: tuple):
     """The program that runs ``stmts`` (no ``Seq`` among them, at least one) in order."""
     return stmts[0] if len(stmts) == 1 else Seq(stmts)
-
-
-def _read_values(live: int) -> list[int]:
-    """Each value that sets only ``live`` bits.
-
-    Lexicographic with 0 < 1 over the live bits; the lowest bit is most significant.
-    """
-    values = [0]
-    for i in reversed(range(live.bit_length())):
-        if live >> i & 1:
-            values += [v | 1 << i for v in values]
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +489,8 @@ def build_cgs(
         # a read's 2^k successors are distinct states; 2^k > cap iff k >= cap.bit_length()
         if keep.bit_count() >= cap.bit_length():
             raise cap_error
-        reads[at] = _read_values(keep)
+        # every value setting only kept bits, lexicographic with the lowest bit most significant
+        reads[at] = letter_map([1 << i for i in range(keep.bit_length())[::-1] if keep >> i & 1])
         return reads[at]
 
     def row_of(key, number) -> tuple[int, ...]:

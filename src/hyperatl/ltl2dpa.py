@@ -12,7 +12,7 @@ A body that is an obligation (an ∧/∨ combination of safety and co-safety
 formulas) conjoined with ``G F`` literals skips the chain for the whole
 body: each maximal safety or co-safety subformula gets a deterministic
 automaton by one subset construction on its alternating automaton over the
-atoms it reads, over antichains of state sets and one letter class at a
+atoms it reads, over antichains of state sets and one local letter at a
 time, and their product, with the ``G F`` conjuncts degeneralized by a
 set, is a DPA with colours {0, 1}.  The product and its leaves are built
 on demand, one transition when the arena first reads it, and kept
@@ -29,7 +29,7 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from . import formula as F
-from .graph import cycle_parities, dot_string, explore, predecessors, refine
+from .graph import cycle_parities, dot_string, explore, letter_map, predecessors, refine
 
 
 class AutomatonCapError(Exception):
@@ -67,15 +67,13 @@ class APA(_Automaton):
         self.colors = colors  # per state, 0 or 1
 
 
-def ltl_to_apa(f: F.Ltl, atoms: Optional[Sequence[tuple[str, str]]] = None) -> APA:
+def ltl_to_apa(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> APA:
     """One automaton state per subformula; fixpoint states loop on themselves.
 
     Availability-style operators get colour 1 (their loop must be left),
     invariance-style operators colour 0; all other states colour 0.  A node
     outside negation normal form is refused when the walk meets it.
     """
-    if atoms is None:
-        atoms = F.collect_atoms(f)
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_letters = 1 << len(atoms)
     colors: list[int] = []
@@ -621,23 +619,12 @@ def _gather(atoms: Sequence[tuple[str, str]], support: Sequence[tuple[str, str]]
     """Per letter over ``atoms``, its restriction to ``support``, a subsequence of ``atoms``.
 
     Support atom ``j`` maps to bit ``j`` and any other atom to nothing
-    (:func:`_letter_map`).  The least letter that restricts to a local
+    (:func:`graph.letter_map`).  The least letter that restricts to a local
     letter sets only support bits, and those least letters ascend with the
     local ones.
     """
     bit = {a: 1 << j for j, a in enumerate(support)}
-    return _letter_map([bit.get(a, 0) for a in atoms])
-
-
-def _letter_map(images: Sequence[int]) -> list[int]:
-    """Per letter, the union of ``images[i]`` over its set bits ``i``, by doubling.
-
-    Bit ``i`` appends a copy of the table with ``images[i]`` set in each entry.
-    """
-    table = [0]
-    for b in images:
-        table += list(map(b.__or__, table)) if b else table
-    return table
+    return letter_map([bit.get(a, 0) for a in atoms])
 
 
 def _first_letter_truth(f: F.Ltl, atoms: Sequence[tuple[str, str]]) -> Optional[list[bool]]:
@@ -691,25 +678,24 @@ class _Leaf:
     Henzinger & Raskin, CAV 2006).  APA states that are true on every
     letter are left out of the sets.  The empty antichain ``()`` is dead and
     ``(0,)``, a run tree with nothing pending, accepts every word; both loop
-    on every letter.  The APA reads only the leaf's own atoms, and its local
-    letters are partitioned once by its columns; the ``gather`` table maps
-    each letter of the product to its local letter (:func:`_gather`), and
-    ``cls`` gives each product letter's class.  ``successor(s, c)`` steps
-    state ``s`` on class ``c`` alone, when first asked; ``row(s)`` asks it
-    for every class, in class order.
+    on every letter.  The APA reads only the leaf's own atoms, each through
+    a literal state whose row splits on it, so no two local letters move
+    its states alike; the ``gather`` table maps each letter of the product
+    to its local letter (:func:`_gather`).  ``successor(s, v)`` steps
+    state ``s`` on local letter ``v`` alone, when first asked; ``row(s)``
+    asks it for every local letter, in order.
     """
 
     def __init__(self, apa: APA, gather: Sequence[int], cap: int):
-        local_cls, self.reps = _letter_classes(apa.trans)
-        self.cls = list(map(local_cls.__getitem__, gather))
+        self.gather = gather
+        self.n_local = apa.n_letters
         self.trans = apa.trans
-        self.members = range(apa.n_states)
         self.trivial = sum(
             1 << q for q, row in enumerate(apa.trans) if all(t == _TRUE for t in row)
         )
         self.cap = cap
         self.keys: list[tuple[int, ...]] = []
-        self.succ: list[list[Optional[int]]] = []  # per state and class; None: not stepped
+        self.succ: list[list[Optional[int]]] = []  # per state and local letter; None: not stepped
         self.rows: list[Optional[list[int]]] = []
         self.index: dict = {}
         self.initial = self.number((1 << apa.initial,))
@@ -730,18 +716,17 @@ class _Leaf:
                     )
                 self.keys.append(canonical)
                 loops = canonical == () or canonical == _TRUE
-                self.succ.append([s if loops else None] * len(self.reps))
+                self.succ.append([s if loops else None] * self.n_local)
                 self.rows.append(None)
                 self.index[canonical] = s
             self.index[key] = s
         return s
 
-    def _step(self, x: int, c: int) -> tuple[int, ...]:
-        """The antichain of successor sets of the set ``x`` on class ``c``."""
-        v = self.reps[c]
+    def _step(self, x: int, v: int) -> tuple[int, ...]:
+        """The antichain of successor sets of the set ``x`` on local letter ``v``."""
         joined = 0
         choices = []
-        for q in self.members:
+        for q in range(x.bit_length()):
             if x >> q & 1:
                 got = self.trans[q][v]
                 if len(got) == 1:
@@ -756,22 +741,22 @@ class _Leaf:
             functools.reduce(operator.or_, combo, joined) for combo in itertools.product(*choices)
         )
 
-    def successor(self, s: int, c: int) -> int:
-        """The successor of state ``s`` on the letters of class ``c``."""
+    def successor(self, s: int, v: int) -> int:
+        """The successor of state ``s`` on local letter ``v``."""
         succ = self.succ[s]
-        t = succ[c]
+        t = succ[v]
         if t is None:
-            sets = [self._step(x, c) for x in self.keys[s]]
+            sets = [self._step(x, v) for x in self.keys[s]]
             key = sets[0] if len(sets) == 1 else _minimal(itertools.chain(*sets))
-            t = succ[c] = self.number(key)
+            t = succ[v] = self.number(key)
         return t
 
     def row(self, s: int) -> list[int]:
-        """Per letter, the successor of state ``s``; steps every class not yet stepped."""
+        """Per product letter, the successor of ``s``; steps each local letter not yet stepped."""
         row = self.rows[s]
         if row is None:
-            succ = [self.successor(s, c) for c in range(len(self.reps))]
-            row = self.rows[s] = list(map(succ.__getitem__, self.cls))
+            succ = [self.successor(s, v) for v in range(self.n_local)]
+            row = self.rows[s] = list(map(succ.__getitem__, self.gather))
         return row
 
 
@@ -779,8 +764,8 @@ class _Entries(dict):
     """Per letter, the successor of one product state, found when the letter is first read.
 
     The column of a letter is the ``G F`` set with the letter's hits, then
-    each leaf's successor on the letter's class (-1 stays -1); its state
-    comes from the product's memo of columns, shared with the full rows.
+    each leaf's successor on the letter's local letter (-1 stays -1); its
+    state comes from the product's memo of columns, shared with the full rows.
     """
 
     def __init__(self, product: "_ProductDPA", states: tuple, seen: int):
@@ -790,7 +775,7 @@ class _Entries(dict):
     def __missing__(self, letter: int) -> int:
         product = self.product
         column = (self.seen | product.hits[letter],) + tuple(
-            leaf.successor(s, leaf.cls[letter]) if s >= 0 else -1
+            leaf.successor(s, leaf.gather[letter]) if s >= 0 else -1
             for leaf, s in zip(product.leaves, self.states)
         )
         self[letter] = q = product._successor(column)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,23 @@ def test_letter_rejects_unknown_proposition():
     atoms = (("stut", "p1"),)
     with pytest.raises(ArenaError, match="stut"):
         build_game([(frozenset({"a"}), g)], universal_dpa(atoms), atoms, {atoms[0]: 0})
+
+
+@pytest.mark.parametrize(
+    "coalitions, copy, message",
+    [
+        (["b"], 0, "coalition agents ['b'] not present in 'one'"),
+        ([], None, "at least one quantifier is required"),
+        (["a"], 1, "atom ('o[0]', 'p1') mapped to copy 1 out of range"),
+    ],
+    ids=["unknown-agent", "empty-block", "copy-out-of-range"],
+)
+def test_malformed_block_is_refused(coalitions, copy, message):
+    g = one_state_structure(props=frozenset({"o[0]"}))
+    atoms = () if copy is None else (("o[0]", "p1"),)
+    quants = [(frozenset({agent}), g) for agent in coalitions]
+    with pytest.raises(ArenaError, match=re.escape(message)):
+        build_game(quants, universal_dpa(atoms), atoms, {atom: copy for atom in atoms})
 
 
 def test_letter_mixed_assignment():

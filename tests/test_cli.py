@@ -495,6 +495,24 @@ def test_ignored_builtin_input_is_a_usage_error(capsys, tmp_path, prop, with_for
     assert message in usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--prop", "ahltl:2"], "--prop ahltl:n needs --formula with the quantifier-free body"),
+        (["--prop", "od", "--width", "h"], "--width expects VAR=N, got 'h'"),
+        (["--formula", "{formula}", "--system", "G={program}"], "system 'G' bound twice"),
+    ],
+    ids=["ahltl-without-formula", "width-without-value", "system-bound-twice"],
+)
+def test_incomplete_check_arguments_are_usage_errors(capsys, tmp_path, args, message):
+    prog = str(bundled_asset("p1.imp"))
+    formula = tmp_path / "f.hatl"
+    formula.write_text("[ forall p1 . forall p2 . ] G (o[0]{p1} <-> o[0]{p2})")
+    argv = ["check", "--system", f"G={prog}"]
+    argv += [a.format(formula=formula, program=prog) for a in args]
+    assert message in usage_error(capsys, argv)
+
+
 def test_non_integer_width_is_a_usage_error(capsys):
     prog = str(bundled_asset("q1.imp"))
     argv = ["check", "--system", f"G={prog}", "--prop", "od", "--width", "h=abc"]
@@ -539,6 +557,29 @@ def test_caps_below_one_are_usage_errors(capsys):
             assert f"{flag} must be at least 1, got {value}" in usage_error(capsys, argv)
 
 
+def api_config(transforms=(), **fields):
+    """A check of ``od`` on ``q1.imp``, with ``fields`` in place of the defaults."""
+    fields = {"systems": [spec("q1.imp", transforms)], "prop": "od", **fields}
+    return CheckConfig(**fields)
+
+
+# configs that failed with a traceback, each refused with a one-line ConfigError instead
+PATH_TYPE = "expects a path (str or os.PathLike), got"
+SHAPE_ERRORS = {
+    "systems-pairs": (
+        {"systems": [("G", "q1.imp")]},
+        "--system expects a list of SystemSpec, got [('G', 'q1.imp')]",
+    ),
+    "systems-string": ({"systems": "G"}, "--system expects a list of SystemSpec, got 'G'"),
+    "prop-int": ({"prop": 5}, "--prop expects a string, got 5"),
+    "formula-int": ({"prop": None, "formula_file": 5}, f"--formula {PATH_TYPE} 5"),
+    "program-int": ({"systems": [SystemSpec("G", 5)]}, f"program of system 'G' {PATH_TYPE} 5"),
+    "dump-dpa-int": ({"dump_dpa": 5}, f"--dump-dpa {PATH_TYPE} 5"),
+    "report-int": ({"report_path": 7}, f"--report {PATH_TYPE} 7"),
+    "dump-sys-int": ({"dump_sys": {"G": 5}}, f"--dump-sys G {PATH_TYPE} 5"),
+}
+
+
 @pytest.mark.parametrize(
     "given, meant",
     [
@@ -555,6 +596,8 @@ def test_caps_below_one_are_usage_errors(capsys):
         ({"transforms": None}, "transforms of system 'G' expect a tuple, got None"),
         ({"transforms": "stutter"}, "transforms of system 'G' expect a tuple, got 'stutter'"),
         ({"dump_sys": [("G", "x")]}, "--dump-sys expects a mapping, got [('G', 'x')]"),
+        ({"systems": [SystemSpec("G", bundled_asset("q1.imp"))]}, {}),
+        *SHAPE_ERRORS.values(),
     ],
     ids=[
         "shift-string",
@@ -570,20 +613,27 @@ def test_caps_below_one_are_usage_errors(capsys):
         "transforms-none",
         "transforms-string",
         "dump-sys-list",
+        "program-pathlike",
+        *SHAPE_ERRORS,
     ],
 )
 def test_api_config_is_read_like_the_command_line(given, meant):
     """Caps, widths and shift distances are integers or decimal strings, as on the command line,
-    and a config whose widths, transforms or dumps have the wrong shape is a usage error."""
-
-    def config(transforms=(), **fields):
-        return CheckConfig(systems=[spec("q1.imp", transforms)], prop="od", **fields)
-
+    a path is a ``str`` or an ``os.PathLike``, and a config whose systems, property, widths,
+    transforms, paths or dumps have the wrong shape is a one-line usage error."""
     if isinstance(meant, str):
-        with pytest.raises(ConfigError, match=re.escape(meant)):
-            run(config(**given))
+        with pytest.raises(ConfigError, match=re.escape(meant)) as refused:
+            run(api_config(**given))
+        assert "\n" not in str(refused.value)
     else:
-        assert run(config(**given)).sizes == run(config(**meant)).sizes
+        assert run(api_config(**given)).sizes == run(api_config(**meant)).sizes
+
+
+@pytest.mark.parametrize("given, meant", SHAPE_ERRORS.values(), ids=list(SHAPE_ERRORS))
+def test_a_config_of_the_wrong_shape_is_refused_before_any_program_is_read(monkeypatch, given, meant):
+    monkeypatch.setattr(cli, "_load_system", lambda *args: pytest.fail("a program was read"))
+    with pytest.raises(ConfigError, match=re.escape(meant)):
+        run(api_config(**given))
 
 
 def test_unbound_dump_sys_is_rejected_before_any_dump(tmp_path, capsys):

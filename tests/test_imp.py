@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -42,6 +43,11 @@ def test_parse_guard_width_rejected():
 def test_parse_undeclared_variable_rejected():
     with pytest.raises(ProgramError, match="undeclared"):
         parse_program("var x:1; y := true;")
+
+
+def test_width_override_for_undeclared_variable_rejected():
+    with pytest.raises(ProgramError, match=re.escape("width override for undeclared variable(s): ['y']")):
+        parse_program("var x:1; x := x;", width_overrides={"x": 2, "y": 2})
 
 
 def test_parse_p1_shape():

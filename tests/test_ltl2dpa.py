@@ -649,7 +649,43 @@ def test_leaf_rows_span_only_the_atoms_the_leaf_reads(name):
         n = len(F.collect_atoms(leaf))
         assert n < len(atoms)
         assert {len(row) for row in built.trans} == {2**n}
-        assert len(built.cls) == dpa.n_letters
+        assert len(built.gather) == dpa.n_letters
+
+
+def chain_body(n):
+    """The body of the ``ahltl:n`` scale rows: low inputs equal => outputs equal, reads aligned."""
+
+    def equal(p):
+        return " & ".join(f"({p}[0]{{p{i}}} <-> {p}[0]{{p{i + 1}}})" for i in range(1, n))
+
+    return ahltl_body(f"(G ({equal('l')}) -> G ({equal('o')})) & G ({equal('r')})", n)
+
+
+def test_no_two_local_letters_of_a_leaf_share_a_class():
+    """A safety leaf steps every local letter on its own, with no letter
+    partition: each atom it reads has a literal state whose row splits on
+    that atom, so the partition by columns would be the identity.  Over
+    the obligation bodies of the builtins and the chain bodies of
+    ``ahltl:2`` to ``ahltl:5``, and over random obligation bodies."""
+    named = [f for name, f in BUILTIN_BODIES.items() if name not in ("fg", "response")]
+    named += [props.expand_sgni(k, "G", f"G_shift{k}").body for k in (1, 2)]
+    named += [chain_body(n) for n in (2, 3, 4, 5)]
+    rng = random.Random(83)
+    randoms = [random_obligation_body(rng, WIDE_POOL) for _ in range(300)]
+    counts = {}
+    for kind, bodies in (("named", named), ("random", randoms)):
+        counts[kind] = []
+        for f in bodies:
+            nnf = to_nnf(f)
+            atoms = F.collect_atoms(nnf) if kind == "named" else WIDE_POOL
+            for leaf, _negated in _obligation_parts(nnf, atoms)[0]:
+                support = ltl2dpa._support(leaf, atoms)
+                cls, reps = _letter_classes(ltl_to_apa(leaf, support).trans)
+                assert reps == list(range(1 << len(support))) and cls == reps, leaf
+                counts[kind].append(len(reps))
+    # leaves read up to 6 atoms
+    assert len(counts["named"]) == 24 and max(counts["named"]) == 64, counts["named"]
+    assert len(counts["random"]) >= 450 and max(counts["random"]) == 64, counts["random"]
 
 
 def test_product_respects_the_state_cap():
@@ -726,8 +762,8 @@ def test_translation_sizes_of_builtin_bodies():
 
 # -- determinization per letter class ------------------------------------------
 
-def ahltl_body(text):
-    return props.expand_ahltl(3, parse_ltl(text), "G_stut").body
+def ahltl_body(text, n=3):
+    return props.expand_ahltl(n, parse_ltl(text), "G_stut").body
 
 
 # 3 copies with stutter atoms: 8 and 12 atoms

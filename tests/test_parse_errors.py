@@ -71,6 +71,7 @@ PROGRAM_ERRORS = [
     ("var x : 1;\nx := y;", "2:6: undeclared variable 'y'"),
     ("var x : 1;\nx := x & (x @ x);", "2:8: operand widths differ (1 vs 2)"),
     ("var x : 1;\nx := x[3];", "2:8: bit index 3 out of range for width 1"),
+    ("var x : 1;\nx := x & ;", "2:10: expected expression"),
     ("var x : 1;\nx := x[²];", "2:8: unexpected character '²'"),
     ("var Ⅷ : 1;\nx := x;", "1:5: unexpected character 'Ⅷ'"),
     pytest.param(f"var x : {LONG};\nx := x;", "1:9: number too long (5000 digits)", id="long width"),

@@ -112,6 +112,61 @@ def test_random_blocks_keep_their_winner():
     assert shared >= 1000 and smaller >= 400 and joined >= 400, (shared, smaller, joined)
 
 
+def reowned(rng, g: MSCGS) -> MSCGS:
+    """``g`` with a twin of each state: its label and row, each slot handed to the next agent.
+
+    Agent ``a_i``'s slot goes to ``a_{i+1}``, cyclically, and each successor
+    entry leads to the state it names or to that state's twin at random.
+    So a state and its twin have equal rows of classes wherever the twins
+    are joined, but other owners wherever a slot has a choice.
+    """
+    n = g.n_states
+    after = {a: g.agents[(i + 1) % len(g.agents)] for i, a in enumerate(g.agents)}
+    return MSCGS(
+        name=g.name,
+        agents=g.agents,
+        stages=g.stages,
+        props=g.props,
+        labels=g.labels * 2,
+        decisions=g.decisions + [tuple((after[a], k) for a, k in slots) for slots in g.decisions],
+        table=[tuple(t + n * rng.randint(0, 1) for t in row) for row in g.table * 2],
+        initial=0,
+        state_names=g.state_names + [f"{name}'" for name in g.state_names],
+    )
+
+
+def equal_rows_other_owners(g: MSCGS, block) -> int:
+    """Pairs of a state and its twin in two classes whose merged rows of classes are equal."""
+    n = g.n_states // 2
+    merge = structures._merge_moves
+    rows = [merge(g.decisions[s], [block[t] for t in g.table[s]])[1] for s in range(2 * n)]
+    return sum(block[s] != block[s + n] and rows[s] == rows[s + n] for s in range(n))
+
+
+def test_twins_with_other_owners_keep_their_winner():
+    """A state and its twin differ only in who chooses, which a quotient
+    must keep apart: over the quotient, the winner of the initial vertex
+    is the winner over the loaded structure."""
+    rng = random.Random(1208)
+    pairs = 0
+    for _ in range(600):
+        g = random_structure(rng, max_states=3, shuffle_slots=True)
+        while len(g.agents) < 2:
+            g = random_structure(rng, max_states=3, shuffle_slots=True)
+        g = reowned(rng, g)
+        k = rng.randint(1, 2)
+        quants = [(frozenset(a for a in g.agents if rng.random() < 0.5), g) for _ in range(k)]
+        atoms = tuple((p, f"p{i + 1}") for i in range(k) for p in ("x", "y") if rng.random() < 0.6)
+        atom_copy = {atom: int(atom[1][1:]) - 1 for atom in atoms}
+        dpa = random_dpa(rng, atoms, max_states=4)
+        raw = build_game(quants, dpa, atoms, atom_copy)
+        reduced = build_game(quotient_block(quants, atoms, atom_copy), dpa, atoms, atom_copy)
+        assert initial_winner(raw) == initial_winner(reduced)
+        reads = block_reads(quants, atom_copy)[id(g)]
+        pairs += equal_rows_other_owners(g, quotient_by_rounds(g, reads)[1])
+    assert pairs >= 300, pairs
+
+
 def bisimulation(a, b) -> list[int]:
     """Coarsest bisimulation on the disjoint union of games ``a`` and ``b``.
 

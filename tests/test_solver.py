@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_game
 from oracles import brute_force_solve
-from hyperatl.solver import ParityGame, verify_strategy, zielonka
+from hyperatl.solver import ParityGame, WinningRegions, verify_strategy, zielonka
 
 
 def single(priority):
@@ -85,6 +85,23 @@ def test_verify_rejects_odd_cycle_below_an_even_minimum():
     assert regions.w0 == frozenset({0, 1, 2})
     assert verify_strategy(g, regions, s0, s1)
     assert not verify_strategy(g, regions, {0: 1, 2: 1}, s1)
+
+
+def test_verify_rejects_a_won_vertex_its_strategy_misses():
+    g = single(0)
+    regions, s0, s1 = zielonka(g)
+    assert regions.w0 == frozenset({0}) and verify_strategy(g, regions, s0, s1)
+    assert not verify_strategy(g, regions, {}, s1)
+
+
+def test_verify_rejects_a_region_the_opponent_can_leave():
+    # player 1 owns both vertices and wins both from the odd loop on 1;
+    # a claim that player 0 wins vertex 0 fails, as player 1 moves to 1
+    g = ParityGame(succ=[[1], [1]], owner=[1, 1], priority=[0, 1])
+    regions, s0, s1 = zielonka(g)
+    assert regions.w1 == frozenset({0, 1}) and verify_strategy(g, regions, s0, s1)
+    claimed = WinningRegions(w0=frozenset({0}), w1=frozenset({1}))
+    assert not verify_strategy(g, claimed, {}, {1: 1})
 
 
 def test_verify_vacuous_on_empty_region():

@@ -61,6 +61,46 @@ def test_validate_flags_agent_with_two_slots():
     assert validate(g) == [("error", "two decision slots for agent 'a'", 0)]
 
 
+def two_states():
+    """Two states: ``a`` chooses between both at ``s0``, and ``s1`` loops."""
+    return MSCGS(
+        name="two",
+        agents=("a",),
+        stages={"a": 0},
+        props=frozenset({"x"}),
+        labels=[frozenset(), frozenset({"x"})],
+        decisions=[(("a", 2),), (("a", 1),)],
+        table=[(0, 1), (1,)],
+        initial=0,
+        state_names=["s0", "s1"],
+    )
+
+
+def with_fields(g, **fields):
+    values = {name: getattr(g, name) for name in MSCGS.__match_args__}
+    return MSCGS(**{**values, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, diagnostic",
+    [
+        ({"initial": 2}, ("error", "initial state 2 out of range", None)),
+        ({"decisions": [(("b", 2),), (("a", 1),)]}, ("error", "decision slot for unknown agent 'b'", 0)),
+        ({"decisions": [(("a", 2),), (("a", 0),)]}, ("error", "decision slot with arity < 1", 1)),
+        ({"table": [(0, 1, 1), (1,)]}, ("error", "successor table has 3 entries, expected 2", 0)),
+        ({"table": [(0, 2), (1,)]}, ("error", "successor 2 out of range", 0)),
+        (
+            {"labels": [frozenset({"y"}), frozenset({"x"})]},
+            ("error", "labels not in the proposition set: ['y']", 0),
+        ),
+    ],
+    ids=["initial", "unknown-agent", "arity", "table-size", "successor", "labels"],
+)
+def test_validate_flags_each_malformed_part(fields, diagnostic):
+    assert validate(two_states()) == []
+    assert validate(with_fields(two_states(), **fields)) == [diagnostic]
+
+
 def test_stutter_one_state_loop():
     g = self_loop(labels=frozenset({"x"}), props=frozenset({"x"}))
     gs = stutter_transform(g)

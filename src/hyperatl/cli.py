@@ -157,23 +157,28 @@ def _parse_transform(text: str, where: str = "") -> tuple:
     raise ConfigError(f"{where}unknown transform {text!r}")
 
 
+def _shift_distance(t) -> Optional[int]:
+    """The ``k`` of the transform ``("shift", k)``, read by :func:`_int`; None for ``("stutter",)``.
+
+    Any other transform is a ConfigError.
+    """
+    if t == ("stutter",):
+        return None
+    if type(t) is tuple and len(t) == 2 and t[0] == "shift":
+        return _int(t[1], "shift")
+    raise ConfigError(f"unknown transform {t!r}")
+
+
 def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
     """``g`` under the transform ``t``; its states count against ``cap`` before any is built.
 
-    ``t`` is ``("stutter",)`` or ``("shift", k)``, ``k`` read by :func:`_int`.
     The stuttered twin has ``2n`` states, a frozen copy of each, and ``shift=k``
     adds ``k`` to the ``n`` states of ``g``.
     """
-    if t == ("stutter",):
-        size = 2 * g.n_states
-    elif type(t) is tuple and len(t) == 2 and t[0] == "shift":
-        k = _int(t[1], "shift")
-        size = g.n_states + k
-    else:
-        raise ConfigError(f"unknown transform {t!r}")
-    if size > cap:
+    k = _shift_distance(t)
+    if (2 * g.n_states if k is None else g.n_states + k) > cap:
         raise StateCapError(f"state cap of {cap} exceeded")
-    if t == ("stutter",):
+    if k is None:
         return structures.stutter_transform(g)
     return structures.shift_transform(g, k)
 
@@ -281,6 +286,8 @@ def _run(config: CheckConfig) -> Report:
         if not isinstance(spec.transforms, (tuple, list)):
             what = f"transforms of system {spec.system_id!r}"
             raise ConfigError(f"{what} expect a tuple, got {spec.transforms!r}")
+        for t in spec.transforms:
+            _shift_distance(t)
         if any(s.system_id == spec.system_id for s in specs[:i]):
             raise ConfigError(f"system {spec.system_id!r} bound twice")
         paths.append((f"program of system {spec.system_id!r}", spec.program_path))

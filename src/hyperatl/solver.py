@@ -86,10 +86,20 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     priority once, and each subgame finds its least priority from there
     (see :meth:`_Solver.solve`), not by scanning its vertices.
 
+    When a subgame's child leaves the opponent a region ``w[o]``, the
+    opponent's attractor to it runs before the repeat.  The player's part
+    ``w[p]`` of the child is a trap for the opponent there, so only a vertex
+    of ``attr``, the player's attractor to the least priority, can be the
+    first one attracted.  If ``attr`` holds fewer vertices than ``w[o]``,
+    the attractor is seeded from ``attr``'s successors and walks only the
+    predecessors of the vertices it adds; otherwise it walks those of every
+    vertex of ``w[o]`` (see :meth:`_Solver.attract`).  Both add the same
+    vertices.
+
     If ``stats`` is given, it receives ``calls``, the number of subgames
     solved, and ``attractor_edges``, the predecessor edges the attractors
-    visited; a subgame whose vertices all have its least priority runs no
-    attractor.
+    visited plus the successor edges their seeding passes scanned; a
+    subgame whose vertices all have its least priority runs no attractor.
     """
     game.check()
     n = game.n_vertices
@@ -185,7 +195,7 @@ class _Solver:
         self.calls = 0
         self.edges = 0
 
-    def attract(self, player: int, attr: set, rest: set, strategy: dict) -> None:
+    def attract(self, player: int, attr: set, rest: set, strategy: dict, border=None) -> None:
         """Move to ``attr`` the vertices of ``rest`` that ``player`` can force into it.
 
         The subgame is ``attr | rest`` and stays so; an opponent's edge out
@@ -194,17 +204,54 @@ class _Solver:
         listed edges stays in ``rest`` and the opponent's edges into it are
         escapes.  Attracted vertices of ``player`` get the edge they use in
         ``strategy``.
+
+        Without ``border``, the predecessors of every vertex of ``attr`` are
+        walked.  With it, they are not: ``border`` must hold every vertex of
+        ``rest`` that ``player`` can force into ``attr`` in one step.  One
+        pass over the successors of ``border`` finds those vertices, and
+        counts the other opponent vertices' edges into ``rest``; after it,
+        only the predecessors of vertices added in this call are walked, and
+        an opponent vertex first met there counts its edges into ``rest``
+        and into the vertices added, never those into ``attr``.  Zielonka's
+        repeat passes the player's attractor to the least priority as
+        ``border`` when it holds fewer vertices than ``attr``, the region
+        ``player`` won in the child: the rest of ``rest`` is the other
+        player's part of the child, a trap for ``player`` there, so none of
+        its vertices can be forced into ``attr`` in one step.
         """
         succ, preds, owner = self.succ, self.preds, self.owner
-        todo = list(attr)
         escapes: dict[int, int] = {}
+        # todo lists, and walked holds, the vertices whose predecessors are walked
+        if border is None:
+            todo = list(attr)
+            walked = attr
+        else:
+            todo = []
+            for v in border:
+                if owner[v] == player:
+                    for t in succ[v]:
+                        if t in attr:
+                            strategy[v] = t
+                            todo.append(v)
+                            break
+                else:
+                    left = 0
+                    for t in succ[v]:
+                        if t in rest:
+                            left += 1
+                    if left:
+                        escapes[v] = left
+                    else:
+                        todo.append(v)
+            rest.difference_update(todo)
+            walked = set(todo)
         for u in todo:
             for v in preds[u]:
                 if v not in rest:
                     continue
                 if owner[v] == player:
                     rest.discard(v)
-                    attr.add(v)
+                    walked.add(v)
                     strategy[v] = u
                     todo.append(v)
                     continue
@@ -212,17 +259,21 @@ class _Solver:
                 if left is None:
                     left = 0
                     for t in succ[v]:
-                        if t in rest or t in attr:
+                        if t in rest or t in walked:
                             left += 1
                 left -= 1
                 if left:
                     escapes[v] = left
                 else:
                     rest.discard(v)
-                    attr.add(v)
+                    walked.add(v)
                     todo.append(v)
+        if walked is not attr:
+            attr.update(walked)
         if self.count:
             self.edges += sum(map(len, map(preds.__getitem__, todo)))
+            if border is not None:
+                self.edges += sum(map(len, map(succ.__getitem__, border)))
 
     def solve(self, vertices: set):
         """Winning regions ``[w0, w1]`` and strategies ``[s0, s1]`` of a subgame.
@@ -283,11 +334,14 @@ class _Solver:
         if not w[o]:
             return self._won_by(p, _merge(w[p], attr), top, _merge(s[p], strategy), s)
         # the opponent wins part: remove their attractor and repeat
-        rest = _merge(w[p], attr)
         won, earlier = w[o], s[o]
+        # w[p] is a trap for o in the child, so only a vertex of attr can be
+        # the first one o attracts: a small attr is the cheaper seed
+        border = list(attr) if len(attr) < len(won) else None
+        rest = _merge(w[p], attr)
         escape: dict = {}
         before = len(rest)
-        self.attract(o, won, rest, escape)
+        self.attract(o, won, rest, escape, border)
         if len(rest) == before:
             # The attractor added nothing, so the repeat would solve
             # attr | w[p]: its attractor to the minimal priority is

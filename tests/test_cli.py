@@ -563,7 +563,7 @@ def api_config(transforms=(), **fields):
     return CheckConfig(**fields)
 
 
-# configs that failed with a traceback, each refused with a one-line ConfigError instead
+# configs of the wrong shape, each refused with a one-line ConfigError before any program is read
 PATH_TYPE = "expects a path (str or os.PathLike), got"
 SHAPE_ERRORS = {
     "systems-pairs": (
@@ -577,6 +577,9 @@ SHAPE_ERRORS = {
     "dump-dpa-int": ({"dump_dpa": 5}, f"--dump-dpa {PATH_TYPE} 5"),
     "report-int": ({"report_path": 7}, f"--report {PATH_TYPE} 7"),
     "dump-sys-int": ({"dump_sys": {"G": 5}}, f"--dump-sys G {PATH_TYPE} 5"),
+    "shift-without-distance": ({"transforms": (("shift",),)}, "unknown transform ('shift',)"),
+    "stutter-with-argument": ({"transforms": (("stutter", 1),)}, "unknown transform ('stutter', 1)"),
+    "shift-bool": ({"transforms": (("shift", True),)}, "shift expects an integer, got True"),
 }
 
 
@@ -586,9 +589,6 @@ SHAPE_ERRORS = {
         ({"transforms": (("shift", "2"),)}, {"transforms": (("shift", 2),)}),
         ({"widths": {"h": "2"}}, {"widths": {"h": 2}}),
         ({"cap_states": "1000"}, {"cap_states": 1000}),
-        ({"transforms": (("shift",),)}, "unknown transform ('shift',)"),
-        ({"transforms": (("stutter", 1),)}, "unknown transform ('stutter', 1)"),
-        ({"transforms": (("shift", True),)}, "shift expects an integer, got True"),
         ({"widths": {"h": 2.0}}, "--width h expects an integer, got 2.0"),
         ({"cap_states": True}, "--cap-states expects an integer, got True"),
         ({"cap_vertices": "many"}, "--cap-vertices expects an integer, got 'many'"),
@@ -603,9 +603,6 @@ SHAPE_ERRORS = {
         "shift-string",
         "width-string",
         "cap-string",
-        "shift-without-distance",
-        "stutter-with-argument",
-        "shift-bool",
         "width-float",
         "cap-bool",
         "cap-word",

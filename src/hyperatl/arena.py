@@ -426,7 +426,7 @@ def build_game(
         raise VertexCapError(f"vertex cap of {cap} exceeded")
     keys = [initial_key]
     index = {initial_key: 0}
-    succ: list[list[int]] = []
+    succ: list[tuple[int, ...]] = []  # rows as tuples, which the game keeps as they are
     owner: list[int] = []
     priority: list[int] = []
     n_entered = n_sink = 0  # vertices first reached by an automaton step; sinks
@@ -435,7 +435,7 @@ def build_game(
             n_sink += 1
             owner.append(0)
             priority.append(1 if key == _LOSE else 0)
-            succ.append([vid])
+            succ.append((vid,))
             continue
         hi, rest = divmod(key, size)
         q, phase = divmod(hi, nph)
@@ -476,7 +476,7 @@ def build_game(
                 if swap is not None:
                     index[swap(nk)] = t
             row.append(t)
-        succ.append(row)
+        succ.append(tuple(row))
         if fires:
             n_entered += len(keys)
 

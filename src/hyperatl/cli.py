@@ -153,20 +153,23 @@ def _parse_transform(text: str, where: str = "") -> tuple:
     if text == "stutter":
         return ("stutter",)
     if isinstance(text, str) and text.startswith("shift="):
-        return ("shift", _int(text.split("=", 1)[1], f"{where}shift"))
+        return ("shift", _shift_distance(("shift", text.split("=", 1)[1]), where))
     raise ConfigError(f"{where}unknown transform {text!r}")
 
 
-def _shift_distance(t) -> Optional[int]:
+def _shift_distance(t, where: str = "") -> Optional[int]:
     """The ``k`` of the transform ``("shift", k)``, read by :func:`_int`; None for ``("stutter",)``.
 
-    Any other transform is a ConfigError.
+    A distance below 1, or any other transform, is a ConfigError.
     """
     if t == ("stutter",):
         return None
     if type(t) is tuple and len(t) == 2 and t[0] == "shift":
-        return _int(t[1], "shift")
-    raise ConfigError(f"unknown transform {t!r}")
+        k = _int(t[1], f"{where}shift")
+        if k < 1:
+            raise ConfigError(f"{where}shift needs a distance of at least 1, got {k}")
+        return k
+    raise ConfigError(f"{where}unknown transform {t!r}")
 
 
 def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:

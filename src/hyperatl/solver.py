@@ -17,12 +17,23 @@ from .record import record
 
 @record
 class ParityGame:
-    """Explicit two-player game; every vertex must have a successor and owner 0 or 1."""
+    """Explicit two-player game; every vertex must have a successor and owner 0 or 1.
 
-    succ: list[list[int]]
+    ``succ`` holds one tuple of successors per vertex.  Rows given as lists
+    (or any other sequences) are copied to tuples once, when the game is
+    made; a row that is a tuple already is kept as it is.  CPython's cyclic
+    garbage collector stops tracking a tuple of ints once a collection has
+    seen it, so the rows of a long-lived game cost later collections
+    nothing.
+    """
+
+    succ: tuple[tuple[int, ...], ...]
     owner: list[int]
     priority: list[int]
     initial: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "succ", tuple(map(tuple, self.succ)))
 
     @property
     def n_vertices(self) -> int:
@@ -155,6 +166,10 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
                     seeds[p].add(v)
                     if p:
                         escapes.append(t)
+        # the component's rows stay until the game is solved: as tuples, the
+        # cyclic collector stops walking them
+        for v in comp:
+            preds[v] = tuple(preds[v])
         rest = set(comp).difference(seeds[0])
         if seeds[0]:
             # the edge of a player-1 seed into player 1's region, outside
@@ -395,7 +410,7 @@ def verify_strategy(
     """
     for player, strategy in ((0, strategy0), (1, strategy1)):
         region = regions.w0 if player == 0 else regions.w1
-        edges: list[list[int]] = [[] for _ in range(game.n_vertices)]
+        edges: list = [()] * game.n_vertices
         for v in region:
             if game.owner[v] == player:
                 if v not in strategy:
@@ -403,11 +418,11 @@ def verify_strategy(
                 t = strategy[v]
                 if t not in game.succ[v] or t not in region:
                     return False
-                edges[v] = [t]
+                edges[v] = (t,)
             else:
                 if any(t not in region for t in game.succ[v]):
                     return False
-                edges[v] = list(game.succ[v])
+                edges[v] = game.succ[v]
         # no cycle inside the restriction may have opponent parity
         if any(bits >> (1 - player) & 1 for bits in cycle_parities(edges, game.priority)):
             return False

@@ -13,7 +13,7 @@ from hyperatl.cli import bundled_asset
 from hyperatl.formula import parse_formula, to_nnf, validate_fragment
 from hyperatl.imp import build_cgs, parse_program
 from hyperatl.ltl2dpa import DPA, apa_to_nba, ltl_to_apa, ltl_to_dpa, nba_to_dpa
-from hyperatl.solver import zielonka
+from hyperatl.solver import ParityGame, zielonka
 from hyperatl.structures import MSCGS, stutter_transform
 
 
@@ -67,7 +67,7 @@ def test_two_vertex_cycle_all_even():
     g = two_agent_structure()
     built = build_game([(frozenset({"a"}), g)], undecided_dpa(0), (ATOM,), {ATOM: 0})
     assert built.game.n_vertices == 2
-    assert built.game.succ == [[1], [0]]
+    assert built.game.succ == ((1,), (0,))
     assert built.game.priority == [0, 0]
     assert built.game.owner == [1, 1]
     assert built.n_automaton_vertices == 2
@@ -385,6 +385,31 @@ BUNDLED_GAMES = {
         "q2-ni-async": ("satisfied", 901, 3553, 1),
     },
 }
+
+
+def test_a_bundled_rows_game_is_built_from_tuple_rows(monkeypatch):
+    """``p2-od`` has a sink; the game keeps the very rows the arena built, each a tuple."""
+    given = []
+
+    def game_of(succ, **fields):
+        given.append(succ)
+        return ParityGame(succ, **fields)
+
+    built = []
+
+    def build_game(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    build = arena.build_game
+    monkeypatch.setattr(arena, "ParityGame", game_of)
+    monkeypatch.setattr(arena, "build_game", build_game)
+    spec = cli.SystemSpec("G", str(bundled_asset("p2.imp")))
+    assert cli.run(cli.CheckConfig(systems=[spec], prop="od")).verdict == "violated"
+    (rows,), (arena_game,) = given, built
+    assert arena_game.n_sink_vertices == 1 and arena_game.game.n_vertices == 37
+    assert all(type(row) is tuple for row in rows)
+    assert all(a is b for a, b in zip(arena_game.game.succ, rows, strict=True))
 
 
 @pytest.mark.parametrize("manifest", sorted(BUNDLED_GAMES))

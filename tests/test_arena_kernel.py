@@ -191,7 +191,7 @@ def assert_orbit_quotient(kernel, reference):
             assert won.winner(v) == ref_won.winner(u)
         u = ref_vertex[key]
         assert kernel.descriptions[v] == reference.descriptions[u]
-        assert g.succ[v] == [orbit[packed[t]] for t in r.succ[u]]
+        assert g.succ[v] == tuple(orbit[packed[t]] for t in r.succ[u])
     starts = [k for k in kernel.keys if reference.starts[ref_vertex[k]]]
     assert kernel.n_automaton_vertices == len(starts)
     assert reference.n_automaton_vertices == sum(2 - (k == layout.swap(k)) for k in starts)

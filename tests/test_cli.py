@@ -549,6 +549,13 @@ def test_unknown_manifest_transform_is_a_usage_error(tmp_path, capsys):
     assert "case: unknown transform 'stuter'" in usage_error(capsys, ["suite", "--manifest", str(m)])
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_a_shift_below_one_is_a_usage_error_before_any_program_is_read(monkeypatch, capsys, k):
+    monkeypatch.setattr(cli, "_load_system", lambda *args: pytest.fail("a program was read"))
+    argv = ["check", "--system", f"G={bundled_asset('p1.imp')},shift={k}", "--prop", "od"]
+    assert f"shift needs a distance of at least 1, got {k}" in usage_error(capsys, argv)
+
+
 def test_caps_below_one_are_usage_errors(capsys):
     prog = str(bundled_asset("p1.imp"))
     for flag in ("--cap-states", "--cap-vertices"):
@@ -580,6 +587,8 @@ SHAPE_ERRORS = {
     "shift-without-distance": ({"transforms": (("shift",),)}, "unknown transform ('shift',)"),
     "stutter-with-argument": ({"transforms": (("stutter", 1),)}, "unknown transform ('stutter', 1)"),
     "shift-bool": ({"transforms": (("shift", True),)}, "shift expects an integer, got True"),
+    "shift-zero": ({"transforms": (("shift", 0),)}, "shift needs a distance of at least 1, got 0"),
+    "shift-negative": ({"transforms": (("shift", "-1"),)}, "shift needs a distance of at least 1, got -1"),
 }
 
 
@@ -717,6 +726,8 @@ MALFORMED_SUITES = {
     "entries misspelt": ({"entrys": [ENTRY]}, 'manifest has an unknown key "entrys"'),
     "entries missing": ({}, "manifest entries must be a JSON array, got null"),
     "transforms misspelt": ({"entries": [dict(ENTRY, transform=["stutter"])]}, 'manifest entry 0 has an unknown key "transform"'),
+    # refused with the whole manifest, before its first entry runs
+    "shift zero": ({"entries": [ENTRY, dict(ENTRY, name="shifted", transforms=["shift=0"])]}, "shifted: shift needs a distance of at least 1, got 0"),
 }
 
 

@@ -175,7 +175,7 @@ def bisimulation(a, b) -> list[int]:
     no choice).  ``a``'s vertices come first.
     """
     shift = a.n_vertices
-    succ = a.succ + [[t + shift for t in row] for row in b.succ]
+    succ = a.succ + tuple(tuple(t + shift for t in row) for row in b.succ)
     kinds = {}
     block = [kinds.setdefault(k, len(kinds)) for k in zip(a.owner + b.owner, a.priority + b.priority)]
     while True:

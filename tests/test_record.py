@@ -107,7 +107,7 @@ CASES = [
     (
         solver.ParityGame,
         ([[0]], [0], [0]),
-        "ParityGame(succ=[[0]], owner=[0], priority=[0], initial=0)",
+        "ParityGame(succ=((0,),), owner=[0], priority=[0], initial=0)",
     ),
     (
         solver.WinningRegions,
@@ -117,7 +117,7 @@ CASES = [
     (
         arena.BuiltArena,
         (GAME, 1, 0, [0], LAYOUT),
-        "BuiltArena(game=ParityGame(succ=[[0]], owner=[0], priority=[0], initial=0),"
+        "BuiltArena(game=ParityGame(succ=((0,),), owner=[0], priority=[0], initial=0),"
         " n_automaton_vertices=1, n_sink_vertices=0)",
     ),
     (

@@ -169,6 +169,19 @@ def test_check_rejects_owner_other_than_zero_or_one(owner):
         zielonka(g)
 
 
+def test_rows_given_as_lists_are_held_as_tuples():
+    succ = [[1, 0], [0]]
+    g = ParityGame(succ=succ, owner=[0, 1], priority=[0, 1])
+    assert g.succ == ((1, 0), (0,))
+    assert type(g.succ) is tuple and all(type(row) is tuple for row in g.succ)
+    # the lists are copied once: changing them later leaves the game as it was
+    succ[0].append(1)
+    assert g.succ[0] == (1, 0)
+    # tuple rows are kept as they are, not copied again
+    h = ParityGame(g.succ, g.owner, g.priority)
+    assert all(a is b for a, b in zip(h.succ, g.succ))
+
+
 def solve_within(game, seconds, stats=None):
     start = time.perf_counter()
     solution = zielonka(game, stats)

@@ -99,16 +99,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _int(value: object, what: str) -> int:
-    """``value`` read as an integer: a string of one, or an ``int`` that is no ``bool``."""
-    try:
-        if isinstance(value, str) or type(value) is int:
-            return int(value)
-    except ValueError:
-        pass
-    raise ConfigError(f"{what} expects an integer, got {value!r}")
-
-
 def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -148,28 +138,28 @@ def _nesting_limit(what: str):
         raise ConfigError(f"{what} is nested too deeply (Python's recursion limit is {limit})") from None
 
 
-def _parse_transform(text: str, where: str = "") -> tuple:
-    """``stutter`` or ``shift=k``, from ``--system`` or a manifest's ``transforms``."""
-    if text == "stutter":
+def _count(value: object, what: str, floor: str = "must be at least 1") -> int:
+    """``value`` read as an integer of at least 1: a string of one, or an ``int`` that is no ``bool``."""
+    try:
+        n = int(value) if isinstance(value, str) or type(value) is int else None
+    except ValueError:
+        n = None
+    if n is None:
+        raise ConfigError(f"{what} expects an integer, got {value!r}")
+    if n < 1:
+        raise ConfigError(f"{what} {floor}, got {n}")
+    return n
+
+
+def _transform_of(t) -> tuple:
+    """A transform, or its text ``stutter`` or ``shift=k``, as ``("stutter",)`` or ``("shift", k)``."""
+    if isinstance(t, str) and t.startswith("shift="):
+        t = ("shift", t[6:])
+    if t in ("stutter", ("stutter",)):
         return ("stutter",)
-    if isinstance(text, str) and text.startswith("shift="):
-        return ("shift", _shift_distance(("shift", text.split("=", 1)[1]), where))
-    raise ConfigError(f"{where}unknown transform {text!r}")
-
-
-def _shift_distance(t, where: str = "") -> Optional[int]:
-    """The ``k`` of the transform ``("shift", k)``, read by :func:`_int`; None for ``("stutter",)``.
-
-    A distance below 1, or any other transform, is a ConfigError.
-    """
-    if t == ("stutter",):
-        return None
     if type(t) is tuple and len(t) == 2 and t[0] == "shift":
-        k = _int(t[1], f"{where}shift")
-        if k < 1:
-            raise ConfigError(f"{where}shift needs a distance of at least 1, got {k}")
-        return k
-    raise ConfigError(f"{where}unknown transform {t!r}")
+        return ("shift", _count(t[1], "shift", "needs a distance of at least 1"))
+    raise ConfigError(f"unknown transform {t!r}")
 
 
 def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
@@ -178,12 +168,10 @@ def _transform(g: structures.MSCGS, t: tuple, cap: int) -> structures.MSCGS:
     The stuttered twin has ``2n`` states, a frozen copy of each, and ``shift=k``
     adds ``k`` to the ``n`` states of ``g``.
     """
-    k = _shift_distance(t)
-    if (2 * g.n_states if k is None else g.n_states + k) > cap:
+    stutter = t == ("stutter",)
+    if (2 * g.n_states if stutter else g.n_states + t[1]) > cap:
         raise StateCapError(f"state cap of {cap} exceeded")
-    if k is None:
-        return structures.stutter_transform(g)
-    return structures.shift_transform(g, k)
+    return structures.stutter_transform(g) if stutter else structures.shift_transform(g, t[1])
 
 
 def _load_system(spec: SystemSpec, widths: dict, cap_states: int, observe) -> structures.MSCGS:
@@ -197,53 +185,59 @@ def _load_system(spec: SystemSpec, widths: dict, cap_states: int, observe) -> st
     return g
 
 
-def _builtin(prop: str, spec: SystemSpec, body_file: Optional[str], cap: int) -> tuple[HyperFormula, dict]:
-    """The formula of builtin ``prop`` over ``spec``'s system, and ``{twin id: transform}``.
+def _builtin_plan(prop: str, spec: SystemSpec, body_file: Optional[str]) -> tuple:
+    """``prop`` over ``spec``'s system read as ``(name, parameter, {twin id: transform})``.
 
-    Every parameter is checked here, before any program is read.  Each twin
-    is the built system of ``spec`` under its transform; the asynchronous
-    builtins bind ``spec``'s own id when its system is stuttered already.
+    The twin of ``simsec`` and ``sgni:k`` is the system shifted by ``k``; the
+    asynchronous builtins' twin is the system stuttered, unless it is already.
     """
     name, colon, param = prop.partition(":")
-    base = spec.system_id
     if name not in ("od", "ni", "simsec", "sgni", "od-async", "ni-async", "ahltl"):
         raise ConfigError(f"unknown builtin property {prop!r}")
     if colon and name in ("od", "ni", "simsec", "od-async"):
         raise ConfigError(f"builtin property {name!r} takes no parameter, got {prop!r}")
     if body_file is not None and name != "ahltl":
         raise ConfigError(f"--formula goes with --prop ahltl:n only, not with {prop!r}")
-    if name == "od":
-        return props.expand_od(), {}
-    if name == "ni":
-        return props.expand_ni(), {}
+    if body_file is None and name == "ahltl":
+        raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
+    base = spec.system_id
+    if name in ("od", "ni"):
+        return name, None, {}
     if name in ("simsec", "sgni"):
-        k = _int(param, "sgni:k") if colon else 1 if name == "simsec" else 3
-        if k < 1:
-            raise ConfigError(f"sgni:k needs a shift distance of at least 1, got {k}")
-        if k >= cap:  # the shifted twin has more than k states
+        default = 1 if name == "simsec" else 3
+        k = _count(param, "sgni:k", "needs a shift distance of at least 1") if colon else default
+        return name, k, {f"{base}_shift{k}": ("shift", k)}
+    if name == "ahltl":
+        param = _count(param, "ahltl:n", "needs at least one copy") if colon else 2
+    elif colon and not param:
+        raise ConfigError("ni-async:r expects an atomic proposition, got ''")
+    # a program has no ``sched`` agent, so only its ``stutter`` transform adds one
+    twins = {} if ("stutter",) in spec.transforms else {f"{base}_stut": ("stutter",)}
+    return name, param or "r[0]", twins  # r[0]: the alignment ni-async reads by default
+
+
+def _builtin(builtin: tuple, base: str, body_file: Optional[str], cap: int) -> HyperFormula:
+    """The formula of the planned ``builtin`` over the system ``base``.
+
+    Its twin is the one system of the plan's twins, or else ``base``.  An
+    ``sgni:k`` lookahead is held to the state cap, then to the recursion limit.
+    """
+    name, param, twins = builtin
+    twin = next(iter(twins), base)
+    if name in ("simsec", "sgni"):
+        if param >= cap:  # the shifted twin has more than k states
             raise StateCapError(f"state cap of {cap} exceeded")
         limit = sys.getrecursionlimit()
-        if k > limit:  # too deep to check, so refused before its towers of X are built
-            raise ConfigError(f"sgni:k lookahead {k} is above Python's recursion limit of {limit}")
-        twin = f"{base}_shift{k}"
-        formula = props.expand_simsec(base, twin) if name == "simsec" else props.expand_sgni(k, base, twin)
-        return formula, {twin: ("shift", k)}
-    # a program has no ``sched`` agent, so only its ``stutter`` transform adds one
-    twin = base if ("stutter",) in spec.transforms else f"{base}_stut"
-    twins = {} if twin == base else {twin: ("stutter",)}
-    if name == "od-async":
-        return props.expand_od_async(twin), twins
+        if param > limit:  # too deep to check, so refused before its towers of X are built
+            raise ConfigError(f"sgni:k lookahead {param} is above Python's recursion limit of {limit}")
+        return props.expand_simsec(base, twin) if name == "simsec" else props.expand_sgni(param, base, twin)
+    if name == "ahltl":
+        return props.expand_ahltl(param, parse_ltl(_read_text(body_file, "formula").strip()), twin)
     if name == "ni-async":
-        if colon and not param:
-            raise ConfigError("ni-async:r expects an atomic proposition, got ''")
-        return props.expand_ni_async(param if colon else "r[0]", twin), twins
-    if body_file is None:
-        raise ConfigError("--prop ahltl:n needs --formula with the quantifier-free body")
-    n = _int(param, "ahltl:n") if colon else 2
-    if n < 1:
-        raise ConfigError(f"ahltl:n needs at least one copy, got {n}")
-    body = parse_ltl(_read_text(body_file, "formula").strip())
-    return props.expand_ahltl(n, body, twin), twins
+        return props.expand_ni_async(param, twin)
+    if name == "od-async":
+        return props.expand_od_async(twin)
+    return props.expand_od() if name == "od" else props.expand_ni()
 
 
 def _formula_reads(formula: HyperFormula, specs: list[SystemSpec], twins: dict) -> dict[str, set]:
@@ -267,13 +261,14 @@ def _peak_rss_mb() -> float:
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
-def run(config: CheckConfig) -> Report:
-    """Check one formula against its bound systems and report the verdict."""
-    with _nesting_limit("formula"):
-        return _run(config)
+def _plan(config: CheckConfig) -> tuple[CheckConfig, Optional[tuple]]:
+    """``config`` checked, and its builtin property read, before any file is read.
 
-
-def _run(config: CheckConfig) -> Report:
+    Every ConfigError its values can cause is raised here, but for an ``sgni:k``
+    above the recursion limit, which :func:`_builtin` refuses after the state
+    cap; no cap is raised here.  The checked config, a ``type(config)``, holds
+    ints and transform tuples; the builtin is None for a formula file.
+    """
     specs = config.systems
     if not specs:
         raise ConfigError("at least one --system binding is required")
@@ -284,50 +279,65 @@ def _run(config: CheckConfig) -> Report:
     for what, value in (("--width", config.widths), ("--dump-sys", config.dump_sys)):
         if not isinstance(value, dict):
             raise ConfigError(f"{what} expects a mapping, got {value!r}")
+    systems: list[SystemSpec] = []
+    for spec in specs:
+        sid, transforms = spec.system_id, spec.transforms
+        if not isinstance(sid, str) or not sid:
+            raise ConfigError(f"--system expects a non-empty id before '=', got {sid!r}")
+        if not isinstance(transforms, (tuple, list)):
+            raise ConfigError(f"transforms of system {sid!r} expect a tuple, got {transforms!r}")
+        if any(s.system_id == sid for s in systems):
+            raise ConfigError(f"system {sid!r} bound twice")
+        systems.append(SystemSpec(sid, spec.program_path, tuple(map(_transform_of, transforms))))
     paths = [(f"--dump-sys {sid}", path) for sid, path in config.dump_sys.items()]
-    for i, spec in enumerate(specs):
-        if not isinstance(spec.transforms, (tuple, list)):
-            what = f"transforms of system {spec.system_id!r}"
-            raise ConfigError(f"{what} expect a tuple, got {spec.transforms!r}")
-        for t in spec.transforms:
-            _shift_distance(t)
-        if any(s.system_id == spec.system_id for s in specs[:i]):
-            raise ConfigError(f"system {spec.system_id!r} bound twice")
-        paths.append((f"program of system {spec.system_id!r}", spec.program_path))
+    paths += [(f"program of system {s.system_id!r}", s.program_path) for s in systems]
     files = {"--formula": config.formula_file, "--dump-dpa": config.dump_dpa}
     files.update({"--dump-game": config.dump_game, "--report": config.report_path})
     paths += [(flag, path) for flag, path in files.items() if path is not None]
     for what, path in paths:
         if not isinstance(path, (str, os.PathLike)):
             raise ConfigError(f"{what} expects a path (str or os.PathLike), got {path!r}")
-    cap_states = _int(config.cap_states, "--cap-states")
-    cap_vertices = _int(config.cap_vertices, "--cap-vertices")
-    for what, cap in (("--cap-states", cap_states), ("--cap-vertices", cap_vertices)):
-        if cap < 1:
-            raise ConfigError(f"{what} must be at least 1, got {cap}")
-    widths = {k: _int(v, f"--width {k}") for k, v in config.widths.items()}
-
-    t0 = time.perf_counter()
-    twins: dict = {}
+    cap_states = _count(config.cap_states, "--cap-states")
+    cap_vertices = _count(config.cap_vertices, "--cap-vertices")
+    widths = {k: _count(v, f"--width {k}") for k, v in config.widths.items()}
+    builtin = None
     if config.prop is not None:
-        if len(specs) != 1:
+        if len(systems) != 1:
             raise ConfigError("builtin properties take exactly one --system binding")
-        formula, twins = _builtin(config.prop, specs[0], config.formula_file, cap_states)
-    elif config.formula_file is not None:
+        builtin = _builtin_plan(config.prop, systems[0], config.formula_file)
+    elif config.formula_file is None:
+        raise ConfigError("either --formula or --prop is required")
+    bound = {s.system_id for s in systems}.union(builtin[2] if builtin else ())
+    for sid in config.dump_sys:
+        if sid not in bound:
+            raise ConfigError(f"--dump-sys names unbound system {sid!r}")
+    checked = (systems, config.formula_file, config.prop, widths, cap_states, cap_vertices, config.dump_dpa)
+    return type(config)(*checked, config.dump_game, config.dump_sys, config.report_path), builtin
+
+
+def run(config: CheckConfig) -> Report:
+    """Check one formula against its bound systems and report the verdict."""
+    return _run(*_plan(config))
+
+
+@_nesting_limit("formula")
+def _run(config: CheckConfig, builtin: Optional[tuple]) -> Report:
+    """The check of a config and its builtin property, as :func:`_plan` returns them."""
+    specs, cap = config.systems, config.cap_states
+    base = specs[0].system_id  # of every twin
+    twins = builtin[2] if builtin else {}
+    t0 = time.perf_counter()
+    if builtin is None:
         formula = parse_formula(_read_text(config.formula_file, "formula").strip())
     else:
-        raise ConfigError("either --formula or --prop is required")
+        formula = _builtin(builtin, base, config.formula_file, cap)
 
     # each program is built once, for the propositions its quantifiers and its twins' read
     observe = _formula_reads(formula, specs, twins)
-    systems = {s.system_id: _load_system(s, widths, cap_states, observe[s.system_id]) for s in specs}
-    base = specs[0].system_id  # of every twin
+    systems = {s.system_id: _load_system(s, config.widths, cap, observe[s.system_id]) for s in specs}
     for sid, t in twins.items():
-        systems[sid] = _transform(systems[base], t, cap_states)
+        systems[sid] = _transform(systems[base], t, cap)
 
-    for sid in sorted(config.dump_sys):
-        if sid not in systems:
-            raise ConfigError(f"--dump-sys names unbound system {sid!r}")
     info = validate_fragment(formula, systems)
     bound = {
         sid: structures.quotient(systems[sid], observe.get(base if sid in twins else sid, ()))
@@ -335,11 +345,11 @@ def _run(config: CheckConfig) -> Report:
     }
     t_build = time.perf_counter()
 
-    dpa = ltl2dpa.ltl_to_dpa(formula.body, info.atoms, cap=cap_states)
+    dpa = ltl2dpa.ltl_to_dpa(formula.body, info.atoms, cap=cap)
     t_translate = time.perf_counter()
 
     quants = [(rq.coalition, bound[rq.system]) for rq in info.quantifiers]
-    built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=cap_vertices)
+    built = arena.build_game(quants, dpa, info.atoms, info.atom_copy, cap=config.cap_vertices)
     t_arena = time.perf_counter()
 
     solver_stats: dict = {}
@@ -454,16 +464,10 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
         if name in names:
             raise ConfigError(f"manifest entry {i} repeats the name {name!r} of entry {names[name]}")
         names[name] = i
-        program = manifest_path.parent / entry["program"]
         transforms = _json_of(list, entry.get("transforms", []), f"{name}: transforms")
-        transforms = tuple(_parse_transform(t, f"{name}: ") for t in transforms)
         widths = _json_of(dict, entry.get("widths", {}), f"{name}: widths")
-        widths = {k: _int(v, f"{name}: width of {k}") for k, v in widths.items()}
-        config = CheckConfig(
-            systems=[SystemSpec("G", str(program), transforms)],
-            prop=entry["prop"],
-            widths=widths,
-        )
+        system = SystemSpec("G", str(manifest_path.parent / entry["program"]), tuple(transforms))
+        config = CheckConfig(systems=[system], prop=entry["prop"], widths=widths)
         expect = entry.get("expect")
         if expect not in (None, "satisfied", "violated"):
             got = json.dumps(expect)[:40]
@@ -475,16 +479,22 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
 def run_suite(manifest: str) -> tuple[list[SuiteRow], bool]:
     """Run every manifest entry; flags mismatches against the entries' expected verdicts.
 
-    A row that ends in bad input or a resource cap is recorded as an
-    ``error`` or ``cap`` row, which is never ok, and the suite goes on.
+    Every entry is planned before the first runs: a config error in any refuses
+    the manifest.  A row that ends in bad input or a resource cap is recorded
+    as an ``error`` or ``cap`` row, which is never ok, and the suite goes on.
     """
     manifest_path = _resolve_manifest(manifest)
-    configs = _suite_configs(manifest_path, _read_json(manifest_path, "manifest"))
+    plans = []
+    for name, config, expected in _suite_configs(manifest_path, _read_json(manifest_path, "manifest")):
+        try:
+            plans.append((name, _plan(config), expected))
+        except ConfigError as e:
+            raise ConfigError(f"{name}: {e}") from None
     rows: list[SuiteRow] = []
-    for name, config, expected in configs:
+    for name, plan, expected in plans:
         start = time.perf_counter()
         try:
-            report = run(config)
+            report = _run(*plan)
         except (USAGE_ERRORS + CAP_ERRORS) as e:
             verdict = "cap" if isinstance(e, CAP_ERRORS) else "error"
             millis = (time.perf_counter() - start) * 1000
@@ -540,11 +550,8 @@ def _key_value(text: str, flag: str, shape: str) -> tuple[str, str]:
 
 def _parse_system(text: str) -> SystemSpec:
     system_id, rest = _key_value(text, "--system", "id=path[,stutter][,shift=k]")
-    system_id = system_id.strip()
-    if not system_id:
-        raise ConfigError(f"--system expects a non-empty id before '=', got {text!r}")
     path, *transforms = rest.split(",")
-    return SystemSpec(system_id, path, tuple(_parse_transform(t) for t in transforms))
+    return SystemSpec(system_id.strip(), path, tuple(transforms))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -554,17 +561,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="check one formula against bound systems")
-    check.add_argument("--formula", help="formula file (or ahltl body)")
+    # dests are CheckConfig fields; a flag not given is left out, so its field's default holds
+    check = sub.add_parser(
+        "check", help="check one formula against bound systems", argument_default=argparse.SUPPRESS
+    )
+    check.add_argument("--formula", dest="formula_file", metavar="FILE", help="formula file, or ahltl body")
     check.add_argument("--prop", help="builtin property name[:params]")
-    check.add_argument("--system", action="append", default=[], metavar="ID=PROG[,T...]")
-    check.add_argument("--width", action="append", default=[], metavar="VAR=N")
-    check.add_argument("--cap-states", type=int, default=10**6)
-    check.add_argument("--cap-vertices", type=int, default=10**7)
+    check.add_argument("--system", dest="systems", action="append", metavar="ID=PROG[,T...]")
+    check.add_argument("--width", dest="widths", action="append", metavar="VAR=N")
+    check.add_argument("--cap-states")
+    check.add_argument("--cap-vertices")
     check.add_argument("--dump-dpa", metavar="FILE")
     check.add_argument("--dump-game", metavar="FILE")
-    check.add_argument("--dump-sys", action="append", default=[], metavar="ID=FILE")
-    check.add_argument("--report", metavar="FILE")
+    check.add_argument("--dump-sys", action="append", metavar="ID=FILE")
+    check.add_argument("--report", dest="report_path", metavar="FILE")
 
     suite = sub.add_parser("suite", help="run a manifest of checks")
     suite.add_argument("--manifest", required=True)
@@ -573,30 +583,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        if args.command == "check":
-            widths = dict(_key_value(w, "--width", "VAR=N") for w in args.width)
-            dump_sys = dict(_key_value(d, "--dump-sys", "ID=FILE") for d in args.dump_sys)
-            config = CheckConfig(
-                systems=[_parse_system(s) for s in args.system],
-                formula_file=args.formula,
-                prop=args.prop,
-                widths=widths,
-                cap_states=args.cap_states,
-                cap_vertices=args.cap_vertices,
-                dump_dpa=args.dump_dpa,
-                dump_game=args.dump_game,
-                dump_sys=dump_sys,
-                report_path=args.report,
-            )
-            report = run(config)
+        if args.pop("command") == "check":
+            args["systems"] = [_parse_system(s) for s in args.get("systems", ())]
+            widths, dump_sys = args.get("widths", ()), args.get("dump_sys", ())
+            args["widths"] = dict(_key_value(w, "--width", "VAR=N") for w in widths)
+            args["dump_sys"] = dict(_key_value(d, "--dump-sys", "ID=FILE") for d in dump_sys)
+            report = run(CheckConfig(**args))
             print(report.record(), end="")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED
-        rows, ok = run_suite(args.manifest)
-        if args.report:
-            _write_text(args.report, suite_record(rows), "--report")
+        rows, ok = run_suite(args["manifest"])
+        if args["report"]:
+            _write_text(args["report"], suite_record(rows), "--report")
         print(format_suite(rows))
         return EXIT_SATISFIED if ok else EXIT_VIOLATED
     except USAGE_ERRORS as e:

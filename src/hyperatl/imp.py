@@ -438,7 +438,7 @@ def parse_program(text: str, width_overrides: Optional[Mapping[str, int]] = None
     if width_overrides:
         missing = set(width_overrides) - set(widths)
         if missing:
-            raise ProgramError(f"width override for undeclared variable(s): {sorted(missing)}")
+            raise ProgramError(f"width override for undeclared variable(s): {sorted(missing, key=str)}")
     return widths, body
 
 

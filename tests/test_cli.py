@@ -11,7 +11,7 @@ import pytest
 
 import hyperatl
 import reference_arena
-from hyperatl import arena, cli, ltl2dpa
+from hyperatl import arena, cli, imp, ltl2dpa
 from hyperatl.cli import (
     CheckConfig,
     ConfigError,
@@ -539,7 +539,7 @@ def test_non_integer_manifest_width_is_a_usage_error(tmp_path, capsys, width, sh
     entry = {"name": "case", "program": str(bundled_asset("q1.imp")), "prop": "od"}
     m.write_text(json.dumps({"entries": [dict(entry, widths={"h": width})]}))
     message = usage_error(capsys, ["suite", "--manifest", str(m)])
-    assert f"case: width of h expects an integer, got {shown}" in message
+    assert message == f"error: case: --width h expects an integer, got {shown}\n"
 
 
 def test_unknown_manifest_transform_is_a_usage_error(tmp_path, capsys):
@@ -642,6 +642,120 @@ def test_a_config_of_the_wrong_shape_is_refused_before_any_program_is_read(monke
         run(api_config(**given))
 
 
+# one value of each wrong kind
+WRONG_KINDS = {
+    "none": None,
+    "bool": True,
+    "float": 2.5,
+    "string": "abc",
+    "bytes": b"abc",
+    "list": ["abc"],
+    "dict": {"abc": 1},
+    "below-one": 0,
+}
+# (field or key, kind) where the value of that kind is valid, so it is no case
+VALID_IN_CONFIG = {
+    ("formula_file", "none"),
+    ("widths", "dict"),
+    ("dump_sys", "dict"),
+    ("system_id", "string"),
+    ("program_path", "string"),
+    *((path, kind) for path in ("dump_dpa", "dump_game", "report_path") for kind in ("none", "string")),
+}
+VALID_IN_MANIFEST = {("name", "string"), ("program", "string"), ("widths", "dict"), ("expect", "none")}
+
+
+def wrong_api_configs():
+    """(id, config) per field of ``CheckConfig`` and of ``SystemSpec``, per width value and per kind."""
+    program = str(bundled_asset("q1.imp"))
+    for kind, value in WRONG_KINDS.items():
+        cases = {name: {name: value} for name in CheckConfig.__match_args__}
+        for i, name in enumerate(SystemSpec.__match_args__):
+            spec_fields = ["G", program, ()]
+            spec_fields[i] = value
+            cases[name] = {"systems": [SystemSpec(*spec_fields)]}
+        cases["width"] = {"widths": {"h": value}}
+        for name, fields in cases.items():
+            if (name, kind) not in VALID_IN_CONFIG:
+                yield f"{name}-{kind}", api_config(**fields)
+
+
+WRONG_API_CONFIGS = dict(wrong_api_configs())
+
+
+def refuse_any_file_but_the_manifest(monkeypatch):
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_load_system", lambda *args: pytest.fail("a program was read"))
+    monkeypatch.setattr(
+        cli, "_read_text", lambda path, what: read_text(path, what) if what == "manifest" else pytest.fail(what)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_API_CONFIGS))
+def test_a_value_of_the_wrong_kind_is_a_one_line_config_error_before_any_file_is_read(monkeypatch, case):
+    refuse_any_file_but_the_manifest(monkeypatch)
+    with pytest.raises(ConfigError) as refused:
+        run(WRONG_API_CONFIGS[case])
+    assert "\n" not in str(refused.value)
+
+
+def wrong_manifests():
+    """(id, manifest) per entry key, width value and transform, per kind, each after a good entry."""
+    good = {"name": "good", "program": str(bundled_asset("p1.imp")), "prop": "od"}
+    entry = {"name": "case", "program": str(bundled_asset("q1.imp")), "prop": "od"}
+    for kind, value in WRONG_KINDS.items():
+        if kind == "bytes":  # JSON holds no bytes
+            continue
+        yield f"entries-{kind}", {"entries": value}
+        cases = {key: {key: value} for key in ("name", "program", "prop", "widths", "transforms", "expect")}
+        cases.update(width={"widths": {"h": value}}, transform={"transforms": [value]})
+        for key, fields in cases.items():
+            if (key, kind) not in VALID_IN_MANIFEST:
+                yield f"{key}-{kind}", {"entries": [good, dict(entry, **fields)]}
+
+
+WRONG_MANIFESTS = dict(wrong_manifests())
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_MANIFESTS))
+def test_a_manifest_value_of_the_wrong_kind_is_refused_before_any_row_runs(tmp_path, monkeypatch, capsys, case):
+    refuse_any_file_but_the_manifest(monkeypatch)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(WRONG_MANIFESTS[case]))
+    usage_error(capsys, ["suite", "--manifest", str(m)])
+
+
+@pytest.mark.parametrize("system_id, prop", [(["G"], "od"), (7, "ni-async"), (None, "od"), ("", "ni")])
+def test_a_system_id_that_is_no_string_is_a_config_error(system_id, prop):
+    config = CheckConfig(systems=[SystemSpec(system_id, str(bundled_asset("p1.imp")))], prop=prop)
+    with pytest.raises(ConfigError) as refused:
+        run(config)
+    assert str(refused.value) == f"--system expects a non-empty id before '=', got {system_id!r}"
+
+
+def test_a_width_below_one_is_refused_at_the_flag(tmp_path, capsys):
+    prog = str(bundled_asset("q1.imp"))
+    err = usage_error(capsys, ["check", "--system", f"G={prog}", "--prop", "od", "--width", "h=0"])
+    assert err == "error: --width h must be at least 1, got 0\n"
+    with pytest.raises(ConfigError, match="^--width h must be at least 1, got -3$"):
+        run(api_config(widths={"h": -3}))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"entries": [{"name": "case", "program": prog, "prop": "od", "widths": {"h": 0}}]}))
+    err = usage_error(capsys, ["suite", "--manifest", str(m)])
+    assert err == "error: case: --width h must be at least 1, got 0\n"
+
+
+def test_a_width_named_by_no_declared_variable_is_a_program_error():
+    """Width names are checked against the program: a name that is no string is one more undeclared name."""
+    with pytest.raises(imp.ProgramError, match=re.escape("undeclared variable(s): [5, 'zz']")):
+        run(api_config(widths={5: 2, "zz": 2}))
+
+
+def test_a_cap_that_is_no_integer_is_one_error_line(capsys):
+    argv = ["check", "--system", f"G={bundled_asset('p1.imp')}", "--prop", "od", "--cap-states", "abc"]
+    assert usage_error(capsys, argv) == "error: --cap-states expects an integer, got 'abc'\n"
+
+
 def test_unbound_dump_sys_is_rejected_before_any_dump(tmp_path, capsys):
     prog = str(bundled_asset("p1.imp"))
     argv = ["check", "--system", f"G={prog}", "--prop", "od", "--dump-sys", f"X={tmp_path / 'x.dot'}"]
@@ -728,6 +842,8 @@ MALFORMED_SUITES = {
     "transforms misspelt": ({"entries": [dict(ENTRY, transform=["stutter"])]}, 'manifest entry 0 has an unknown key "transform"'),
     # refused with the whole manifest, before its first entry runs
     "shift zero": ({"entries": [ENTRY, dict(ENTRY, name="shifted", transforms=["shift=0"])]}, "shifted: shift needs a distance of at least 1, got 0"),
+    "prop sgni:x": ({"entries": [ENTRY, dict(ENTRY, name="lookahead", prop="sgni:x")]}, "lookahead: sgni:k expects an integer, got 'x'"),
+    "prop odd": ({"entries": [ENTRY, dict(ENTRY, name="odd", prop="odd")]}, "odd: unknown builtin property 'odd'"),
 }
 
 

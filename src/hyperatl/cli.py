@@ -356,7 +356,7 @@ def _run(config: CheckConfig, builtin: Optional[tuple]) -> Report:
     regions, s0, s1 = solver.zielonka(built.game, solver_stats)
     t_solve = time.perf_counter()
 
-    won = built.game.initial in regions.w0
+    won = regions.winner(built.game.initial) == 0
     satisfied = won != formula.negated
     winner_strategy = s0 if won else s1
 
@@ -457,17 +457,18 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
     for i, entry in enumerate(_json_of(list, manifest.get("entries"), "manifest entries")):
         keys = ("name", "program", "prop", "widths", "transforms", "expect")
         _known_keys(_json_of(dict, entry, f"manifest entry {i}"), keys, f"manifest entry {i}")
-        for key in ("name", "program", "prop"):
+        for key in ("name", "program"):
             if not isinstance(entry.get(key), str):
                 raise ConfigError(f"manifest entry {i} needs a string {key!r}")
         name = entry["name"]
         if name in names:
             raise ConfigError(f"manifest entry {i} repeats the name {name!r} of entry {names[name]}")
         names[name] = i
+        # checked here, as tuple() would split a string into its characters;
+        # _plan checks the prop and the widths
         transforms = _json_of(list, entry.get("transforms", []), f"{name}: transforms")
-        widths = _json_of(dict, entry.get("widths", {}), f"{name}: widths")
         system = SystemSpec("G", str(manifest_path.parent / entry["program"]), tuple(transforms))
-        config = CheckConfig(systems=[system], prop=entry["prop"], widths=widths)
+        config = CheckConfig(systems=[system], prop=entry.get("prop"), widths=entry.get("widths", {}))
         expect = entry.get("expect")
         if expect not in (None, "satisfied", "violated"):
             got = json.dumps(expect)[:40]

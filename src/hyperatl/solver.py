@@ -9,6 +9,7 @@ attractors touch only the subgame.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Mapping, Optional
 
 from .graph import cycle_parities, predecessors, scc
@@ -63,13 +64,36 @@ class ParityGame:
                     raise ValueError(f"edge {v}->{t} out of range")
 
 
+# per player p, a translation table that maps byte p to 1 and every other byte to 0
+_IS = [bytes(b == p for b in range(256)) for p in (0, 1)]
+
+
 @record
 class WinningRegions:
-    w0: frozenset[int]
-    w1: frozenset[int]
+    """The winner, 0 or 1, of each vertex ``v`` of a game: ``won[v]``.
+
+    ``w0`` and ``w1`` build a frozenset of a region on each call, and keep
+    none, so a kept solution holds one byte per vertex; a loop over vertices
+    asks :meth:`winner` instead.
+    """
+
+    won: bytes
+
+    @property
+    def w0(self) -> frozenset[int]:
+        return self._region(0)
+
+    @property
+    def w1(self) -> frozenset[int]:
+        return self._region(1)
+
+    def _region(self, player: int) -> frozenset[int]:
+        return frozenset(compress(range(len(self.won)), self.won.translate(_IS[player])))
 
     def winner(self, v: int) -> int:
-        return 0 if v in self.w0 else 1
+        if not 0 <= v < len(self.won):
+            raise IndexError(f"vertex {v} is not one of the game's {len(self.won)} vertices")
+        return self.won[v]
 
 
 def zielonka(game: ParityGame, stats: Optional[dict] = None):
@@ -116,25 +140,29 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     n = game.n_vertices
     if len(set(game.priority)) <= 3:
         solver = _Solver(game, game.predecessors(), stats is not None)
-        regions, strategy = solver.solve(set(range(n)))
+        w, strategy = solver.solve(set(range(n)))
+        # the smaller region is written over the other player's
+        p = 0 if len(w[0]) < len(w[1]) else 1
+        won = bytearray([1 - p]) * n
+        for v in w[p]:
+            won[v] = p
     else:
         # predecessors inside components, listed as each one is reached
         solver = _Solver(game, [None] * n, stats is not None)
-        regions, strategy = _solve_by_components(game, solver)
+        won, strategy = _solve_by_components(game, solver)
     if stats is not None:
         stats["calls"] = solver.calls
         stats["attractor_edges"] = solver.edges
-    return WinningRegions(frozenset(regions[0]), frozenset(regions[1])), strategy[0], strategy[1]
+    return WinningRegions(bytes(won)), strategy[0], strategy[1]
 
 
 def _solve_by_components(game: ParityGame, solver: "_Solver"):
-    """Regions ``[w0, w1]`` and strategies ``[s0, s1]``, one component at a time."""
+    """The winner of each vertex and strategies ``[s0, s1]``, one component at a time."""
     succ, owner = game.succ, game.owner
-    # the winner of each decided vertex, -1 while undecided: the components
+    # the winner of each decided vertex, 2 while undecided: the components
     # come bottom first, so an undecided successor lies in the same component
-    won = [-1] * game.n_vertices
+    won = bytearray([2]) * game.n_vertices
     preds = solver.preds
-    regions: list[set] = [set(), set()]
     strategy: list[dict] = [{}, {}]
     for comp in scc(succ):
         if type(comp) is int:
@@ -147,7 +175,6 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
             else:
                 p = 1 - p
             won[v] = p
-            regions[p].add(v)
             continue
         for v in comp:
             preds[v] = []
@@ -158,7 +185,7 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
             seeded = False
             for t in succ[v]:
                 w = won[t]
-                if w < 0:
+                if w == 2:
                     preds[t].append(v)
                 elif w == p and not seeded:
                     seeded = True
@@ -182,12 +209,10 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
             solver.attract(1, seeds[1], rest, strategy[1])
         w, s = solver.solve(rest) if rest else ([set(), set()], [{}, {}])
         for p in (0, 1):
-            won_p = _merge(seeds[p], w[p])
-            for v in won_p:
+            for v in chain(seeds[p], w[p]):
                 won[v] = p
-            regions[p] = _merge(regions[p], won_p)
             strategy[p] = _merge(strategy[p], s[p])
-    return regions, strategy
+    return won, strategy
 
 
 class _Solver:
@@ -404,25 +429,29 @@ def verify_strategy(
 ) -> bool:
     """Certify both strategies: closure of the regions plus cycle parity.
 
+    ``regions`` must give each vertex of the game the winner 0 or 1.
     Restricting a player's moves to their strategy inside their region must
     leave no reachable cycle whose minimal priority favours the opponent,
     and the opponent must be unable to leave the region.
     """
+    won, n = regions.won, game.n_vertices
+    if len(won) != n or won.translate(None, b"\0\1"):
+        return False
+    succ, owner = game.succ, game.owner
     for player, strategy in ((0, strategy0), (1, strategy1)):
-        region = regions.w0 if player == 0 else regions.w1
-        edges: list = [()] * game.n_vertices
-        for v in region:
-            if game.owner[v] == player:
+        edges: list = [()] * n
+        for v in compress(range(n), won.translate(_IS[player])):
+            if owner[v] == player:
                 if v not in strategy:
                     return False
                 t = strategy[v]
-                if t not in game.succ[v] or t not in region:
+                if t not in succ[v] or won[t] != player:
                     return False
                 edges[v] = (t,)
             else:
-                if any(t not in region for t in game.succ[v]):
+                if any(won[t] != player for t in succ[v]):
                     return False
-                edges[v] = game.succ[v]
+                edges[v] = succ[v]
         # no cycle inside the restriction may have opponent parity
         if any(bits >> (1 - player) & 1 for bits in cycle_parities(edges, game.priority)):
             return False

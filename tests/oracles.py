@@ -454,9 +454,7 @@ def brute_force_solve(game: ParityGame, bound: int = 1 << 20) -> WinningRegions:
         for v in range(n):
             if beaten[v]:
                 wins0[v] = True
-    w0 = frozenset(v for v in range(n) if wins0[v])
-    w1 = frozenset(v for v in range(n) if not wins0[v])
-    return WinningRegions(w0, w1)
+    return WinningRegions(bytes(0 if wins0[v] else 1 for v in range(n)))
 
 
 # -- builtin properties through formula text ----------------------------------

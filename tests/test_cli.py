@@ -830,10 +830,10 @@ ENTRY = {"name": "case", "program": "p1.imp", "prop": "od"}
 MALFORMED_SUITES = {
     "manifest list": ([1], "manifest must be a JSON object"),
     "entry number": ({"entries": [3]}, "manifest entry 0 must be a JSON object"),
-    "widths list": ({"entries": [dict(ENTRY, widths=["h", 2])]}, "case: widths must be a JSON object"),
+    "widths list": ({"entries": [dict(ENTRY, widths=["h", 2])]}, "case: --width expects a mapping, got ['h', 2]"),
     "entries object": ({"entries": {"case": ENTRY}}, "manifest entries must be a JSON array"),
     "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, "case: transforms must be"),
-    "prop number": ({"entries": [dict(ENTRY, prop=5)]}, "manifest entry 0 needs a string 'prop'"),
+    "prop number": ({"entries": [dict(ENTRY, prop=5)]}, "case: --prop expects a string, got 5"),
     "expect number": ({"entries": [dict(ENTRY, expect=5)]}, "case: expect must be 'satisfied' or 'violated', got 5"),
     "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
     "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, "manifest entry 1 repeats the name 'case' of entry 0"),

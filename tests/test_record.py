@@ -111,8 +111,8 @@ CASES = [
     ),
     (
         solver.WinningRegions,
-        (frozenset({0}), frozenset()),
-        "WinningRegions(w0=frozenset({0}), w1=frozenset())",
+        (b"\x00",),
+        "WinningRegions(won=b'\\x00')",
     ),
     (
         arena.BuiltArena,

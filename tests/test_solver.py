@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -101,8 +102,30 @@ def test_verify_rejects_a_region_the_opponent_can_leave():
     g = ParityGame(succ=[[1], [1]], owner=[1, 1], priority=[0, 1])
     regions, s0, s1 = zielonka(g)
     assert regions.w1 == frozenset({0, 1}) and verify_strategy(g, regions, s0, s1)
-    claimed = WinningRegions(w0=frozenset({0}), w1=frozenset({1}))
+    claimed = WinningRegions(won=bytes([0, 1]))
     assert not verify_strategy(g, claimed, {}, {1: 1})
+
+
+@pytest.mark.parametrize(
+    "won",
+    [bytes([1]), bytes([1, 1, 1]), b"", bytes([1, 2]), bytes([255, 1]), bytes([2, 2])],
+    ids=["short", "long", "empty", "winner 2", "winner 255", "no winner 0 or 1"],
+)
+def test_verify_rejects_regions_that_are_not_one_winner_0_or_1_per_vertex(won):
+    g = ParityGame(succ=[[1], [1]], owner=[1, 1], priority=[0, 1])
+    regions, s0, s1 = zielonka(g)
+    assert regions.won == bytes([1, 1]) and verify_strategy(g, regions, s0, s1)
+    assert not verify_strategy(g, WinningRegions(won), s0, s1)
+
+
+def test_winner_refuses_a_vertex_outside_the_game():
+    g = ParityGame(succ=[[0], [1]], owner=[0, 1], priority=[0, 1])
+    regions = zielonka(g)[0]
+    assert [regions.winner(0), regions.winner(1)] == [0, 1]
+    # a negative index would read a byte from the end
+    for v in (-1, -2, 2, 10**6):
+        with pytest.raises(IndexError):
+            regions.winner(v)
 
 
 def test_verify_vacuous_on_empty_region():
@@ -261,6 +284,7 @@ def test_mid_size_random_games_are_certified_and_relabelling_invariant():
         game = mid_size_game(rng, rng.randint(2, 3) if i % 3 == 0 else rng.randint(4, 200))
         n = game.n_vertices
         regions, s0, s1 = zielonka(game)
+        assert len(regions.won) == n and sys.getsizeof(regions.won) < n + 100
         assert regions.w0 | regions.w1 == frozenset(range(n))
         assert not (regions.w0 & regions.w1)
         assert verify_strategy(game, regions, s0, s1)
@@ -274,6 +298,26 @@ def test_mid_size_random_games_are_certified_and_relabelling_invariant():
             succ[perm[v]], owner[perm[v]], priority[perm[v]] = row, game.owner[v], game.priority[v]
         relabelled = zielonka(ParityGame(succ, owner, priority))[0]
         assert relabelled.w0 == frozenset(perm[v] for v in regions.w0)
+
+
+@pytest.mark.parametrize("components", [False, True], ids=["whole game", "components"])
+def test_regions_hold_one_winner_byte_per_vertex(components):
+    # a game with more than three priorities is solved one component at a time
+    rng = random.Random(53)
+    games = 0
+    while games < 100:
+        g = random_game(rng, max_vertices=8, max_degree=3, max_priority=8 if components else 2)
+        if (len(set(g.priority)) > 3) != components:
+            continue
+        games += 1
+        n = g.n_vertices
+        regions = zielonka(g)[0]
+        assert len(regions.won) == n
+        assert regions.w0 | regions.w1 == frozenset(range(n))
+        assert not (regions.w0 & regions.w1)
+        # the compact form: no set and no list of the vertices is kept
+        assert sys.getsizeof(regions.won) < n + 100
+        assert regions == brute_force_solve(g)
 
 
 def test_stats_count_subgames_and_attractor_edges():

@@ -460,6 +460,9 @@ def _suite_configs(manifest_path: Path, data) -> list[tuple]:
         for key in ("name", "program"):
             if not isinstance(entry.get(key), str):
                 raise ConfigError(f"manifest entry {i} needs a string {key!r}")
+        if entry.get("prop") is None:
+            # _plan would name the flags --formula and --prop, which a manifest cannot give
+            raise ConfigError(f"manifest entry {i} needs a string 'prop'")
         name = entry["name"]
         if name in names:
             raise ConfigError(f"manifest entry {i} repeats the name {name!r} of entry {names[name]}")

@@ -9,8 +9,9 @@ attractors touch only the subgame.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain, compress
-from typing import Mapping, Optional
+from typing import Optional
 
 from .graph import cycle_parities, predecessors, scc
 from .record import record
@@ -73,7 +74,7 @@ class WinningRegions:
     """The winner, 0 or 1, of each vertex ``v`` of a game: ``won[v]``.
 
     ``w0`` and ``w1`` build a frozenset of a region on each call, and keep
-    none, so a kept solution holds one byte per vertex; a loop over vertices
+    none, so kept regions hold one byte per vertex; a loop over vertices
     asks :meth:`winner` instead.
     """
 
@@ -96,12 +97,54 @@ class WinningRegions:
         return self.won[v]
 
 
+class Strategy(Mapping):
+    """The positional strategy of ``player``: vertex ``v`` moves to ``choice[v]``.
+
+    A read-only view.  ``v`` is a key iff ``0 <= v < len(won)`` and
+    ``won[v] == owner[v] == player``: the strategy covers exactly the
+    vertices its player owns and wins, and an entry of ``choice`` at any
+    other vertex is not read.  Both strategies of one solution read the same
+    ``choice`` list.  Equality is that of the mapping, so a strategy equals
+    the dict of its items.
+    """
+
+    __slots__ = ("choice", "won", "owner", "player")
+
+    def __init__(self, choice: list[int], won: bytes, owner: list[int], player: int) -> None:
+        self.choice, self.won, self.owner, self.player = choice, won, owner, player
+
+    def __getitem__(self, v: int) -> int:
+        if 0 <= v < len(self.won) and self.won[v] == self.player == self.owner[v]:
+            return self.choice[v]
+        raise KeyError(v)
+
+    def _keys(self) -> bytes:
+        """Byte ``v`` is 1 if the player owns and wins ``v``, 0 otherwise."""
+        table = _IS[self.player]
+        owns = int.from_bytes(bytes(self.owner).translate(table), "big")
+        wins = int.from_bytes(self.won.translate(table), "big")
+        return (owns & wins).to_bytes(len(self.won), "big")
+
+    def __iter__(self):
+        return compress(range(len(self.won)), self._keys())
+
+    def __len__(self) -> int:
+        return self._keys().count(1)
+
+    def __repr__(self) -> str:
+        return f"Strategy({dict(self)!r})"
+
+
 def zielonka(game: ParityGame, stats: Optional[dict] = None):
     """Solve the game; returns (regions, strategy for 0, strategy for 1).
 
-    Each strategy is defined on all vertices its player both owns and wins,
-    keeps the play inside the winning region, and is certified by
-    :func:`verify_strategy` in the test suite.
+    The regions are a :class:`WinningRegions`; each strategy is a
+    :class:`Strategy`, a read-only mapping defined on exactly the vertices
+    its player both owns and wins.  It keeps the play inside the winning
+    region and is certified by :func:`verify_strategy` in the test suite.
+    The solver writes one successor per vertex into a single list, which
+    both strategies read: a kept solution costs one byte and one list entry
+    per vertex.
 
     A game with more than three priorities is cut into strongly connected
     components, which are decided bottom first, so every edge that leaves a
@@ -140,7 +183,7 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     n = game.n_vertices
     if len(set(game.priority)) <= 3:
         solver = _Solver(game, game.predecessors(), stats is not None)
-        w, strategy = solver.solve(set(range(n)))
+        w = solver.solve(set(range(n)))
         # the smaller region is written over the other player's
         p = 0 if len(w[0]) < len(w[1]) else 1
         won = bytearray([1 - p]) * n
@@ -149,28 +192,28 @@ def zielonka(game: ParityGame, stats: Optional[dict] = None):
     else:
         # predecessors inside components, listed as each one is reached
         solver = _Solver(game, [None] * n, stats is not None)
-        won, strategy = _solve_by_components(game, solver)
+        won = _solve_by_components(game, solver)
     if stats is not None:
         stats["calls"] = solver.calls
         stats["attractor_edges"] = solver.edges
-    return WinningRegions(bytes(won)), strategy[0], strategy[1]
+    won, choice = bytes(won), solver.choice
+    return WinningRegions(won), Strategy(choice, won, game.owner, 0), Strategy(choice, won, game.owner, 1)
 
 
-def _solve_by_components(game: ParityGame, solver: "_Solver"):
-    """The winner of each vertex and strategies ``[s0, s1]``, one component at a time."""
-    succ, owner = game.succ, game.owner
+def _solve_by_components(game: ParityGame, solver: "_Solver") -> bytearray:
+    """The winner of each vertex, one component at a time."""
+    succ, owner, choice = game.succ, game.owner, solver.choice
     # the winner of each decided vertex, 2 while undecided: the components
     # come bottom first, so an undecided successor lies in the same component
     won = bytearray([2]) * game.n_vertices
     preds = solver.preds
-    strategy: list[dict] = [{}, {}]
     for comp in scc(succ):
         if type(comp) is int:
             v = comp
             p = owner[v]
             for t in succ[v]:
                 if won[t] == p:
-                    strategy[p][v] = t
+                    choice[v] = t
                     break
             else:
                 p = 1 - p
@@ -189,7 +232,7 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
                     preds[t].append(v)
                 elif w == p and not seeded:
                     seeded = True
-                    strategy[p][v] = t
+                    choice[v] = t
                     seeds[p].add(v)
                     if p:
                         escapes.append(t)
@@ -202,17 +245,16 @@ def _solve_by_components(game: ParityGame, solver: "_Solver"):
             # the edge of a player-1 seed into player 1's region, outside
             # the component, is an escape from player 0's attractor
             rest.update(escapes)
-            solver.attract(0, seeds[0], rest, strategy[0])
+            solver.attract(0, seeds[0], rest)
             rest.difference_update(escapes)
         if seeds[1]:
             rest.difference_update(seeds[1])
-            solver.attract(1, seeds[1], rest, strategy[1])
-        w, s = solver.solve(rest) if rest else ([set(), set()], [{}, {}])
+            solver.attract(1, seeds[1], rest)
+        w = solver.solve(rest) if rest else ((), ())
         for p in (0, 1):
             for v in chain(seeds[p], w[p]):
                 won[v] = p
-            strategy[p] = _merge(strategy[p], s[p])
-    return won, strategy
+    return won
 
 
 class _Solver:
@@ -226,16 +268,28 @@ class _Solver:
     component into it.  ``preds`` lists the predecessors of each vertex: all
     of them, or, when the game is solved one component at a time, those in
     the vertex's component, listed when that component is reached.
+
+    ``choice`` holds one successor per vertex, the strategies of both
+    players.  Every step that gives a vertex to its owner writes the edge
+    the owner takes there, and only then: an attractor writes the vertices
+    of its player that it attracts, and a subgame its player wins entirely
+    writes its player's vertices of least priority.  A subgame's writes stay
+    inside it.  An entry is read only where the vertex's owner wins it in
+    the end; there the last write is the owner's strategy.  The repeat of a
+    subgame solves again every vertex that the player's attractor to the
+    least priority or the child gave the player, so it overwrites each of
+    their writes at a vertex the player still wins.
     """
 
     def __init__(self, game: ParityGame, preds: list, count: bool) -> None:
         self.succ, self.owner, self.priority = game.succ, game.owner, game.priority
         self.preds = preds
+        self.choice = [-1] * game.n_vertices
         self.count = count
         self.calls = 0
         self.edges = 0
 
-    def attract(self, player: int, attr: set, rest: set, strategy: dict, border=None) -> None:
+    def attract(self, player: int, attr: set, rest: set, border=None) -> None:
         """Move to ``attr`` the vertices of ``rest`` that ``player`` can force into it.
 
         The subgame is ``attr | rest`` and stays so; an opponent's edge out
@@ -243,7 +297,7 @@ class _Solver:
         listed predecessor of a vertex of ``attr``, so a vertex outside the
         listed edges stays in ``rest`` and the opponent's edges into it are
         escapes.  Attracted vertices of ``player`` get the edge they use in
-        ``strategy``.
+        ``choice``.
 
         Without ``border``, the predecessors of every vertex of ``attr`` are
         walked.  With it, they are not: ``border`` must hold every vertex of
@@ -259,7 +313,7 @@ class _Solver:
         player's part of the child, a trap for ``player`` there, so none of
         its vertices can be forced into ``attr`` in one step.
         """
-        succ, preds, owner = self.succ, self.preds, self.owner
+        succ, preds, owner, choice = self.succ, self.preds, self.owner, self.choice
         escapes: dict[int, int] = {}
         # todo lists, and walked holds, the vertices whose predecessors are walked
         if border is None:
@@ -271,7 +325,7 @@ class _Solver:
                 if owner[v] == player:
                     for t in succ[v]:
                         if t in attr:
-                            strategy[v] = t
+                            choice[v] = t
                             todo.append(v)
                             break
                 else:
@@ -292,7 +346,7 @@ class _Solver:
                 if owner[v] == player:
                     rest.discard(v)
                     walked.add(v)
-                    strategy[v] = u
+                    choice[v] = u
                     todo.append(v)
                     continue
                 left = escapes.get(v)
@@ -316,7 +370,7 @@ class _Solver:
                 self.edges += sum(map(len, map(succ.__getitem__, border)))
 
     def solve(self, vertices: set):
-        """Winning regions ``[w0, w1]`` and strategies ``[s0, s1]`` of a subgame.
+        """Winning regions ``[w0, w1]`` of a subgame; the strategies go to ``choice``.
 
         The set ``vertices`` is consumed: it becomes part of the result.
         The vertices are grouped once into runs of equal priority, least
@@ -355,7 +409,7 @@ class _Solver:
         """
         self.calls += 1
         if not sub:
-            return [set(), set()], [{}, {}]
+            return [set(), set()]
         top = list(filter(sub.__contains__, runs[r]))
         while not top:
             r += 1
@@ -364,57 +418,54 @@ class _Solver:
         o = 1 - p
         attr = set(top)
         sub.difference_update(top)
-        strategy: dict = {}
         if sub:
-            self.attract(p, attr, sub, strategy)
+            self.attract(p, attr, sub)
         if not sub:
             # the player's attractor to the minimal priority is everything
-            return self._won_by(p, attr, top, strategy, [{}, {}])
-        w, s = yield sub, r + 1
+            return self._won_by(p, attr, top)
+        w = yield sub, r + 1
         if not w[o]:
-            return self._won_by(p, _merge(w[p], attr), top, _merge(s[p], strategy), s)
+            return self._won_by(p, _merge(w[p], attr), top)
         # the opponent wins part: remove their attractor and repeat
-        won, earlier = w[o], s[o]
+        won = w[o]
         # w[p] is a trap for o in the child, so only a vertex of attr can be
         # the first one o attracts: a small attr is the cheaper seed
         border = list(attr) if len(attr) < len(won) else None
         rest = _merge(w[p], attr)
-        escape: dict = {}
         before = len(rest)
-        self.attract(o, won, rest, escape, border)
+        self.attract(o, won, rest, border)
         if len(rest) == before:
             # The attractor added nothing, so the repeat would solve
             # attr | w[p]: its attractor to the minimal priority is
             # attr again, and w[p] is left, which p wins entirely.
-            w, s = self._won_by(p, rest, top, _merge(s[p], strategy), s)
+            w = self._won_by(p, rest, top)
             w[o] = won
-            return w, s
-        w, s = yield rest, r
+            return w
+        w = yield rest, r
         w[o] = _merge(w[o], won)
-        s[o] = _merge(_merge(s[o], escape), earlier)
-        return w, s
+        return w
 
-    def _won_by(self, p: int, region: set, top: list, strategy: dict, s: list):
-        """The result for a subgame ``region`` that ``p`` wins entirely.
+    def _won_by(self, p: int, region: set, top: list) -> list:
+        """The regions of a subgame ``region`` that ``p`` wins entirely.
 
-        ``strategy`` covers ``p``'s vertices outside ``top``; those of ``p``
-        in ``top``, of minimal priority, may move anywhere inside.
+        ``choice`` already holds the moves of ``p``'s vertices outside
+        ``top``; those of ``p`` in ``top``, of minimal priority, may move
+        anywhere inside.
         """
-        succ, owner = self.succ, self.owner
+        succ, owner, choice = self.succ, self.owner, self.choice
         for v in top:
             if owner[v] == p:
                 for t in succ[v]:
                     if t in region:
-                        strategy[v] = t
+                        choice[v] = t
                         break
-        s[p] = strategy
         w: list = [set(), set()]
         w[p] = region
-        return w, s
+        return w
 
 
-def _merge(a, b):
-    """Union of two disjoint sets or dicts, built by extending the larger."""
+def _merge(a: set, b: set) -> set:
+    """Union of two disjoint sets, built by extending the larger."""
     if len(a) < len(b):
         a, b = b, a
     a.update(b)

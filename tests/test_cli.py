@@ -834,6 +834,7 @@ MALFORMED_SUITES = {
     "entries object": ({"entries": {"case": ENTRY}}, "manifest entries must be a JSON array"),
     "transforms string": ({"entries": [dict(ENTRY, transforms="stutter")]}, "case: transforms must be"),
     "prop number": ({"entries": [dict(ENTRY, prop=5)]}, "case: --prop expects a string, got 5"),
+    "prop missing": ({"entries": [{"name": "case", "program": "p1.imp"}]}, "manifest entry 0 needs a string 'prop'"),
     "expect number": ({"entries": [dict(ENTRY, expect=5)]}, "case: expect must be 'satisfied' or 'violated', got 5"),
     "expect misspelt": ({"entries": [dict(ENTRY, expect="satisfed")]}, "case: expect must be 'satisfied' or 'violated', got \"satisfed\""),
     "name repeated": ({"entries": [ENTRY, dict(ENTRY, prop="ni")]}, "manifest entry 1 repeats the name 'case' of entry 0"),

@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -320,6 +322,64 @@ def test_regions_hold_one_winner_byte_per_vertex(components):
         assert regions == brute_force_solve(g)
 
 
+@pytest.mark.parametrize("components", [False, True], ids=["whole game", "components"])
+def test_strategies_are_views_that_read_like_the_dict_of_their_items(components):
+    rng = random.Random(61)
+    games = [mid_size_game(rng, 20 if components else 2) for _ in range(5)]
+    while len(games) < 100:
+        g = random_game(rng, max_vertices=8, max_degree=3, max_priority=8 if components else 2)
+        if (len(set(g.priority)) > 3) == components:
+            games.append(g)
+    stale = 0
+    for g in games:
+        n = g.n_vertices
+        regions, s0, s1 = zielonka(g)
+        # one list of successors, read by both players' views
+        assert s0.choice is s1.choice and len(s0.choice) == n
+        # entries the solver wrote at vertices their owner lost
+        stale += sum(s0.choice[v] >= 0 and regions.winner(v) != g.owner[v] for v in range(n))
+        for player, s in ((0, s0), (1, s1)):
+            expected = {
+                v: s.choice[v] for v in range(n) if regions.winner(v) == g.owner[v] == player
+            }
+            assert s == expected and expected == s
+            assert dict(s) == expected and len(s) == len(expected)
+            assert list(s.items()) == sorted(expected.items())
+            assert list(s) == sorted(expected)
+            for v in range(-2, n + 2):
+                assert s.get(v) == expected.get(v)
+                assert (v in s) == (v in expected)
+                if v not in expected:
+                    # outside the game, or a vertex its owner loses
+                    with pytest.raises(KeyError):
+                        s[v]
+        assert verify_strategy(g, regions, s0, s1)
+    assert stale > 0
+
+
+def test_a_kept_solution_costs_about_nine_bytes_per_vertex():
+    # one winner byte and one list entry per vertex; two dicts of the
+    # strategies and their keys held about 25 bytes per vertex
+    rng = random.Random(71)
+    n = 2000
+    game = ParityGame(
+        succ=[rng.sample(range(n), rng.randint(1, 2)) for _ in range(n)],
+        owner=[rng.randint(0, 1) for _ in range(n)],
+        priority=[rng.randrange(50) for _ in range(n)],
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solution = zielonka(game)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert verify_strategy(game, *solution)
+    assert held <= 12 * n, f"{held / n:.1f} B per vertex"
+
+
 def test_stats_count_subgames_and_attractor_edges():
     # player 1 moves from 1 back to 0 and wins by seeing priority 1 forever
     game = ParityGame(succ=[[1], [0, 1]], owner=[0, 1], priority=[1, 2])
@@ -380,9 +440,9 @@ def test_attractors_seeded_from_the_border_match_brute_force(monkeypatch):
     seeded = [0]
     attract = solver._Solver.attract
 
-    def counted(self, player, attr, rest, strategy, border=None):
+    def counted(self, player, attr, rest, border=None):
         seeded[0] += border is not None
-        attract(self, player, attr, rest, strategy, border)
+        attract(self, player, attr, rest, border)
 
     monkeypatch.setattr(solver._Solver, "attract", counted)
     rng = random.Random(44)

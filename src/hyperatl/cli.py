@@ -591,9 +591,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.pop("command") == "check":
             args["systems"] = [_parse_system(s) for s in args.get("systems", ())]
-            widths, dump_sys = args.get("widths", ()), args.get("dump_sys", ())
-            args["widths"] = dict(_key_value(w, "--width", "VAR=N") for w in widths)
-            args["dump_sys"] = dict(_key_value(d, "--dump-sys", "ID=FILE") for d in dump_sys)
+            for dest, flag, shape in (("widths", "--width", "VAR=N"), ("dump_sys", "--dump-sys", "ID=FILE")):
+                items, args[dest] = args.get(dest, ()), {}
+                for key, value in (_key_value(item, flag, shape) for item in items):
+                    if key in args[dest]:  # a repeated key is refused, not overridden
+                        raise ConfigError(f"{flag} {key!r} given twice")
+                    args[dest][key] = value
             report = run(CheckConfig(**args))
             print(report.record(), end="")
             return EXIT_SATISFIED if report.verdict == "satisfied" else EXIT_VIOLATED

@@ -91,33 +91,44 @@ class Index:
 Expr = Union[Var, TrueE, FalseE, NotE, AndE, OrE, Concat, Index]
 
 
-def expr_width(e, widths: Mapping[str, int], text: str) -> int:
-    """Bit width of a well-formed expression; raises on width violations.
+def _layout(widths: Mapping[str, int]) -> dict[str, tuple[int, int]]:
+    """Each variable's offset and width among the program bits, in declaration order."""
+    layout, n = {}, 0
+    for x, w in widths.items():
+        layout[x] = (n, w)
+        n += w
+    return layout
 
-    ``text`` is the program the expression was parsed from; errors start
-    with the ``line:col:`` of the variable, operator or bit index at fault.
+
+def _bits(e, layout: Mapping[str, tuple[int, int]], text: str = "") -> list[int]:
+    """Per bit of ``e``, the mask of the program bits that it is computed from.
+
+    Its length is the width of ``e``, so the parser checks widths through it:
+    errors start with the ``line:col:`` in ``text`` of the variable, operator
+    or bit index at fault.
     """
     match e:
         case Var(name):
-            if name not in widths:
+            if name not in layout:
                 raise ProgramError(f"undeclared variable {name!r}", e.pos, text)
-            return widths[name]
+            offset, width = layout[name]
+            return [1 << offset + i for i in range(width)]
         case TrueE() | FalseE():
-            return 1
+            return [0]
         case NotE(op):
-            return expr_width(op, widths, text)
+            return _bits(op, layout, text)
         case AndE(l, r) | OrE(l, r):
-            wl, wr = expr_width(l, widths, text), expr_width(r, widths, text)
-            if wl != wr:
-                raise ProgramError(f"operand widths differ ({wl} vs {wr})", e.pos, text)
-            return wl
+            left, right = _bits(l, layout, text), _bits(r, layout, text)
+            if len(left) != len(right):
+                raise ProgramError(f"operand widths differ ({len(left)} vs {len(right)})", e.pos, text)
+            return [a | b for a, b in zip(left, right)]
         case Concat(l, r):
-            return expr_width(l, widths, text) + expr_width(r, widths, text)
+            return _bits(l, layout, text) + _bits(r, layout, text)
         case Index(op, i):
-            w = expr_width(op, widths, text)
-            if not 0 <= i < w:
-                raise ProgramError(f"bit index {i} out of range for width {w}", e.pos, text)
-            return 1
+            bits = _bits(op, layout, text)
+            if not 0 <= i < len(bits):
+                raise ProgramError(f"bit index {i} out of range for width {len(bits)}", e.pos, text)
+            return [bits[i]]
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -247,25 +258,6 @@ def _number_points(program) -> tuple[int, list[tuple]]:
     return enter(program, 0), points
 
 
-def _sources(e, layout: Mapping[str, tuple[int, int]]) -> list[int]:
-    """Per bit of ``e``, the mask of the program bits that it is computed from."""
-    match e:
-        case Var(name):
-            offset, width = layout[name]
-            return [1 << offset + i for i in range(width)]
-        case TrueE() | FalseE():
-            return [0]
-        case NotE(op):
-            return _sources(op, layout)
-        case AndE(l, r) | OrE(l, r):
-            return [a | b for a, b in zip(_sources(l, layout), _sources(r, layout))]
-        case Concat(l, r):
-            return _sources(l, layout) + _sources(r, layout)
-        case Index(op, i):
-            return [_sources(op, layout)[i]]
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _live_bits(points: list[tuple], layout: Mapping[str, tuple[int, int]], observed: int) -> list[int]:
     """Per program point, the mask of the bits that some path from it reads before writing them.
 
@@ -278,12 +270,12 @@ def _live_bits(points: list[tuple], layout: Mapping[str, tuple[int, int]], obser
     for stmt, _ in points:
         match stmt:
             case Assign(var, expr):
-                bits = _sources(Var(var), layout)  # each bit of ``var`` alone
-                flow.append((sum(bits), tuple(zip(bits, _sources(expr, layout))), 0))
+                bits = _bits(Var(var), layout)  # each bit of ``var`` alone
+                flow.append((sum(bits), tuple(zip(bits, _bits(expr, layout))), 0))
             case ReadH(var) | ReadL(var):
-                flow.append((sum(_sources(Var(var), layout)), (), 0))
+                flow.append((sum(_bits(Var(var), layout)), (), 0))
             case IfExpr(cond) | While(cond):
-                flow.append((0, (), _sources(cond, layout)[0]))
+                flow.append((0, (), _bits(cond, layout)[0]))
             case _:
                 flow.append((0, (), 0))
     live = [observed] * len(points)
@@ -336,6 +328,7 @@ class _Parser(Cursor):
                 raise self.error("bit width must be at least 1")
             self.expect_punct(";")
             self.widths[name] = width
+        self.layout = _layout(self.widths)
         body = self.parse_stmts()
         if not self.at_eof():
             raise self.error("expected a statement")
@@ -363,7 +356,7 @@ class _Parser(Cursor):
                 self.next()
             else:
                 cond = self.parse_infix()
-                if expr_width(cond, self.widths, self.text) != 1:
+                if len(_bits(cond, self.layout, self.text)) != 1:
                     raise ProgramError("guard must have width 1", pos, self.text)
             self.expect_punct(")")
             then = self.parse_block()
@@ -385,7 +378,7 @@ class _Parser(Cursor):
             self.expect_punct(";")
             return ReadH(name) if which == "read_H" else ReadL(name)
         expr = self.parse_infix()
-        w = expr_width(expr, self.widths, self.text)
+        w = len(_bits(expr, self.layout, self.text))
         if w != self.widths[name]:
             raise ProgramError(
                 f"cannot assign width {w} to {name!r} of width {self.widths[name]}",
@@ -470,12 +463,10 @@ def build_cgs(
     live.
     """
     entry, points = _number_points(program)
-    layout, n = {}, 0
-    for x, w in widths.items():
-        layout[x] = (n, w)
-        n += w
+    layout = _layout(widths)
     masks = {x: (1 << w) - 1 << offset for x, (offset, w) in layout.items()}
     names = [f"{x}[{i}]" for x, w in widths.items() for i in range(w)]  # per bit
+    n = len(names)
     observed = (1 << n) - 1
     if observe is not None:
         observe = set(observe)

@@ -100,10 +100,10 @@ class WinningRegions:
 class Strategy(Mapping):
     """The positional strategy of ``player``: vertex ``v`` moves to ``choice[v]``.
 
-    A read-only view.  ``v`` is a key iff ``0 <= v < len(won)`` and
-    ``won[v] == owner[v] == player``: the strategy covers exactly the
-    vertices its player owns and wins, and an entry of ``choice`` at any
-    other vertex is not read.  Both strategies of one solution read the same
+    A read-only view.  ``v`` is a key iff it is an int, ``0 <= v <
+    len(won)`` and ``won[v] == owner[v] == player``: the strategy covers
+    exactly the vertices its player owns and wins, and an entry of
+    ``choice`` at any other vertex is not read.  Both strategies of one solution read the same
     ``choice`` list.  Equality is that of the mapping, so a strategy equals
     the dict of its items.
     """
@@ -114,7 +114,7 @@ class Strategy(Mapping):
         self.choice, self.won, self.owner, self.player = choice, won, owner, player
 
     def __getitem__(self, v: int) -> int:
-        if 0 <= v < len(self.won) and self.won[v] == self.player == self.owner[v]:
+        if isinstance(v, int) and 0 <= v < len(self.won) and self.won[v] == self.player == self.owner[v]:
             return self.choice[v]
         raise KeyError(v)
 

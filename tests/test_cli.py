@@ -513,6 +513,23 @@ def test_incomplete_check_arguments_are_usage_errors(capsys, tmp_path, args, mes
     assert message in usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "repeated, message",
+    [
+        (["--width", "o=2", "--width", "o=1"], "--width 'o' given twice"),
+        (["--width", "o=1", "--width", "h=1", "--width", "o=2"], "--width 'o' given twice"),
+        (["--dump-sys", "G={tmp}/a.dot", "--dump-sys", "G={tmp}/b.dot"], "--dump-sys 'G' given twice"),
+    ],
+    ids=["width-last-fits", "width-first-fits", "dump-sys"],
+)
+@pytest.mark.parametrize("program", ["q1.imp", "missing.imp"])
+def test_a_repeated_key_is_a_usage_error_before_any_program_is_read(capsys, tmp_path, repeated, message, program):
+    prog = bundled_asset("q1.imp") if program == "q1.imp" else tmp_path / program
+    argv = ["check", "--system", f"G={prog}", "--prop", "od", *(a.format(tmp=tmp_path) for a in repeated)]
+    assert usage_error(capsys, argv) == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_integer_width_is_a_usage_error(capsys):
     prog = str(bundled_asset("q1.imp"))
     argv = ["check", "--system", f"G={prog}", "--prop", "od", "--width", "h=abc"]

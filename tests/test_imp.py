@@ -74,7 +74,7 @@ PRECEDENCE = {  # (declared widths, expression, tree)
 def test_precedence(case):
     decls, text, tree = PRECEDENCE[case]
     widths = dict((name, int(w)) for name, w in (d.split(":") for d in decls.split()))
-    width = imp.expr_width(tree, widths, "")
+    width = len(imp._bits(tree, imp._layout(widths)))
     declared = "".join(f"var {name}:{w}; " for name, w in widths.items())
     assert parse_program(f"{declared}var t:{width}; t := {text};")[1] == Assign("t", tree)
 

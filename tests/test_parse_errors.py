@@ -76,6 +76,14 @@ PROGRAM_ERRORS = [
     ("var Ⅷ : 1;\nx := x;", "1:5: unexpected character 'Ⅷ'"),
     pytest.param(f"var x : {LONG};\nx := x;", "1:9: number too long (5000 digits)", id="long width"),
     pytest.param(f"var x : 1;\nx := x[{LONG}];", "2:8: number too long (5000 digits)", id="long index"),
+    # the same checks inside guards, and on '|'
+    ("var x : 1;\nif (y) { x := x; } else { x := x; }", "2:5: undeclared variable 'y'"),
+    ("var x : 1;\nif (x & (x @ x)) { x := x; } else { x := x; }", "2:7: operand widths differ (1 vs 2)"),
+    ("var x : 1;\nif (x[3]) { x := x; } else { x := x; }", "2:7: bit index 3 out of range for width 1"),
+    ("var x : 1;\nwhile (y) { x := x; }", "2:8: undeclared variable 'y'"),
+    ("var x : 1;\nwhile (x | (x @ x)) { x := x; }", "2:10: operand widths differ (1 vs 2)"),
+    ("var x : 1;\nwhile (!x[1]) { x := x; }", "2:11: bit index 1 out of range for width 1"),
+    ("var x : 1;\nx := (x @ x) | x;", "2:14: operand widths differ (2 vs 1)"),
 ]
 
 

@@ -346,11 +346,12 @@ def test_strategies_are_views_that_read_like_the_dict_of_their_items(components)
             assert dict(s) == expected and len(s) == len(expected)
             assert list(s.items()) == sorted(expected.items())
             assert list(s) == sorted(expected)
-            for v in range(-2, n + 2):
+            # keys that are not ints are missing, as from a dict; bools read as their ints
+            for v in [*range(-2, n + 2), "a", None, (0,), 0.5, False, True]:
                 assert s.get(v) == expected.get(v)
                 assert (v in s) == (v in expected)
                 if v not in expected:
-                    # outside the game, or a vertex its owner loses
+                    # outside the game, a vertex its owner loses, or not an int
                     with pytest.raises(KeyError):
                         s[v]
         assert verify_strategy(g, regions, s0, s1)
